@@ -28,7 +28,7 @@ anti-Hermitian defect is the flux -D' Im(psi* psi').
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,10 +199,7 @@ def phase_freedom_check(state: WaveState, eps: float, spec: PropagatorSpec,
     property can be checked on whichever grid regime suits the step size.
     """
     x = state.grid.x
-    shifted = PropagatorSpec(
-        spec.d, spec.u,
-        FieldSpec.tabulated(x, spec.b(x, state.time) + c),
-        spec.order, spec.variant, spec.im_d, spec.im_u, spec.d_field)
+    shifted = replace(spec, b=FieldSpec.tabulated(x, spec.b(x, state.time) + c))
     base = evolve(state, eps, n_steps, spec, method=method).final
     moved = evolve(state, eps, n_steps, shifted, method=method).final
     density_diff = float(np.max(np.abs(np.abs(moved.psi) ** 2

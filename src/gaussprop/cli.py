@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,9 +96,8 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
 
 
 def _variant_spec(base: PropagatorSpec, case) -> PropagatorSpec:
-    return PropagatorSpec(d=base.d, u=base.u, b=base.b, order=base.order,
-                          variant=case.variant, im_d=case.im_d, im_u=case.im_u,
-                          d_field=case.d_field)
+    return replace(base, variant=case.variant, im_d=case.im_d, im_u=case.im_u,
+                   d_field=case.d_field)
 
 
 def _run_audit(sc: Scenario, args) -> RunResult:

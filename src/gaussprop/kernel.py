@@ -71,6 +71,21 @@ def normalization_constant(spec: PropagatorSpec, eps: float, x, t: float = 0.0):
     return k0 * (1.0 + eps * t_correction(spec, x, t))
 
 
+def source_factors(eps: float, x, t: float, spec: PropagatorSpec,
+                   a_override: FieldSpec | None = None):
+    """The kernel's source-point factors: 1/(2 pi i D eps)^(1/2) and exp(-eps T).
+
+    Neither depends on the displacement, so a step that factors the
+    quadratic phase can apply them to the source samples directly.
+    """
+    _check_eps(eps)
+    norm_factor = 1.0 / np.sqrt(2.0j * np.pi * spec.d_value(x, t) * eps)
+    if spec.order == "zero":
+        return norm_factor, np.ones_like(norm_factor)
+    a = _a_value(spec, x, t, a_override)
+    return norm_factor, np.exp(-eps * (a + 1j * spec.b(x, t)))
+
+
 @dataclass(frozen=True)
 class KernelEvaluation:
     """Complex kernel value and the retained factors it is built from.
@@ -93,17 +108,11 @@ def complex_kernel(eta, eps: float, x, t: float, spec: PropagatorSpec,
     arbitrary correction field for the variant's a (used by the empirical
     a scan); the quadratic phase and normalization are untouched by it.
     """
-    _check_eps(eps)
+    norm_factor, t_factor = source_factors(eps, x, t, spec, a_override)
     eta = np.asarray(eta, dtype=float)
     d = spec.d_value(x, t)
     u = spec.u_value(x, t)
-    norm_factor = 1.0 / np.sqrt(2.0j * np.pi * d * eps)
     phase = np.exp(1j * (eta - u * eps) ** 2 / (2.0 * d * eps))
-    if spec.order == "zero":
-        t_factor = np.ones_like(phase)
-    else:
-        a = _a_value(spec, x, t, a_override)
-        t_factor = np.exp(-eps * (a + 1j * spec.b(x, t)))
     t_factor = np.broadcast_to(t_factor, phase.shape)
     norm_factor = np.broadcast_to(norm_factor, phase.shape)
     return KernelEvaluation(value=norm_factor * phase * t_factor,

@@ -6,18 +6,30 @@ eps maps
     psi(x_j, t+eps) = sum_k dx * Pi(x_k - x_j, eps; x_k, t) * psi(x_k, t),
 
 with the kernel, its drift, and the first-order T factors all evaluated at
-the displaced point x_k = x_j + eta (an alternative placement evaluating the
-T factors at x_j is kept for comparison; the two agree below the scheme's
-order).  The eta integral is truncated at the grid extent: the kernel itself
-never decays, the integrand does because psi does, which is why every state
-fed to a step must satisfy the boundary-decay invariant.
+the displaced point x_k = x_j + eta.  The eta integral is truncated at the
+grid extent: the kernel itself never decays, the integrand does because psi
+does, which is why every state fed to a step must satisfy the boundary-decay
+invariant.
+
+dense_operator builds this step once per (grid, eps, spec, t).  For real
+constant D with a constant or linear drift u, the drifted sources
+y_k = x_k - u(x_k) eps again lie on a uniform grid, and the phase
+(x_k - x_j - u_k eps)^2 = (y_k - x_j)^2 makes the sum a chirp-z transform:
+a column chirp, a convolution with the chirp of the index lag done by FFT,
+and a row chirp (Rabiner, Schafer & Rader 1969; Bluestein 1970).  That is
+O(n log n) time and O(n) memory per step.  complex_u's constant imaginary
+drift enters as real row and column factors.  Sine, quadratic and tabulated
+drifts, x-dependent D and complex D apply the n x n kernel matrix, which is
+also the reference the factored form is tested against.
 
 The quadrature can only resolve the kernel's quadratic phase when adjacent
 grid samples advance it by at most pi: max |eta| * dx / (D eps) <= pi.
 validity_check reports this number for the full grid window and for the
 window the state actually occupies; step_dense refuses to run when the
 occupied window fails.  Equivalently, the sampled chirp's aliasing images
-(spaced 2 pi D eps / dx apart) must fall outside the occupied window.
+(spaced 2 pi D eps / dx apart) must fall outside the occupied window.  The
+chirp-z form computes the same sampled sum as the matrix, so the floor holds
+for both: an unresolved chirp aliases however the sum is evaluated.
 
 The spectral path uses the kernel's factorized form on a periodic grid:
 position factors for the drift and phase fields applied to O(eps), and the
@@ -43,9 +55,7 @@ from scipy.linalg import solve_banded
 
 from .fields import (BOUNDARY_DECAY_RATIO, FieldSpec, Grid, PropagatorSpec,
                      RealState, WaveState, check_boundary_decay, norm, total_mass)
-from .kernel import complex_kernel, real_kernel, t_correction
-
-T_EVALUATIONS = ("displaced", "origin")
+from .kernel import complex_kernel, real_kernel, source_factors
 
 
 class ValidityError(RuntimeError):
@@ -102,48 +112,77 @@ def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
 
 
 def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
-                  order: str | None = None, t_eval: str = "displaced",
-                  a_override: FieldSpec | None = None,
-                  periodic: bool = False) -> np.ndarray:
-    if t_eval not in T_EVALUATIONS:
-        raise ValueError(f"t_eval must be one of {T_EVALUATIONS}, got {t_eval!r}")
-    if order is not None and order != spec.order:
-        spec = PropagatorSpec(spec.d, spec.u, spec.b, order, spec.variant,
-                              spec.im_d, spec.im_u, spec.d_field)
+                  a_override: FieldSpec | None = None) -> np.ndarray:
     x = grid.x
     eta = x[None, :] - x[:, None]
-    if periodic:
-        span = grid.x_max - grid.x_min
-        eta = (eta + 0.5 * span) % span - 0.5 * span
-    if t_eval == "origin" and spec.order == "first":
-        # quadratic phase and normalization at the source, T factors at x_j
-        bare = PropagatorSpec(spec.d, spec.u, spec.b, "zero",
-                              spec.variant if spec.variant in
-                              ("admissible", "complex_d", "complex_u", "x_dependent_d")
-                              else "admissible",
-                              spec.im_d, spec.im_u, spec.d_field)
-        ev = complex_kernel(eta, eps, x[None, :], t, bare)
-        if a_override is None:
-            tf = np.exp(-eps * t_correction(spec, x, t))
-        else:
-            tf = np.exp(-eps * (a_override(x, t) + 1j * spec.b(x, t)))
-        return grid.dx * tf[:, None] * ev.value
     ev = complex_kernel(eta, eps, x[None, :], t, spec, a_override=a_override)
     return grid.dx * ev.value
 
 
+def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+                  a_override: FieldSpec | None):
+    # With x_j = x_0 + j dx and y_k = x_k - u(x_k) eps = y_0 + k r dx, the
+    # phase c (y_k - x_j)^2 splits into a column chirp, a row chirp and the
+    # chirp exp(i c r dx^2 (k - j)^2) of the index lag, a convolution done by
+    # FFT (Bluestein 1970).  Only the lag chirp carries the 1/eps of c; the
+    # row and column phases are written with their 1/eps parts cancelled.
+    n, dx = grid.n, grid.dx
+    u_first = float(spec.u(grid.x_min, t))          # u(x_0)
+    slope = float(spec.u.derivative(grid.x_min, t))
+    c = 1.0 / (2.0 * spec.d * eps)
+    r = 1.0 - slope * eps
+    delta = -u_first * eps                          # y_0 - x_0
+    c_delta = -u_first / (2.0 * spec.d)             # c delta
+    c_shear = slope / (2.0 * spec.d)                # c (1 - r)
+    xs = grid.x - grid.x_min                        # x_j - x_0
+    norm_factor, t_factor = source_factors(eps, grid.x, t, spec, a_override)
+    # c ((y_k - x_0)^2 - r (x_k - x_0)^2) and c ((1 - r) (x_j - x_0)^2
+    # - 2 delta (x_j - x_0))
+    col = dx * norm_factor * t_factor * np.exp(
+        1j * (c_delta * (delta + 2.0 * r * xs) - r * c_shear * xs ** 2))
+    row = np.exp(1j * (c_shear * xs ** 2 - 2.0 * c_delta * xs))
+    if spec.variant == "complex_u":
+        # u + i im_u shifts y by -i w, w = im_u eps, which multiplies the
+        # kernel by exp(2 c w (y_k - x_j) - i c w^2); the real part is split
+        # about the grid centre to keep both factors moderate
+        shift = spec.im_u / spec.d                  # 2 c w
+        mid = grid.half_width
+        col = col * np.exp(shift * (delta + r * xs - mid))
+        row = row * np.exp(-shift * (xs - mid) - 0.5j * shift * spec.im_u * eps)
+    size = 1 << (2 * n - 2).bit_length()           # >= 2n - 1: no wrap-around
+    lag = np.arange(size)
+    lag = np.minimum(lag, size - lag).astype(float)
+    chirp_hat = np.fft.fft(np.exp(1j * c * r * dx ** 2 * lag ** 2))
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        return row * np.fft.ifft(chirp_hat * np.fft.fft(col * psi, size))[:n]
+
+    return apply
+
+
+def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+                   a_override: FieldSpec | None = None):
+    """The dense quadrature step on grid as a function psi -> psi(t + eps).
+
+    Real constant D with constant or linear u takes the chirp-z form in
+    O(n log n); every other spec applies the n x n kernel matrix.
+    """
+    if (spec.u.kind in ("constant", "linear")
+            and spec.variant not in ("complex_d", "x_dependent_d")):
+        return _chirp_z_step(grid, eps, spec, t, a_override)
+    mat = _dense_matrix(grid, eps, spec, t, a_override)
+    return lambda psi: mat @ psi
+
+
 def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
-               order: str | None = None, t_eval: str = "displaced",
-               a_override: FieldSpec | None = None,
-               periodic: bool = False) -> WaveState:
+               a_override: FieldSpec | None = None) -> WaveState:
     """One complex-kernel step by direct quadrature over the whole grid."""
     check_boundary_decay(state)
     report = validity_check(state.grid, eps, spec, state)
     if not report.passes:
         raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
-    mat = _dense_matrix(state.grid, eps, spec, state.time, order, t_eval,
-                        a_override, periodic)
-    return state.replace_psi(mat @ state.psi, time=state.time + eps)
+    step = dense_operator(state.grid, eps, spec, state.time, a_override)
+    return state.replace_psi(step(state.psi), time=state.time + eps)
 
 
 def _drift_cayley(psi: np.ndarray, u: np.ndarray, eps: float,
@@ -240,7 +279,7 @@ class Trajectory:
 
 
 def evolve(state: WaveState, eps: float, n_steps: int, spec: PropagatorSpec,
-           method: str = "dense", **step_kwargs) -> Trajectory:
+           method: str = "dense") -> Trajectory:
     """Repeatedly step a wave state, aborting if its tails reach the grid edge."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -248,8 +287,8 @@ def evolve(state: WaveState, eps: float, n_steps: int, spec: PropagatorSpec,
         raise ValueError(f"method must be 'dense' or 'spectral', got {method!r}")
     states = [state]
     if method == "dense":
-        # static fields: one matrix serves every step
-        mat = _dense_matrix(state.grid, eps, spec, state.time, **step_kwargs)
+        # static fields: one operator serves every step
+        step = dense_operator(state.grid, eps, spec, state.time)
         for i in range(n_steps):
             cur = states[-1]
             _recheck(cur, i)
@@ -257,7 +296,7 @@ def evolve(state: WaveState, eps: float, n_steps: int, spec: PropagatorSpec,
             if not report.passes:
                 raise ValidityError(
                     f"dense step cannot resolve the kernel phase at step {i}: {report}")
-            states.append(cur.replace_psi(mat @ cur.psi, time=cur.time + eps))
+            states.append(cur.replace_psi(step(cur.psi), time=cur.time + eps))
     else:
         for i in range(n_steps):
             cur = states[-1]

@@ -33,6 +33,20 @@ class ScenarioError(ValueError):
     """Raised when a scenario file is malformed or incomplete."""
 
 
+# default of a required key; None is the parsed value of an absent optional key
+_REQUIRED = object()
+
+
+class _NonFinite:
+    """A NaN or Infinity literal: no reader accepts it, so the key is named."""
+
+    def __init__(self, literal: str):
+        self.literal = literal
+
+    def __repr__(self):
+        return self.literal
+
+
 def _check_keys(obj, path, required, optional=()):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -45,9 +59,9 @@ def _check_keys(obj, path, required, optional=()):
             raise ScenarioError(f"{path}: missing required key {key!r}")
 
 
-def _number(obj, key, path, default=None, positive=False, nonnegative=False):
+def _number(obj, key, path, default=_REQUIRED, positive=False, nonnegative=False):
     if key not in obj:
-        if default is None:
+        if default is _REQUIRED:
             raise ScenarioError(f"{path}: missing required key {key!r}")
         return default
     value = obj[key]
@@ -61,9 +75,9 @@ def _number(obj, key, path, default=None, positive=False, nonnegative=False):
     return value
 
 
-def _integer(obj, key, path, default=None, minimum=None):
+def _integer(obj, key, path, default=_REQUIRED, minimum=None):
     if key not in obj:
-        if default is None:
+        if default is _REQUIRED:
             raise ScenarioError(f"{path}: missing required key {key!r}")
         return default
     value = obj[key]
@@ -74,9 +88,9 @@ def _integer(obj, key, path, default=None, minimum=None):
     return value
 
 
-def _string(obj, key, path, default=None, choices=None):
+def _string(obj, key, path, default=_REQUIRED, choices=None):
     if key not in obj:
-        if default is None:
+        if default is _REQUIRED:
             raise ScenarioError(f"{path}: missing required key {key!r}")
         return default
     value = obj[key]
@@ -231,17 +245,11 @@ def _parse_moments(obj, path):
             x=_number(obj["cancellation"], "x", cpath),
             eps=_number(obj["cancellation"], "eps", cpath, positive=True),
         )
-    delta0 = _number(obj, "delta0", path, default=-1.0, positive=False)
-    samples = _integer(obj, "samples", path, default=-1, minimum=None)
-    if delta0 != -1.0 and delta0 <= 0:
-        raise ScenarioError(f"{path}.delta0: must be positive, got {delta0}")
-    if samples != -1 and samples < 64:
-        raise ScenarioError(f"{path}.samples: must be >= 64, got {samples}")
     return MomentsSettings(
         pairs=tuple(pairs),
         tolerance=_number(obj, "tolerance", path, default=1e-6, positive=True),
-        delta0=None if delta0 == -1.0 else delta0,
-        samples=None if samples == -1 else samples,
+        delta0=_number(obj, "delta0", path, default=None, positive=True),
+        samples=_integer(obj, "samples", path, default=None, minimum=64),
         cancellation=cancellation,
     )
 
@@ -281,12 +289,9 @@ def _parse_compare(obj, path):
         or not band[0] < band[1]
     ):
         raise ScenarioError(f"{path}.slope_band: expected [lo, hi] with lo < hi")
-    eps_ref = _number(obj, "eps_ref", path, default=-1.0)
-    if eps_ref != -1.0 and eps_ref <= 0:
-        raise ScenarioError(f"{path}.eps_ref: must be positive, got {eps_ref}")
     return CompareSettings(
         t_final=_number(obj, "t_final", path, positive=True),
-        eps_ref=None if eps_ref == -1.0 else eps_ref,
+        eps_ref=_number(obj, "eps_ref", path, default=None, positive=True),
         slope_band=(float(band[0]), float(band[1])),
     )
 
@@ -343,12 +348,8 @@ def _parse_spec(obj, path):
 
 def _parse_schedule(obj, path):
     _check_keys(obj, path, (), ("eps", "n_steps", "eps_ladder"))
-    eps = _number(obj, "eps", path, default=-1.0)
-    if eps != -1.0 and eps <= 0:
-        raise ScenarioError(f"{path}.eps: must be positive, got {eps}")
-    n_steps = _integer(obj, "n_steps", path, default=-1)
-    if n_steps != -1 and n_steps < 1:
-        raise ScenarioError(f"{path}.n_steps: must be >= 1, got {n_steps}")
+    eps = _number(obj, "eps", path, default=None, positive=True)
+    n_steps = _integer(obj, "n_steps", path, default=None, minimum=1)
     ladder = None
     if "eps_ladder" in obj:
         raw = obj["eps_ladder"]
@@ -361,7 +362,7 @@ def _parse_schedule(obj, path):
         ladder = tuple(sorted((float(v) for v in raw), reverse=True))
         if len(set(ladder)) != len(ladder):
             raise ScenarioError(f"{path}.eps_ladder: entries must be distinct")
-    return (None if eps == -1.0 else eps, None if n_steps == -1 else n_steps, ladder)
+    return eps, n_steps, ladder
 
 
 def parse_scenario(data) -> Scenario:
@@ -428,7 +429,7 @@ def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_NonFinite)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -157,3 +157,23 @@ BAD_SCENARIOS = [
 def test_parse_scenario_rejects_bad_input(data):
     with pytest.raises(ScenarioError):
         parse_scenario(data)
+
+
+OUT_OF_RANGE = [
+    ('{"name": "x", "schedule": {"eps": -1}}', "schedule.eps"),
+    ('{"name": "x", "schedule": {"n_steps": -1}}', "schedule.n_steps"),
+    ('{"name": "x", "compare": {"t_final": 1.0, "eps_ref": -1}}', "compare.eps_ref"),
+    ('{"name": "x", "moments": {"pairs": [[1.0, 0.1]], "delta0": -1}}', "moments.delta0"),
+    ('{"name": "x", "moments": {"pairs": [[1.0, 0.1]], "samples": -1}}', "moments.samples"),
+    ('{"name": "x", "packet": {"x0": NaN}}', "packet.x0"),
+    ('{"name": "x", "schedule": {"eps": Infinity}}', "schedule.eps"),
+    ('{"name": "x", "schedule": {"eps_ladder": [0.1, -Infinity]}}', "schedule.eps_ladder"),
+]
+
+
+@pytest.mark.parametrize("text,key", OUT_OF_RANGE)
+def test_out_of_range_value_exits_two_naming_the_key(text, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    assert f"scenario.{key}:" in capsys.readouterr().err

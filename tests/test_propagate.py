@@ -7,6 +7,7 @@ from gaussprop import (
     PropagatorSpec,
     RealState,
     ValidityError,
+    dense_operator,
     evolve,
     evolve_density,
     gaussian_packet,
@@ -19,6 +20,7 @@ from gaussprop import (
     total_mass,
     validity_check,
 )
+from gaussprop.propagate import _dense_matrix
 
 FREE = PropagatorSpec(d=1.0)
 DRIFTED = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.2), b=FieldSpec.sine(0.3, 1.0))
@@ -174,3 +176,62 @@ def test_evolve_density_matches_free_spreading():
     _, var = moments(traj.final)
     assert var == pytest.approx(0.64 + 1.0, rel=1e-3)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-8
+
+
+AUDIT_GRID = make_grid(-8.0, 8.0, 1024)
+AUDIT_PACKET = gaussian_packet(AUDIT_GRID, x0=0.3, sigma0=0.8, k0=0.5)
+AFFINE_DRIFTS = {"constant": FieldSpec.constant(0.7), "linear": FieldSpec.linear(0.4)}
+CHIRP_Z_SPECS = {
+    f"{variant}-{kind}": PropagatorSpec(d=1.3, u=u, variant=variant,
+                                        im_u=0.25 if variant == "complex_u" else 0.0)
+    for variant in ("admissible", "no_t", "endpoint_t", "complex_u")
+    for kind, u in AFFINE_DRIFTS.items()
+}
+CHIRP_Z_SPECS["zero-order"] = PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.3),
+                                             order="zero")
+CHIRP_Z_SPECS["quadratic-b"] = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3),
+                                              b=FieldSpec.quadratic(0.545))
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("eps", (0.32, 0.04))
+@pytest.mark.parametrize("name", sorted(CHIRP_Z_SPECS))
+def test_chirp_z_step_matches_the_kernel_matrix(name, eps):
+    spec = CHIRP_Z_SPECS[name]
+    psi = AUDIT_PACKET.psi
+    expected = _dense_matrix(AUDIT_GRID, eps, spec, 0.0) @ psi
+    assert _rel(dense_operator(AUDIT_GRID, eps, spec, 0.0)(psi), expected) <= 1e-10
+
+
+def test_chirp_z_step_honours_a_constant_a_override():
+    spec = CHIRP_Z_SPECS["admissible-linear"]
+    a = FieldSpec.constant(0.13)
+    expected = _dense_matrix(AUDIT_GRID, 0.08, spec, 0.0, a) @ AUDIT_PACKET.psi
+    out = step_dense(AUDIT_PACKET, 0.08, spec, a_override=a)
+    assert _rel(out.psi, expected) <= 1e-10
+
+
+def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():
+    """n = 2^16, where the n x n operator would need 64 GiB."""
+    grid = make_grid(-20.0, 20.0, 2 ** 16)
+    state = gaussian_packet(grid, x0=0.5, sigma0=1.0, k0=0.7)
+    eps = 0.05
+    out = step_dense(state, eps, FREE)
+    exact = np.fft.ifft(np.exp(-0.5j * eps * grid.k ** 2) * np.fft.fft(state.psi))
+    assert _rel(out.psi, exact) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", (
+    PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0)),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="x_dependent_d",
+                   d_field=FieldSpec.tabulated(AUDIT_GRID.x,
+                                               1.0 + 0.2 * np.sin(AUDIT_GRID.x))),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="complex_d", im_d=0.1),
+), ids=("sine-u", "x_dependent_d", "complex_d"))
+def test_other_specs_apply_the_kernel_matrix(spec):
+    eps = 0.16
+    expected = _dense_matrix(AUDIT_GRID, eps, spec, 0.0) @ AUDIT_PACKET.psi
+    assert np.array_equal(step_dense(AUDIT_PACKET, eps, spec).psi, expected)
