@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audit import variant_audit
-from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments
+from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments, norm
 from .fresnel import (
     MOMENT_ORDERS,
     RegularizedQuadrature,
@@ -35,8 +36,8 @@ from .fresnel import (
     closed_moment,
     fresnel_moment,
 )
-from .propagate import ValidityError, evolve
-from .reference import evolve_cn, to_hamiltonian
+from .propagate import ValidityError, _wave_stepper, evolve, march
+from .reference import _cn_stepper, evolve_cn, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import histogram_compare, sample_paths
 
@@ -58,36 +59,37 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
     sc.require("grid", "packet", "spec", "eps", "n_steps")
     method = args.method or sc.method
     state0 = sc.packet.build(sc.grid)
-    traj = evolve(state0, sc.eps, sc.n_steps, sc.spec, method=method)
-
-    reference = None
+    kernel = march(state0, sc.n_steps,
+                   _wave_stepper(sc.grid, sc.eps, sc.spec, state0.time, method))
+    reference = itertools.repeat(None)
     if sc.spec.is_admissible():
         ham = to_hamiltonian(sc.spec, sc.grid)
-        reference = evolve_cn(state0, sc.eps, sc.n_steps, ham).states
+        reference = march(state0, sc.n_steps,
+                          _cn_stepper(sc.grid, sc.eps, ham, state0.time))
 
+    # the two streams advance in lockstep: one row per step, no stored states
     rows = []
-    norms = traj.norms
-    for i, state in enumerate(traj.states):
+    for i, (state, ref) in enumerate(zip(kernel, reference)):
         mean, var = moments(state)
-        err = (_l2_distance(state.psi, reference[i].psi, sc.grid.dx)
-               if reference is not None else float("nan"))
-        rows.append((i, state.time, float(norms[i]), mean, var, err))
+        err = (_l2_distance(state.psi, ref.psi, sc.grid.dx)
+               if ref is not None else float("nan"))
+        rows.append((i, state.time, norm(state), mean, var, err))
 
-    final_err = rows[-1][5]
+    _, final_time, final_norm, _, _, final_err = rows[-1]
     summary = {
         "command": "evolve",
         "scenario": sc.name,
         "method": method,
         "eps": sc.eps,
         "n_steps": sc.n_steps,
-        "final_time": traj.final.time,
-        "final_norm": float(norms[-1]),
-        "max_abs_norm_drift": float(np.max(np.abs(norms - norms[0]))),
+        "final_time": final_time,
+        "final_norm": final_norm,
+        "max_abs_norm_drift": max(abs(row[2] - rows[0][2]) for row in rows),
         "final_l2_error_vs_reference": None if math.isnan(final_err) else final_err,
     }
     lines = [f"evolve [{method}]: {sc.n_steps} steps of eps={sc.eps:g}, "
-             f"final norm {norms[-1]:.12f}"]
-    if reference is not None:
+             f"final norm {final_norm:.12f}"]
+    if sc.spec.is_admissible():
         lines.append(f"  final L2 distance to the integrator reference: {final_err:.3e}")
     return RunResult(
         header=("step", "time", "norm", "mean_position", "position_variance",
@@ -95,24 +97,19 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
         rows=rows, summary=summary, lines=lines)
 
 
-def _variant_spec(base: PropagatorSpec, case) -> PropagatorSpec:
-    return replace(base, variant=case.variant, im_d=case.im_d, im_u=case.im_u,
-                   d_field=case.d_field)
-
-
 def _run_audit(sc: Scenario, args) -> RunResult:
     sc.require("grid", "spec", "audit", "eps_ladder")
     rows, variants_out, lines = [], [], []
     passed = True
     for case in sc.audit.variants:
-        vspec = _variant_spec(sc.spec, case)
+        variant = case.spec.variant
         packet_reports = []
         for packet in sc.audit.packets:
             state = packet.build(sc.grid)
-            report = variant_audit(state, vspec, sc.eps_ladder)
+            report = variant_audit(state, case.spec, sc.eps_ladder)
             packet_reports.append((packet, report))
             for eps, drift in zip(report.eps_ladder, report.drifts):
-                rows.append((case.variant, packet.x0, packet.sigma0, packet.k0,
+                rows.append((variant, packet.x0, packet.sigma0, packet.k0,
                              eps, drift, report.fitted_order, report.verdict))
         verdict = ("conserves"
                    if all(r.verdict == "conserves" for _, r in packet_reports)
@@ -120,7 +117,7 @@ def _run_audit(sc: Scenario, args) -> RunResult:
         ok = verdict == case.expect
         passed = passed and ok
         variants_out.append({
-            "variant": case.variant,
+            "variant": variant,
             "expect": case.expect,
             "verdict": verdict,
             "matches_expectation": ok,
@@ -134,7 +131,7 @@ def _run_audit(sc: Scenario, args) -> RunResult:
         })
         orders = ", ".join(f"{r.fitted_order:.2f}" for _, r in packet_reports)
         marker = "ok" if ok else "MISMATCH"
-        lines.append(f"  {case.variant}: {verdict} (expected {case.expect}, "
+        lines.append(f"  {variant}: {verdict} (expected {case.expect}, "
                      f"{marker}); drift orders per packet: {orders}")
     summary = {
         "command": "audit",
@@ -259,10 +256,7 @@ def _run_compare(sc: Scenario, args) -> RunResult:
     sc.require("grid", "packet", "spec", "eps_ladder", "compare")
     cs = sc.compare
     method = args.method or sc.method
-    try:
-        ham = to_hamiltonian(sc.spec, sc.grid)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    ham = to_hamiltonian(sc.spec, sc.grid)  # a ValueError for variants: exit 2
     eps_ref = cs.eps_ref if cs.eps_ref is not None else min(sc.eps_ladder) / 5.0
     state0 = sc.packet.build(sc.grid)
     ref = evolve_cn(state0, eps_ref, _steps_for(cs.t_final, eps_ref), ham).final
@@ -347,6 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run single-step propagator scenarios: evolve packets, "
                     "audit norm conservation, check kernel moments, sample "
                     "random walks, compare against the integrator reference.")
+    parser.set_defaults(seed=None, method=None)  # for the commands without them
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "evolve": "evolve a packet and tabulate norm, moments, and reference error",
@@ -375,10 +370,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if not hasattr(args, "seed"):
-        args.seed = None
-    if not hasattr(args, "method"):
-        args.method = None
     try:
         sc = load_scenario(args.scenario)
         result = _RUNNERS[args.command](sc, args)

@@ -43,12 +43,16 @@ source y moves by eta drawn from Normal(u(y) eps, D eps), so
     P(x_j, t+eps) = sum_k dx * Pi_real(x_j - x_k, eps; x_k, t) * P(x_k, t),
 
 which keeps mass exact to quadrature precision and drifts forward (mean u t).
+
+Each method has one builder, (grid, eps, spec, t) -> step, holding its guards
+and its operator; step_dense and step_density build and apply once.  march
+streams an evolution holding only the current state, and record keeps the
+per-step times and norms plus the final state in a Trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -97,15 +101,11 @@ def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
         raise ValueError(f"eps must be > 0, got {eps}")
     d = _d_scale(grid, spec)
     full = grid.half_width * grid.dx / (d * eps)
-    window = grid.half_width
-    state_step = None
-    if state is not None:
-        state_step = _support_half_width(state) * grid.dx / (d * eps)
-        window = _support_half_width(state)
-    governing = full if state_step is None else state_step
+    window = grid.half_width if state is None else _support_half_width(state)
+    governing = window * grid.dx / (d * eps)
     return ValidityReport(
         max_phase_step=full,
-        state_phase_step=state_step,
+        state_phase_step=None if state is None else governing,
         passes=bool(governing <= np.pi),
         passes_full=bool(full <= np.pi),
         recommended_min_eps=float(window * grid.dx / (np.pi * d)))
@@ -174,15 +174,29 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
     return lambda psi: mat @ psi
 
 
+def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+                   a_override: FieldSpec | None = None):
+    # The guards run on every state; the operator is built once, on the
+    # first state that passes them, so a run that must abort builds nothing.
+    apply = None
+
+    def step(state: WaveState) -> WaveState:
+        nonlocal apply
+        check_boundary_decay(state)
+        report = validity_check(grid, eps, spec, state)
+        if not report.passes:
+            raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
+        if apply is None:
+            apply = dense_operator(grid, eps, spec, t, a_override)
+        return state.replace_psi(apply(state.psi), time=state.time + eps)
+
+    return step
+
+
 def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
                a_override: FieldSpec | None = None) -> WaveState:
     """One complex-kernel step by direct quadrature over the whole grid."""
-    check_boundary_decay(state)
-    report = validity_check(state.grid, eps, spec, state)
-    if not report.passes:
-        raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
-    step = dense_operator(state.grid, eps, spec, state.time, a_override)
-    return state.replace_psi(step(state.psi), time=state.time + eps)
+    return _dense_stepper(state.grid, eps, spec, state.time, a_override)(state)
 
 
 def _drift_cayley(psi: np.ndarray, u: np.ndarray, eps: float,
@@ -235,92 +249,85 @@ def step_spectral(state: WaveState, eps: float, spec: PropagatorSpec) -> WaveSta
         time=state.time + eps)
 
 
-def step_density(state: RealState, eps: float, spec: PropagatorSpec) -> RealState:
-    """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
+def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
     if spec.variant != "admissible":
         raise ValueError("the real kernel is defined for the admissible variant only")
-    check_boundary_decay(state)
-    grid = state.grid
     width = np.sqrt(spec.d * eps)
     if width < 2.0 * grid.dx:
         raise ValidityError(
             f"real kernel width {width:.3g} under-resolved by dx={grid.dx:.3g} "
             "(need sqrt(D eps) >= 2 dx)")
-    mat = _real_matrix(grid, eps, spec, state.time)
-    return state.replace_density(mat @ state.density, time=state.time + eps)
-
-
-def _real_matrix(grid: Grid, eps: float, spec: PropagatorSpec, t: float) -> np.ndarray:
     x = grid.x
-    eta = x[:, None] - x[None, :]  # destination minus source
-    return grid.dx * real_kernel(eta, eps, x[None, :], t, spec)
+    mat = None
+
+    def step(state: RealState) -> RealState:
+        nonlocal mat
+        check_boundary_decay(state)
+        if mat is None:  # built on the first state that passes, as for dense
+            eta = x[:, None] - x[None, :]  # destination minus source
+            mat = grid.dx * real_kernel(eta, eps, x[None, :], t, spec)
+        return state.replace_density(mat @ state.density, time=state.time + eps)
+
+    return step
+
+
+def step_density(state: RealState, eps: float, spec: PropagatorSpec) -> RealState:
+    """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
+    return _density_stepper(state.grid, eps, spec, state.time)(state)
+
+
+def _wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+                  method: str = "dense"):
+    if method == "dense":
+        return _dense_stepper(grid, eps, spec, t)
+    if method == "spectral":
+        return lambda state: step_spectral(state, eps, spec)
+    raise ValueError(f"method must be 'dense' or 'spectral', got {method!r}")
+
+
+def march(state, n_steps: int, step):
+    """Yield state, then n_steps successive steps of it, holding one at a time.
+
+    A step's ValueError or ValidityError is re-raised naming the step index."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    yield state
+    for i in range(n_steps):
+        try:
+            state = step(state)
+        except (ValueError, ValidityError) as exc:
+            raise type(exc)(f"aborted at step {i}: {exc}") from None
+        yield state
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States visited by repeated stepping, initial state included."""
+    """Per-step times and norms (masses for densities) and the final state."""
 
-    states: tuple
+    times: np.ndarray
+    norms: np.ndarray
+    final: object
     eps: float
 
-    @cached_property
-    def norms(self) -> np.ndarray:
-        if isinstance(self.states[0], RealState):
-            return np.array([total_mass(s) for s in self.states])
-        return np.array([norm(s) for s in self.states])
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
-
-    @property
-    def final(self):
-        return self.states[-1]
+def record(states, eps: float) -> Trajectory:
+    """Consume a state stream into its Trajectory."""
+    times, norms = [], []
+    for state in states:
+        times.append(state.time)
+        norms.append(total_mass(state) if isinstance(state, RealState) else norm(state))
+    return Trajectory(times=np.array(times), norms=np.array(norms), final=state, eps=eps)
 
 
 def evolve(state: WaveState, eps: float, n_steps: int, spec: PropagatorSpec,
            method: str = "dense") -> Trajectory:
     """Repeatedly step a wave state, aborting if its tails reach the grid edge."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if method not in ("dense", "spectral"):
-        raise ValueError(f"method must be 'dense' or 'spectral', got {method!r}")
-    states = [state]
-    if method == "dense":
-        # static fields: one operator serves every step
-        step = dense_operator(state.grid, eps, spec, state.time)
-        for i in range(n_steps):
-            cur = states[-1]
-            _recheck(cur, i)
-            report = validity_check(cur.grid, eps, spec, cur)
-            if not report.passes:
-                raise ValidityError(
-                    f"dense step cannot resolve the kernel phase at step {i}: {report}")
-            states.append(cur.replace_psi(step(cur.psi), time=cur.time + eps))
-    else:
-        for i in range(n_steps):
-            cur = states[-1]
-            _recheck(cur, i)
-            states.append(step_spectral(cur, eps, spec))
-    return Trajectory(states=tuple(states), eps=eps)
-
-
-def _recheck(state: WaveState, step: int) -> None:
-    try:
-        check_boundary_decay(state)
-    except ValueError as exc:
-        raise type(exc)(f"aborted before step {step}: {exc}") from None
+    step = _wave_stepper(state.grid, eps, spec, state.time, method)
+    return record(march(state, n_steps, step), eps)
 
 
 def evolve_density(state: RealState, eps: float, n_steps: int,
                    spec: PropagatorSpec) -> Trajectory:
     """Repeatedly step a density with the real kernel."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    check_boundary_decay(state)
-    mat = _real_matrix(state.grid, eps, spec, state.time)
-    states = [state]
-    for _ in range(n_steps):
-        cur = states[-1]
-        states.append(cur.replace_density(mat @ cur.density, time=cur.time + eps))
-    return Trajectory(states=tuple(states), eps=eps)
+    step = _density_stepper(state.grid, eps, spec, state.time)
+    return record(march(state, n_steps, step), eps)

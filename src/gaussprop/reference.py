@@ -27,6 +27,9 @@ form with Scharfetter-Gummel faces and no-flux ends: mass is conserved to
 round-off and the implicit default keeps P nonnegative (M-matrix), with no
 step-size stability bound.  An explicit mode exists but enforces
 D eps/dx^2 <= 1/2.
+
+Each oracle's banded operator is built in one builder; evolve_cn and
+evolve_diffusion stream it through propagate.march, keeping the final state.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .fields import FieldSpec, Grid, PropagatorSpec, RealState, WaveState
-from .propagate import Trajectory
+from .propagate import Trajectory, march, record
 
 
 @dataclass(frozen=True)
@@ -119,12 +122,9 @@ def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid, t: float = 0.0):
     a = ham.a_values(grid.x, t)
     diag = np.full(n, 1.0 / (m * dx ** 2), dtype=complex)
     diag += a ** 2 / (2.0 * m) + ham.phi(grid.x, t)
-    upper = np.full(n - 1, -0.5 / (m * dx ** 2), dtype=complex)
-    lower = np.full(n - 1, -0.5 / (m * dx ** 2), dtype=complex)
+    off = -0.5 / (m * dx ** 2)
     face = (a[:-1] + a[1:]) / (4.0 * m * dx)
-    upper = upper + 1j * face
-    lower = lower - 1j * face
-    return lower, diag, upper
+    return off - 1j * face, diag, off + 1j * face
 
 
 def hermiticity_check(ham: HamiltonianSpec, grid: Grid, t: float = 0.0) -> float:
@@ -141,39 +141,34 @@ def _apply_tridiag(lower, diag, upper, v):
     return out
 
 
-def cn_step(state: WaveState, eps: float, ham: HamiltonianSpec) -> WaveState:
-    """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
+def _cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec, t: float):
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    lower, diag, upper = hamiltonian_diagonals(ham, state.grid, state.time)
+    lower, diag, upper = hamiltonian_diagonals(ham, grid, t)
     half = 0.5j * eps
-    rhs = _apply_tridiag(-half * lower, 1.0 - half * diag, -half * upper, state.psi)
-    ab = np.zeros((3, state.grid.n), dtype=complex)
+    explicit = (-half * lower, 1.0 - half * diag, -half * upper)
+    ab = np.zeros((3, grid.n), dtype=complex)
     ab[0, 1:] = half * upper
     ab[1, :] = 1.0 + half * diag
     ab[2, :-1] = half * lower
-    out = solve_banded((1, 1), ab, rhs)
-    return state.replace_psi(out, time=state.time + eps)
+
+    def step(state: WaveState) -> WaveState:
+        rhs = _apply_tridiag(*explicit, state.psi)
+        return state.replace_psi(solve_banded((1, 1), ab, rhs), time=state.time + eps)
+
+    return step
+
+
+def cn_step(state: WaveState, eps: float, ham: HamiltonianSpec) -> WaveState:
+    """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
+    return _cn_stepper(state.grid, eps, ham, state.time)(state)
 
 
 def evolve_cn(state: WaveState, eps: float, n_steps: int,
               ham: HamiltonianSpec) -> Trajectory:
     """Crank-Nicolson trajectory with the banded operator built once."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    lower, diag, upper = hamiltonian_diagonals(ham, state.grid, state.time)
-    half = 0.5j * eps
-    ab = np.zeros((3, state.grid.n), dtype=complex)
-    ab[0, 1:] = half * upper
-    ab[1, :] = 1.0 + half * diag
-    ab[2, :-1] = half * lower
-    states = [state]
-    for _ in range(n_steps):
-        cur = states[-1]
-        rhs = _apply_tridiag(-half * lower, 1.0 - half * diag, -half * upper, cur.psi)
-        states.append(cur.replace_psi(solve_banded((1, 1), ab, rhs),
-                                      time=cur.time + eps))
-    return Trajectory(states=tuple(states), eps=eps)
+    step = _cn_stepper(state.grid, eps, ham, state.time)
+    return record(march(state, n_steps, step), eps)
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
@@ -202,6 +197,35 @@ def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec, t: float):
     return lower, diag, upper
 
 
+def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+                       method: str = "implicit"):
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if spec.variant != "admissible":
+        raise ValueError("the diffusion oracle is defined for the admissible variant")
+    lower, diag, upper = _diffusion_diagonals(grid, spec, t)
+    if method == "explicit":
+        number = spec.d * eps / grid.dx ** 2
+        if number > 0.5:
+            raise ValueError(f"explicit diffusion unstable: D eps/dx^2 = "
+                             f"{number:.3f} > 0.5")
+    elif method != "implicit":
+        raise ValueError(f"method must be 'implicit' or 'explicit', got {method!r}")
+    ab = np.zeros((3, grid.n))
+    ab[0, 1:] = eps * upper
+    ab[1, :] = 1.0 + eps * diag
+    ab[2, :-1] = eps * lower
+
+    def step(state: RealState) -> RealState:
+        p = state.density
+        out = (solve_banded((1, 1), ab, p) if method == "implicit"
+               else p - eps * _apply_tridiag(lower, diag, upper, p))
+        out = np.where(np.abs(out) < 1e-300, 0.0, out)  # flush denormals
+        return state.replace_density(out, time=state.time + eps)
+
+    return step
+
+
 def diffusion_step(state: RealState, eps: float, spec: PropagatorSpec,
                    method: str = "implicit") -> RealState:
     """One step of dP/dt = (D/2) P'' - (u P)' with no-flux ends.
@@ -209,33 +233,11 @@ def diffusion_step(state: RealState, eps: float, spec: PropagatorSpec,
     The implicit default has no stability bound and keeps P nonnegative;
     the explicit mode enforces D eps/dx^2 <= 1/2.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if spec.variant != "admissible":
-        raise ValueError("the diffusion oracle is defined for the admissible variant")
-    grid = state.grid
-    lower, diag, upper = _diffusion_diagonals(grid, spec, state.time)
-    if method == "explicit":
-        number = spec.d * eps / grid.dx ** 2
-        if number > 0.5:
-            raise ValueError(f"explicit diffusion unstable: D eps/dx^2 = "
-                             f"{number:.3f} > 0.5")
-        out = state.density - eps * _apply_tridiag(lower, diag, upper, state.density)
-    elif method == "implicit":
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = eps * upper
-        ab[1, :] = 1.0 + eps * diag
-        ab[2, :-1] = eps * lower
-        out = solve_banded((1, 1), ab, state.density)
-    else:
-        raise ValueError(f"method must be 'implicit' or 'explicit', got {method!r}")
-    out = np.where(np.abs(out) < 1e-300, 0.0, out)  # flush denormals
-    return state.replace_density(out, time=state.time + eps)
+    return _diffusion_stepper(state.grid, eps, spec, state.time, method)(state)
 
 
 def evolve_diffusion(state: RealState, eps: float, n_steps: int,
                      spec: PropagatorSpec, method: str = "implicit") -> Trajectory:
-    states = [state]
-    for _ in range(n_steps):
-        states.append(diffusion_step(states[-1], eps, spec, method))
-    return Trajectory(states=tuple(states), eps=eps)
+    """Drift-diffusion trajectory with the banded operator built once."""
+    step = _diffusion_stepper(state.grid, eps, spec, state.time, method)
+    return record(march(state, n_steps, step), eps)

@@ -11,7 +11,7 @@ to either run or fail for a physics reason, never for a typo.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fields import (
     FIELD_KINDS,
@@ -160,11 +160,8 @@ def _parse_packet(obj, path):
 class VariantCase:
     """One audited propagator variant plus the verdict it is expected to earn."""
 
-    variant: str
+    spec: PropagatorSpec
     expect: str
-    im_d: float = 0.0
-    im_u: float = 0.0
-    d_field: FieldSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,10 @@ class AuditSettings:
     variants: tuple[VariantCase, ...]
 
 
-def _parse_audit(obj, path):
+def _parse_audit(obj, path, spec):
+    """Each variant is the scenario's spec with its variant fields replaced."""
+    if spec is None:
+        raise ScenarioError(f"{path}: needs a 'spec' section to build the variants from")
     _check_keys(obj, path, ("packets", "variants"), ())
     if not isinstance(obj["packets"], list) or not obj["packets"]:
         raise ScenarioError(f"{path}.packets: expected a non-empty list")
@@ -186,21 +186,18 @@ def _parse_audit(obj, path):
     for i, entry in enumerate(obj["variants"]):
         vpath = f"{path}.variants[{i}]"
         _check_keys(entry, vpath, ("variant", "expect"), ("im_d", "im_u", "d_field"))
-        variant = _string(entry, "variant", vpath, choices=set(VARIANTS))
-        case = VariantCase(
-            variant=variant,
-            expect=_string(entry, "expect", vpath, choices=set(_EXPECTS)),
-            im_d=_number(entry, "im_d", vpath, default=0.0),
-            im_u=_number(entry, "im_u", vpath, default=0.0),
-            d_field=parse_field(entry["d_field"], f"{vpath}.d_field") if "d_field" in entry else None,
-        )
-        if variant == "complex_d" and case.im_d == 0.0:
-            raise ScenarioError(f"{vpath}: complex_d requires a nonzero im_d")
-        if variant == "complex_u" and case.im_u == 0.0:
-            raise ScenarioError(f"{vpath}: complex_u requires a nonzero im_u")
-        if variant == "x_dependent_d" and case.d_field is None:
-            raise ScenarioError(f"{vpath}: x_dependent_d requires a d_field")
-        variants.append(case)
+        expect = _string(entry, "expect", vpath, choices=set(_EXPECTS))
+        changes = {
+            "variant": _string(entry, "variant", vpath, choices=set(VARIANTS)),
+            "im_d": _number(entry, "im_d", vpath, default=0.0),
+            "im_u": _number(entry, "im_u", vpath, default=0.0),
+            "d_field": (parse_field(entry["d_field"], f"{vpath}.d_field")
+                        if "d_field" in entry else None),
+        }
+        try:
+            variants.append(VariantCase(spec=replace(spec, **changes), expect=expect))
+        except ValueError as exc:
+            raise ScenarioError(f"{vpath}: {exc}") from exc
     return AuditSettings(packets=packets, variants=tuple(variants))
 
 
@@ -418,7 +415,7 @@ def parse_scenario(data) -> Scenario:
         method=_string(data, "method", top, default="dense", choices=set(_METHODS)),
         seed=_integer(data, "seed", top, default=0, minimum=0),
         walk=_parse_walk(data["walk"], f"{top}.walk") if "walk" in data else None,
-        audit=_parse_audit(data["audit"], f"{top}.audit") if "audit" in data else None,
+        audit=_parse_audit(data["audit"], f"{top}.audit", spec) if "audit" in data else None,
         moments=_parse_moments(data["moments"], f"{top}.moments") if "moments" in data else None,
         compare=_parse_compare(data["compare"], f"{top}.compare") if "compare" in data else None,
         outputs=outputs,

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface on the shipped scenarios."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -177,3 +178,59 @@ def test_out_of_range_value_exits_two_naming_the_key(text, key, tmp_path, capsys
     path.write_text(text)
     assert cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     assert f"scenario.{key}:" in capsys.readouterr().err
+
+
+SHIPPED = [
+    ("evolve", "free_packet.json", 0),
+    ("evolve", "harmonic.json", 0),
+    ("audit", "variants_audit.json", 0),
+    ("audit", "complex_d_audit.json", 0),
+    ("moments", "moments_default.json", 0),
+    ("moments", "moments_fail.json", 1),
+    ("walk", "walk_default.json", 0),
+    ("compare", "compare_default.json", 0),
+]
+
+
+def test_every_shipped_scenario_has_an_expected_exit_code():
+    assert sorted(name for _, name, _ in SHIPPED) == sorted(
+        path.name for path in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("command,scenario,code", SHIPPED,
+                         ids=[name[:-5] for _, name, _ in SHIPPED])
+def test_shipped_scenario_exit_code(command, scenario, code, tmp_path):
+    assert _run(command, scenario, tmp_path) == code
+
+
+AUDIT_BASE = {
+    "name": "x",
+    "spec": {"d": 1.0, "u": {"kind": "linear", "slope": 0.4}},
+    "audit": {"packets": [{}],
+              "variants": [{"variant": "admissible", "expect": "conserves"}]},
+}
+
+
+@pytest.mark.parametrize("spec,variants,key", [
+    (AUDIT_BASE["spec"], [{"variant": "no_t", "im_d": 0.3, "expect": "drifts"}],
+     "audit.variants[0]"),
+    ({**AUDIT_BASE["spec"], "order": "zero"},
+     [{"variant": "admissible", "expect": "conserves"},
+      {"variant": "no_t", "expect": "drifts"}],
+     "audit.variants[1]"),
+    (None, AUDIT_BASE["audit"]["variants"], "audit"),
+], ids=("im_d-without-complex_d", "no_t-with-zero-order", "no-spec-section"))
+def test_audit_variant_specs_are_built_at_parse_time(spec, variants, key, tmp_path,
+                                                     capsys):
+    data = {**AUDIT_BASE, "audit": {**AUDIT_BASE["audit"], "variants": variants}}
+    if spec is None:
+        del data["spec"]
+    else:
+        data["spec"] = spec
+    with pytest.raises(ScenarioError, match=rf"^scenario\.{re.escape(key)}: "):
+        parse_scenario(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["audit", str(path), "--out", str(tmp_path)]) == 2
+    assert f"scenario.{key}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,21 @@ from gaussprop import (
     ValidityError,
     dense_operator,
     evolve,
+    evolve_cn,
     evolve_density,
     gaussian_packet,
     make_grid,
+    march,
     moments,
     norm,
     step_dense,
     step_density,
     step_spectral,
+    to_hamiltonian,
     total_mass,
     validity_check,
 )
+from gaussprop import propagate
 from gaussprop.propagate import _dense_matrix
 
 FREE = PropagatorSpec(d=1.0)
@@ -103,7 +109,7 @@ def test_dense_step_raises_below_phase_resolution():
 def test_evolve_aborts_when_packet_reaches_edge():
     grid = make_grid(-4.0, 4.0, 256)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.45)
-    with pytest.raises(BoundaryDecayError):
+    with pytest.raises(BoundaryDecayError, match=r"aborted at step \d+: "):
         evolve(state, 0.05, 200, FREE, method="spectral")
 
 
@@ -126,10 +132,67 @@ def test_trajectory_bookkeeping():
     grid = make_grid(-10.0, 10.0, 512)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.9)
     traj = evolve(state, 0.05, 4, FREE, method="spectral")
-    assert len(traj.states) == 5
     assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
-    assert traj.final is traj.states[-1]
     assert traj.norms.shape == (5,)
+    assert traj.final.time == traj.times[-1]
+    assert traj.norms[-1] == norm(traj.final)
+    assert traj.eps == 0.05
+
+
+def test_march_streams_the_start_state_then_each_step():
+    grid = make_grid(-10.0, 10.0, 512)
+    state = gaussian_packet(grid, x0=0.0, sigma0=0.9)
+    stream = list(march(state, 3, lambda s: step_spectral(s, 0.05, FREE)))
+    assert stream[0] is state
+    assert [s.time for s in stream] == pytest.approx([0.0, 0.05, 0.1, 0.15])
+
+
+def test_dense_evolve_checks_before_it_builds(monkeypatch):
+    """A run that must exit at step 0 never builds the n x n matrix."""
+    def fail(*args, **kwargs):
+        raise AssertionError("operator built before the validity check")
+
+    monkeypatch.setattr(propagate, "_dense_matrix", fail)
+    grid = make_grid(-10.0, 10.0, 256)
+    state = gaussian_packet(grid, x0=0.0, sigma0=0.8)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
+    with pytest.raises(ValidityError, match="aborted at step 0"):
+        evolve(state, 0.001, 5, spec, method="dense")
+
+
+def test_dense_evolve_builds_its_operator_once(monkeypatch):
+    calls = []
+    original = propagate._dense_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "_dense_matrix", counting)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
+    traj = evolve(AUDIT_PACKET, 0.16, 3, spec, method="dense")
+    assert len(calls) == 1
+    assert traj.times.shape == (4,)
+
+
+@pytest.mark.parametrize("method", ("spectral", "cn"))
+def test_evolutions_hold_one_state_at_a_time(method):
+    """500 steps at n = 4096: a stored trajectory would peak at ~32 MiB."""
+    grid = make_grid(-20.0, 20.0, 4096)
+    state = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.545))
+    ham = to_hamiltonian(spec, grid)
+    tracemalloc.start()
+    try:
+        if method == "cn":
+            traj = evolve_cn(state, 0.001, 500, ham)
+        else:
+            traj = evolve(state, 0.001, 500, spec, method="spectral")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.norms.shape == (501,)
+    assert peak < 2 * 2 ** 20
 
 
 def _gaussian_density(grid, sigma):
@@ -176,6 +239,14 @@ def test_evolve_density_matches_free_spreading():
     _, var = moments(traj.final)
     assert var == pytest.approx(0.64 + 1.0, rel=1e-3)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-8
+
+
+def test_evolve_density_refuses_an_under_resolved_kernel():
+    """The guard step_density applies holds over a whole evolution too."""
+    grid = make_grid(-10.0, 10.0, 1024)
+    state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
+    with pytest.raises(ValidityError):
+        evolve_density(state, 1e-4, 5, FREE)
 
 
 AUDIT_GRID = make_grid(-8.0, 8.0, 1024)

@@ -14,6 +14,7 @@ from gaussprop import (
     hamiltonian_diagonals,
     hermiticity_check,
     make_grid,
+    march,
     moments,
     norm,
     rhs_apply,
@@ -134,7 +135,16 @@ def test_diffusion_conserves_mass_and_positivity():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
     traj = evolve_diffusion(state, 0.02, 100, spec)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-12
-    assert all(np.all(s.density >= -1e-13) for s in traj.states)
+    stream = march(state, 100, lambda s: diffusion_step(s, 0.02, spec))
+    assert all(np.all(s.density >= -1e-13) for s in stream)
+
+
+@pytest.mark.parametrize("n_steps", (0, -3))
+def test_evolve_diffusion_needs_a_step(n_steps):
+    grid = make_grid(-8.0, 8.0, 512)
+    state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
+    with pytest.raises(ValueError, match="n_steps"):
+        evolve_diffusion(state, 0.02, n_steps, PropagatorSpec(d=1.0))
 
 
 def test_diffusion_free_spreading_rate():
