@@ -36,7 +36,7 @@ from .fresnel import (
     closed_moment,
     fresnel_moment,
 )
-from .propagate import ValidityError, _wave_stepper, evolve, march
+from .propagate import METHODS, ValidityError, _wave_stepper, evolve, march
 from .reference import _cn_stepper, evolve_cn, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import histogram_compare, sample_paths
@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
         if name in ("evolve", "compare"):
-            p.add_argument("--method", choices=("dense", "spectral"),
+            p.add_argument("--method", choices=METHODS,
                            default=None, help="override the scenario method")
     return parser
 

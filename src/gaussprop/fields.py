@@ -27,6 +27,8 @@ import numpy as np
 BOUNDARY_DECAY_RATIO = 1e-6
 
 FIELD_KINDS = ("constant", "linear", "quadratic", "sine", "tabulated")
+# a tabulated field's derivative uses second-order stencils on three samples
+MIN_TABLE_SAMPLES = 3
 ORDERS = ("zero", "first")
 VARIANTS = ("admissible", "complex_d", "complex_u", "x_dependent_d",
             "endpoint_t", "no_t")
@@ -102,8 +104,9 @@ class FieldSpec:
                 raise ValueError("tabulated field needs xs and values")
             xs = np.asarray(self.xs, dtype=float)
             values = np.asarray(self.values, dtype=float)
-            if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
-                raise ValueError("tabulated field needs matching 1D xs/values")
+            if xs.ndim != 1 or xs.shape != values.shape or xs.size < MIN_TABLE_SAMPLES:
+                raise ValueError("tabulated field needs matching 1D xs/values of at "
+                                 f"least {MIN_TABLE_SAMPLES} samples")
             if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(values))):
                 raise ValueError("tabulated field samples must be finite")
             if np.any(np.diff(xs) <= 0):
@@ -150,11 +153,7 @@ class FieldSpec:
 
     def derivative(self, x, t: float = 0.0):
         """d(field)/dx at x; analytic for presets, central differences for tables."""
-        x = np.asarray(x, dtype=float)
-        if self.kind != "tabulated":
-            return self.derivative_field()(x, t)
-        dvals = _table_derivative(self.xs, self.values)
-        return np.interp(x, self.xs, dvals)
+        return self.derivative_field()(x, t)
 
     def derivative_field(self) -> "FieldSpec":
         """The derivative as another FieldSpec (the preset family is closed)."""
@@ -167,7 +166,8 @@ class FieldSpec:
         if self.kind == "sine":
             return FieldSpec.sine(self.amplitude * self.wavenumber, self.wavenumber,
                                   self.phase + 0.5 * np.pi)
-        return FieldSpec.tabulated(self.xs, _table_derivative(self.xs, self.values))
+        # second-order stencils on the possibly non-uniform samples
+        return FieldSpec.tabulated(self.xs, np.gradient(self.values, self.xs, edge_order=2))
 
     def scaled(self, factor: float) -> "FieldSpec":
         if self.kind == "constant":
@@ -190,16 +190,6 @@ class FieldSpec:
         if self.kind == "sine":
             return self.amplitude == 0.0
         return bool(np.all(self.values == self.values[0]))
-
-
-def _table_derivative(xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # second-order stencils, one-sided at the edges
-    dx = xs[1] - xs[0]
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
-    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
-    return d
 
 
 @dataclass(frozen=True)
@@ -331,17 +321,17 @@ def gaussian_packet(grid: Grid, x0: float, sigma0: float, k0: float = 0.0) -> Wa
     return state
 
 
-def check_boundary_decay(state, ratio: float = BOUNDARY_DECAY_RATIO) -> None:
-    """Require the state amplitude at both grid edges to sit below ratio * peak."""
+def check_boundary_decay(state) -> None:
+    """Require the amplitude at both grid edges below BOUNDARY_DECAY_RATIO * peak."""
     amp = np.abs(state.psi) if isinstance(state, WaveState) else np.abs(state.density)
     peak = amp.max()
     if peak == 0.0:
         raise ValueError("state is identically zero")
     edge = max(amp[0], amp[-1])
-    if edge >= ratio * peak:
+    if edge >= BOUNDARY_DECAY_RATIO * peak:
         raise BoundaryDecayError(
             f"state has not decayed at the grid edges: edge/peak = {edge / peak:.3e} "
-            f"(need < {ratio:.1e})")
+            f"(need < {BOUNDARY_DECAY_RATIO:.1e})")
 
 
 def norm(state: WaveState) -> float:

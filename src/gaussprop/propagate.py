@@ -45,9 +45,9 @@ source y moves by eta drawn from Normal(u(y) eps, D eps), so
 which keeps mass exact to quadrature precision and drifts forward (mean u t).
 
 Each method has one builder, (grid, eps, spec, t) -> step, holding its guards
-and its operator; step_dense and step_density build and apply once.  march
-streams an evolution holding only the current state, and record keeps the
-per-step times and norms plus the final state in a Trajectory.
+and its operator; step_dense, step_spectral and step_density build and apply
+once.  march streams an evolution holding only the current state, and record
+keeps the per-step times and norms plus the final state in a Trajectory.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ from scipy.linalg import solve_banded
 from .fields import (BOUNDARY_DECAY_RATIO, FieldSpec, Grid, PropagatorSpec,
                      RealState, WaveState, check_boundary_decay, norm, total_mass)
 from .kernel import complex_kernel, real_kernel, source_factors
+
+
+# the wave-stepping methods: the dense quadrature and the factorized kernel
+METHODS = ("dense", "spectral")
 
 
 class ValidityError(RuntimeError):
@@ -88,9 +92,9 @@ def _d_scale(grid: Grid, spec: PropagatorSpec) -> float:
     return float(np.min(np.abs(spec.d_value(grid.x))))
 
 
-def _support_half_width(state: WaveState, ratio: float = BOUNDARY_DECAY_RATIO) -> float:
+def _support_half_width(state: WaveState) -> float:
     amp = np.abs(state.psi)
-    idx = np.nonzero(amp >= ratio * amp.max())[0]
+    idx = np.nonzero(amp >= BOUNDARY_DECAY_RATIO * amp.max())[0]
     return 0.5 * (state.grid.x[idx[-1]] - state.grid.x[idx[0]])
 
 
@@ -199,22 +203,50 @@ def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
     return _dense_stepper(state.grid, eps, spec, state.time, a_override)(state)
 
 
-def _drift_cayley(psi: np.ndarray, u: np.ndarray, eps: float,
-                  dx: float) -> np.ndarray:
+def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
+    # Fields ignore t, so every factor of the step is built once; only the
+    # boundary-decay check runs on every state.
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if spec.variant != "admissible":
+        raise ValueError("the spectral path assumes an admissible parameter set; "
+                         f"variant {spec.variant!r} must use the dense path")
+    n, x = grid.n, grid.x
+    if n & (n - 1):
+        raise ValueError(f"spectral stepping needs a power-of-two grid, got n={n}")
+    free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
+    phase = np.exp(-1j * eps * spec.b(x, t)) if spec.order == "first" else None
+    u = spec.u(x, t)
+    drifts = bool(np.any(u != 0.0))
     # Cayley step of the antisymmetric drift u d/dx + (1/2) du/dx, written in
     # the symmetrized product form so only u samples enter; unconditionally
     # stable and exactly norm-preserving, unlike an explicit update, which
     # amplifies round-off near the edges once eps*|u|*k_max exceeds 1.
-    face = (u[:-1] + u[1:]) / (4.0 * dx)
-    half = 0.5 * eps
-    rhs = psi.astype(complex, copy=True)
-    rhs[:-1] += half * face * psi[1:]
-    rhs[1:] -= half * face * psi[:-1]
-    ab = np.zeros((3, len(psi)), dtype=complex)
-    ab[0, 1:] = -half * face
+    half_face = 0.5 * eps * ((u[:-1] + u[1:]) / (4.0 * grid.dx))
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = -half_face
     ab[1, :] = 1.0
-    ab[2, :-1] = half * face
-    return solve_banded((1, 1), ab, rhs)
+    ab[2, :-1] = half_face
+    # the zero-order kernel carries the full du/dx weight, half of which is
+    # the non-unitary surplus the T correction removes
+    surplus = (np.exp(0.5 * eps * spec.du_dx(x, t).real)
+               if drifts and spec.order == "zero" else None)
+
+    def step(state: WaveState) -> WaveState:
+        check_boundary_decay(state)
+        psi = state.psi
+        if drifts:
+            rhs = psi.astype(complex, copy=True)
+            rhs[:-1] += half_face * psi[1:]
+            rhs[1:] -= half_face * psi[:-1]
+            psi = solve_banded((1, 1), ab, rhs)
+        if surplus is not None:
+            psi = psi * surplus
+        if phase is not None:
+            psi = phase * psi
+        return state.replace_psi(np.fft.ifft(free * np.fft.fft(psi)), time=state.time + eps)
+
+    return step
 
 
 def step_spectral(state: WaveState, eps: float, spec: PropagatorSpec) -> WaveState:
@@ -224,29 +256,7 @@ def step_spectral(state: WaveState, eps: float, spec: PropagatorSpec) -> WaveSta
     quadratic-phase convolution is the exact multiplier exp(-i D eps k^2/2).
     For zero drift and zero b the step is exactly unimodular.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if spec.variant != "admissible":
-        raise ValueError("the spectral path assumes an admissible parameter set; "
-                         f"variant {spec.variant!r} must use the dense path")
-    n = state.grid.n
-    if n & (n - 1):
-        raise ValueError(f"spectral stepping needs a power-of-two grid, got n={n}")
-    check_boundary_decay(state)
-    x, k = state.grid.x, state.grid.k
-    psi = state.psi
-    u = spec.u(x, state.time)
-    if np.any(u != 0.0):
-        psi = _drift_cayley(psi, u, eps, state.grid.dx)
-        if spec.order == "zero":
-            # the zero-order kernel carries the full du/dx weight, half of
-            # which is the non-unitary surplus the T correction removes
-            psi = psi * np.exp(0.5 * eps * spec.du_dx(x, state.time).real)
-    if spec.order == "first":
-        psi = np.exp(-1j * eps * spec.b(x, state.time)) * psi
-    return state.replace_psi(
-        np.fft.ifft(np.exp(-0.5j * spec.d * eps * k ** 2) * np.fft.fft(psi)),
-        time=state.time + eps)
+    return _spectral_stepper(state.grid, eps, spec, state.time)(state)
 
 
 def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
@@ -278,11 +288,9 @@ def step_density(state: RealState, eps: float, spec: PropagatorSpec) -> RealStat
 
 def _wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
                   method: str = "dense"):
-    if method == "dense":
-        return _dense_stepper(grid, eps, spec, t)
-    if method == "spectral":
-        return lambda state: step_spectral(state, eps, spec)
-    raise ValueError(f"method must be 'dense' or 'spectral', got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return (_dense_stepper if method == "dense" else _spectral_stepper)(grid, eps, spec, t)
 
 
 def march(state, n_steps: int, step):

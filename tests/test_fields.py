@@ -70,6 +70,22 @@ def test_tabulated_field_interpolates_and_differentiates():
     assert np.allclose(table.derivative(probe, 0.0), np.cos(probe), atol=1e-3)
 
 
+def test_tabulated_derivative_is_exact_for_a_quadratic_on_uneven_samples():
+    xs = np.array([0.0, 1.0, 3.0, 4.5, 7.0])
+    table = FieldSpec.tabulated(xs, xs ** 2)
+    assert table.derivative(1.0) == pytest.approx(2.0, abs=1e-12)  # 4.5 from a uniform stencil
+    assert np.allclose(table.derivative_field().values, 2.0 * xs, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("xs,values,message", [
+    ([0.0, 1.0], [0.0, 1.0], "at least 3 samples"),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+])
+def test_tabulated_field_rejects_short_or_unsorted_tables(xs, values, message):
+    with pytest.raises(ValueError, match=message):
+        FieldSpec.tabulated(xs, values)
+
+
 def test_scaled_field():
     x = np.linspace(-2.0, 2.0, 5)
     assert np.allclose(FieldSpec.linear(0.4).scaled(2.0)(x), 0.8 * x)

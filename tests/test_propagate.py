@@ -175,6 +175,37 @@ def test_dense_evolve_builds_its_operator_once(monkeypatch):
     assert traj.times.shape == (4,)
 
 
+@pytest.mark.parametrize("spec,n,eps,message", [
+    (PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t"), 512, 0.05,
+     "admissible"),
+    (FREE, 1000, 0.05, "power-of-two"),
+    (FREE, 512, 0.0, "eps must be > 0"),
+], ids=("variant", "grid", "eps"))
+def test_spectral_evolve_checks_before_it_steps(spec, n, eps, message):
+    """The spectral guards run when the step is built, so no step is taken."""
+    grid = make_grid(-8.0, 8.0, n)
+    with pytest.raises(ValueError, match=f"^(?!aborted).*{message}"):
+        evolve(gaussian_packet(grid, x0=0.0, sigma0=0.8), eps, 5, spec, method="spectral")
+    with pytest.raises(ValueError, match=message):
+        propagate._spectral_stepper(grid, eps, spec, 0.0)
+
+
+def test_spectral_evolve_builds_its_factors_once():
+    calls = []
+
+    class CountingField(FieldSpec):
+        def __call__(self, x, t=0.0):
+            calls.append(self.kind)
+            return super().__call__(x, t)
+
+    spec = PropagatorSpec(d=1.0, u=CountingField("linear", slope=0.2),
+                          b=CountingField("sine", amplitude=0.3, wavenumber=1.0))
+    grid = make_grid(-10.0, 10.0, 512)
+    traj = evolve(gaussian_packet(grid, x0=0.0, sigma0=0.9), 0.05, 4, spec, method="spectral")
+    assert sorted(calls) == ["linear", "sine"]
+    assert traj.times.shape == (5,)
+
+
 @pytest.mark.parametrize("method", ("spectral", "cn"))
 def test_evolutions_hold_one_state_at_a_time(method):
     """500 steps at n = 4096: a stored trajectory would peak at ~32 MiB."""
