@@ -18,6 +18,7 @@ keys to the builder's own defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
@@ -34,7 +35,7 @@ from .fields import (
     make_grid,
 )
 from .propagate import METHODS
-from .walk import STEP_LAWS
+from .walk import MAX_SEED, STEP_LAWS
 
 _EXPECTS = ("conserves", "drifts")
 
@@ -57,18 +58,26 @@ def _number(positive=False):
     def read(value, path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{path}: expected a number, got {value!r}")
-        if positive and not value > 0.0:
-            raise ScenarioError(f"{path}: must be positive, got {float(value)}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf if value > 0 else -math.inf
+        if not math.isfinite(number):
+            raise ScenarioError(f"{path}: must be a finite number, got {number}")
+        if positive and not number > 0.0:
+            raise ScenarioError(f"{path}: must be positive, got {number}")
+        return number
     return read
 
 
-def _integer(minimum):
+def _integer(minimum, maximum=None):
     def read(value, path):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"{path}: expected an integer, got {value!r}")
         if value < minimum:
             raise ScenarioError(f"{path}: must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ScenarioError(f"{path}: must be <= {maximum}, got {value}")
         return value
     return read
 
@@ -290,7 +299,7 @@ _SCENARIO = _object({"name": _string()}, {
     "schedule": _object({}, {"eps": _number(positive=True), "n_steps": _integer(1),
                              "eps_ladder": _then(_numbers(2, positive=True), _ladder)}),
     "method": _string(METHODS),
-    "seed": _integer(0),
+    "seed": _integer(0, MAX_SEED),
     "walk": _section(WalkSettings),
     "audit": _object({"packets": _list_of(_section(PacketSpec)),
                       "variants": _list_of(_object(

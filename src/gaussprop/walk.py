@@ -1,10 +1,14 @@
 """Monte-Carlo sampler for the real Gaussian random walk.
 
-Each particle carries its own counter-based stream: a Philox generator keyed
-(master seed, particle id).  Draws are therefore bit-reproducible for a given
-(seed, parameters) pair no matter how particles are batched or parallelized,
-and particle pid always owns row pid of the draw matrix.  Normal variates
-come from numpy's ziggurat sampler on that fixed bit stream.
+Particle pid draws its steps, in order, from numpy's counter-based Philox
+stream keyed (master seed, pid), as in Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11).  Draws are therefore bit-reproducible
+for a given (seed, parameters) pair no matter how particles are batched, and
+a smaller ensemble is a prefix of a larger one.  Normal variates come from
+numpy's ziggurat sampler on that fixed bit stream.  One generator is re-keyed
+for each particle, and particles advance in blocks of _BLOCK that draw all
+their steps at once, so memory is O(_BLOCK x n_steps + n_particles) rather
+than O(n_particles x n_steps).
 
 A step advances x by eta ~ Normal(u(x, t) eps, D eps), the drift evaluated
 at the particle's current position.  The optional centered-exponential step
@@ -29,6 +33,8 @@ from .fields import PropagatorSpec, RealState, make_grid
 from .reference import evolve_diffusion
 
 STEP_LAWS = ("gauss", "exp_centered")
+MAX_SEED = 2 ** 64 - 1     # the seed is one 64-bit word of the Philox key
+_BLOCK = 4096              # particles advanced together
 _MIN_HISTOGRAM_PARTICLES = 10_000
 
 
@@ -53,17 +59,10 @@ class WalkEnsemble:
         return float(np.var(self.positions, ddof=1))
 
 
-def _draw_matrix(seed: int, n_particles: int, n_steps: int,
-                 step_law: str) -> np.ndarray:
-    z = np.empty((n_particles, n_steps))
-    for pid in range(n_particles):
-        key = np.array([seed, pid], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        if step_law == "gauss":
-            z[pid] = gen.standard_normal(n_steps)
-        else:
-            z[pid] = gen.standard_exponential(n_steps) - 1.0
-    return z
+def _keyed(seed: int, pid: int) -> dict:
+    """The state of np.random.Philox(key=[seed, pid]) before its first draw."""
+    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, pid)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def sample_paths(n_particles: int, n_steps: int, eps: float,
@@ -80,14 +79,27 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
         raise ValueError(f"eps must be > 0, got {eps}")
     if step_law not in STEP_LAWS:
         raise ValueError(f"step_law must be one of {STEP_LAWS}, got {step_law!r}")
+    seed = int(seed)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     x = np.full(n_particles, float(x0))
     if n_steps > 0:
-        z = _draw_matrix(int(seed), n_particles, n_steps, step_law)
+        gen = np.random.Generator(np.random.Philox(0))  # re-keyed for each particle
+        draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
         width = np.sqrt(spec.d * eps)
-        for s in range(n_steps):
-            x += spec.u(x, s * eps) * eps + width * z[:, s]
+        z = np.empty((min(_BLOCK, n_particles), n_steps))
+        for start in range(0, n_particles, _BLOCK):
+            xb = x[start:start + _BLOCK]
+            zb = z[:len(xb)]
+            for i, row in enumerate(zb):
+                gen.bit_generator.state = _keyed(seed, start + i)
+                draw(out=row)
+            if step_law == "exp_centered":
+                zb -= 1.0
+            for s in range(n_steps):
+                xb += spec.u(xb, s * eps) * eps + width * zb[:, s]
     x.flags.writeable = False
-    return WalkEnsemble(positions=x, time=n_steps * eps, seed=int(seed),
+    return WalkEnsemble(positions=x, time=n_steps * eps, seed=seed,
                         n_steps=n_steps, eps=eps, x0=float(x0),
                         step_law=step_law)
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface on the shipped scenarios."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -72,6 +73,51 @@ def test_walk_seed_override(tmp_path):
     same = (a / "walk_default_walk.csv").read_bytes()
     assert same == (b / "walk_default_walk.csv").read_bytes()
     assert same != (c / "walk_default_walk.csv").read_bytes()
+
+
+# sha256 of the walk_default outputs, recorded from the per-particle Philox sampler
+WALK_DEFAULT_SHA256 = {
+    (): ("6e9cbc9f9bc8beffaa440e37ec7ce6e34b85f12e73028b8773346c3e2a4389e3",
+         "d4f38c837a87ee892e69b72f99055d0244e030c2dba1955db7139f5c6576e6f5"),
+    ("--seed", "11"): ("a13af8b72620aef642a7c2b32b8a0430eaeb92670acf87991325ac8953fad3f4",
+                       "2c51a47a3d6ae60cd667442f82b5c474801089f224d537a6ea2c8edc50a398e1"),
+}
+
+
+@pytest.mark.parametrize("extra", list(WALK_DEFAULT_SHA256), ids=("scenario-seed", "seed-11"))
+def test_walk_outputs_are_unchanged(extra, tmp_path):
+    assert _run("walk", "walk_default.json", tmp_path, *extra) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"walk_default_walk.{ext}").read_bytes())
+                    .hexdigest() for ext in ("csv", "json"))
+    assert digests == WALK_DEFAULT_SHA256[extra]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_walk_seed_option_out_of_range_exits_two(seed, tmp_path, capsys):
+    assert _run("walk", "walk_default.json", tmp_path, "--seed", seed) == 2
+    err = capsys.readouterr().err
+    assert "seed must be in [0, 18446744073709551615]" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+WALK_KEYS = '"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps": 10}'
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{%s, "walk": {"n_particles": 10000}, "seed": %d}' % (WALK_KEYS, 2 ** 64), "seed"),
+    ('{%s, "walk": {"n_particles": 10000, "x0": 1e400}}' % WALK_KEYS, "walk.x0"),
+    ('{%s, "walk": {"n_particles": 10000}, "packet": {"x0": %d}}' % (WALK_KEYS, 10 ** 400),
+     "packet.x0"),
+    ('{%s, "walk": {"n_particles": 10000}, "packet": {"x0": %d}}' % (WALK_KEYS, -10 ** 400),
+     "packet.x0"),
+], ids=("seed-2**64", "walk.x0-1e400", "packet.x0-401-digits", "packet.x0-minus-401-digits"))
+def test_walk_scenario_out_of_range_exits_two_naming_the_key(text, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["walk", str(path), "--out", str(tmp_path)]) == 2
+    assert f"scenario.{key}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_compare_scenario(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gaussprop import (
     histogram_compare,
     sample_paths,
 )
+from gaussprop.walk import _BLOCK, MAX_SEED
 
 DRIFTING = PropagatorSpec(d=1.0, u=FieldSpec.constant(0.5))
 FREE = PropagatorSpec(d=1.0)
@@ -20,11 +23,63 @@ def test_same_seed_reproduces_bit_for_bit():
     assert not np.array_equal(a.positions, c.positions)
 
 
+def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="gauss"):
+    """One fresh Philox per particle and the whole draw matrix at once."""
+    z = np.empty((n_particles, n_steps))
+    for pid in range(n_particles):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, pid], dtype=np.uint64)))
+        if step_law == "gauss":
+            z[pid] = gen.standard_normal(n_steps)
+        else:
+            z[pid] = gen.standard_exponential(n_steps) - 1.0
+    x = np.full(n_particles, float(x0))
+    width = np.sqrt(spec.d * eps)
+    for s in range(n_steps):
+        x += spec.u(x, s * eps) * eps + width * z[:, s]
+    return x
+
+
+@pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
+@pytest.mark.parametrize("u", [FieldSpec.constant(0.5), FieldSpec.linear(-0.5),
+                               FieldSpec.sine(0.3, 1.0)], ids=lambda u: u.kind)
+def test_paths_equal_the_per_particle_reference(u, step_law):
+    """A full block and a partial one change no bit."""
+    spec = PropagatorSpec(d=1.0, u=u)
+    ens = sample_paths(_BLOCK + 3, 20, 0.01, spec, seed=9, x0=0.3, step_law=step_law)
+    assert np.array_equal(ens.positions,
+                          _reference_paths(_BLOCK + 3, 20, 0.01, spec, 9, 0.3, step_law))
+
+
 def test_particle_streams_do_not_depend_on_ensemble_size():
     """Particle pid owns its stream: a smaller run is a prefix of a larger one."""
     big = sample_paths(200, 20, 0.01, DRIFTING, seed=5)
     small = sample_paths(50, 20, 0.01, DRIFTING, seed=5)
     assert np.array_equal(big.positions[:50], small.positions)
+    big = sample_paths(2 * _BLOCK + 5, 20, 0.01, DRIFTING, seed=5)
+    small = sample_paths(_BLOCK + 1, 20, 0.01, DRIFTING, seed=5)
+    assert np.array_equal(big.positions[:_BLOCK + 1], small.positions)
+
+
+def test_seed_must_fit_the_philox_key():
+    for seed in (-1, MAX_SEED + 1):
+        with pytest.raises(ValueError, match="seed"):
+            sample_paths(10, 5, 0.01, FREE, seed=seed)
+    ens = sample_paths(10, 5, 0.01, FREE, seed=MAX_SEED)
+    assert np.array_equal(ens.positions, _reference_paths(10, 5, 0.01, FREE, MAX_SEED))
+
+
+def _peak_mib(*args, **kwargs):
+    tracemalloc.start()
+    try:
+        sample_paths(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_memory_holds_no_particles_by_steps_matrix():
+    """The draws of a 20,000 x 200 walk take 31 MiB; one block of them is held at a time."""
+    assert _peak_mib(20_000, 200, 0.01, DRIFTING, seed=1) < 8.0
 
 
 def test_zero_steps_leaves_particles_at_the_origin():
