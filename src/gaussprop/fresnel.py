@@ -81,23 +81,22 @@ class RegularizedQuadrature:
         return cls(delta0, half_width, samples)
 
 
-def _ladder_integral(poly, d: float, eps: float, quad: RegularizedQuadrature) -> complex:
-    """Richardson-extrapolated trapezoid of poly(eta) * exp(i eta^2/(2 D eps))."""
+def _ladder_integral(polys, d: float, eps: float, quad: RegularizedQuadrature) -> list:
+    """Richardson-extrapolated trapezoid of each poly(eta) * exp(i eta^2/(2 D eps)),
+    with each rung's regulated chirp computed once for all the polys."""
     m = quad.samples // 2
     deta = quad.half_width / m
     eta = deta * np.arange(1, m + 1)
     chirp = 1j / (2.0 * d * eps)
-    center = complex(np.asarray(poly(np.zeros(1)))[0])
-    pos, neg = np.asarray(poly(eta)), np.asarray(poly(-eta))
-    ladder = []
+    centers = [complex(np.asarray(poly(np.zeros(1)))[0]) for poly in polys]
+    pairs = [np.asarray(poly(eta)) + np.asarray(poly(-eta)) for poly in polys]
+    ladder = []  # per rung, the trapezoid of each poly
     for delta in (quad.delta0, quad.delta0 / 2.0, quad.delta0 / 4.0):
         g = np.exp((chirp - delta) * eta ** 2)
-        pair = (pos + neg) * g
-        total = center + np.sum(pair[:-1]) + 0.5 * pair[-1]
-        ladder.append(total * deta)
-    v0, v1, v2 = ladder
+        ladder.append([(center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta
+                       for center, pair in zip(centers, (p * g for p in pairs))])
     # kills the O(delta) and O(delta^2) regulator error
-    return (8.0 * v2 - 6.0 * v1 + v0) / 3.0
+    return [(8.0 * v2 - 6.0 * v1 + v0) / 3.0 for v0, v1, v2 in zip(*ladder)]
 
 
 def closed_moment(n: int, d: float, eps: float) -> complex:
@@ -123,8 +122,7 @@ def fresnel_moment(n: int, d: float, eps: float,
         raise ValueError(f"need d > 0 and eps > 0, got d={d}, eps={eps}")
     if quad is None:
         quad = RegularizedQuadrature.for_params(d, eps)
-    return complex(_ladder_integral(lambda e: e ** n if n else np.ones_like(e),
-                                    d, eps, quad))
+    return complex(_ladder_integral([lambda e: e ** n], d, eps, quad)[0])
 
 
 def unit_mass_check(d: float, eps: float,
@@ -165,6 +163,6 @@ def cancellation_check(spec: PropagatorSpec, x: float, eps: float, t: float = 0.
         u_plus = u + eta * du
         return u_plus ** 2 * (-(eta ** 2) / (2.0 * d ** 2) + 1j * eps / (2.0 * d))
 
-    value = _ladder_integral(integrand, d, eps, quad) / closed_moment(0, d, eps)
+    value = _ladder_integral([integrand], d, eps, quad)[0] / closed_moment(0, d, eps)
     return CancellationResult(quadrature=complex(value),
                               closed_form=complex(du ** 2 * eps ** 2))

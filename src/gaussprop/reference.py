@@ -28,8 +28,8 @@ round-off and the implicit default keeps P nonnegative (M-matrix), with no
 step-size stability bound.  An explicit mode exists but enforces
 D eps/dx^2 <= 1/2.
 
-Each oracle's banded operator is built in one builder; evolve_cn and
-evolve_diffusion stream it through propagate.march, keeping the final state.
+Each oracle LU-factors its implicit tridiagonal operator once (LAPACK gttrf),
+so a step is one O(n) gttrs solve, streamed by propagate.march to the final state.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .fields import FieldSpec, Grid, PropagatorSpec, RealState, WaveState
-from .propagate import Trajectory, march, record
+from .propagate import Trajectory, _Tridiagonal, march, record
 
 
 @dataclass(frozen=True)
@@ -134,27 +133,17 @@ def hermiticity_check(ham: HamiltonianSpec, grid: Grid, t: float = 0.0) -> float
                      np.max(np.abs(diag.imag))))
 
 
-def _apply_tridiag(lower, diag, upper, v):
-    out = diag * v
-    out[:-1] += upper * v[1:]
-    out[1:] += lower * v[:-1]
-    return out
-
-
 def _cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec, t: float):
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     lower, diag, upper = hamiltonian_diagonals(ham, grid, t)
     half = 0.5j * eps
-    explicit = (-half * lower, 1.0 - half * diag, -half * upper)
-    ab = np.zeros((3, grid.n), dtype=complex)
-    ab[0, 1:] = half * upper
-    ab[1, :] = 1.0 + half * diag
-    ab[2, :-1] = half * lower
+    explicit = _Tridiagonal(-half * lower, 1.0 - half * diag, -half * upper)
+    implicit = _Tridiagonal(half * lower, 1.0 + half * diag, half * upper)
 
     def step(state: WaveState) -> WaveState:
-        rhs = _apply_tridiag(*explicit, state.psi)
-        return state.replace_psi(solve_banded((1, 1), ab, rhs), time=state.time + eps)
+        return state.replace_psi(implicit.solve(explicit.apply(state.psi)),
+                                 time=state.time + eps)
 
     return step
 
@@ -172,11 +161,10 @@ def evolve_cn(state: WaveState, eps: float, n_steps: int,
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
-    # B(w) = w/(e^w - 1), smooth through w = 0
-    out = np.ones_like(w)
+    # B(w) = w/(e^w - 1), smooth through w = 0, where its series is 1 - w/2
+    out = 1.0 - 0.5 * w
     big = np.abs(w) > 1e-8
     out[big] = w[big] / np.expm1(w[big])
-    out[~big] = 1.0 - 0.5 * w[~big]
     return out
 
 
@@ -192,9 +180,7 @@ def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec, t: float):
     diag = np.zeros(n)
     diag[:-1] += coef * bm
     diag[1:] += coef * bp
-    upper = -coef * bp
-    lower = -coef * bm
-    return lower, diag, upper
+    return -coef * bm, diag, -coef * bp
 
 
 def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
@@ -211,15 +197,12 @@ def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
                              f"{number:.3f} > 0.5")
     elif method != "implicit":
         raise ValueError(f"method must be 'implicit' or 'explicit', got {method!r}")
-    ab = np.zeros((3, grid.n))
-    ab[0, 1:] = eps * upper
-    ab[1, :] = 1.0 + eps * diag
-    ab[2, :-1] = eps * lower
+    generator = _Tridiagonal(lower, diag, upper)
+    implicit = _Tridiagonal(eps * lower, 1.0 + eps * diag, eps * upper)
 
     def step(state: RealState) -> RealState:
         p = state.density
-        out = (solve_banded((1, 1), ab, p) if method == "implicit"
-               else p - eps * _apply_tridiag(lower, diag, upper, p))
+        out = implicit.solve(p) if method == "implicit" else p - eps * generator.apply(p)
         out = np.where(np.abs(out) < 1e-300, 0.0, out)  # flush denormals
         return state.replace_density(out, time=state.time + eps)
 

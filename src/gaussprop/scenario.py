@@ -227,14 +227,14 @@ class MomentsSettings:
         _list_of(_numbers(2, exact=True, positive=True)))
     tolerance: float = _key(_number(positive=True), 1e-6)
     delta0: float | None = _key(_number(positive=True), None)
-    samples: int | None = _key(_integer(64), None)
+    samples: int = _key(_integer(64), 100_000)
     cancellation: CancellationSettings | None = _key(_section(CancellationSettings), None)
 
 
 @dataclass(frozen=True)
 class WalkSettings:
-    n_particles: int = _key(_integer(1))
-    bins: int = _key(_integer(4), 50)
+    n_particles: int = _key(_integer(1, 10 ** 8))  # 8 B of position each: 0.8 GB at most
+    bins: int = _key(_integer(4, 10 ** 6), 50)     # one output row a bin
     x0: float = _key(_number(), 0.0)
     step_law: str = _key(_string(STEP_LAWS), "gauss")
 
@@ -289,8 +289,8 @@ def _ladder(eps):
 _VARIANT_KEYS = {"im_d": _number(), "im_u": _number(), "d_field": parse_field}
 
 _SCENARIO = _object({"name": _string()}, {
-    "grid": _object({"x_min": _number(), "x_max": _number(), "n": _integer(16)},
-                    build=make_grid),
+    "grid": _object({"x_min": _number(), "x_max": _number(), "n": _integer(16, 2 ** 20)},
+                    build=make_grid),  # n <= 2^20: a complex state is 16 MiB
     "packet": _section(PacketSpec),
     "spec": _object({}, {"d": _number(positive=True), "u": parse_field, "b": parse_field,
                          "order": _string(ORDERS), "variant": _string(VARIANTS),

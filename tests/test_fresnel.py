@@ -19,6 +19,7 @@ from gaussprop import (
     fresnel_moment,
     unit_mass_check,
 )
+from gaussprop.fresnel import _ladder_integral
 
 
 def test_moment_orders_exposed():
@@ -124,3 +125,50 @@ def test_cancellation_refuses_variants():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
     with pytest.raises(ValueError):
         cancellation_check(spec, 0.0, 0.1)
+
+
+def _one_poly_ladder(poly, d, eps, quad):
+    """The ladder integral of a single poly, its chirps made for it alone."""
+    m = quad.samples // 2
+    deta = quad.half_width / m
+    eta = deta * np.arange(1, m + 1)
+    chirp = 1j / (2.0 * d * eps)
+    center = complex(np.asarray(poly(np.zeros(1)))[0])
+    pos, neg = np.asarray(poly(eta)), np.asarray(poly(-eta))
+    ladder = []
+    for delta in (quad.delta0, quad.delta0 / 2.0, quad.delta0 / 4.0):
+        pair = (pos + neg) * np.exp((chirp - delta) * eta ** 2)
+        ladder.append((center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta)
+    v0, v1, v2 = ladder
+    return complex((8.0 * v2 - 6.0 * v1 + v0) / 3.0)
+
+
+def _monomial(n):
+    return (lambda e: e ** n) if n else np.ones_like
+
+
+@pytest.mark.parametrize("explicit", (False, True), ids=("auto", "explicit"))
+@pytest.mark.parametrize("d,eps", [(1.0, 0.1), (0.5, 1.0), (2.0, 0.03)])
+def test_shared_ladder_equals_one_ladder_per_order(d, eps, explicit):
+    """Sharing the chirps across the orders changes no bit of any moment."""
+    quad = (RegularizedQuadrature(0.25, 30.0, 60_000) if explicit
+            else RegularizedQuadrature.for_params(d, eps))
+    shared = _ladder_integral([lambda e, n=n: e ** n for n in MOMENT_ORDERS], d, eps, quad)
+    for n, value in zip(MOMENT_ORDERS, shared):
+        expected = _one_poly_ladder(_monomial(n), d, eps, quad)
+        assert complex(value) == expected
+        assert fresnel_moment(n, d, eps, quad if explicit else None) == expected
+
+
+def test_cancellation_check_is_unchanged_at_the_shipped_point():
+    """moments_default's cancellation row: k = 1, x = 0.5, eps = 0.1, D = 1."""
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
+    u, du = np.sin(0.5), np.cos(0.5)
+
+    def integrand(eta):
+        return (u + eta * du) ** 2 * (-(eta ** 2) / 2.0 + 0.05j)
+
+    quad = RegularizedQuadrature.for_params(1.0, 0.1)
+    res = cancellation_check(spec, 0.5, 0.1, quad=quad)
+    assert res.quadrature == _one_poly_ladder(integrand, 1.0, 0.1, quad) / closed_moment(0, 1.0, 0.1)
+    assert res.closed_form == complex(du ** 2 * 0.1 ** 2)

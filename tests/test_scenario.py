@@ -113,3 +113,19 @@ def test_an_audit_variant_resets_the_variant_keys_it_omits():
     (case,) = parse_scenario(data).audit.variants
     assert (case.spec.variant, case.spec.d_field) == ("admissible", None)
     assert case.spec.u == parse_scenario(data).spec.u
+
+
+@pytest.mark.parametrize("section,key,admitted,maximum", [
+    ("grid", "n", 2 ** 17, 2 ** 20),
+    ("walk", "n_particles", 10 ** 8, 10 ** 8),
+    ("walk", "bins", 10 ** 6, 10 ** 6),
+])
+def test_a_size_is_bounded_at_its_key(section, key, admitted, maximum):
+    """Sizes are refused at parse time, before anything is allocated for them."""
+    data = copy.deepcopy(FULL)
+    data[section][key] = admitted
+    assert getattr(getattr(parse_scenario(data), section), key) == admitted
+    data[section][key] = maximum + 1
+    with pytest.raises(ScenarioError,
+                       match=rf"^scenario\.{section}\.{key}: must be <= {maximum}, "):
+        parse_scenario(data)
