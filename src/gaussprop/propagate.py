@@ -20,7 +20,8 @@ and a row chirp (Rabiner, Schafer & Rader 1969; Bluestein 1970).  That is
 O(n log n) time and O(n) memory per step.  complex_u's constant imaginary
 drift enters as real row and column factors.  Sine, quadratic and tabulated
 drifts, x-dependent D and complex D apply the n x n kernel matrix, which is
-also the reference the factored form is tested against.
+also the reference the factored form is tested against; it is built only for
+grid.n <= MAX_DENSE_MATRIX_N.
 
 The quadrature can only resolve the kernel's quadratic phase when adjacent
 grid samples advance it by at most pi: max |eta| * dx / (D eps) <= pi.
@@ -55,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .fields import (BOUNDARY_DECAY_RATIO, FieldSpec, Grid, PropagatorSpec,
                      RealState, WaveState, check_boundary_decay, norm, total_mass)
@@ -64,6 +64,10 @@ from .kernel import complex_kernel, real_kernel, source_factors
 
 # the wave-stepping methods: the dense quadrature and the factorized kernel
 METHODS = ("dense", "spectral")
+
+# the largest grid.n the n x n kernel matrix is built for: 1 GiB of complex
+# entries kept (about 3.5 GiB at the peak of its build)
+MAX_DENSE_MATRIX_N = 2 ** 13
 
 
 class ValidityError(RuntimeError):
@@ -169,11 +173,17 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
     """The dense quadrature step on grid as a function psi -> psi(t + eps).
 
     Real constant D with constant or linear u takes the chirp-z form in
-    O(n log n); every other spec applies the n x n kernel matrix.
+    O(n log n); every other spec applies the n x n kernel matrix, for
+    grid.n <= MAX_DENSE_MATRIX_N only.
     """
     if (spec.u.kind in ("constant", "linear")
             and spec.variant not in ("complex_d", "x_dependent_d")):
         return _chirp_z_step(grid, eps, spec, t, a_override)
+    if grid.n > MAX_DENSE_MATRIX_N:
+        raise ValueError(
+            f"grid.n = {grid.n} needs a {grid.n} x {grid.n} kernel matrix "
+            f"({16 * grid.n ** 2 / 2 ** 30:.0f} GiB) for this spec; the dense "
+            f"path allows grid.n <= {MAX_DENSE_MATRIX_N}")
     mat = _dense_matrix(grid, eps, spec, t, a_override)
     return lambda psi: mat @ psi
 
@@ -201,6 +211,15 @@ def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
                a_override: FieldSpec | None = None) -> WaveState:
     """One complex-kernel step by direct quadrature over the whole grid."""
     return _dense_stepper(state.grid, eps, spec, state.time, a_override)(state)
+
+
+def get_lapack_funcs(names, arrays):
+    """scipy.linalg.get_lapack_funcs, imported on the first call: scipy.linalg
+    costs more to import than most commands take to run, and only the
+    tridiagonal solves use it."""
+    from scipy.linalg import get_lapack_funcs as lapack_funcs
+
+    return lapack_funcs(names, arrays)
 
 
 class _Tridiagonal:

@@ -227,7 +227,9 @@ class MomentsSettings:
         _list_of(_numbers(2, exact=True, positive=True)))
     tolerance: float = _key(_number(positive=True), 1e-6)
     delta0: float | None = _key(_number(positive=True), None)
-    samples: int = _key(_integer(64), 100_000)
+    # 20000 is the quadrature's own floor; the ladder peaks near 44 B a
+    # sample, so 2^24 samples stay under 0.75 GiB
+    samples: int = _key(_integer(20_000, 2 ** 24), 100_000)
     cancellation: CancellationSettings | None = _key(_section(CancellationSettings), None)
 
 
@@ -296,7 +298,9 @@ _SCENARIO = _object({"name": _string()}, {
                          "order": _string(ORDERS), "variant": _string(VARIANTS),
                          **_VARIANT_KEYS},
                     partial(PropagatorSpec, d=1.0)),
-    "schedule": _object({}, {"eps": _number(positive=True), "n_steps": _integer(1),
+    "schedule": _object({}, {"eps": _number(positive=True),
+                             # n_steps <= 2^15: walk's 4096-particle block of draws is 1 GiB
+                             "n_steps": _integer(1, 2 ** 15),
                              "eps_ladder": _then(_numbers(2, positive=True), _ladder)}),
     "method": _string(METHODS),
     "seed": _integer(0, MAX_SEED),

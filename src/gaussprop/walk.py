@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .fields import PropagatorSpec, RealState, make_grid
 from .reference import evolve_diffusion
@@ -115,6 +114,8 @@ class HistogramComparison:
 
 def _gaussian_bin_density(edges: np.ndarray, mean: float,
                           var: float) -> np.ndarray:
+    from scipy.special import ndtr  # on first use, so that moments and audit never load scipy
+
     sd = np.sqrt(var)
     cdf = ndtr((edges - mean) / sd)
     return np.diff(cdf) / np.diff(edges)

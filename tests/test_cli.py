@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,6 +114,14 @@ SHIPPED_SHA256 = {
     ("moments", "moments_fail"): (
         1, "22a58be545103fca23f9a635a36c91354a69a2a76dca45237a94b097d2cda3dd",
         "2ecca16a932f1730cf35dde51593a7595691fa2dbc2d94d0ee34a9d5c1d6cecb"),
+    # recorded before scipy was imported lazily and the n x n matrix was bounded;
+    # complex_d_audit is the only shipped run that applies the kernel matrix
+    ("audit", "variants_audit"): (
+        0, "0b6667b623c7978cbe6ca1e6526137b60fec786d1604345ab5adb5b582bc3a60",
+        "e74613819a11a23018f8dcb87f3016c98d8e7d0cb3d4655fde8ed5b50a280b55"),
+    ("audit", "complex_d_audit"): (
+        0, "fd195ee392d81d4e830a1d876a46b2b8917b3c8abbf9e1fc203b627f58b901d1",
+        "e780e2d3cd052b469aad324ddb55316b7e29e0490fc5d61673c23a450ba0835d"),
 }
 
 
@@ -144,8 +156,10 @@ WALK_KEYS = '"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps
      "packet.x0"),
     ('{%s, "walk": {"n_particles": %d}}' % (WALK_KEYS, 10 ** 15), "walk.n_particles"),
     ('{%s, "walk": {"n_particles": 10000, "bins": %d}}' % (WALK_KEYS, 10 ** 15), "walk.bins"),
+    ('{"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps": %d}, '
+     '"walk": {"n_particles": 10000}}' % 10 ** 12, "schedule.n_steps"),
 ], ids=("seed-2**64", "walk.x0-1e400", "packet.x0-401-digits", "packet.x0-minus-401-digits",
-        "n_particles-1e15", "bins-1e15"))
+        "n_particles-1e15", "bins-1e15", "n_steps-1e12"))
 def test_walk_scenario_out_of_range_exits_two_naming_the_key(text, key, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -154,6 +168,59 @@ def test_walk_scenario_out_of_range_exits_two_naming_the_key(text, key, tmp_path
     assert f"scenario.{key}:" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("spec", [
+    {"d": 1.0, "u": {"kind": "sine", "amplitude": 0.3, "wavenumber": 1.0}},
+    {"d": 1.0, "u": {"kind": "quadratic", "c": 0.01}},
+    {"d": 1.0, "variant": "complex_d", "im_d": 0.1},
+], ids=("sine-u", "quadratic-u", "complex_d"))
+def test_kernel_matrix_beyond_its_bound_exits_two_before_allocating(spec, tmp_path, capsys):
+    """At n = 2^17 the phase check passes, and the n x n matrix would be 256 GiB."""
+    data = {"name": "x", "grid": {"x_min": -20.0, "x_max": 20.0, "n": 2 ** 17},
+            "packet": {}, "spec": spec, "schedule": {"eps": 0.01, "n_steps": 1},
+            "method": "dense"}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        code = cli.main(["evolve", str(path), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grid.n = 131072 needs a 131072 x 131072 kernel matrix" in err
+    assert "grid.n <= 8192" in err
+    assert "Traceback" not in err
+    assert peak < 64 * 2 ** 20  # O(n) states and fields only
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# run in a fresh interpreter: the commands that never solve must not import scipy
+LAZY_SCIPY = """
+import sys
+from gaussprop import cli
+
+scenarios, out = sys.argv[1:]
+for command, name in (("moments", "moments_default"), ("audit", "variants_audit")):
+    assert cli.main([command, f"{scenarios}/{name}.json", "--out", out]) == 0
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert cli.main(["evolve", f"{scenarios}/free_packet.json", "--out", out]) == 0
+print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", LAZY_SCIPY, str(SCENARIOS), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "scipy modules: []" in lines           # moments and audit never load scipy
+    assert "scipy.linalg loaded: True" in lines   # evolve's CN reference loads it to solve
 
 
 def test_compare_scenario(tmp_path):
@@ -248,6 +315,9 @@ OUT_OF_RANGE = [
     ('{"name": "x", "compare": {"t_final": 1.0, "eps_ref": -1}}', "compare.eps_ref"),
     ('{"name": "x", "moments": {"pairs": [[1.0, 0.1]], "delta0": -1}}', "moments.delta0"),
     ('{"name": "x", "moments": {"pairs": [[1.0, 0.1]], "samples": -1}}', "moments.samples"),
+    ('{"name": "x", "moments": {"pairs": [[1.0, 0.1]], "samples": 19999}}', "moments.samples"),
+    ('{"name": "x", "moments": {"pairs": [[1.0, 0.1]], "samples": %d}}' % 10 ** 15,
+     "moments.samples"),
     ('{"name": "x", "packet": {"x0": NaN}}', "packet.x0"),
     ('{"name": "x", "schedule": {"eps": Infinity}}', "schedule.eps"),
     ('{"name": "x", "schedule": {"eps_ladder": [0.1, -Infinity]}}', "schedule.eps_ladder"),
