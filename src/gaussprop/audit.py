@@ -38,6 +38,7 @@ from .propagate import evolve, step_dense
 
 CONSERVE_ORDER = 2.0
 DRIFT_ORDER_MARGIN = 0.3
+_MIN_LADDER_RUNGS = 4  # eps values needed to fit a drift order
 _ROUNDOFF_DRIFT = 1e-13
 
 
@@ -56,8 +57,8 @@ def analytic_drift_rate(state: WaveState, spec: PropagatorSpec,
     """
     check_boundary_decay(state)
     x = state.grid.x
-    du = spec.u.derivative_field()(x, state.time)
-    a = a_field(x, state.time)
+    du = spec.u.derivative_field()(x)
+    a = a_field(x)
     weight = np.abs(state.psi) ** 2
     return float(np.sum((du - 2.0 * a) * weight) * state.grid.dx)
 
@@ -66,7 +67,6 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
     """Small-eps norm growth rate for spec's variant (0 when admissible)."""
     grid = state.grid
     x, dx = grid.x, grid.dx
-    t = state.time
     psi = state.psi
     if spec.variant == "admissible":
         return 0.0
@@ -81,7 +81,7 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
     if spec.variant == "complex_u":
         return float(-2.0 * spec.im_u * np.sum(current) * dx)
     if spec.variant == "x_dependent_d":
-        ddx = spec.d_field.derivative_field()(x, t)
+        ddx = spec.d_field.derivative_field()(x)
         return float(-np.sum(ddx * current) * dx)
     raise ValueError(f"no drift-rate prediction for variant {spec.variant!r}")
 
@@ -158,8 +158,8 @@ def variant_audit(state: WaveState, spec: PropagatorSpec,
     variant conserves; order ~1 means a genuine linear-in-eps leak.
     """
     ladder = sorted((float(e) for e in eps_ladder), reverse=True)
-    if len(ladder) < 4:
-        raise ValueError("need at least 4 eps values to fit a drift order")
+    if len(ladder) < _MIN_LADDER_RUNGS:
+        raise ValueError(f"need at least {_MIN_LADDER_RUNGS} eps values to fit a drift order")
     n0 = norm(state)
     drifts = []
     for eps in ladder:
@@ -199,7 +199,7 @@ def phase_freedom_check(state: WaveState, eps: float, spec: PropagatorSpec,
     property can be checked on whichever grid regime suits the step size.
     """
     x = state.grid.x
-    shifted = replace(spec, b=FieldSpec.tabulated(x, spec.b(x, state.time) + c))
+    shifted = replace(spec, b=FieldSpec.tabulated(x, spec.b(x) + c))
     base = evolve(state, eps, n_steps, spec, method=method).final
     moved = evolve(state, eps, n_steps, shifted, method=method).final
     density_diff = float(np.max(np.abs(np.abs(moved.psi) ** 2
@@ -225,9 +225,8 @@ def boundary_flux_check(state: WaveState) -> float:
 def triple_product_check(state: WaveState, spec: PropagatorSpec) -> float:
     """|int (psi* u psi' + psi* u' psi + psi'* u psi) dx|: a total derivative."""
     x, dx = state.grid.x, state.grid.dx
-    t = state.time
-    u = spec.u(x, t)
-    du = spec.u.derivative_field()(x, t)
+    u = spec.u(x)
+    du = spec.u.derivative_field()(x)
     psi = state.psi
     dpsi = _central(psi, dx)
     integrand = (np.conj(psi) * u * dpsi + np.conj(psi) * du * psi

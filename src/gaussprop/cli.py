@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import variant_audit
+from .audit import _MIN_LADDER_RUNGS, variant_audit
 from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments, norm
 from .fresnel import (
     MOMENT_ORDERS,
@@ -39,7 +39,7 @@ from .fresnel import (
 from .propagate import METHODS, ValidityError, _wave_stepper, evolve, march
 from .reference import _cn_stepper, evolve_cn, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
-from .walk import histogram_compare, sample_paths
+from .walk import _MIN_HISTOGRAM_PARTICLES, histogram_compare, sample_paths
 
 
 @dataclass
@@ -59,13 +59,11 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
     sc.require("grid", "packet", "spec", "eps", "n_steps")
     method = args.method or sc.method
     state0 = sc.packet.build(sc.grid)
-    kernel = march(state0, sc.n_steps,
-                   _wave_stepper(sc.grid, sc.eps, sc.spec, state0.time, method))
+    kernel = march(state0, sc.n_steps, _wave_stepper(sc.grid, sc.eps, sc.spec, method))
     reference = itertools.repeat(None)
     if sc.spec.is_admissible():
         ham = to_hamiltonian(sc.spec, sc.grid)
-        reference = march(state0, sc.n_steps,
-                          _cn_stepper(sc.grid, sc.eps, ham, state0.time))
+        reference = march(state0, sc.n_steps, _cn_stepper(sc.grid, sc.eps, ham))
 
     # the two streams advance in lockstep: one row per step, no stored states
     rows = []
@@ -99,6 +97,9 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
 
 def _run_audit(sc: Scenario, args) -> RunResult:
     sc.require("grid", "spec", "audit", "eps_ladder")
+    if len(sc.eps_ladder) < _MIN_LADDER_RUNGS:
+        raise ScenarioError(f"scenario.schedule.eps_ladder: need at least {_MIN_LADDER_RUNGS} "
+                            f"eps values to fit a drift order, got {len(sc.eps_ladder)}")
     rows, variants_out, lines = [], [], []
     passed = True
     for case in sc.audit.variants:
@@ -199,6 +200,9 @@ def _run_moments(sc: Scenario, args) -> RunResult:
 def _run_walk(sc: Scenario, args) -> RunResult:
     sc.require("spec", "walk", "eps", "n_steps")
     ws = sc.walk
+    if ws.n_particles < _MIN_HISTOGRAM_PARTICLES:
+        raise ScenarioError(f"scenario.walk.n_particles: need >= {_MIN_HISTOGRAM_PARTICLES} "
+                            f"particles for a stable histogram, got {ws.n_particles}")
     seed = args.seed if args.seed is not None else sc.seed
     ensemble = sample_paths(ws.n_particles, sc.n_steps, sc.eps, sc.spec,
                             seed, x0=ws.x0, step_law=ws.step_law)
@@ -240,10 +244,11 @@ def _run_walk(sc: Scenario, args) -> RunResult:
         rows=rows, summary=summary, lines=lines)
 
 
-def _steps_for(t_final: float, eps: float) -> int:
+def _steps_for(t_final: float, eps: float, key: str) -> int:
     n = round(t_final / eps)
     if n < 1 or abs(n * eps - t_final) > 1e-9 * max(1.0, n):
-        raise ScenarioError(f"eps={eps:g} does not divide t_final={t_final:g}")
+        raise ScenarioError(f"scenario.{key}: eps={eps:g} does not divide "
+                            f"compare.t_final={t_final:g}")
     return n
 
 
@@ -252,13 +257,17 @@ def _run_compare(sc: Scenario, args) -> RunResult:
     cs = sc.compare
     method = args.method or sc.method
     ham = to_hamiltonian(sc.spec, sc.grid)  # a ValueError for variants: exit 2
-    eps_ref = cs.eps_ref if cs.eps_ref is not None else min(sc.eps_ladder) / 5.0
+    if cs.eps_ref is not None:
+        eps_ref, ref_key = cs.eps_ref, "compare.eps_ref"
+    else:
+        eps_ref, ref_key = min(sc.eps_ladder) / 5.0, "schedule.eps_ladder"
+    ref_steps = _steps_for(cs.t_final, eps_ref, ref_key)
+    ladder_steps = [_steps_for(cs.t_final, eps, "schedule.eps_ladder") for eps in sc.eps_ladder]
     state0 = sc.packet.build(sc.grid)
-    ref = evolve_cn(state0, eps_ref, _steps_for(cs.t_final, eps_ref), ham).final
+    ref = evolve_cn(state0, eps_ref, ref_steps, ham).final
 
     rows, errors = [], []
-    for eps in sc.eps_ladder:
-        n = _steps_for(cs.t_final, eps)
+    for eps, n in zip(sc.eps_ladder, ladder_steps):
         final = evolve(state0, eps, n, sc.spec, method=method).final
         err = _l2_distance(final.psi, ref.psi, sc.grid.dx)
         rows.append((eps, n, err))

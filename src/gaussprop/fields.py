@@ -6,8 +6,8 @@ Everything downstream works on a uniform periodic-convention grid
 
 with wavefunctions psi(x_j) treated as samples of a square-integrable state
 whose tails have decayed below 1e-6 of the peak at both grid edges.  The
-propagator parameter set bundles the diffusivity D, the drift field u(x,t),
-the free phase field b(x,t), the kernel order (bare zero-order kernel vs the
+propagator parameter set bundles the diffusivity D, the drift field u(x),
+the free phase field b(x), the kernel order (bare zero-order kernel vs the
 first-order normalized kernel carrying the T = u'/2 + i b correction), and a
 falsification variant used by the audit module to break norm conservation on
 purpose (complex D, complex u, x-dependent D, endpoint or missing T factor).
@@ -81,10 +81,9 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Scalar field of (x, t): a named analytic preset or tabulated samples.
+    """Static scalar field of x: a named analytic preset or tabulated samples.
 
-    Presets ignore t (the laboratory runs static fields); evaluation is total
-    on the grid interval and vectorized over x.
+    Evaluation is total on the grid interval and vectorized over x.
     """
 
     kind: str
@@ -138,7 +137,7 @@ class FieldSpec:
         return cls("tabulated", xs=np.asarray(xs, dtype=float),
                    values=np.asarray(values, dtype=float))
 
-    def __call__(self, x, t: float = 0.0):
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.full_like(x, self.c)
@@ -151,9 +150,9 @@ class FieldSpec:
         # tabulated: clamp to edge values outside the sample range
         return np.interp(x, self.xs, self.values)
 
-    def derivative(self, x, t: float = 0.0):
+    def derivative(self, x):
         """d(field)/dx at x; analytic for presets, central differences for tables."""
-        return self.derivative_field()(x, t)
+        return self.derivative_field()(x)
 
     def derivative_field(self) -> "FieldSpec":
         """The derivative as another FieldSpec (the preset family is closed)."""
@@ -235,25 +234,25 @@ class PropagatorSpec:
             raise ValueError(f"{self.variant} is a first-order variant; "
                              "the zero-order kernel has no T factor to spoil")
 
-    def d_value(self, x, t: float = 0.0):
+    def d_value(self, x):
         """Effective diffusivity at x (complex for complex_d, a field for x_dependent_d)."""
         x = np.asarray(x, dtype=float)
         if self.variant == "complex_d":
             return np.full_like(x, self.d + 1j * self.im_d, dtype=complex)
         if self.variant == "x_dependent_d":
-            return self.d_field(x, t).astype(complex)
+            return self.d_field(x).astype(complex)
         return np.full_like(x, self.d, dtype=complex)
 
-    def u_value(self, x, t: float = 0.0):
+    def u_value(self, x):
         """Effective drift at x (complex for complex_u)."""
-        base = self.u(np.asarray(x, dtype=float), t).astype(complex)
+        base = self.u(np.asarray(x, dtype=float)).astype(complex)
         if self.variant == "complex_u":
             return base + 1j * self.im_u
         return base
 
-    def du_dx(self, x, t: float = 0.0):
+    def du_dx(self, x):
         # im_u is a constant offset, so the derivative is the real drift's
-        return self.u.derivative(np.asarray(x, dtype=float), t).astype(complex)
+        return self.u.derivative(np.asarray(x, dtype=float)).astype(complex)
 
     def is_admissible(self) -> bool:
         return self.variant == "admissible"

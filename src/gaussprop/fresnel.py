@@ -143,9 +143,9 @@ class CancellationResult:
         return abs(self.quadrature - self.closed_form)
 
 
-def cancellation_check(spec: PropagatorSpec, x: float, eps: float, t: float = 0.0,
+def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
                        quad: RegularizedQuadrature | None = None) -> CancellationResult:
-    """Residual of the drift-squared cancellation at the point (x, t).
+    """Residual of the drift-squared cancellation at the point x.
 
     Integrates (u + eta u')^2 [-eta^2/(2 D^2) + i eps/(2 D)] against the bare
     kernel phase and normalizes by K.  The closed form is (u' eps)^2: exactly
@@ -154,8 +154,8 @@ def cancellation_check(spec: PropagatorSpec, x: float, eps: float, t: float = 0.
     if spec.variant != "admissible":
         raise ValueError("cancellation check applies to the admissible variant")
     d = spec.d
-    u = float(spec.u(x, t))
-    du = float(spec.u.derivative(x, t))
+    u = float(spec.u(x))
+    du = float(spec.u.derivative(x))
     if quad is None:
         quad = RegularizedQuadrature.for_params(d, eps)
 

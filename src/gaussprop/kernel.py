@@ -1,10 +1,10 @@
 """Single-step propagator kernels.
 
-Real (diffusive) kernel for one step of duration eps at the point (x, t):
+Real (diffusive) kernel for one step of duration eps at the point x:
 
     Pi(eta) = (2 pi D eps)^(-1/2) exp(-(eta - u eps)^2 / (2 D eps)),
 
-a Gaussian step-length law with mean u(x,t) eps and variance D eps.  Its
+a Gaussian step-length law with mean u(x) eps and variance D eps.  Its
 complex twin replaces the negative exponent by a positive imaginary one,
 
     Pi(eta) = K^(-1) exp(+i (eta - u eps)^2 / (2 D eps)),
@@ -32,46 +32,45 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"step duration eps must be finite and > 0, got {eps}")
 
 
-def real_kernel(eta, eps: float, x, t: float, spec: PropagatorSpec):
-    """Gaussian step-length density at (x, t), evaluated at displacement eta."""
+def real_kernel(eta, eps: float, x, spec: PropagatorSpec):
+    """Gaussian step-length density at x, evaluated at displacement eta."""
     _check_eps(eps)
     if spec.variant != "admissible":
         raise ValueError("the real kernel is defined for the admissible variant only")
     eta = np.asarray(eta, dtype=float)
-    u = spec.u(x, t)
+    u = spec.u(x)
     var = spec.d * eps
     return np.exp(-((eta - u * eps) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
-def t_correction(spec: PropagatorSpec, x, t: float = 0.0):
-    """T(x, t) = a + i b with a fixed by the variant (u'/2, u', or 0)."""
+def t_correction(spec: PropagatorSpec, x):
+    """T(x) = a + i b with a fixed by the variant (u'/2, u', or 0)."""
     if spec.order == "zero":
         raise ValueError("the zero-order kernel carries no T correction")
-    a = _a_value(spec, x, t)
-    return a + 1j * spec.b(x, t)
+    return _a_value(spec, x) + 1j * spec.b(x)
 
 
-def _a_value(spec: PropagatorSpec, x, t: float, a_override: FieldSpec | None = None):
+def _a_value(spec: PropagatorSpec, x, a_override: FieldSpec | None = None):
     if a_override is not None:
-        return a_override(x, t).astype(complex)
+        return a_override(x).astype(complex)
     if spec.variant == "endpoint_t":
-        return spec.du_dx(x, t)
+        return spec.du_dx(x)
     if spec.variant == "no_t":
         return np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-    return 0.5 * spec.du_dx(x, t)
+    return 0.5 * spec.du_dx(x)
 
 
-def normalization_constant(spec: PropagatorSpec, eps: float, x, t: float = 0.0):
-    """K(x, t): (2 pi i D eps)^(1/2), times (1 + eps T) at first order."""
+def normalization_constant(spec: PropagatorSpec, eps: float, x):
+    """K(x): (2 pi i D eps)^(1/2), times (1 + eps T) at first order."""
     _check_eps(eps)
-    d = spec.d_value(x, t)
+    d = spec.d_value(x)
     k0 = np.sqrt(2.0j * np.pi * d * eps)
     if spec.order == "zero":
         return k0
-    return k0 * (1.0 + eps * t_correction(spec, x, t))
+    return k0 * (1.0 + eps * t_correction(spec, x))
 
 
-def source_factors(eps: float, x, t: float, spec: PropagatorSpec,
+def source_factors(eps: float, x, spec: PropagatorSpec,
                    a_override: FieldSpec | None = None):
     """The kernel's source-point factors: 1/(2 pi i D eps)^(1/2) and exp(-eps T).
 
@@ -79,11 +78,11 @@ def source_factors(eps: float, x, t: float, spec: PropagatorSpec,
     quadratic phase can apply them to the source samples directly.
     """
     _check_eps(eps)
-    norm_factor = 1.0 / np.sqrt(2.0j * np.pi * spec.d_value(x, t) * eps)
+    norm_factor = 1.0 / np.sqrt(2.0j * np.pi * spec.d_value(x) * eps)
     if spec.order == "zero":
         return norm_factor, np.ones_like(norm_factor)
-    a = _a_value(spec, x, t, a_override)
-    return norm_factor, np.exp(-eps * (a + 1j * spec.b(x, t)))
+    a = _a_value(spec, x, a_override)
+    return norm_factor, np.exp(-eps * (a + 1j * spec.b(x)))
 
 
 @dataclass(frozen=True)
@@ -100,18 +99,18 @@ class KernelEvaluation:
     t_factor: np.ndarray
 
 
-def complex_kernel(eta, eps: float, x, t: float, spec: PropagatorSpec,
+def complex_kernel(eta, eps: float, x, spec: PropagatorSpec,
                    a_override: FieldSpec | None = None) -> KernelEvaluation:
-    """Evaluate the complex kernel at displacement eta with fields taken at (x, t).
+    """Evaluate the complex kernel at displacement eta with fields taken at x.
 
     eta and x broadcast against each other.  a_override substitutes an
     arbitrary correction field for the variant's a (used by the empirical
     a scan); the quadratic phase and normalization are untouched by it.
     """
-    norm_factor, t_factor = source_factors(eps, x, t, spec, a_override)
+    norm_factor, t_factor = source_factors(eps, x, spec, a_override)
     eta = np.asarray(eta, dtype=float)
-    d = spec.d_value(x, t)
-    u = spec.u_value(x, t)
+    d = spec.d_value(x)
+    u = spec.u_value(x)
     phase = np.exp(1j * (eta - u * eps) ** 2 / (2.0 * d * eps))
     t_factor = np.broadcast_to(t_factor, phase.shape)
     norm_factor = np.broadcast_to(norm_factor, phase.shape)

@@ -3,7 +3,7 @@
 The dense path applies the complex kernel as written: one step of duration
 eps maps
 
-    psi(x_j, t+eps) = sum_k dx * Pi(x_k - x_j, eps; x_k, t) * psi(x_k, t),
+    psi(x_j, t+eps) = sum_k dx * Pi(x_k - x_j, eps; x_k) * psi(x_k, t),
 
 with the kernel, its drift, and the first-order T factors all evaluated at
 the displaced point x_k = x_j + eta.  The eta integral is truncated at the
@@ -11,7 +11,7 @@ grid extent: the kernel itself never decays, the integrand does because psi
 does, which is why every state fed to a step must satisfy the boundary-decay
 invariant.
 
-dense_operator builds this step once per (grid, eps, spec, t).  For real
+dense_operator builds this step once per (grid, eps, spec).  For real
 constant D with a constant or linear drift u, the drifted sources
 y_k = x_k - u(x_k) eps again lie on a uniform grid, and the phase
 (x_k - x_j - u_k eps)^2 = (y_k - x_j)^2 makes the sum a chirp-z transform:
@@ -41,11 +41,11 @@ falsification variants must go through the dense quadrature.
 The real kernel composes as a Chapman-Kolmogorov step: a particle at the
 source y moves by eta drawn from Normal(u(y) eps, D eps), so
 
-    P(x_j, t+eps) = sum_k dx * Pi_real(x_j - x_k, eps; x_k, t) * P(x_k, t),
+    P(x_j, t+eps) = sum_k dx * Pi_real(x_j - x_k, eps; x_k) * P(x_k, t),
 
 which keeps mass exact to quadrature precision and drifts forward (mean u t).
 
-Each method has one builder, (grid, eps, spec, t) -> step, holding its guards
+Each method has one builder, (grid, eps, spec) -> step, holding its guards
 and its operator; step_dense, step_spectral and step_density build and apply
 once.  march streams an evolution holding only the current state, and record
 keeps the per-step times and norms plus the final state in a Trajectory.
@@ -81,7 +81,6 @@ class ValidityReport:
     max_phase_step: float           # over the full grid half-window
     state_phase_step: float | None  # over the window the state occupies
     passes: bool                    # governed by the state window when given
-    passes_full: bool
     recommended_min_eps: float      # smallest eps the governing window resolves
 
     def __str__(self):
@@ -93,6 +92,11 @@ class ValidityReport:
 
 def _d_scale(grid: Grid, spec: PropagatorSpec) -> float:
     """Conservative diffusivity magnitude for phase-resolution estimates."""
+    if spec.variant == "x_dependent_d":
+        d_min = float(np.min(spec.d_field(grid.x)))
+        if not d_min > 0.0:
+            raise ValueError(f"spec.d_field must be > 0 on the grid, but its "
+                             f"minimum there is D = {d_min:g}")
     return float(np.min(np.abs(spec.d_value(grid.x))))
 
 
@@ -115,19 +119,18 @@ def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
         max_phase_step=full,
         state_phase_step=None if state is None else governing,
         passes=bool(governing <= np.pi),
-        passes_full=bool(full <= np.pi),
         recommended_min_eps=float(window * grid.dx / (np.pi * d)))
 
 
-def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec,
                   a_override: FieldSpec | None = None) -> np.ndarray:
     x = grid.x
     eta = x[None, :] - x[:, None]
-    ev = complex_kernel(eta, eps, x[None, :], t, spec, a_override=a_override)
+    ev = complex_kernel(eta, eps, x[None, :], spec, a_override=a_override)
     return grid.dx * ev.value
 
 
-def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec,
                   a_override: FieldSpec | None):
     # With x_j = x_0 + j dx and y_k = x_k - u(x_k) eps = y_0 + k r dx, the
     # phase c (y_k - x_j)^2 splits into a column chirp, a row chirp and the
@@ -135,15 +138,15 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
     # FFT (Bluestein 1970).  Only the lag chirp carries the 1/eps of c; the
     # row and column phases are written with their 1/eps parts cancelled.
     n, dx = grid.n, grid.dx
-    u_first = float(spec.u(grid.x_min, t))          # u(x_0)
-    slope = float(spec.u.derivative(grid.x_min, t))
+    u_first = float(spec.u(grid.x_min))             # u(x_0)
+    slope = float(spec.u.derivative(grid.x_min))
     c = 1.0 / (2.0 * spec.d * eps)
     r = 1.0 - slope * eps
     delta = -u_first * eps                          # y_0 - x_0
     c_delta = -u_first / (2.0 * spec.d)             # c delta
     c_shear = slope / (2.0 * spec.d)                # c (1 - r)
     xs = grid.x - grid.x_min                        # x_j - x_0
-    norm_factor, t_factor = source_factors(eps, grid.x, t, spec, a_override)
+    norm_factor, t_factor = source_factors(eps, grid.x, spec, a_override)
     # c ((y_k - x_0)^2 - r (x_k - x_0)^2) and c ((1 - r) (x_j - x_0)^2
     # - 2 delta (x_j - x_0))
     col = dx * norm_factor * t_factor * np.exp(
@@ -168,7 +171,7 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
     return apply
 
 
-def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec,
                    a_override: FieldSpec | None = None):
     """The dense quadrature step on grid as a function psi -> psi(t + eps).
 
@@ -178,17 +181,17 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
     """
     if (spec.u.kind in ("constant", "linear")
             and spec.variant not in ("complex_d", "x_dependent_d")):
-        return _chirp_z_step(grid, eps, spec, t, a_override)
+        return _chirp_z_step(grid, eps, spec, a_override)
     if grid.n > MAX_DENSE_MATRIX_N:
         raise ValueError(
             f"grid.n = {grid.n} needs a {grid.n} x {grid.n} kernel matrix "
             f"({16 * grid.n ** 2 / 2 ** 30:.0f} GiB) for this spec; the dense "
             f"path allows grid.n <= {MAX_DENSE_MATRIX_N}")
-    mat = _dense_matrix(grid, eps, spec, t, a_override)
+    mat = _dense_matrix(grid, eps, spec, a_override)
     return lambda psi: mat @ psi
 
 
-def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
+def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
                    a_override: FieldSpec | None = None):
     # The guards run on every state; the operator is built once, on the
     # first state that passes them, so a run that must abort builds nothing.
@@ -201,7 +204,7 @@ def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
         if not report.passes:
             raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
         if apply is None:
-            apply = dense_operator(grid, eps, spec, t, a_override)
+            apply = dense_operator(grid, eps, spec, a_override)
         return state.replace_psi(apply(state.psi), time=state.time + eps)
 
     return step
@@ -210,7 +213,7 @@ def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
 def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
                a_override: FieldSpec | None = None) -> WaveState:
     """One complex-kernel step by direct quadrature over the whole grid."""
-    return _dense_stepper(state.grid, eps, spec, state.time, a_override)(state)
+    return _dense_stepper(state.grid, eps, spec, a_override)(state)
 
 
 def get_lapack_funcs(names, arrays):
@@ -251,8 +254,8 @@ class _Tridiagonal:
         return gttrs(*factors, rhs)[0]
 
 
-def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
-    # Fields ignore t, so every factor of the step is built once; only the
+def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+    # Fields are static, so every factor of the step is built once; only the
     # boundary-decay check runs on every state.
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -263,8 +266,8 @@ def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
     if n & (n - 1):
         raise ValueError(f"spectral stepping needs a power-of-two grid, got n={n}")
     free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-    phase = np.exp(-1j * eps * spec.b(x, t)) if spec.order == "first" else None
-    u = spec.u(x, t)
+    phase = np.exp(-1j * eps * spec.b(x)) if spec.order == "first" else None
+    u = spec.u(x)
     drifts = bool(np.any(u != 0.0))
     # Cayley step of the antisymmetric drift u d/dx + (1/2) du/dx, written in
     # the symmetrized product form so only u samples enter; unconditionally
@@ -275,7 +278,7 @@ def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
     implicit = _Tridiagonal(half_face, np.ones(n), -half_face)
     # the zero-order kernel carries the full du/dx weight, half of which is
     # the non-unitary surplus the T correction removes
-    surplus = (np.exp(0.5 * eps * spec.du_dx(x, t).real)
+    surplus = (np.exp(0.5 * eps * spec.du_dx(x).real)
                if drifts and spec.order == "zero" else None)
 
     def step(state: WaveState) -> WaveState:
@@ -299,10 +302,10 @@ def step_spectral(state: WaveState, eps: float, spec: PropagatorSpec) -> WaveSta
     quadratic-phase convolution is the exact multiplier exp(-i D eps k^2/2).
     For zero drift and zero b the step is exactly unimodular.
     """
-    return _spectral_stepper(state.grid, eps, spec, state.time)(state)
+    return _spectral_stepper(state.grid, eps, spec)(state)
 
 
-def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
+def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     if spec.variant != "admissible":
         raise ValueError("the real kernel is defined for the admissible variant only")
     width = np.sqrt(spec.d * eps)
@@ -318,7 +321,7 @@ def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
         check_boundary_decay(state)
         if mat is None:  # built on the first state that passes, as for dense
             eta = x[:, None] - x[None, :]  # destination minus source
-            mat = grid.dx * real_kernel(eta, eps, x[None, :], t, spec)
+            mat = grid.dx * real_kernel(eta, eps, x[None, :], spec)
         return state.replace_density(mat @ state.density, time=state.time + eps)
 
     return step
@@ -326,14 +329,13 @@ def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float):
 
 def step_density(state: RealState, eps: float, spec: PropagatorSpec) -> RealState:
     """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
-    return _density_stepper(state.grid, eps, spec, state.time)(state)
+    return _density_stepper(state.grid, eps, spec)(state)
 
 
-def _wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
-                  method: str = "dense"):
+def _wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, method: str = "dense"):
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return (_dense_stepper if method == "dense" else _spectral_stepper)(grid, eps, spec, t)
+    return (_dense_stepper if method == "dense" else _spectral_stepper)(grid, eps, spec)
 
 
 def march(state, n_steps: int, step):
@@ -358,27 +360,24 @@ class Trajectory:
     times: np.ndarray
     norms: np.ndarray
     final: object
-    eps: float
 
 
-def record(states, eps: float) -> Trajectory:
+def record(states) -> Trajectory:
     """Consume a state stream into its Trajectory."""
     times, norms = [], []
     for state in states:
         times.append(state.time)
         norms.append(total_mass(state) if isinstance(state, RealState) else norm(state))
-    return Trajectory(times=np.array(times), norms=np.array(norms), final=state, eps=eps)
+    return Trajectory(times=np.array(times), norms=np.array(norms), final=state)
 
 
 def evolve(state: WaveState, eps: float, n_steps: int, spec: PropagatorSpec,
            method: str = "dense") -> Trajectory:
     """Repeatedly step a wave state, aborting if its tails reach the grid edge."""
-    step = _wave_stepper(state.grid, eps, spec, state.time, method)
-    return record(march(state, n_steps, step), eps)
+    return record(march(state, n_steps, _wave_stepper(state.grid, eps, spec, method)))
 
 
 def evolve_density(state: RealState, eps: float, n_steps: int,
                    spec: PropagatorSpec) -> Trajectory:
     """Repeatedly step a density with the real kernel."""
-    step = _density_stepper(state.grid, eps, spec, state.time)
-    return record(march(state, n_steps, step), eps)
+    return record(march(state, n_steps, _density_stepper(state.grid, eps, spec)))

@@ -24,9 +24,8 @@ The real kernel's oracle is the drift-diffusion equation
 
 the continuum limit of the Gaussian step-length law, discretized in flux
 form with Scharfetter-Gummel faces and no-flux ends: mass is conserved to
-round-off and the implicit default keeps P nonnegative (M-matrix), with no
-step-size stability bound.  An explicit mode exists but enforces
-D eps/dx^2 <= 1/2.
+round-off and the implicit (backward Euler) step keeps P nonnegative
+(M-matrix), with no step-size stability bound.
 
 Each oracle LU-factors its implicit tridiagonal operator once (LAPACK gttrf),
 so a step is one O(n) gttrs solve, streamed by propagate.march to the final state.
@@ -59,8 +58,8 @@ class HamiltonianSpec:
         if not (np.isfinite(self.m) and self.m > 0.0):
             raise ValueError(f"mass must be finite and > 0, got {self.m}")
 
-    def a_values(self, x, t: float = 0.0):
-        a = self.a_field(x, t).astype(complex)
+    def a_values(self, x):
+        a = self.a_field(x).astype(complex)
         return a + 1j * self.im_a if self.im_a else a
 
 
@@ -95,11 +94,10 @@ def to_propagator(ham: HamiltonianSpec, grid: Grid) -> PropagatorSpec:
 def rhs_apply(state: WaveState, ham: HamiltonianSpec) -> np.ndarray:
     """dpsi/dt from the expanded Schrodinger form, zero beyond the grid edges."""
     grid, dx, m = state.grid, state.grid.dx, ham.m
-    t = state.time
     psi = np.zeros(grid.n + 2, dtype=complex)
     psi[1:-1] = state.psi
     a = np.zeros(grid.n + 2, dtype=complex)
-    a[1:-1] = ham.a_values(grid.x, t)
+    a[1:-1] = ham.a_values(grid.x)
     lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx ** 2
     dpsi = (psi[2:] - psi[:-2]) / (2.0 * dx)
     dapsi = (a[2:] * psi[2:] - a[:-2] * psi[:-2]) / (2.0 * dx)
@@ -107,10 +105,10 @@ def rhs_apply(state: WaveState, ham: HamiltonianSpec) -> np.ndarray:
     pj = psi[1:-1]
     return (0.5j / m * lap
             + 0.5 / m * (aj * dpsi + dapsi)
-            - 1j * (aj ** 2 / (2.0 * m) + ham.phi(grid.x, t)) * pj)
+            - 1j * (aj ** 2 / (2.0 * m) + ham.phi(grid.x)) * pj)
 
 
-def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid, t: float = 0.0):
+def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid):
     """(lower, diag, upper) of H = (p^2 - pA - Ap + A^2)/(2m) + phi.
 
     p is the central difference times -i and p^2 the compact second
@@ -118,25 +116,25 @@ def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid, t: float = 0.0):
     rhs_apply's expanded stencils.
     """
     n, dx, m = grid.n, grid.dx, ham.m
-    a = ham.a_values(grid.x, t)
+    a = ham.a_values(grid.x)
     diag = np.full(n, 1.0 / (m * dx ** 2), dtype=complex)
-    diag += a ** 2 / (2.0 * m) + ham.phi(grid.x, t)
+    diag += a ** 2 / (2.0 * m) + ham.phi(grid.x)
     off = -0.5 / (m * dx ** 2)
     face = (a[:-1] + a[1:]) / (4.0 * m * dx)
     return off - 1j * face, diag, off + 1j * face
 
 
-def hermiticity_check(ham: HamiltonianSpec, grid: Grid, t: float = 0.0) -> float:
+def hermiticity_check(ham: HamiltonianSpec, grid: Grid) -> float:
     """max |H - H^dagger| entry; zero to round-off for real fields."""
-    lower, diag, upper = hamiltonian_diagonals(ham, grid, t)
+    lower, diag, upper = hamiltonian_diagonals(ham, grid)
     return float(max(np.max(np.abs(upper - np.conj(lower))),
                      np.max(np.abs(diag.imag))))
 
 
-def _cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec, t: float):
+def _cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    lower, diag, upper = hamiltonian_diagonals(ham, grid, t)
+    lower, diag, upper = hamiltonian_diagonals(ham, grid)
     half = 0.5j * eps
     explicit = _Tridiagonal(-half * lower, 1.0 - half * diag, -half * upper)
     implicit = _Tridiagonal(half * lower, 1.0 + half * diag, half * upper)
@@ -150,14 +148,13 @@ def _cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec, t: float):
 
 def cn_step(state: WaveState, eps: float, ham: HamiltonianSpec) -> WaveState:
     """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
-    return _cn_stepper(state.grid, eps, ham, state.time)(state)
+    return _cn_stepper(state.grid, eps, ham)(state)
 
 
 def evolve_cn(state: WaveState, eps: float, n_steps: int,
               ham: HamiltonianSpec) -> Trajectory:
     """Crank-Nicolson trajectory with the banded operator built once."""
-    step = _cn_stepper(state.grid, eps, ham, state.time)
-    return record(march(state, n_steps, step), eps)
+    return record(march(state, n_steps, _cn_stepper(state.grid, eps, ham)))
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
@@ -168,12 +165,12 @@ def _bernoulli(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec, t: float):
+def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec):
     """Flux-divergence generator A with dP/dt = -A P; columns sum to zero."""
     n, dx = grid.n, grid.dx
     dh = 0.5 * spec.d
     x_face = grid.x[:-1] + 0.5 * dx
-    w = spec.u(x_face, t) * dx / dh
+    w = spec.u(x_face) * dx / dh
     bp = _bernoulli(w)
     bm = _bernoulli(-w)
     coef = dh / dx ** 2
@@ -183,44 +180,31 @@ def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec, t: float):
     return -coef * bm, diag, -coef * bp
 
 
-def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec, t: float,
-                       method: str = "implicit"):
+def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if spec.variant != "admissible":
         raise ValueError("the diffusion oracle is defined for the admissible variant")
-    lower, diag, upper = _diffusion_diagonals(grid, spec, t)
-    if method == "explicit":
-        number = spec.d * eps / grid.dx ** 2
-        if number > 0.5:
-            raise ValueError(f"explicit diffusion unstable: D eps/dx^2 = "
-                             f"{number:.3f} > 0.5")
-    elif method != "implicit":
-        raise ValueError(f"method must be 'implicit' or 'explicit', got {method!r}")
-    generator = _Tridiagonal(lower, diag, upper)
+    lower, diag, upper = _diffusion_diagonals(grid, spec)
     implicit = _Tridiagonal(eps * lower, 1.0 + eps * diag, eps * upper)
 
     def step(state: RealState) -> RealState:
-        p = state.density
-        out = implicit.solve(p) if method == "implicit" else p - eps * generator.apply(p)
+        out = implicit.solve(state.density)
         out = np.where(np.abs(out) < 1e-300, 0.0, out)  # flush denormals
         return state.replace_density(out, time=state.time + eps)
 
     return step
 
 
-def diffusion_step(state: RealState, eps: float, spec: PropagatorSpec,
-                   method: str = "implicit") -> RealState:
-    """One step of dP/dt = (D/2) P'' - (u P)' with no-flux ends.
+def diffusion_step(state: RealState, eps: float, spec: PropagatorSpec) -> RealState:
+    """One implicit step of dP/dt = (D/2) P'' - (u P)' with no-flux ends.
 
-    The implicit default has no stability bound and keeps P nonnegative;
-    the explicit mode enforces D eps/dx^2 <= 1/2.
+    It has no stability bound and keeps P nonnegative.
     """
-    return _diffusion_stepper(state.grid, eps, spec, state.time, method)(state)
+    return _diffusion_stepper(state.grid, eps, spec)(state)
 
 
 def evolve_diffusion(state: RealState, eps: float, n_steps: int,
-                     spec: PropagatorSpec, method: str = "implicit") -> Trajectory:
+                     spec: PropagatorSpec) -> Trajectory:
     """Drift-diffusion trajectory with the banded operator built once."""
-    step = _diffusion_stepper(state.grid, eps, spec, state.time, method)
-    return record(march(state, n_steps, step), eps)
+    return record(march(state, n_steps, _diffusion_stepper(state.grid, eps, spec)))

@@ -10,7 +10,7 @@ for each particle, and particles advance in blocks of _BLOCK that draw all
 their steps at once, so memory is O(_BLOCK x n_steps + n_particles) rather
 than O(n_particles x n_steps).
 
-A step advances x by eta ~ Normal(u(x, t) eps, D eps), the drift evaluated
+A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
 at the particle's current position.  The optional centered-exponential step
 law keeps the same mean and variance with a skewed distribution; many such
 steps still approach the Gaussian, which is the central-limit demonstration.
@@ -41,11 +41,7 @@ _MIN_HISTOGRAM_PARTICLES = 10_000
 class WalkEnsemble:
     positions: np.ndarray     # indexed by particle id
     time: float
-    seed: int
-    n_steps: int
-    eps: float
     x0: float
-    step_law: str
 
     @property
     def n_particles(self) -> int:
@@ -96,11 +92,9 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
             if step_law == "exp_centered":
                 zb -= 1.0
             for s in range(n_steps):
-                xb += spec.u(xb, s * eps) * eps + width * zb[:, s]
+                xb += spec.u(xb) * eps + width * zb[:, s]
     x.flags.writeable = False
-    return WalkEnsemble(positions=x, time=n_steps * eps, seed=seed,
-                        n_steps=n_steps, eps=eps, x0=float(x0),
-                        step_law=step_law)
+    return WalkEnsemble(positions=x, time=n_steps * eps, x0=float(x0))
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ def _oracle_bin_density(edges: np.ndarray, ensemble: WalkEnsemble,
     # start the solve from the short-time Gaussian, then integrate the PDE
     t = ensemble.time
     t0 = min(0.05, 0.1 * t)
-    mean0 = ensemble.x0 + spec.u(np.array([ensemble.x0]), 0.0)[0] * t0
+    mean0 = ensemble.x0 + spec.u(np.array([ensemble.x0]))[0] * t0
     span = max(abs(edges[0]), abs(edges[-1])) + 6.0 * np.sqrt(spec.d * t)
     grid = make_grid(-span, span, 2048)
     p0 = np.exp(-(grid.x - mean0) ** 2 / (2.0 * spec.d * t0))
@@ -166,7 +160,7 @@ def histogram_compare(ensemble: WalkEnsemble, spec: PropagatorSpec,
         label = "fitted_gaussian"
     elif spec.u.is_constant():
         t = ensemble.time
-        u0 = float(spec.u(np.array([0.0]), 0.0)[0])
+        u0 = float(spec.u(np.array([0.0]))[0])
         ref = _gaussian_bin_density(edges, ensemble.x0 + u0 * t, spec.d * t)
         label = "gaussian"
     else:

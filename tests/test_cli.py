@@ -125,6 +125,27 @@ SHIPPED_SHA256 = {
 }
 
 
+# An Ornstein-Uhlenbeck walk: the drift varies with x, so every step re-evaluates
+# u at the particles and the histogram is checked against the drift-diffusion
+# oracle.  sha256 of (csv, json) recorded before the time argument was removed
+# from the field and kernel signatures.
+OU_WALK = {"name": "ou", "spec": {"d": 1.0, "u": {"kind": "linear", "slope": -0.5}},
+           "schedule": {"eps": 0.02, "n_steps": 100}, "seed": 3,
+           "walk": {"n_particles": 10000, "x0": 1.0, "bins": 40}}
+OU_WALK_SHA256 = ("94e0d38d140eff6dfdfd162c7a948f0355b4a89c5e6a60fd624fd468b7f968c0",
+                  "acb9040e10ff63d5a8e54483c26bc220dfc12290ef1b8cdd2355aba9a782c6aa")
+
+
+def test_ou_walk_outputs_are_unchanged(tmp_path):
+    path = tmp_path / "ou.json"
+    path.write_text(json.dumps(OU_WALK))
+    assert cli.main(["walk", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "ou_walk.json").read_text())["reference"] == "diffusion_oracle"
+    digests = tuple(hashlib.sha256((tmp_path / f"ou_walk.{ext}").read_bytes()).hexdigest()
+                    for ext in ("csv", "json"))
+    assert digests == OU_WALK_SHA256
+
+
 @pytest.mark.parametrize("command,name", list(SHIPPED_SHA256),
                          ids=[f"{c}-{n}" for c, n in SHIPPED_SHA256])
 def test_shipped_outputs_are_unchanged(command, name, tmp_path):
@@ -158,8 +179,9 @@ WALK_KEYS = '"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps
     ('{%s, "walk": {"n_particles": 10000, "bins": %d}}' % (WALK_KEYS, 10 ** 15), "walk.bins"),
     ('{"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps": %d}, '
      '"walk": {"n_particles": 10000}}' % 10 ** 12, "schedule.n_steps"),
+    ('{%s, "walk": {"n_particles": 9999}}' % WALK_KEYS, "walk.n_particles"),
 ], ids=("seed-2**64", "walk.x0-1e400", "packet.x0-401-digits", "packet.x0-minus-401-digits",
-        "n_particles-1e15", "bins-1e15", "n_steps-1e12"))
+        "n_particles-1e15", "bins-1e15", "n_steps-1e12", "n_particles-9999"))
 def test_walk_scenario_out_of_range_exits_two_naming_the_key(text, key, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -386,4 +408,45 @@ def test_audit_variant_specs_are_built_at_parse_time(spec, variants, key, tmp_pa
     path.write_text(json.dumps(data))
     assert cli.main(["audit", str(path), "--out", str(tmp_path)]) == 2
     assert f"scenario.{key}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+GRID_16 = {"x_min": -8.0, "x_max": 8.0, "n": 1024}
+COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, "packet": {},
+                "spec": {"d": 1.0}, "method": "spectral"}
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("audit", {**AUDIT_BASE, "grid": GRID_16, "schedule": {"eps_ladder": [0.32, 0.16, 0.08]}},
+     "scenario.schedule.eps_ladder: need at least 4"),
+    ("compare", {**COMPARE_BASE, "schedule": {"eps_ladder": [0.1, 0.03]},
+                 "compare": {"t_final": 1.0, "eps_ref": 0.01}},
+     "scenario.schedule.eps_ladder: eps=0.03 does not divide"),
+    ("compare", {**COMPARE_BASE, "schedule": {"eps_ladder": [0.1, 0.05]},
+                 "compare": {"t_final": 1.0, "eps_ref": 0.3}},
+     "scenario.compare.eps_ref: eps=0.3 does not divide"),
+    ("compare", {**COMPARE_BASE, "schedule": {"eps_ladder": [0.1, 0.07]},
+                 "compare": {"t_final": 1.0}},
+     "scenario.schedule.eps_ladder: eps=0.014 does not divide"),
+    # D(x) <= 0 on the grid is refused when the dense step is built, not divided
+    # by (D = 0 at x = 0) or audited as a negative diffusivity
+    ("evolve", {"name": "x", "grid": GRID_16, "packet": {"sigma0": 0.8},
+                "spec": {"variant": "x_dependent_d", "d_field": {"kind": "linear", "slope": 1}},
+                "schedule": {"eps": 0.2, "n_steps": 2}},
+     "spec.d_field must be > 0 on the grid, but its minimum there is D = -8"),
+    ("audit", {**AUDIT_BASE, "grid": GRID_16, "schedule": {"eps_ladder": [0.32, 0.16, 0.08, 0.04]},
+               "audit": {"packets": [{}], "variants": [
+                   {"variant": "x_dependent_d", "d_field": {"kind": "constant", "c": -1},
+                    "expect": "conserves"}]}},
+     "spec.d_field must be > 0 on the grid, but its minimum there is D = -1"),
+], ids=("audit-3-rungs", "compare-eps_ladder", "compare-eps_ref", "compare-default-eps_ref",
+        "evolve-d_field-linear", "audit-d_field-negative"))
+def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message, tmp_path,
+                                                        capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))

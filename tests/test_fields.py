@@ -49,11 +49,11 @@ def test_field_presets_evaluate():
 
 def test_field_derivatives_close_analytically():
     x = np.linspace(-2.0, 2.0, 9)
-    assert np.allclose(FieldSpec.linear(0.4).derivative(x, 0.0), 0.4)
-    assert np.allclose(FieldSpec.quadratic(0.5).derivative(x, 0.0), x)
-    assert np.allclose(FieldSpec.sine(0.3, 2.0).derivative(x, 0.0),
+    assert np.allclose(FieldSpec.linear(0.4).derivative(x), 0.4)
+    assert np.allclose(FieldSpec.quadratic(0.5).derivative(x), x)
+    assert np.allclose(FieldSpec.sine(0.3, 2.0).derivative(x),
                        0.6 * np.cos(2.0 * x))
-    assert np.allclose(FieldSpec.constant(1.0).derivative(x, 0.0), 0.0)
+    assert np.allclose(FieldSpec.constant(1.0).derivative(x), 0.0)
 
 
 def test_quadratic_derivative_field_is_linear():
@@ -67,7 +67,7 @@ def test_tabulated_field_interpolates_and_differentiates():
     table = FieldSpec.tabulated(xs, np.sin(xs))
     probe = np.array([-1.3, 0.0, 0.9, 2.2])
     assert np.allclose(table(probe), np.sin(probe), atol=1e-4)
-    assert np.allclose(table.derivative(probe, 0.0), np.cos(probe), atol=1e-3)
+    assert np.allclose(table.derivative(probe), np.cos(probe), atol=1e-3)
 
 
 def test_tabulated_derivative_is_exact_for_a_quadratic_on_uneven_samples():

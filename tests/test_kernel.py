@@ -16,7 +16,7 @@ SPEC = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), b=FieldSpec.constant(0.3))
 def test_real_kernel_is_the_gaussian_step_law():
     eta = np.linspace(-6.0, 6.0, 4001)
     eps = 0.2
-    vals = real_kernel(eta, eps, 1.0, 0.0, SPEC)
+    vals = real_kernel(eta, eps, 1.0, SPEC)
     deta = eta[1] - eta[0]
     mass = np.sum(vals) * deta
     mean = np.sum(eta * vals) * deta
@@ -30,7 +30,7 @@ def test_real_kernel_is_the_gaussian_step_law():
 def test_real_kernel_rejects_variants():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
     with pytest.raises(ValueError):
-        real_kernel(np.zeros(3), 0.1, 0.0, 0.0, spec)
+        real_kernel(np.zeros(3), 0.1, 0.0, spec)
 
 
 def test_normalization_principal_branch():
@@ -74,14 +74,14 @@ def test_t_correction_refuses_zero_order():
 
 def test_complex_kernel_factors_multiply_to_value():
     eta = np.linspace(-3.0, 3.0, 101)
-    ev = complex_kernel(eta, 0.25, 0.5, 0.0, SPEC)
+    ev = complex_kernel(eta, 0.25, 0.5, SPEC)
     assert np.allclose(ev.value, ev.normalization * ev.phase_quadratic * ev.t_factor)
 
 
 def test_complex_kernel_phase_is_unimodular_and_centered():
     eta = np.linspace(-2.0, 2.0, 81)
     eps = 0.25
-    ev = complex_kernel(eta, eps, 1.0, 0.0, SPEC)
+    ev = complex_kernel(eta, eps, 1.0, SPEC)
     assert np.allclose(np.abs(ev.phase_quadratic), 1.0)
     # stationary phase sits at eta = u eps
     idx = np.argmin(np.abs(eta - 0.4 * eps))
@@ -90,22 +90,22 @@ def test_complex_kernel_phase_is_unimodular_and_centered():
 
 def test_complex_kernel_exponential_t_factor():
     eps = 0.2
-    ev = complex_kernel(np.zeros(1), eps, 2.0, 0.0, SPEC)
+    ev = complex_kernel(np.zeros(1), eps, 2.0, SPEC)
     expected = np.exp(-eps * (0.2 + 0.3j))
     assert ev.t_factor[0] == pytest.approx(expected)
 
 
 def test_complex_kernel_zero_order_has_unit_t_factor():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), order="zero")
-    ev = complex_kernel(np.linspace(-1, 1, 11), 0.1, 0.0, 0.0, spec)
+    ev = complex_kernel(np.linspace(-1, 1, 11), 0.1, 0.0, spec)
     assert np.allclose(ev.t_factor, 1.0)
 
 
 def test_complex_kernel_a_override_changes_only_t_factor():
     eta = np.linspace(-1.0, 1.0, 21)
     eps = 0.1
-    base = complex_kernel(eta, eps, 1.0, 0.0, SPEC)
-    moved = complex_kernel(eta, eps, 1.0, 0.0, SPEC,
+    base = complex_kernel(eta, eps, 1.0, SPEC)
+    moved = complex_kernel(eta, eps, 1.0, SPEC,
                            a_override=FieldSpec.constant(0.9))
     assert np.allclose(base.phase_quadratic, moved.phase_quadratic)
     assert np.allclose(base.normalization, moved.normalization)
@@ -115,6 +115,6 @@ def test_complex_kernel_a_override_changes_only_t_factor():
 
 def test_kernel_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        real_kernel(np.zeros(1), 0.0, 0.0, 0.0, SPEC)
+        real_kernel(np.zeros(1), 0.0, 0.0, SPEC)
     with pytest.raises(ValueError):
-        complex_kernel(np.zeros(1), -0.1, 0.0, 0.0, SPEC)
+        complex_kernel(np.zeros(1), -0.1, 0.0, SPEC)

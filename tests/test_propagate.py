@@ -136,7 +136,6 @@ def test_trajectory_bookkeeping():
     assert traj.norms.shape == (5,)
     assert traj.final.time == traj.times[-1]
     assert traj.norms[-1] == norm(traj.final)
-    assert traj.eps == 0.05
 
 
 def test_march_streams_the_start_state_then_each_step():
@@ -187,16 +186,16 @@ def test_spectral_evolve_checks_before_it_steps(spec, n, eps, message):
     with pytest.raises(ValueError, match=f"^(?!aborted).*{message}"):
         evolve(gaussian_packet(grid, x0=0.0, sigma0=0.8), eps, 5, spec, method="spectral")
     with pytest.raises(ValueError, match=message):
-        propagate._spectral_stepper(grid, eps, spec, 0.0)
+        propagate._spectral_stepper(grid, eps, spec)
 
 
 def test_spectral_evolve_builds_its_factors_once():
     calls = []
 
     class CountingField(FieldSpec):
-        def __call__(self, x, t=0.0):
+        def __call__(self, x):
             calls.append(self.kind)
-            return super().__call__(x, t)
+            return super().__call__(x)
 
     spec = PropagatorSpec(d=1.0, u=CountingField("linear", slope=0.2),
                           b=CountingField("sine", amplitude=0.3, wavenumber=1.0))
@@ -304,14 +303,14 @@ def _rel(a, b):
 def test_chirp_z_step_matches_the_kernel_matrix(name, eps):
     spec = CHIRP_Z_SPECS[name]
     psi = AUDIT_PACKET.psi
-    expected = _dense_matrix(AUDIT_GRID, eps, spec, 0.0) @ psi
-    assert _rel(dense_operator(AUDIT_GRID, eps, spec, 0.0)(psi), expected) <= 1e-10
+    expected = _dense_matrix(AUDIT_GRID, eps, spec) @ psi
+    assert _rel(dense_operator(AUDIT_GRID, eps, spec)(psi), expected) <= 1e-10
 
 
 def test_chirp_z_step_honours_a_constant_a_override():
     spec = CHIRP_Z_SPECS["admissible-linear"]
     a = FieldSpec.constant(0.13)
-    expected = _dense_matrix(AUDIT_GRID, 0.08, spec, 0.0, a) @ AUDIT_PACKET.psi
+    expected = _dense_matrix(AUDIT_GRID, 0.08, spec, a) @ AUDIT_PACKET.psi
     out = step_dense(AUDIT_PACKET, 0.08, spec, a_override=a)
     assert _rel(out.psi, expected) <= 1e-10
 
@@ -335,5 +334,5 @@ def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():
 ), ids=("sine-u", "x_dependent_d", "complex_d"))
 def test_other_specs_apply_the_kernel_matrix(spec):
     eps = 0.16
-    expected = _dense_matrix(AUDIT_GRID, eps, spec, 0.0) @ AUDIT_PACKET.psi
+    expected = _dense_matrix(AUDIT_GRID, eps, spec) @ AUDIT_PACKET.psi
     assert np.array_equal(step_dense(AUDIT_PACKET, eps, spec).psi, expected)

@@ -50,7 +50,7 @@ def _cayley_bands(n):
 def _diffusion_bands(n):
     grid = make_grid(-10.0, 10.0, n)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.5))
-    lower, diag, upper = _diffusion_diagonals(grid, spec, 0.0)
+    lower, diag, upper = _diffusion_diagonals(grid, spec)
     eps = 0.005
     rhs = np.exp(-(grid.x - 1.0) ** 2)
     return (eps * lower, 1.0 + eps * diag, eps * upper), rhs

@@ -35,7 +35,7 @@ def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="ga
     x = np.full(n_particles, float(x0))
     width = np.sqrt(spec.d * eps)
     for s in range(n_steps):
-        x += spec.u(x, s * eps) * eps + width * z[:, s]
+        x += spec.u(x) * eps + width * z[:, s]
     return x
 
 
