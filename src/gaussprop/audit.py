@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import (FieldSpec, PropagatorSpec, WaveState, check_boundary_decay,
                      norm)
-from .propagate import evolve, step_dense
+from .propagate import _last, _wave_stepper, march, step_dense
 
 CONSERVE_ORDER = 2.0
 DRIFT_ORDER_MARGIN = 0.3
@@ -200,8 +200,8 @@ def phase_freedom_check(state: WaveState, eps: float, spec: PropagatorSpec,
     """
     x = state.grid.x
     shifted = replace(spec, b=FieldSpec.tabulated(x, spec.b(x) + c))
-    base = evolve(state, eps, n_steps, spec, method=method).final
-    moved = evolve(state, eps, n_steps, shifted, method=method).final
+    base = _last(march(state, n_steps, _wave_stepper(state.grid, eps, spec, method)))
+    moved = _last(march(state, n_steps, _wave_stepper(state.grid, eps, shifted, method)))
     density_diff = float(np.max(np.abs(np.abs(moved.psi) ** 2
                                        - np.abs(base.psi) ** 2)))
     overlap = np.sum(np.conj(base.psi) * moved.psi) * state.grid.dx

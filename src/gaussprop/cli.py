@@ -36,8 +36,8 @@ from .fresnel import (
     cancellation_check,
     closed_moment,
 )
-from .propagate import METHODS, ValidityError, _wave_stepper, evolve, march
-from .reference import _cn_stepper, evolve_cn, to_hamiltonian
+from .propagate import METHODS, ValidityError, _last, _wave_stepper, march
+from .reference import _cn_stepper, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import _MIN_HISTOGRAM_PARTICLES, histogram_compare, sample_paths
 
@@ -264,11 +264,11 @@ def _run_compare(sc: Scenario, args) -> RunResult:
     ref_steps = _steps_for(cs.t_final, eps_ref, ref_key)
     ladder_steps = [_steps_for(cs.t_final, eps, "schedule.eps_ladder") for eps in sc.eps_ladder]
     state0 = sc.packet.build(sc.grid)
-    ref = evolve_cn(state0, eps_ref, ref_steps, ham).final
+    ref = _last(march(state0, ref_steps, _cn_stepper(sc.grid, eps_ref, ham)))
 
     rows, errors = [], []
     for eps, n in zip(sc.eps_ladder, ladder_steps):
-        final = evolve(state0, eps, n, sc.spec, method=method).final
+        final = _last(march(state0, n, _wave_stepper(sc.grid, eps, sc.spec, method)))
         err = _l2_distance(final.psi, ref.psi, sc.grid.dx)
         rows.append((eps, n, err))
         errors.append(err)

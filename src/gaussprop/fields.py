@@ -270,7 +270,7 @@ class WaveState:
         psi = np.ascontiguousarray(self.psi, dtype=complex)
         if psi.shape != (self.grid.n,):
             raise ValueError(f"psi must have shape ({self.grid.n},), got {psi.shape}")
-        if not np.all(np.isfinite(psi.real)) or not np.all(np.isfinite(psi.imag)):
+        if not np.isfinite(psi.view(float)).all():  # real and imaginary parts in one pass
             raise ValueError("psi must be finite")
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)

@@ -47,12 +47,23 @@ which keeps mass exact to quadrature precision and drifts forward (mean u t).
 
 Each method has one builder, (grid, eps, spec) -> step, holding its guards
 and its operator; step_dense, step_spectral and step_density build and apply
-once.  march streams an evolution holding only the current state, and record
-keeps the per-step times and norms plus the final state in a Trajectory.
+once.  march streams an evolution holding only the current state; record
+keeps the per-step times and norms plus the final state in a Trajectory for
+the public evolve functions, and a command that reads only the final state
+streams to it without computing a norm per step.
+
+The tridiagonal solves (the spectral Cayley drift here, the Crank-Nicolson
+and drift-diffusion oracles in reference) call LAPACK gttrf/gttrs from
+scipy's compiled extension, loaded alone on the first solve, so no command
+imports the scipy.linalg package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +117,8 @@ def _support_half_width(state: WaveState) -> float:
     return 0.5 * (state.grid.x[idx[-1]] - state.grid.x[idx[0]])
 
 
-def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
-                   state: WaveState | None = None) -> ValidityReport:
-    """Can the dense quadrature resolve the kernel phase at this step size?"""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    d = _d_scale(grid, spec)
+def _phase_report(grid: Grid, eps: float, d: float,
+                  state: WaveState | None) -> ValidityReport:
     full = grid.half_width * grid.dx / (d * eps)
     window = grid.half_width if state is None else _support_half_width(state)
     governing = window * grid.dx / (d * eps)
@@ -120,6 +127,14 @@ def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
         state_phase_step=None if state is None else governing,
         passes=bool(governing <= np.pi),
         recommended_min_eps=float(window * grid.dx / (np.pi * d)))
+
+
+def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
+                   state: WaveState | None = None) -> ValidityReport:
+    """Can the dense quadrature resolve the kernel phase at this step size?"""
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    return _phase_report(grid, eps, _d_scale(grid, spec), state)
 
 
 def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec,
@@ -193,14 +208,19 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec,
 
 def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
                    a_override: FieldSpec | None = None):
-    # The guards run on every state; the operator is built once, on the
-    # first state that passes them, so a run that must abort builds nothing.
+    # The spec's guards (eps, and D > 0 in the phase check's D scale) run
+    # here, before any step.  The state's guards run on every state; the
+    # operator is built once, on the first state that passes them, so a run
+    # that must abort builds nothing.
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    d = _d_scale(grid, spec)
     apply = None
 
     def step(state: WaveState) -> WaveState:
         nonlocal apply
         check_boundary_decay(state)
-        report = validity_check(grid, eps, spec, state)
+        report = _phase_report(grid, eps, d, state)
         if not report.passes:
             raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
         if apply is None:
@@ -216,13 +236,48 @@ def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
     return _dense_stepper(state.grid, eps, spec, a_override)(state)
 
 
-def get_lapack_funcs(names, arrays):
-    """scipy.linalg.get_lapack_funcs, imported on the first call: scipy.linalg
-    costs more to import than most commands take to run, and only the
-    tridiagonal solves use it."""
-    from scipy.linalg import get_lapack_funcs as lapack_funcs
+_FLAPACK = "scipy.linalg._flapack"
 
-    return lapack_funcs(names, arrays)
+
+def _flapack_dirs() -> list[str]:
+    # find_spec of a top-level name locates the package without importing it
+    spec = importlib.util.find_spec("scipy")
+    roots = [] if spec is None else spec.submodule_search_locations or []
+    return [os.path.join(root, "linalg") for root in roots]
+
+
+def _flapack():
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:  # loaded by an earlier call or by scipy.linalg
+        return module
+    searched = [os.path.join(folder, "_flapack" + suffix)
+                for folder in _flapack_dirs()
+                for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in searched if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"LAPACK extension {_FLAPACK} not found (is scipy "
+                          f"installed?); searched {searched}", name=_FLAPACK)
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(_FLAPACK, loader, origin=path))
+    sys.modules[_FLAPACK] = module
+    loader.exec_module(module)
+    return module
+
+
+def get_lapack_funcs(names, arrays):
+    """The LAPACK routines `names`, complex (z) if any of `arrays` is, else
+    double (d), as scipy.linalg.get_lapack_funcs picks them for these arrays.
+
+    They are taken from the compiled extension scipy.linalg._flapack, loaded
+    under its own name without running scipy.linalg's __init__: that package
+    also imports scipy._lib, array_api_compat, numpy.testing and numpy.ma,
+    about 25 MB and 0.2-0.3 s a process for two routines.  A scipy.linalg
+    imported before or after shares the one registered module, so the
+    routines are the very same objects."""
+    module = _flapack()
+    prefix = "z" if any(np.iscomplexobj(a) for a in arrays) else "d"
+    return [getattr(module, prefix + name) for name in names]
 
 
 class _Tridiagonal:
@@ -351,6 +406,13 @@ def march(state, n_steps: int, step):
         except (ValueError, ValidityError) as exc:
             raise type(exc)(f"aborted at step {i}: {exc}") from None
         yield state
+
+
+def _last(states):
+    """The final state of a stream, holding one state at a time."""
+    for state in states:
+        pass
+    return state
 
 
 @dataclass(frozen=True)

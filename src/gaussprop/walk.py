@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PropagatorSpec, RealState, make_grid
-from .reference import evolve_diffusion
+from .propagate import _last, march
+from .reference import _diffusion_stepper
 
 STEP_LAWS = ("gauss", "exp_centered")
 MAX_SEED = 2 ** 64 - 1     # the seed is one 64-bit word of the Philox key
@@ -127,7 +128,7 @@ def _oracle_bin_density(edges: np.ndarray, ensemble: WalkEnsemble,
     p0 /= np.sum(p0) * grid.dx
     state = RealState(grid=grid, density=p0, time=t0)
     n_steps = 400
-    final = evolve_diffusion(state, (t - t0) / n_steps, n_steps, spec).final
+    final = _last(march(state, n_steps, _diffusion_stepper(grid, (t - t0) / n_steps, spec)))
     cdf = np.concatenate([[0.0], np.cumsum(final.density) * grid.dx])
     cdf_at = np.interp(edges, np.concatenate([[grid.x[0] - grid.dx], grid.x]),
                        cdf)

@@ -219,17 +219,25 @@ def test_kernel_matrix_beyond_its_bound_exits_two_before_allocating(spec, tmp_pa
     assert not list(tmp_path.glob("*.csv"))
 
 
-# run in a fresh interpreter: the commands that never solve must not import scipy
+# run in a fresh interpreter: the commands that never solve must not import
+# scipy, and those that solve load only its LAPACK extension
 LAZY_SCIPY = """
 import sys
 from gaussprop import cli
 
-scenarios, out = sys.argv[1:]
+scenarios, ou_walk, out = sys.argv[1:]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 for command, name in (("moments", "moments_default"), ("audit", "variants_audit")):
     assert cli.main([command, f"{scenarios}/{name}.json", "--out", out]) == 0
-print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-assert cli.main(["evolve", f"{scenarios}/free_packet.json", "--out", out]) == 0
-print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
+print("moments, audit:", scipy_modules())
+for command, path in (("evolve", f"{scenarios}/free_packet.json"),
+                      ("compare", f"{scenarios}/compare_default.json"), ("walk", ou_walk)):
+    assert cli.main([command, path, "--out", out]) == 0
+print("evolve, compare, walk:", scipy_modules())
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+print("scipy.linalg shares the extension:", scipy.linalg.lapack._flapack is flapack)
 """
 
 
@@ -237,12 +245,17 @@ def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", LAZY_SCIPY, str(SCENARIOS), str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=300)
+    ou_walk = tmp_path / "ou.json"
+    ou_walk.write_text(json.dumps(OU_WALK))
+    run = subprocess.run([sys.executable, "-c", LAZY_SCIPY, str(SCENARIOS), str(ou_walk),
+                          str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert "scipy modules: []" in lines           # moments and audit never load scipy
-    assert "scipy.linalg loaded: True" in lines   # evolve's CN reference loads it to solve
+    assert "moments, audit: []" in lines
+    # the CN, Cayley and drift-diffusion solves load the extension alone:
+    # neither scipy.linalg nor scipy._lib is imported
+    assert "evolve, compare, walk: ['scipy.linalg._flapack']" in lines
+    assert "scipy.linalg shares the extension: True" in lines  # never a second copy
 
 
 def test_compare_scenario(tmp_path):
@@ -449,4 +462,5 @@ def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert "aborted at step" not in err  # a spec fault, raised before any step
     assert not list(tmp_path.glob("*.csv"))

@@ -1,5 +1,7 @@
 """The tridiagonal operators: factored once, and bit for bit the banded solve."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs, solve_banded
@@ -72,6 +74,25 @@ def test_apply_is_the_band_product():
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     assert np.allclose(_Tridiagonal(lower, diag, upper).apply(v), dense @ v,
                        rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("bands", (_cn_bands, _cayley_bands, _diffusion_bands),
+                         ids=("cn", "spectral-cayley", "diffusion"))
+def test_the_routines_are_scipy_linalg_s_own(bands):
+    """scipy.linalg is imported (above), so both share the one loaded extension."""
+    arrays = bands(8)[0]
+    ours = propagate.get_lapack_funcs(("gttrf", "gttrs"), arrays)
+    assert all(a is b for a, b in zip(ours, get_lapack_funcs(("gttrf", "gttrs"), arrays),
+                                      strict=True))
+
+
+def test_a_missing_extension_raises_import_error_naming_the_path(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(propagate, "_flapack_dirs", lambda: [str(tmp_path)])
+    with pytest.raises(ImportError, match="scipy.linalg._flapack not found") as info:
+        propagate.get_lapack_funcs(("gttrf", "gttrs"), _diffusion_bands(8)[0])
+    assert str(tmp_path / "_flapack.") in str(info.value)
+    assert "scipy.linalg._flapack" not in sys.modules
 
 
 @pytest.fixture
