@@ -9,7 +9,8 @@ into measurements:
   * empirical_a_scan rediscovers the required constant a for linear drift by
     minimizing a measured one-step drift, without assuming the answer,
   * variant_audit fits the order of the per-step defect on an eps ladder and
-    issues a conserves/drifts verdict,
+    issues a conserves/drifts verdict; audit_packets does so for several
+    states on one grid with one dense operator per eps,
   * phase_freedom_check certifies that shifting b by a constant changes a
     global phase and nothing else.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .fields import (FieldSpec, PropagatorSpec, WaveState, check_boundary_decay,
                      norm)
-from .propagate import _last, _wave_stepper, march, step_dense
+from .propagate import _dense_stepper, _last, _wave_stepper, march, step_dense
 
 CONSERVE_ORDER = 2.0
 DRIFT_ORDER_MARGIN = 0.3
@@ -150,21 +151,33 @@ class AuditReport:
                 f"rate {self.predicted_rate:+.3e}, {self.verdict}")
 
 
-def variant_audit(state: WaveState, spec: PropagatorSpec,
-                  eps_ladder) -> AuditReport:
-    """One dense step per eps; fit log|drift| vs log eps; issue the verdict.
+def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
+    """variant_audit of each state, stepping all of them with one dense
+    operator per eps.
 
-    Order ~2 means the defect is the quadrature's own O(eps^2) error and the
-    variant conserves; order ~1 means a genuine linear-in-eps leak.
+    The states must share one grid.  Each still passes the stepper's
+    boundary-decay and phase-resolution checks on every step.
     """
+    states = list(states)
     ladder = sorted((float(e) for e in eps_ladder), reverse=True)
     if len(ladder) < _MIN_LADDER_RUNGS:
         raise ValueError(f"need at least {_MIN_LADDER_RUNGS} eps values to fit a drift order")
-    n0 = norm(state)
-    drifts = []
+    if not states:
+        raise ValueError("need at least one state to audit")
+    grid = states[0].grid
+    if any(state.grid != grid for state in states):
+        raise ValueError("audited states must share one grid")
+    starts = [norm(state) for state in states]
+    drifts = [[] for _ in states]
     for eps in ladder:
-        stepped = step_dense(state, eps, spec)
-        drifts.append(norm(stepped) - n0)
+        step = _dense_stepper(grid, eps, spec)
+        for state, n0, out in zip(states, starts, drifts):
+            out.append(norm(step(state)) - n0)
+    return [_audit_report(state, spec, ladder, d) for state, d in zip(states, drifts)]
+
+
+def _audit_report(state: WaveState, spec: PropagatorSpec, ladder: list,
+                  drifts: list) -> AuditReport:
     mags = np.abs(np.array(drifts))
     if np.max(mags) < _ROUNDOFF_DRIFT:
         order = float("inf")
@@ -178,6 +191,16 @@ def variant_audit(state: WaveState, spec: PropagatorSpec,
                        fitted_order=order,
                        predicted_rate=predicted_drift_rate(state, spec),
                        verdict=verdict)
+
+
+def variant_audit(state: WaveState, spec: PropagatorSpec,
+                  eps_ladder) -> AuditReport:
+    """One dense step per eps; fit log|drift| vs log eps; issue the verdict.
+
+    Order ~2 means the defect is the quadrature's own O(eps^2) error and the
+    variant conserves; order ~1 means a genuine linear-in-eps leak.
+    """
+    return audit_packets([state], spec, eps_ladder)[0]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import _MIN_LADDER_RUNGS, variant_audit
-from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments, norm
+from .audit import _MIN_LADDER_RUNGS, audit_packets
+from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, _mass_moments
 from .fresnel import (
     MOMENT_ORDERS,
     RegularizedQuadrature,
@@ -35,6 +35,7 @@ from .fresnel import (
     _ladder_integral,
     cancellation_check,
     closed_moment,
+    monomial,
 )
 from .propagate import METHODS, ValidityError, _last, _wave_stepper, march
 from .reference import _cn_stepper, to_hamiltonian
@@ -68,10 +69,10 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
     # the two streams advance in lockstep: one row per step, no stored states
     rows = []
     for i, (state, ref) in enumerate(zip(kernel, reference)):
-        mean, var = moments(state)
+        mass, mean, var = _mass_moments(state)
         err = (_l2_distance(state.psi, ref.psi, sc.grid.dx)
                if ref is not None else float("nan"))
-        rows.append((i, state.time, norm(state), mean, var, err))
+        rows.append((i, state.time, mass, mean, var, err))
 
     _, final_time, final_norm, _, _, final_err = rows[-1]
     summary = {
@@ -102,13 +103,12 @@ def _run_audit(sc: Scenario, args) -> RunResult:
                             f"eps values to fit a drift order, got {len(sc.eps_ladder)}")
     rows, variants_out, lines = [], [], []
     passed = True
+    states = [packet.build(sc.grid) for packet in sc.audit.packets]
     for case in sc.audit.variants:
         variant = case.spec.variant
-        packet_reports = []
-        for packet in sc.audit.packets:
-            state = packet.build(sc.grid)
-            report = variant_audit(state, case.spec, sc.eps_ladder)
-            packet_reports.append((packet, report))
+        packet_reports = list(zip(sc.audit.packets,
+                                  audit_packets(states, case.spec, sc.eps_ladder)))
+        for packet, report in packet_reports:
             for eps, drift in zip(report.eps_ladder, report.drifts):
                 rows.append((variant, packet.x0, packet.sigma0, packet.k0,
                              eps, drift, report.fitted_order, report.verdict))
@@ -163,7 +163,7 @@ def _run_moments(sc: Scenario, args) -> RunResult:
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
     for d, eps in ms.pairs:
-        values = _ladder_integral([lambda e, n=n: e ** n for n in MOMENT_ORDERS], d, eps,
+        values = _ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps,
                                   _moments_quadrature(ms, d, eps))
         checks += [(d, eps, f"moment_{n}", complex(q), closed_moment(n, d, eps))
                    for n, q in zip(MOMENT_ORDERS, values)]

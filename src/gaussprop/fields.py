@@ -349,8 +349,8 @@ def _density_weight(state) -> np.ndarray:
     return state.density
 
 
-def moments(state) -> tuple[float, float]:
-    """Mean and variance of the state's density on the grid."""
+def _mass_moments(state) -> tuple[float, float, float]:
+    # the mass is norm (or total_mass) to the bit, from the one |psi|^2 pass
     w = _density_weight(state)
     total = np.sum(w) * state.grid.dx
     if total <= 0.0:
@@ -358,7 +358,12 @@ def moments(state) -> tuple[float, float]:
     x = state.grid.x
     mean = float(np.sum(x * w) * state.grid.dx / total)
     var = float(np.sum((x - mean) ** 2 * w) * state.grid.dx / total)
-    return mean, var
+    return float(total), mean, var
+
+
+def moments(state) -> tuple[float, float]:
+    """Mean and variance of the state's density on the grid."""
+    return _mass_moments(state)[1:]
 
 
 def mean_momentum(state: WaveState) -> float:

@@ -12,8 +12,13 @@ Gaussian moment identities
 so the quadrature multiplies the integrand by exp(-delta eta^2), integrates
 by trapezoid on a symmetric window [-L, L], and removes the regulator by
 Richardson extrapolation over the ladder {delta0, delta0/2, delta0/4}.
-Sample points come in +-eta pairs that are summed pair-first, so odd moments
-cancel exactly instead of relying on float luck.
+A ladder computes one complex exponential, the chirp at the smallest
+regulator; the larger rungs multiply it by the real factor
+exp(-(delta0/4) eta^2), once for delta0/2 and three times for delta0.
+Sample points come in +-eta pairs that are summed pair-first.  The moments'
+monomials are products of eta (eta^4 = (eta eta)(eta eta)), so p(-eta) is
+exactly +-p(eta): odd pairs cancel to exactly zero and even pairs are
+exactly symmetric, instead of relying on float luck.
 
 The same machinery certifies the first-order cancellation: for drift sampled
 at the displaced point, u_plus = u + eta u', the combination
@@ -81,22 +86,50 @@ class RegularizedQuadrature:
         return cls(delta0, half_width, samples)
 
 
+def monomial(n: int):
+    """eta -> eta^n as a product tree, e.g. (eta eta)(eta eta) for n = 4.
+
+    Negating eta flips the sign of each odd factor and nothing else, so
+    monomial(n)(-eta) is exactly (-1)^n monomial(n)(eta); numpy's float power
+    does not promise that, and runs far slower for negative bases.
+    """
+    if n < 0:
+        raise ValueError(f"monomial order must be >= 0, got {n}")
+
+    def power(eta):
+        if n == 0:
+            return np.ones_like(eta)
+        half = monomial(n // 2)(eta)
+        return half * half * eta if n % 2 else half * half
+
+    return power
+
+
+def _trapezoid(center, pair, deta: float) -> complex:
+    # one weighted pair array is alive at a time: it is freed on return
+    return (center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta
+
+
 def _ladder_integral(polys, d: float, eps: float, quad: RegularizedQuadrature) -> list:
     """Richardson-extrapolated trapezoid of each poly(eta) * exp(i eta^2/(2 D eps)),
-    with each rung's regulated chirp computed once for all the polys."""
+    with one regulated chirp per ladder shared by every rung and poly."""
     m = quad.samples // 2
     deta = quad.half_width / m
     eta = deta * np.arange(1, m + 1)
     chirp = 1j / (2.0 * d * eps)
+    step = quad.delta0 / 4.0
     centers = [complex(np.asarray(poly(np.zeros(1)))[0]) for poly in polys]
     pairs = [np.asarray(poly(eta)) + np.asarray(poly(-eta)) for poly in polys]
-    ladder = []  # per rung, the trapezoid of each poly
-    for delta in (quad.delta0, quad.delta0 / 2.0, quad.delta0 / 4.0):
-        g = np.exp((chirp - delta) * eta ** 2)
-        ladder.append([(center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta
-                       for center, pair in zip(centers, (p * g for p in pairs))])
+    r = np.exp(-step * eta ** 2)  # real; it takes a rung to the next one up
+    rung = np.exp((chirp - step) * eta ** 2)  # the regulated chirp at delta0/4
+    ladder = []  # per rung delta0/4, delta0/2, delta0: the trapezoid of each poly
+    for factors in (0, 1, 2):  # r takes delta0/4 to delta0/2, r r then to delta0
+        for _ in range(factors):
+            rung *= r
+        ladder.append([_trapezoid(center, pair * rung, deta)
+                       for center, pair in zip(centers, pairs)])
     # kills the O(delta) and O(delta^2) regulator error
-    return [(8.0 * v2 - 6.0 * v1 + v0) / 3.0 for v0, v1, v2 in zip(*ladder)]
+    return [(8.0 * v2 - 6.0 * v1 + v0) / 3.0 for v2, v1, v0 in zip(*ladder)]
 
 
 def closed_moment(n: int, d: float, eps: float) -> complex:
@@ -122,7 +155,7 @@ def fresnel_moment(n: int, d: float, eps: float,
         raise ValueError(f"need d > 0 and eps > 0, got d={d}, eps={eps}")
     if quad is None:
         quad = RegularizedQuadrature.for_params(d, eps)
-    return complex(_ladder_integral([lambda e: e ** n], d, eps, quad)[0])
+    return complex(_ladder_integral([monomial(n)], d, eps, quad)[0])
 
 
 def unit_mass_check(d: float, eps: float,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from gaussprop import (
     FieldSpec,
     PropagatorSpec,
     analytic_drift_rate,
+    audit_packets,
     boundary_flux_check,
     empirical_a_scan,
     gaussian_packet,
+    load_scenario,
     make_grid,
     phase_freedom_check,
     predicted_drift_rate,
@@ -16,6 +20,7 @@ from gaussprop import (
     triple_product_check,
     variant_audit,
 )
+from gaussprop import propagate
 
 GRID = make_grid(-8.0, 8.0, 1024)
 LINEAR_DRIFT = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
@@ -140,6 +145,40 @@ def test_audit_needs_four_rungs():
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
     with pytest.raises(ValueError):
         variant_audit(state, LINEAR_DRIFT, (0.2, 0.1, 0.05))
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["variants_audit", "complex_d_audit"])
+def test_audit_packets_shares_one_operator_per_rung(name, monkeypatch):
+    """All packets on one operator per eps: the reports of one at a time."""
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    states = [packet.build(sc.grid) for packet in sc.audit.packets]
+    builds = []
+    build = propagate.dense_operator
+
+    def counting(grid, eps, spec, a_override=None):
+        builds.append(eps)
+        return build(grid, eps, spec, a_override)
+
+    for case in sc.audit.variants:
+        alone = [variant_audit(state, case.spec, sc.eps_ladder) for state in states]
+        monkeypatch.setattr(propagate, "dense_operator", counting)
+        shared = audit_packets(states, case.spec, sc.eps_ladder)
+        monkeypatch.undo()
+        assert shared == alone
+        assert sorted(builds, reverse=True) == sorted(sc.eps_ladder, reverse=True)
+        builds.clear()
+
+
+def test_audit_packets_needs_one_grid():
+    states = [gaussian_packet(GRID, x0=0.0, sigma0=0.8),
+              gaussian_packet(make_grid(-8.0, 8.0, 512), x0=0.0, sigma0=0.8)]
+    with pytest.raises(ValueError, match="share one grid"):
+        audit_packets(states, LINEAR_DRIFT, LADDER)
+    with pytest.raises(ValueError):
+        audit_packets([], LINEAR_DRIFT, LADDER)
 
 
 def test_audit_report_rejects_inconsistent_verdict():

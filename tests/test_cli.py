@@ -108,12 +108,15 @@ SHIPPED_SHA256 = {
     ("evolve", "free_packet"): (
         0, "ee07922be799200a402546d7a43aa6a34f5c74d9999f7c295d7babd538ac95a1",
         "b2a484191825e4e46489ad3a557dc149af007c1b2f4772c6a0d7bac8fed0e89a"),
+    # re-recorded when the monomials became exact products and a ladder
+    # derived its three rungs from one complex exponential: each quadrature
+    # value moved by <= 2.7e-11 of its closed form, the exit codes did not
     ("moments", "moments_default"): (
-        0, "47b80731d1765bd1bde2a80f46e5b37566e81beb59889518f8db0b4092f65669",
-        "cbd13a1905042f0b5167f940b99bcd476744e230641463f59ed20a5efbca6049"),
+        0, "1f595e42337770f9e77c6649dc1a10b80531d05e19bbcac92340ae8466adf911",
+        "33a7208981e309261572951315c5dce0fc4dbeded545a961b5349d302a7ff1e0"),
     ("moments", "moments_fail"): (
-        1, "22a58be545103fca23f9a635a36c91354a69a2a76dca45237a94b097d2cda3dd",
-        "2ecca16a932f1730cf35dde51593a7595691fa2dbc2d94d0ee34a9d5c1d6cecb"),
+        1, "123ae9d9c877d0bf30dafab574d564225d6f298c13e718d1a6f397e40e1821af",
+        "d29fb92d2191cec517a3b373bb98009435350d78bca524e903fd2000c120d0b9"),
     # recorded before scipy was imported lazily and the n x n matrix was bounded;
     # complex_d_audit is the only shipped run that applies the kernel matrix
     ("audit", "variants_audit"): (
