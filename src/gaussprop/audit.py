@@ -8,9 +8,9 @@ into measurements:
     d/dt of the squared norm once boundary fluxes vanish,
   * empirical_a_scan rediscovers the required constant a for linear drift by
     minimizing a measured one-step drift, without assuming the answer,
-  * variant_audit fits the order of the per-step defect on an eps ladder and
-    issues a conserves/drifts verdict; audit_packets does so for several
-    states on one grid with one dense operator per eps,
+  * audit_packets fits the order of each state's per-step defect on an eps
+    ladder and issues a conserves/drifts verdict, stepping every state on
+    one grid with one dense operator per eps,
   * phase_freedom_check certifies that shifting b by a constant changes a
     global phase and nothing else.
 
@@ -35,11 +35,11 @@ import numpy as np
 
 from .fields import (FieldSpec, PropagatorSpec, WaveState, check_boundary_decay,
                      norm)
-from .propagate import _dense_stepper, _last, _wave_stepper, march, step_dense
+from .propagate import dense_stepper, last, march, wave_stepper
 
 CONSERVE_ORDER = 2.0
 DRIFT_ORDER_MARGIN = 0.3
-_MIN_LADDER_RUNGS = 4  # eps values needed to fit a drift order
+MIN_LADDER_RUNGS = 4  # eps values needed to fit a drift order
 _ROUNDOFF_DRIFT = 1e-13
 
 
@@ -114,8 +114,7 @@ def empirical_a_scan(state: WaveState, eps: float, spec: PropagatorSpec,
     n0 = norm(state)
     drifts = []
     for c in cand:
-        stepped = step_dense(state, eps, spec,
-                             a_override=FieldSpec.constant(c))
+        stepped = dense_stepper(state.grid, eps, spec, FieldSpec.constant(c))(state)
         drifts.append(abs(norm(stepped) - n0))
     idx = int(np.argmin(drifts))
     if idx in (0, len(cand) - 1):
@@ -152,16 +151,19 @@ class AuditReport:
 
 
 def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
-    """variant_audit of each state, stepping all of them with one dense
-    operator per eps.
+    """One dense step per eps for each state; fit log|drift| vs log eps;
+    issue each state's verdict.
 
-    The states must share one grid.  Each still passes the stepper's
-    boundary-decay and phase-resolution checks on every step.
+    Order ~2 means the defect is the quadrature's own O(eps^2) error and the
+    variant conserves; order ~1 means a genuine linear-in-eps leak.  The
+    states must share one grid, and one dense operator per eps steps them
+    all; each still passes the stepper's boundary-decay and
+    phase-resolution checks on every step.
     """
     states = list(states)
     ladder = sorted((float(e) for e in eps_ladder), reverse=True)
-    if len(ladder) < _MIN_LADDER_RUNGS:
-        raise ValueError(f"need at least {_MIN_LADDER_RUNGS} eps values to fit a drift order")
+    if len(ladder) < MIN_LADDER_RUNGS:
+        raise ValueError(f"need at least {MIN_LADDER_RUNGS} eps values to fit a drift order")
     if not states:
         raise ValueError("need at least one state to audit")
     grid = states[0].grid
@@ -170,7 +172,7 @@ def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
     starts = [norm(state) for state in states]
     drifts = [[] for _ in states]
     for eps in ladder:
-        step = _dense_stepper(grid, eps, spec)
+        step = dense_stepper(grid, eps, spec)
         for state, n0, out in zip(states, starts, drifts):
             out.append(norm(step(state)) - n0)
     return [_audit_report(state, spec, ladder, d) for state, d in zip(states, drifts)]
@@ -193,16 +195,6 @@ def _audit_report(state: WaveState, spec: PropagatorSpec, ladder: list,
                        verdict=verdict)
 
 
-def variant_audit(state: WaveState, spec: PropagatorSpec,
-                  eps_ladder) -> AuditReport:
-    """One dense step per eps; fit log|drift| vs log eps; issue the verdict.
-
-    Order ~2 means the defect is the quadrature's own O(eps^2) error and the
-    variant conserves; order ~1 means a genuine linear-in-eps leak.
-    """
-    return audit_packets([state], spec, eps_ladder)[0]
-
-
 @dataclass(frozen=True)
 class PhaseShiftReport:
     density_max_diff: float
@@ -223,8 +215,8 @@ def phase_freedom_check(state: WaveState, eps: float, spec: PropagatorSpec,
     """
     x = state.grid.x
     shifted = replace(spec, b=FieldSpec.tabulated(x, spec.b(x) + c))
-    base = _last(march(state, n_steps, _wave_stepper(state.grid, eps, spec, method)))
-    moved = _last(march(state, n_steps, _wave_stepper(state.grid, eps, shifted, method)))
+    base = last(march(state, n_steps, wave_stepper(state.grid, eps, spec, method)))
+    moved = last(march(state, n_steps, wave_stepper(state.grid, eps, shifted, method)))
     density_diff = float(np.max(np.abs(np.abs(moved.psi) ** 2
                                        - np.abs(base.psi) ** 2)))
     overlap = np.sum(np.conj(base.psi) * moved.psi) * state.grid.dx

@@ -26,21 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import _MIN_LADDER_RUNGS, audit_packets
-from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, _mass_moments
-from .fresnel import (
-    MOMENT_ORDERS,
-    RegularizedQuadrature,
-    _AUTO_TAIL_EXPONENT,
-    _ladder_integral,
-    cancellation_check,
-    closed_moment,
-    monomial,
-)
-from .propagate import METHODS, ValidityError, _last, _wave_stepper, march
-from .reference import _cn_stepper, to_hamiltonian
+from .audit import MIN_LADDER_RUNGS, audit_packets
+from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments
+from .fresnel import (MOMENT_ORDERS, RegularizedQuadrature, cancellation_check,
+                      closed_moment, ladder_integral, monomial)
+from .propagate import METHODS, ValidityError, last, march, wave_stepper
+from .reference import cn_stepper, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
-from .walk import _MIN_HISTOGRAM_PARTICLES, histogram_compare, sample_paths
+from .walk import MIN_HISTOGRAM_PARTICLES, histogram_compare, sample_paths
 
 
 @dataclass
@@ -60,16 +53,16 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
     sc.require("grid", "packet", "spec", "eps", "n_steps")
     method = args.method or sc.method
     state0 = sc.packet.build(sc.grid)
-    kernel = march(state0, sc.n_steps, _wave_stepper(sc.grid, sc.eps, sc.spec, method))
+    kernel = march(state0, sc.n_steps, wave_stepper(sc.grid, sc.eps, sc.spec, method))
     reference = itertools.repeat(None)
     if sc.spec.is_admissible():
         ham = to_hamiltonian(sc.spec, sc.grid)
-        reference = march(state0, sc.n_steps, _cn_stepper(sc.grid, sc.eps, ham))
+        reference = march(state0, sc.n_steps, cn_stepper(sc.grid, sc.eps, ham))
 
     # the two streams advance in lockstep: one row per step, no stored states
     rows = []
     for i, (state, ref) in enumerate(zip(kernel, reference)):
-        mass, mean, var = _mass_moments(state)
+        mass, mean, var = moments(state)
         err = (_l2_distance(state.psi, ref.psi, sc.grid.dx)
                if ref is not None else float("nan"))
         rows.append((i, state.time, mass, mean, var, err))
@@ -98,8 +91,8 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
 
 def _run_audit(sc: Scenario, args) -> RunResult:
     sc.require("grid", "spec", "audit", "eps_ladder")
-    if len(sc.eps_ladder) < _MIN_LADDER_RUNGS:
-        raise ScenarioError(f"scenario.schedule.eps_ladder: need at least {_MIN_LADDER_RUNGS} "
+    if len(sc.eps_ladder) < MIN_LADDER_RUNGS:
+        raise ScenarioError(f"scenario.schedule.eps_ladder: need at least {MIN_LADDER_RUNGS} "
                             f"eps values to fit a drift order, got {len(sc.eps_ladder)}")
     rows, variants_out, lines = [], [], []
     passed = True
@@ -150,28 +143,20 @@ def _run_audit(sc: Scenario, args) -> RunResult:
         rows=rows, summary=summary, passed=passed, lines=lines)
 
 
-def _moments_quadrature(ms, d: float, eps: float) -> RegularizedQuadrature:
-    if ms.delta0 is None:
-        return RegularizedQuadrature.for_params(d, eps, samples=ms.samples)
-    # honor the requested regulator; the window only needs to close the tail
-    half_width = math.sqrt(_AUTO_TAIL_EXPONENT / (ms.delta0 / 4.0)) * (1.0 + 1e-9)
-    return RegularizedQuadrature(ms.delta0, half_width, ms.samples)
-
-
 def _run_moments(sc: Scenario, args) -> RunResult:
     sc.require("moments")
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
     for d, eps in ms.pairs:
-        values = _ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps,
-                                  _moments_quadrature(ms, d, eps))
+        quad = RegularizedQuadrature.for_params(d, eps, ms.samples, ms.delta0)
+        values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
         checks += [(d, eps, f"moment_{n}", complex(q), closed_moment(n, d, eps))
                    for n, q in zip(MOMENT_ORDERS, values)]
     if ms.cancellation is not None:
         cs = ms.cancellation
         spec = PropagatorSpec(d=ms.pairs[0][0], u=FieldSpec.sine(1.0, cs.k))
-        res = cancellation_check(spec, cs.x, cs.eps,
-                                 quad=_moments_quadrature(ms, spec.d, cs.eps))
+        quad = RegularizedQuadrature.for_params(spec.d, cs.eps, ms.samples, ms.delta0)
+        res = cancellation_check(spec, cs.x, cs.eps, quad=quad)
         checks.append((spec.d, cs.eps, "cancellation", res.quadrature, res.closed_form))
     rows, max_rel = [], 0.0
     for d, eps, check, q, c in checks:
@@ -200,8 +185,8 @@ def _run_moments(sc: Scenario, args) -> RunResult:
 def _run_walk(sc: Scenario, args) -> RunResult:
     sc.require("spec", "walk", "eps", "n_steps")
     ws = sc.walk
-    if ws.n_particles < _MIN_HISTOGRAM_PARTICLES:
-        raise ScenarioError(f"scenario.walk.n_particles: need >= {_MIN_HISTOGRAM_PARTICLES} "
+    if ws.n_particles < MIN_HISTOGRAM_PARTICLES:
+        raise ScenarioError(f"scenario.walk.n_particles: need >= {MIN_HISTOGRAM_PARTICLES} "
                             f"particles for a stable histogram, got {ws.n_particles}")
     seed = args.seed if args.seed is not None else sc.seed
     ensemble = sample_paths(ws.n_particles, sc.n_steps, sc.eps, sc.spec,
@@ -264,11 +249,11 @@ def _run_compare(sc: Scenario, args) -> RunResult:
     ref_steps = _steps_for(cs.t_final, eps_ref, ref_key)
     ladder_steps = [_steps_for(cs.t_final, eps, "schedule.eps_ladder") for eps in sc.eps_ladder]
     state0 = sc.packet.build(sc.grid)
-    ref = _last(march(state0, ref_steps, _cn_stepper(sc.grid, eps_ref, ham)))
+    ref = last(march(state0, ref_steps, cn_stepper(sc.grid, eps_ref, ham)))
 
     rows, errors = [], []
     for eps, n in zip(sc.eps_ladder, ladder_steps):
-        final = _last(march(state0, n, _wave_stepper(sc.grid, eps, sc.spec, method)))
+        final = last(march(state0, n, wave_stepper(sc.grid, eps, sc.spec, method)))
         err = _l2_distance(final.psi, ref.psi, sc.grid.dx)
         rows.append((eps, n, err))
         errors.append(err)

@@ -343,15 +343,11 @@ def total_mass(state: RealState) -> float:
     return float(np.sum(state.density) * state.grid.dx)
 
 
-def _density_weight(state) -> np.ndarray:
-    if isinstance(state, WaveState):
-        return np.abs(state.psi) ** 2
-    return state.density
+def moments(state) -> tuple[float, float, float]:
+    """Mass, mean and variance of the state's density on the grid.
 
-
-def _mass_moments(state) -> tuple[float, float, float]:
-    # the mass is norm (or total_mass) to the bit, from the one |psi|^2 pass
-    w = _density_weight(state)
+    The mass is norm (or total_mass) to the bit, from the one |psi|^2 pass."""
+    w = np.abs(state.psi) ** 2 if isinstance(state, WaveState) else state.density
     total = np.sum(w) * state.grid.dx
     if total <= 0.0:
         raise ValueError("state carries no mass; moments are undefined")
@@ -359,11 +355,6 @@ def _mass_moments(state) -> tuple[float, float, float]:
     mean = float(np.sum(x * w) * state.grid.dx / total)
     var = float(np.sum((x - mean) ** 2 * w) * state.grid.dx / total)
     return float(total), mean, var
-
-
-def moments(state) -> tuple[float, float]:
-    """Mean and variance of the state's density on the grid."""
-    return _mass_moments(state)[1:]
 
 
 def mean_momentum(state: WaveState) -> float:

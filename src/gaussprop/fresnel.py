@@ -78,11 +78,15 @@ class RegularizedQuadrature:
                 f"{delta_min * self.half_width ** 2:.3f} < {_TAIL_EXPONENT}")
 
     @classmethod
-    def for_params(cls, d: float, eps: float, samples: int = 100_000) -> "RegularizedQuadrature":
-        """Ladder and window scaled to the chirp rate 1/(2 D eps)."""
-        delta0 = _DELTA_SCALE / (2.0 * d * eps)
-        delta_min = delta0 / 4.0
-        half_width = float(np.sqrt(_AUTO_TAIL_EXPONENT / delta_min) * (1.0 + 1e-9))
+    def for_params(cls, d: float, eps: float, samples: int = 100_000,
+                   delta0: float | None = None) -> "RegularizedQuadrature":
+        """Ladder and window scaled to the chirp rate 1/(2 D eps).
+
+        A given delta0 is kept as the regulator; the window is then sized only
+        to close its tail."""
+        if delta0 is None:
+            delta0 = _DELTA_SCALE / (2.0 * d * eps)
+        half_width = float(np.sqrt(_AUTO_TAIL_EXPONENT / (delta0 / 4.0)) * (1.0 + 1e-9))
         return cls(delta0, half_width, samples)
 
 
@@ -110,7 +114,7 @@ def _trapezoid(center, pair, deta: float) -> complex:
     return (center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta
 
 
-def _ladder_integral(polys, d: float, eps: float, quad: RegularizedQuadrature) -> list:
+def ladder_integral(polys, d: float, eps: float, quad: RegularizedQuadrature) -> list:
     """Richardson-extrapolated trapezoid of each poly(eta) * exp(i eta^2/(2 D eps)),
     with one regulated chirp per ladder shared by every rung and poly."""
     m = quad.samples // 2
@@ -155,7 +159,7 @@ def fresnel_moment(n: int, d: float, eps: float,
         raise ValueError(f"need d > 0 and eps > 0, got d={d}, eps={eps}")
     if quad is None:
         quad = RegularizedQuadrature.for_params(d, eps)
-    return complex(_ladder_integral([monomial(n)], d, eps, quad)[0])
+    return complex(ladder_integral([monomial(n)], d, eps, quad)[0])
 
 
 def unit_mass_check(d: float, eps: float,
@@ -196,6 +200,6 @@ def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
         u_plus = u + eta * du
         return u_plus ** 2 * (-(eta ** 2) / (2.0 * d ** 2) + 1j * eps / (2.0 * d))
 
-    value = _ladder_integral([integrand], d, eps, quad)[0] / closed_moment(0, d, eps)
+    value = ladder_integral([integrand], d, eps, quad)[0] / closed_moment(0, d, eps)
     return CancellationResult(quadrature=complex(value),
                               closed_form=complex(du ** 2 * eps ** 2))

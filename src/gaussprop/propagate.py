@@ -25,12 +25,12 @@ grid.n <= MAX_DENSE_MATRIX_N.
 
 The quadrature can only resolve the kernel's quadratic phase when adjacent
 grid samples advance it by at most pi: max |eta| * dx / (D eps) <= pi.
-validity_check reports this number for the full grid window and for the
-window the state actually occupies; step_dense refuses to run when the
-occupied window fails.  Equivalently, the sampled chirp's aliasing images
-(spaced 2 pi D eps / dx apart) must fall outside the occupied window.  The
-chirp-z form computes the same sampled sum as the matrix, so the floor holds
-for both: an unresolved chirp aliases however the sum is evaluated.
+validity_check reports this number for the window the state actually
+occupies; the dense step refuses to run when it fails.  Equivalently, the
+sampled chirp's aliasing images (spaced 2 pi D eps / dx apart) must fall
+outside the occupied window.  The chirp-z form computes the same sampled sum
+as the matrix, so the floor holds for both: an unresolved chirp aliases
+however the sum is evaluated.
 
 The spectral path uses the kernel's factorized form on a periodic grid:
 position factors for the drift and phase fields applied to O(eps), and the
@@ -46,11 +46,10 @@ source y moves by eta drawn from Normal(u(y) eps, D eps), so
 which keeps mass exact to quadrature precision and drifts forward (mean u t).
 
 Each method has one builder, (grid, eps, spec) -> step, holding its guards
-and its operator; step_dense, step_spectral and step_density build and apply
-once.  march streams an evolution holding only the current state; record
-keeps the per-step times and norms plus the final state in a Trajectory for
-the public evolve functions, and a command that reads only the final state
-streams to it without computing a norm per step.
+and its operator: dense_stepper, spectral_stepper and density_stepper here,
+cn_stepper and diffusion_stepper in reference.  One step is builder(...)(state);
+march streams an evolution holding only the current state, and last(march(...))
+is its final state.
 
 The tridiagonal solves (the spectral Cayley drift here, the Crank-Nicolson
 and drift-diffusion oracles in reference) call LAPACK gttrf/gttrs from
@@ -69,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (BOUNDARY_DECAY_RATIO, FieldSpec, Grid, PropagatorSpec,
-                     RealState, WaveState, check_boundary_decay, norm, total_mass)
+                     RealState, WaveState, check_boundary_decay)
 from .kernel import complex_kernel, real_kernel, source_factors
 
 
@@ -89,14 +88,12 @@ class ValidityError(RuntimeError):
 class ValidityReport:
     """Phase-resolution diagnostics for a dense quadrature step."""
 
-    max_phase_step: float           # over the full grid half-window
-    state_phase_step: float | None  # over the window the state occupies
-    passes: bool                    # governed by the state window when given
-    recommended_min_eps: float      # smallest eps the governing window resolves
+    state_phase_step: float     # over the window the state occupies
+    passes: bool
+    recommended_min_eps: float  # smallest eps that window resolves
 
     def __str__(self):
-        gov = self.max_phase_step if self.state_phase_step is None else self.state_phase_step
-        return (f"phase step {gov:.3f} rad vs pi "
+        return (f"phase step {self.state_phase_step:.3f} rad vs pi "
                 f"({'ok' if self.passes else 'unresolved'}; "
                 f"eps >= {self.recommended_min_eps:.4g} recommended)")
 
@@ -117,20 +114,17 @@ def _support_half_width(state: WaveState) -> float:
     return 0.5 * (state.grid.x[idx[-1]] - state.grid.x[idx[0]])
 
 
-def _phase_report(grid: Grid, eps: float, d: float,
-                  state: WaveState | None) -> ValidityReport:
-    full = grid.half_width * grid.dx / (d * eps)
-    window = grid.half_width if state is None else _support_half_width(state)
+def _phase_report(grid: Grid, eps: float, d: float, state: WaveState) -> ValidityReport:
+    window = _support_half_width(state)
     governing = window * grid.dx / (d * eps)
     return ValidityReport(
-        max_phase_step=full,
-        state_phase_step=None if state is None else governing,
+        state_phase_step=governing,
         passes=bool(governing <= np.pi),
         recommended_min_eps=float(window * grid.dx / (np.pi * d)))
 
 
 def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
-                   state: WaveState | None = None) -> ValidityReport:
+                   state: WaveState) -> ValidityReport:
     """Can the dense quadrature resolve the kernel phase at this step size?"""
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -206,8 +200,9 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec,
     return lambda psi: mat @ psi
 
 
-def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
-                   a_override: FieldSpec | None = None):
+def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
+                  a_override: FieldSpec | None = None):
+    """One complex-kernel step by direct quadrature over the whole grid."""
     # The spec's guards (eps, and D > 0 in the phase check's D scale) run
     # here, before any step.  The state's guards run on every state; the
     # operator is built once, on the first state that passes them, so a run
@@ -228,12 +223,6 @@ def _dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
         return state.replace_psi(apply(state.psi), time=state.time + eps)
 
     return step
-
-
-def step_dense(state: WaveState, eps: float, spec: PropagatorSpec,
-               a_override: FieldSpec | None = None) -> WaveState:
-    """One complex-kernel step by direct quadrature over the whole grid."""
-    return _dense_stepper(state.grid, eps, spec, a_override)(state)
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -280,7 +269,7 @@ def get_lapack_funcs(names, arrays):
     return [getattr(module, prefix + name) for name in names]
 
 
-class _Tridiagonal:
+class Tridiagonal:
     """The matrix with finite bands (lower, diag, upper).  solve LU-factors it
     once (LAPACK gttrf, complex if any band is), then each solve is one O(n)
     gttrs sweep, bit for bit what solve_banded gives by re-factoring."""
@@ -309,7 +298,13 @@ class _Tridiagonal:
         return gttrs(*factors, rhs)[0]
 
 
-def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+    """One step via the factorized kernel on the periodic grid.
+
+    Drift and phase fields act in position space to O(eps); the free
+    quadratic-phase convolution is the exact multiplier exp(-i D eps k^2/2).
+    For zero drift and zero b the step is exactly unimodular.
+    """
     # Fields are static, so every factor of the step is built once; only the
     # boundary-decay check runs on every state.
     if not eps > 0.0:
@@ -329,8 +324,8 @@ def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     # stable and exactly norm-preserving, unlike an explicit update, which
     # amplifies round-off near the edges once eps*|u|*k_max exceeds 1.
     half_face = 0.5 * eps * ((u[:-1] + u[1:]) / (4.0 * grid.dx)) + 0j  # psi is complex
-    explicit = _Tridiagonal(-half_face, np.ones(n), half_face)
-    implicit = _Tridiagonal(half_face, np.ones(n), -half_face)
+    explicit = Tridiagonal(-half_face, np.ones(n), half_face)
+    implicit = Tridiagonal(half_face, np.ones(n), -half_face)
     # the zero-order kernel carries the full du/dx weight, half of which is
     # the non-unitary surplus the T correction removes
     surplus = (np.exp(0.5 * eps * spec.du_dx(x).real)
@@ -350,17 +345,8 @@ def _spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     return step
 
 
-def step_spectral(state: WaveState, eps: float, spec: PropagatorSpec) -> WaveState:
-    """One step via the factorized kernel on the periodic grid.
-
-    Drift and phase fields act in position space to O(eps); the free
-    quadratic-phase convolution is the exact multiplier exp(-i D eps k^2/2).
-    For zero drift and zero b the step is exactly unimodular.
-    """
-    return _spectral_stepper(state.grid, eps, spec)(state)
-
-
-def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+    """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
     if spec.variant != "admissible":
         raise ValueError("the real kernel is defined for the admissible variant only")
     width = np.sqrt(spec.d * eps)
@@ -382,15 +368,11 @@ def _density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     return step
 
 
-def step_density(state: RealState, eps: float, spec: PropagatorSpec) -> RealState:
-    """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
-    return _density_stepper(state.grid, eps, spec)(state)
-
-
-def _wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, method: str = "dense"):
+def wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, method: str = "dense"):
+    """The dense or the spectral step, as method names it."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return (_dense_stepper if method == "dense" else _spectral_stepper)(grid, eps, spec)
+    return (dense_stepper if method == "dense" else spectral_stepper)(grid, eps, spec)
 
 
 def march(state, n_steps: int, step):
@@ -408,38 +390,8 @@ def march(state, n_steps: int, step):
         yield state
 
 
-def _last(states):
+def last(states):
     """The final state of a stream, holding one state at a time."""
     for state in states:
         pass
     return state
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Per-step times and norms (masses for densities) and the final state."""
-
-    times: np.ndarray
-    norms: np.ndarray
-    final: object
-
-
-def record(states) -> Trajectory:
-    """Consume a state stream into its Trajectory."""
-    times, norms = [], []
-    for state in states:
-        times.append(state.time)
-        norms.append(total_mass(state) if isinstance(state, RealState) else norm(state))
-    return Trajectory(times=np.array(times), norms=np.array(norms), final=state)
-
-
-def evolve(state: WaveState, eps: float, n_steps: int, spec: PropagatorSpec,
-           method: str = "dense") -> Trajectory:
-    """Repeatedly step a wave state, aborting if its tails reach the grid edge."""
-    return record(march(state, n_steps, _wave_stepper(state.grid, eps, spec, method)))
-
-
-def evolve_density(state: RealState, eps: float, n_steps: int,
-                   spec: PropagatorSpec) -> Trajectory:
-    """Repeatedly step a density with the real kernel."""
-    return record(march(state, n_steps, _density_stepper(state.grid, eps, spec)))

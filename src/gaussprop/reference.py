@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldSpec, Grid, PropagatorSpec, RealState, WaveState
-from .propagate import Trajectory, _Tridiagonal, march, record
+from .propagate import Tridiagonal
 
 
 @dataclass(frozen=True)
@@ -131,30 +131,20 @@ def hermiticity_check(ham: HamiltonianSpec, grid: Grid) -> float:
                      np.max(np.abs(diag.imag))))
 
 
-def _cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
+def cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
+    """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     lower, diag, upper = hamiltonian_diagonals(ham, grid)
     half = 0.5j * eps
-    explicit = _Tridiagonal(-half * lower, 1.0 - half * diag, -half * upper)
-    implicit = _Tridiagonal(half * lower, 1.0 + half * diag, half * upper)
+    explicit = Tridiagonal(-half * lower, 1.0 - half * diag, -half * upper)
+    implicit = Tridiagonal(half * lower, 1.0 + half * diag, half * upper)
 
     def step(state: WaveState) -> WaveState:
         return state.replace_psi(implicit.solve(explicit.apply(state.psi)),
                                  time=state.time + eps)
 
     return step
-
-
-def cn_step(state: WaveState, eps: float, ham: HamiltonianSpec) -> WaveState:
-    """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
-    return _cn_stepper(state.grid, eps, ham)(state)
-
-
-def evolve_cn(state: WaveState, eps: float, n_steps: int,
-              ham: HamiltonianSpec) -> Trajectory:
-    """Crank-Nicolson trajectory with the banded operator built once."""
-    return record(march(state, n_steps, _cn_stepper(state.grid, eps, ham)))
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
@@ -180,13 +170,17 @@ def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec):
     return -coef * bm, diag, -coef * bp
 
 
-def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+def diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+    """One implicit step of dP/dt = (D/2) P'' - (u P)' with no-flux ends.
+
+    It has no stability bound and keeps P nonnegative.
+    """
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if spec.variant != "admissible":
         raise ValueError("the diffusion oracle is defined for the admissible variant")
     lower, diag, upper = _diffusion_diagonals(grid, spec)
-    implicit = _Tridiagonal(eps * lower, 1.0 + eps * diag, eps * upper)
+    implicit = Tridiagonal(eps * lower, 1.0 + eps * diag, eps * upper)
 
     def step(state: RealState) -> RealState:
         out = implicit.solve(state.density)
@@ -194,17 +188,3 @@ def _diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
         return state.replace_density(out, time=state.time + eps)
 
     return step
-
-
-def diffusion_step(state: RealState, eps: float, spec: PropagatorSpec) -> RealState:
-    """One implicit step of dP/dt = (D/2) P'' - (u P)' with no-flux ends.
-
-    It has no stability bound and keeps P nonnegative.
-    """
-    return _diffusion_stepper(state.grid, eps, spec)(state)
-
-
-def evolve_diffusion(state: RealState, eps: float, n_steps: int,
-                     spec: PropagatorSpec) -> Trajectory:
-    """Drift-diffusion trajectory with the banded operator built once."""
-    return record(march(state, n_steps, _diffusion_stepper(state.grid, eps, spec)))

@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PropagatorSpec, RealState, make_grid
-from .propagate import _last, march
-from .reference import _diffusion_stepper
+from .propagate import last, march
+from .reference import diffusion_stepper
 
 STEP_LAWS = ("gauss", "exp_centered")
 MAX_SEED = 2 ** 64 - 1     # the seed is one 64-bit word of the Philox key
 _BLOCK = 4096              # particles advanced together
-_MIN_HISTOGRAM_PARTICLES = 10_000
+MIN_HISTOGRAM_PARTICLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _oracle_bin_density(edges: np.ndarray, ensemble: WalkEnsemble,
     p0 /= np.sum(p0) * grid.dx
     state = RealState(grid=grid, density=p0, time=t0)
     n_steps = 400
-    final = _last(march(state, n_steps, _diffusion_stepper(grid, (t - t0) / n_steps, spec)))
+    final = last(march(state, n_steps, diffusion_stepper(grid, (t - t0) / n_steps, spec)))
     cdf = np.concatenate([[0.0], np.cumsum(final.density) * grid.dx])
     cdf_at = np.interp(edges, np.concatenate([[grid.x[0] - grid.dx], grid.x]),
                        cdf)
@@ -144,8 +144,8 @@ def histogram_compare(ensemble: WalkEnsemble, spec: PropagatorSpec,
     drift-diffusion oracle otherwise; "fitted" uses a Gaussian with the
     sample's own mean and variance (the central-limit comparison).
     """
-    if ensemble.n_particles < _MIN_HISTOGRAM_PARTICLES:
-        raise ValueError(f"need >= {_MIN_HISTOGRAM_PARTICLES} particles for a "
+    if ensemble.n_particles < MIN_HISTOGRAM_PARTICLES:
+        raise ValueError(f"need >= {MIN_HISTOGRAM_PARTICLES} particles for a "
                          f"stable histogram, got {ensemble.n_particles}")
     if reference not in ("model", "fitted"):
         raise ValueError(f"reference must be 'model' or 'fitted', got "

@@ -16,29 +16,30 @@ from gaussprop import (
     PropagatorSpec,
     RealState,
     RegularizedQuadrature,
+    audit_packets,
     cancellation_check,
     cli,
     closed_moment,
+    cn_stepper,
+    dense_stepper,
+    density_stepper,
+    diffusion_stepper,
     empirical_a_scan,
-    evolve,
-    evolve_cn,
-    evolve_density,
-    evolve_diffusion,
     fresnel_moment,
     gaussian_packet,
     hamiltonian_diagonals,
     hermiticity_check,
     histogram_compare,
+    last,
     make_grid,
+    march,
     moments,
     phase_freedom_check,
     rhs_apply,
     sample_paths,
-    step_dense,
-    step_spectral,
+    spectral_stepper,
     to_hamiltonian,
     unit_mass_check,
-    variant_audit,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -89,7 +90,7 @@ def test_criterion_04_correction_exponent_selection():
     orders = {}
     for variant in ("admissible", "no_t", "endpoint_t"):
         spec = PropagatorSpec(d=1.0, u=u, variant=variant)
-        orders[variant] = variant_audit(state, spec, ladder).fitted_order
+        orders[variant] = audit_packets([state], spec, ladder)[0].fitted_order
     scan = empirical_a_scan(state, 0.04, PropagatorSpec(d=1.0, u=u),
                             [0.12, 0.14, 0.16, 0.18, 0.2, 0.22, 0.24, 0.26, 0.28])
     print(f"[acceptance] 4: orders half={orders['admissible']:.2f} (2 +- 0.3), "
@@ -120,7 +121,7 @@ def test_criterion_05_falsification_variants():
             d_field=FieldSpec.tabulated(grid.x, 1.0 + 0.2 * np.sin(grid.x))),
             (0.64, 0.32, 0.16, 0.08)),
     }
-    verdicts = {name: [variant_audit(state, spec, ladder).verdict
+    verdicts = {name: [audit_packets([state], spec, ladder)[0].verdict
                        for state in packets]
                 for name, (spec, ladder) in cases.items()}
     print(f"[acceptance] 5: verdicts {verdicts}")
@@ -145,11 +146,11 @@ def test_criterion_06_schrodinger_agreement():
     rhs_gap = float(np.max(np.abs(rhs_apply(state, ham) + 1j * h_psi)))
     herm = hermiticity_check(ham, grid)
 
-    ref = evolve_cn(state, 5e-4, 2000, ham).final
+    ref = last(march(state, 2000, cn_stepper(grid, 5e-4, ham)))
     ladder = (0.02, 0.01, 0.005, 0.0025)
     errors = []
     for eps in ladder:
-        final = evolve(state, eps, round(1.0 / eps), spec, method="spectral").final
+        final = last(march(state, round(1.0 / eps), spectral_stepper(grid, eps, spec)))
         errors.append(np.sqrt(np.sum(np.abs(final.psi - ref.psi) ** 2) * grid.dx))
     slope = float(np.polyfit(np.log(ladder), np.log(errors), 1)[0])
     print(f"[acceptance] 6: L2 slope {slope:.3f} (1 +- 0.3), rhs gap "
@@ -163,9 +164,8 @@ def test_criterion_07_free_dispersion():
     """Free packet variance reaches sigma0^2 + (D t / 2 sigma0)^2 within 1%."""
     grid = make_grid(-12.0, 12.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.0)
-    final = evolve(state, 0.01, 200, PropagatorSpec(d=1.0),
-                   method="spectral").final
-    _, var = moments(final)
+    final = last(march(state, 200, spectral_stepper(grid, 0.01, PropagatorSpec(d=1.0))))
+    _, _, var = moments(final)
     print(f"[acceptance] 7: variance at t=2 is {var:.6f} (2.0 +- 1%)")
     assert var == pytest.approx(2.0, rel=0.01)
 
@@ -200,8 +200,8 @@ def test_criterion_09_random_walk_twin():
     p0 = np.exp(-grid.x ** 2 / (2.0 * 0.49))
     state = RealState(grid=grid, density=p0 / (np.sum(p0) * grid.dx), time=0.0)
     wavy = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
-    kernel_final = evolve_density(state, 0.005, 200, wavy).final
-    oracle_final = evolve_diffusion(state, 0.0005, 2000, wavy).final
+    kernel_final = last(march(state, 200, density_stepper(grid, 0.005, wavy)))
+    oracle_final = last(march(state, 2000, diffusion_stepper(grid, 0.0005, wavy)))
     l1 = float(np.sum(np.abs(kernel_final.density - oracle_final.density))
                * grid.dx)
     print(f"[acceptance] 9: mean gap {mean_gap:.4f} (<= {3 * se_mean:.4f}), "
@@ -221,8 +221,8 @@ def test_criterion_10_dense_spectral_consistency():
     ladder = (0.16, 0.08, 0.04, 0.02)
     gaps = []
     for eps in ladder:
-        dense = step_dense(state, eps, spec)
-        spectral = step_spectral(state, eps, spec)
+        dense = dense_stepper(grid, eps, spec)(state)
+        spectral = spectral_stepper(grid, eps, spec)(state)
         gaps.append(np.sqrt(np.sum(np.abs(dense.psi - spectral.psi) ** 2)
                             * grid.dx))
     slope = float(np.polyfit(np.log(ladder), np.log(gaps), 1)[0])

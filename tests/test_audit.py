@@ -18,7 +18,6 @@ from gaussprop import (
     predicted_drift_rate,
     required_a,
     triple_product_check,
-    variant_audit,
 )
 from gaussprop import propagate
 
@@ -108,7 +107,7 @@ def test_a_scan_needs_three_candidates():
 
 def test_audit_admissible_conserves_at_second_order():
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
-    report = variant_audit(state, LINEAR_DRIFT, LADDER)
+    report = audit_packets([state], LINEAR_DRIFT, LADDER)[0]
     assert report.verdict == "conserves"
     assert report.fitted_order == pytest.approx(2.04, abs=0.1)
     assert report.predicted_rate == 0.0
@@ -117,7 +116,7 @@ def test_audit_admissible_conserves_at_second_order():
 def test_audit_missing_t_drifts_linearly():
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
-    report = variant_audit(state, spec, LADDER)
+    report = audit_packets([state], spec, LADDER)[0]
     assert report.verdict == "drifts"
     assert report.fitted_order == pytest.approx(1.06, abs=0.1)
     assert report.drifts[0] > 0.0  # leaks outward, matching the +0.4 rate
@@ -126,7 +125,7 @@ def test_audit_missing_t_drifts_linearly():
 def test_audit_endpoint_t_drifts_linearly():
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="endpoint_t")
-    report = variant_audit(state, spec, LADDER)
+    report = audit_packets([state], spec, LADDER)[0]
     assert report.verdict == "drifts"
     assert report.fitted_order == pytest.approx(0.95, abs=0.1)
     assert report.drifts[0] < 0.0
@@ -136,7 +135,7 @@ def test_audit_complex_drift_needs_momentum():
     state = gaussian_packet(GRID, x0=1.0, sigma0=0.8, k0=0.7)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4),
                           variant="complex_u", im_u=0.25)
-    report = variant_audit(state, spec, LADDER)
+    report = audit_packets([state], spec, LADDER)[0]
     assert report.verdict == "drifts"
     assert report.fitted_order == pytest.approx(1.0, abs=0.3)
 
@@ -144,7 +143,7 @@ def test_audit_complex_drift_needs_momentum():
 def test_audit_needs_four_rungs():
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
     with pytest.raises(ValueError):
-        variant_audit(state, LINEAR_DRIFT, (0.2, 0.1, 0.05))
+        audit_packets([state], LINEAR_DRIFT, (0.2, 0.1, 0.05))
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -163,7 +162,7 @@ def test_audit_packets_shares_one_operator_per_rung(name, monkeypatch):
         return build(grid, eps, spec, a_override)
 
     for case in sc.audit.variants:
-        alone = [variant_audit(state, case.spec, sc.eps_ladder) for state in states]
+        alone = [audit_packets([state], case.spec, sc.eps_ladder)[0] for state in states]
         monkeypatch.setattr(propagate, "dense_operator", counting)
         shared = audit_packets(states, case.spec, sc.eps_ladder)
         monkeypatch.undo()

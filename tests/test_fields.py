@@ -127,7 +127,8 @@ def test_gaussian_packet_norm_and_moments():
     grid = make_grid(-10.0, 10.0, 1024)
     state = gaussian_packet(grid, x0=0.5, sigma0=0.8, k0=1.2)
     assert norm(state) == pytest.approx(1.0, abs=1e-12)
-    mean, var = moments(state)
+    mass, mean, var = moments(state)
+    assert mass == norm(state)
     assert mean == pytest.approx(0.5, abs=1e-9)
     assert var == pytest.approx(0.64, rel=1e-9)
     assert mean_momentum(state) == pytest.approx(1.2, abs=1e-9)
@@ -151,7 +152,8 @@ def test_real_state_mass_and_moments():
     p /= np.sum(p) * grid.dx
     state = RealState(grid=grid, density=p, time=0.0)
     assert total_mass(state) == pytest.approx(1.0, abs=1e-12)
-    mean, var = moments(state)
+    mass, mean, var = moments(state)
+    assert mass == total_mass(state)
     assert mean == pytest.approx(0.0, abs=1e-10)
     assert var == pytest.approx(1.0, rel=1e-6)
 

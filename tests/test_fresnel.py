@@ -20,7 +20,7 @@ from gaussprop import (
     monomial,
     unit_mass_check,
 )
-from gaussprop.fresnel import _ladder_integral
+from gaussprop.fresnel import ladder_integral
 
 
 def test_moment_orders_exposed():
@@ -131,7 +131,7 @@ def test_cancellation_refuses_variants():
 def _one_poly_ladder(poly, d, eps, quad):
     """The ladder integral of a single poly, its chirp made for it alone.
 
-    The value stays a numpy complex, as _ladder_integral returns it, so that
+    The value stays a numpy complex, as ladder_integral returns it, so that
     dividing it by K rounds as cancellation_check's division does."""
     m = quad.samples // 2
     deta = quad.half_width / m
@@ -155,7 +155,7 @@ def test_shared_ladder_equals_one_ladder_per_order(d, eps, explicit):
     """Sharing the chirp across the orders changes no bit of any moment."""
     quad = (RegularizedQuadrature(0.25, 30.0, 60_000) if explicit
             else RegularizedQuadrature.for_params(d, eps))
-    shared = _ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
+    shared = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
     for n, value in zip(MOMENT_ORDERS, shared):
         expected = _one_poly_ladder(monomial(n), d, eps, quad)
         assert complex(value) == expected
@@ -191,7 +191,7 @@ def test_one_chirp_ladder_agrees_with_a_chirp_per_rung(d, eps, explicit):
     quad = (RegularizedQuadrature(0.25, 30.0, 60_000) if explicit
             else RegularizedQuadrature.for_params(d, eps))
     k = abs(closed_moment(0, d, eps))
-    values = _ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
+    values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
     for n, value in zip(MOMENT_ORDERS, values):
         assert abs(value - _power_ladder(n, d, eps, quad)) <= 1e-9 * k
         if not explicit:

@@ -9,21 +9,21 @@ from gaussprop import (
     PropagatorSpec,
     RealState,
     ValidityError,
+    cn_stepper,
     dense_operator,
-    evolve,
-    evolve_cn,
-    evolve_density,
+    dense_stepper,
+    density_stepper,
     gaussian_packet,
+    last,
     make_grid,
     march,
     moments,
     norm,
-    step_dense,
-    step_density,
-    step_spectral,
+    spectral_stepper,
     to_hamiltonian,
     total_mass,
     validity_check,
+    wave_stepper,
 )
 from gaussprop import propagate
 from gaussprop.propagate import _dense_matrix
@@ -36,24 +36,24 @@ def test_free_dispersion_law():
     """Spectral free evolution reproduces sigma^2(t) = sigma0^2 + (D t / 2 sigma0)^2."""
     grid = make_grid(-12.0, 12.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.0, k0=0.0)
-    traj = evolve(state, 0.01, 200, FREE, method="spectral")
-    _, var = moments(traj.final)
+    stream = list(march(state, 200, spectral_stepper(grid, 0.01, FREE)))
+    _, _, var = moments(stream[-1])
     assert var == pytest.approx(2.0, rel=1e-6)
-    assert np.max(np.abs(traj.norms - 1.0)) < 1e-12
+    assert np.max(np.abs(np.array([norm(s) for s in stream]) - 1.0)) < 1e-12
 
 
 def test_spectral_free_step_is_exactly_unimodular():
     grid = make_grid(-10.0, 10.0, 512)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.9, k0=0.6)
-    out = step_spectral(state, 0.05, FREE)
+    out = spectral_stepper(grid, 0.05, FREE)(state)
     assert norm(out) == pytest.approx(norm(state), abs=1e-14)
 
 
 def test_spectral_first_order_preserves_norm_with_fields():
     grid = make_grid(-10.0, 10.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8, k0=0.5)
-    traj = evolve(state, 0.01, 50, DRIFTED, method="spectral")
-    assert np.max(np.abs(traj.norms - 1.0)) < 1e-12
+    norms = [norm(s) for s in march(state, 50, spectral_stepper(grid, 0.01, DRIFTED))]
+    assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-12
 
 
 def test_spectral_zero_order_leaks_at_the_drift_rate():
@@ -61,8 +61,9 @@ def test_spectral_zero_order_leaks_at_the_drift_rate():
     grid = make_grid(-10.0, 10.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8, k0=0.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), order="zero")
-    traj = evolve(state, 0.01, 20, spec, method="spectral")
-    slope = np.polyfit(traj.times, np.log(traj.norms), 1)[0]
+    stream = list(march(state, 20, spectral_stepper(grid, 0.01, spec)))
+    times, norms = [s.time for s in stream], [norm(s) for s in stream]
+    slope = np.polyfit(times, np.log(norms), 1)[0]
     assert slope == pytest.approx(0.4, abs=1e-6)
 
 
@@ -73,8 +74,8 @@ def test_dense_and_spectral_agree_at_second_order():
     ladder = (0.16, 0.08, 0.04, 0.02)
     gaps = []
     for eps in ladder:
-        dense = step_dense(state, eps, DRIFTED)
-        spectral = step_spectral(state, eps, DRIFTED)
+        dense = dense_stepper(grid, eps, DRIFTED)(state)
+        spectral = spectral_stepper(grid, eps, DRIFTED)(state)
         gaps.append(np.sqrt(np.sum(np.abs(dense.psi - spectral.psi) ** 2)
                             * grid.dx))
     slope = np.polyfit(np.log(ladder), np.log(gaps), 1)[0]
@@ -85,7 +86,7 @@ def test_dense_step_conserves_norm_to_first_order():
     grid = make_grid(-8.0, 8.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8, k0=0.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
-    out = step_dense(state, 0.1, spec)
+    out = dense_stepper(grid, 0.1, spec)(state)
     assert norm(out) == pytest.approx(1.0, abs=5e-3)
 
 
@@ -103,21 +104,21 @@ def test_dense_step_raises_below_phase_resolution():
     grid = make_grid(-12.0, 12.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.0)
     with pytest.raises(ValidityError):
-        step_dense(state, 0.001, FREE)
+        dense_stepper(grid, 0.001, FREE)(state)
 
 
 def test_evolve_aborts_when_packet_reaches_edge():
     grid = make_grid(-4.0, 4.0, 256)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.45)
     with pytest.raises(BoundaryDecayError, match=r"aborted at step \d+: "):
-        evolve(state, 0.05, 200, FREE, method="spectral")
+        last(march(state, 200, spectral_stepper(grid, 0.05, FREE)))
 
 
 def test_spectral_requires_power_of_two_grid():
     grid = make_grid(-8.0, 8.0, 1000)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8)
     with pytest.raises(ValueError):
-        step_spectral(state, 0.05, FREE)
+        spectral_stepper(grid, 0.05, FREE)(state)
 
 
 def test_spectral_rejects_variants():
@@ -125,23 +126,25 @@ def test_spectral_rejects_variants():
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
     with pytest.raises(ValueError):
-        step_spectral(state, 0.05, spec)
+        spectral_stepper(grid, 0.05, spec)(state)
 
 
 def test_trajectory_bookkeeping():
     grid = make_grid(-10.0, 10.0, 512)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.9)
-    traj = evolve(state, 0.05, 4, FREE, method="spectral")
-    assert np.allclose(traj.times, [0.0, 0.05, 0.1, 0.15, 0.2])
-    assert traj.norms.shape == (5,)
-    assert traj.final.time == traj.times[-1]
-    assert traj.norms[-1] == norm(traj.final)
+    stream = list(march(state, 4, spectral_stepper(grid, 0.05, FREE)))
+    times = [s.time for s in stream]
+    assert np.allclose(times, [0.0, 0.05, 0.1, 0.15, 0.2])
+    assert len(stream) == 5
+    final = last(march(state, 4, spectral_stepper(grid, 0.05, FREE)))
+    assert final.time == times[-1]
+    assert norm(stream[-1]) == norm(final)
 
 
 def test_march_streams_the_start_state_then_each_step():
     grid = make_grid(-10.0, 10.0, 512)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.9)
-    stream = list(march(state, 3, lambda s: step_spectral(s, 0.05, FREE)))
+    stream = list(march(state, 3, spectral_stepper(grid, 0.05, FREE)))
     assert stream[0] is state
     assert [s.time for s in stream] == pytest.approx([0.0, 0.05, 0.1, 0.15])
 
@@ -156,7 +159,7 @@ def test_dense_evolve_checks_before_it_builds(monkeypatch):
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
     with pytest.raises(ValidityError, match="aborted at step 0"):
-        evolve(state, 0.001, 5, spec, method="dense")
+        last(march(state, 5, dense_stepper(grid, 0.001, spec)))
 
 
 def test_dense_evolve_builds_its_operator_once(monkeypatch):
@@ -169,9 +172,9 @@ def test_dense_evolve_builds_its_operator_once(monkeypatch):
 
     monkeypatch.setattr(propagate, "_dense_matrix", counting)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
-    traj = evolve(AUDIT_PACKET, 0.16, 3, spec, method="dense")
+    stream = list(march(AUDIT_PACKET, 3, dense_stepper(AUDIT_GRID, 0.16, spec)))
     assert len(calls) == 1
-    assert traj.times.shape == (4,)
+    assert len(stream) == 4
 
 
 @pytest.mark.parametrize("spec,n,eps,message", [
@@ -184,9 +187,10 @@ def test_spectral_evolve_checks_before_it_steps(spec, n, eps, message):
     """The spectral guards run when the step is built, so no step is taken."""
     grid = make_grid(-8.0, 8.0, n)
     with pytest.raises(ValueError, match=f"^(?!aborted).*{message}"):
-        evolve(gaussian_packet(grid, x0=0.0, sigma0=0.8), eps, 5, spec, method="spectral")
+        last(march(gaussian_packet(grid, x0=0.0, sigma0=0.8), 5,
+                   wave_stepper(grid, eps, spec, method="spectral")))
     with pytest.raises(ValueError, match=message):
-        propagate._spectral_stepper(grid, eps, spec)
+        spectral_stepper(grid, eps, spec)
 
 
 def test_spectral_evolve_builds_its_factors_once():
@@ -200,9 +204,10 @@ def test_spectral_evolve_builds_its_factors_once():
     spec = PropagatorSpec(d=1.0, u=CountingField("linear", slope=0.2),
                           b=CountingField("sine", amplitude=0.3, wavenumber=1.0))
     grid = make_grid(-10.0, 10.0, 512)
-    traj = evolve(gaussian_packet(grid, x0=0.0, sigma0=0.9), 0.05, 4, spec, method="spectral")
+    stream = list(march(gaussian_packet(grid, x0=0.0, sigma0=0.9), 4,
+                        spectral_stepper(grid, 0.05, spec)))
     assert sorted(calls) == ["linear", "sine"]
-    assert traj.times.shape == (5,)
+    assert len(stream) == 5
 
 
 @pytest.mark.parametrize("method", ("spectral", "cn"))
@@ -214,14 +219,13 @@ def test_evolutions_hold_one_state_at_a_time(method):
     ham = to_hamiltonian(spec, grid)
     tracemalloc.start()
     try:
-        if method == "cn":
-            traj = evolve_cn(state, 0.001, 500, ham)
-        else:
-            traj = evolve(state, 0.001, 500, spec, method="spectral")
+        step = (cn_stepper(grid, 0.001, ham) if method == "cn"
+                else spectral_stepper(grid, 0.001, spec))
+        norms = [norm(s) for s in march(state, 500, step)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.norms.shape == (501,)
+    assert len(norms) == 501
     assert peak < 2 * 2 ** 20
 
 
@@ -234,11 +238,11 @@ def test_density_step_mass_positivity_and_spread():
     grid = make_grid(-10.0, 10.0, 512)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     eps = 0.05
-    out = step_density(state, eps, FREE)
+    out = density_stepper(grid, eps, FREE)(state)
     assert total_mass(out) == pytest.approx(1.0, abs=1e-9)
     assert np.all(out.density >= 0.0)
-    _, v0 = moments(state)
-    _, v1 = moments(out)
+    _, _, v0 = moments(state)
+    _, _, v1 = moments(out)
     # one step adds variance D eps
     assert v1 - v0 == pytest.approx(eps, rel=1e-3)
 
@@ -248,9 +252,9 @@ def test_density_step_drift_moves_the_mean():
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.constant(0.5))
     eps = 0.05
-    out = step_density(state, eps, spec)
-    m0, _ = moments(state)
-    m1, _ = moments(out)
+    out = density_stepper(grid, eps, spec)(state)
+    _, m0, _ = moments(state)
+    _, m1, _ = moments(out)
     assert m1 - m0 == pytest.approx(0.5 * eps, rel=1e-6)
 
 
@@ -259,24 +263,24 @@ def test_density_step_requires_resolved_kernel():
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     # sqrt(D eps) below two grid spacings: the sampled Gaussian is unreliable
     with pytest.raises(ValidityError):
-        step_density(state, 0.002, FREE)
+        density_stepper(grid, 0.002, FREE)(state)
 
 
 def test_evolve_density_matches_free_spreading():
     grid = make_grid(-12.0, 12.0, 512)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
-    traj = evolve_density(state, 0.02, 50, FREE)
-    _, var = moments(traj.final)
+    stream = list(march(state, 50, density_stepper(grid, 0.02, FREE)))
+    _, _, var = moments(stream[-1])
     assert var == pytest.approx(0.64 + 1.0, rel=1e-3)
-    assert np.max(np.abs(traj.norms - 1.0)) < 1e-8
+    assert np.max(np.abs(np.array([total_mass(s) for s in stream]) - 1.0)) < 1e-8
 
 
 def test_evolve_density_refuses_an_under_resolved_kernel():
-    """The guard step_density applies holds over a whole evolution too."""
+    """The guard of one density step holds over a whole evolution too."""
     grid = make_grid(-10.0, 10.0, 1024)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     with pytest.raises(ValidityError):
-        evolve_density(state, 1e-4, 5, FREE)
+        last(march(state, 5, density_stepper(grid, 1e-4, FREE)))
 
 
 AUDIT_GRID = make_grid(-8.0, 8.0, 1024)
@@ -311,7 +315,7 @@ def test_chirp_z_step_honours_a_constant_a_override():
     spec = CHIRP_Z_SPECS["admissible-linear"]
     a = FieldSpec.constant(0.13)
     expected = _dense_matrix(AUDIT_GRID, 0.08, spec, a) @ AUDIT_PACKET.psi
-    out = step_dense(AUDIT_PACKET, 0.08, spec, a_override=a)
+    out = dense_stepper(AUDIT_GRID, 0.08, spec, a_override=a)(AUDIT_PACKET)
     assert _rel(out.psi, expected) <= 1e-10
 
 
@@ -320,7 +324,7 @@ def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():
     grid = make_grid(-20.0, 20.0, 2 ** 16)
     state = gaussian_packet(grid, x0=0.5, sigma0=1.0, k0=0.7)
     eps = 0.05
-    out = step_dense(state, eps, FREE)
+    out = dense_stepper(grid, eps, FREE)(state)
     exact = np.fft.ifft(np.exp(-0.5j * eps * grid.k ** 2) * np.fft.fft(state.psi))
     assert _rel(out.psi, exact) <= 1e-10
 
@@ -335,4 +339,4 @@ def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():
 def test_other_specs_apply_the_kernel_matrix(spec):
     eps = 0.16
     expected = _dense_matrix(AUDIT_GRID, eps, spec) @ AUDIT_PACKET.psi
-    assert np.array_equal(step_dense(AUDIT_PACKET, eps, spec).psi, expected)
+    assert np.array_equal(dense_stepper(AUDIT_GRID, eps, spec)(AUDIT_PACKET).psi, expected)

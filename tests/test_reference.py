@@ -6,13 +6,12 @@ from gaussprop import (
     HamiltonianSpec,
     PropagatorSpec,
     RealState,
-    cn_step,
-    diffusion_step,
-    evolve_cn,
-    evolve_diffusion,
+    cn_stepper,
+    diffusion_stepper,
     gaussian_packet,
     hamiltonian_diagonals,
     hermiticity_check,
+    last,
     make_grid,
     march,
     moments,
@@ -20,6 +19,7 @@ from gaussprop import (
     rhs_apply,
     to_hamiltonian,
     to_propagator,
+    total_mass,
 )
 
 GRID = make_grid(-10.0, 10.0, 512)
@@ -99,7 +99,7 @@ def test_hermiticity_broken_by_complex_vector_potential():
 def test_cn_step_is_unitary():
     ham = HamiltonianSpec(m=1.0, phi=FieldSpec.quadratic(0.5))
     state = gaussian_packet(GRID, x0=1.0, sigma0=0.8)
-    out = cn_step(state, 0.01, ham)
+    out = cn_stepper(GRID, 0.01, ham)(state)
     assert norm(out) == pytest.approx(norm(state), abs=1e-12)
     assert out.time == pytest.approx(0.01)
 
@@ -108,7 +108,7 @@ def test_cn_step_rejects_nonpositive_eps():
     ham = HamiltonianSpec(m=1.0)
     state = gaussian_packet(GRID, x0=0.0, sigma0=1.0)
     with pytest.raises(ValueError):
-        cn_step(state, 0.0, ham)
+        cn_stepper(GRID, 0.0, ham)(state)
 
 
 def test_harmonic_coherent_state_oscillates():
@@ -116,11 +116,11 @@ def test_harmonic_coherent_state_oscillates():
     grid = make_grid(-10.0, 10.0, 1024)
     ham = to_hamiltonian(PropagatorSpec(d=1.0, b=FieldSpec.quadratic(0.5)), grid)
     state = gaussian_packet(grid, x0=1.0, sigma0=np.sqrt(0.5))
-    traj = evolve_cn(state, 0.005, 400, ham)
-    mean, var = moments(traj.final)
+    stream = list(march(state, 400, cn_stepper(grid, 0.005, ham)))
+    _, mean, var = moments(stream[-1])
     assert mean == pytest.approx(np.cos(2.0), abs=1e-3)
     assert var == pytest.approx(0.5, abs=5e-3)
-    assert np.max(np.abs(traj.norms - 1.0)) < 1e-10
+    assert np.max(np.abs(np.array([norm(s) for s in stream]) - 1.0)) < 1e-10
 
 
 def _gaussian_density(grid, sigma):
@@ -132,9 +132,8 @@ def test_diffusion_conserves_mass_and_positivity():
     grid = make_grid(-8.0, 8.0, 512)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
-    traj = evolve_diffusion(state, 0.02, 100, spec)
-    assert np.max(np.abs(traj.norms - 1.0)) < 1e-12
-    stream = march(state, 100, lambda s: diffusion_step(s, 0.02, spec))
+    stream = list(march(state, 100, diffusion_stepper(grid, 0.02, spec)))
+    assert np.max(np.abs(np.array([total_mass(s) for s in stream]) - 1.0)) < 1e-12
     assert all(np.all(s.density >= -1e-13) for s in stream)
 
 
@@ -143,15 +142,14 @@ def test_evolve_diffusion_needs_a_step(n_steps):
     grid = make_grid(-8.0, 8.0, 512)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     with pytest.raises(ValueError, match="n_steps"):
-        evolve_diffusion(state, 0.02, n_steps, PropagatorSpec(d=1.0))
+        last(march(state, n_steps, diffusion_stepper(grid, 0.02, PropagatorSpec(d=1.0))))
 
 
 def test_diffusion_free_spreading_rate():
     grid = make_grid(-12.0, 12.0, 1024)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     spec = PropagatorSpec(d=1.0)
-    traj = evolve_diffusion(state, 0.005, 200, spec)
-    _, var = moments(traj.final)
+    _, _, var = moments(last(march(state, 200, diffusion_stepper(grid, 0.005, spec))))
     # dP/dt = (D/2) P'' adds variance D t
     assert var == pytest.approx(0.64 + 1.0, rel=1e-3)
 
@@ -161,7 +159,7 @@ def test_diffusion_rejects_variants():
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="endpoint_t")
     with pytest.raises(ValueError):
-        diffusion_step(state, 0.02, spec)
+        diffusion_stepper(grid, 0.02, spec)(state)
 
 
 def test_ornstein_uhlenbeck_steady_variance():
@@ -169,7 +167,6 @@ def test_ornstein_uhlenbeck_steady_variance():
     grid = make_grid(-6.0, 6.0, 512)
     state = RealState(grid=grid, density=_gaussian_density(grid, 1.0), time=0.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(-1.0))
-    traj = evolve_diffusion(state, 0.05, 200, spec)
-    _, var = moments(traj.final)
+    mass, _, var = moments(last(march(state, 200, diffusion_stepper(grid, 0.05, spec))))
     assert var == pytest.approx(0.5, rel=5e-3)
-    assert traj.norms[-1] == pytest.approx(1.0, abs=1e-12)
+    assert mass == pytest.approx(1.0, abs=1e-12)

@@ -1,8 +1,15 @@
-"""Fields are static functions of x: no signature in the package takes a time argument."""
+"""The package's shape: no time argument, no private cross-module import, no wrapper layer.
 
+Fields are static functions of x, so no signature takes a time argument.
+Each method is stepped one way, through its builder and march, and each
+module uses only the public names of the others.
+"""
+
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import gaussprop
 
@@ -39,6 +46,57 @@ def test_no_signature_takes_a_time_argument():
                if callable(obj := getattr(gaussprop, name)))
     assert {"fields.FieldSpec.__call__", "fields.FieldSpec.derivative",
             "fields.PropagatorSpec.d_value", "reference.HamiltonianSpec.a_values",
-            "propagate._dense_stepper", "reference._diffusion_stepper"} <= set(found)
+            "propagate.dense_stepper", "reference.diffusion_stepper"} <= set(found)
     offenders = sorted(name for name, obj in found.items() if "t" in _parameters(obj))
     assert offenders == []
+
+
+def _private_imports(tree: ast.Module) -> list:
+    """Underscore names this module takes from another gaussprop module,
+    by `from .mod import _name` or as `mod._name` of an imported module."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").startswith("gaussprop"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+                elif node.module in (None, "gaussprop"):  # from . import mod
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_module_s_private_name():
+    package = Path(gaussprop.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert {"cli.py", "propagate.py", "reference.py"} <= {p.name for p in sources}
+    offenders = {p.name: found for p in sources
+                 if (found := _private_imports(ast.parse(p.read_text(), p.name)))}
+    assert offenders == {}
+
+
+def test_the_guard_sees_a_private_import():
+    tree = ast.parse("from .propagate import _last, march\nfrom . import fields\n"
+                     "fields._mass_moments(None)\nfrom __future__ import annotations\n")
+    assert _private_imports(tree) == ["propagate._last", "fields._mass_moments"]
+
+
+# the step/evolve/Trajectory layer above the builders, deleted for good
+WRAPPERS = ("step_dense", "step_spectral", "step_density", "evolve", "evolve_density",
+            "Trajectory", "record", "cn_step", "evolve_cn", "diffusion_step",
+            "evolve_diffusion", "variant_audit")
+
+
+def test_the_wrapper_layer_is_gone():
+    assert not set(WRAPPERS) & set(gaussprop.__all__)
+    assert not [name for name in WRAPPERS if hasattr(gaussprop, name)]
+    defined = {name.split(".")[1] for name in _callables()}
+    assert not set(WRAPPERS) & defined
+    for info in pkgutil.iter_modules(gaussprop.__path__):
+        module = importlib.import_module(f"gaussprop.{info.name}")
+        assert not set(WRAPPERS) & set(vars(module)), info.name

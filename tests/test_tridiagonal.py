@@ -11,15 +11,17 @@ from gaussprop import (
     HamiltonianSpec,
     PropagatorSpec,
     RealState,
-    evolve,
-    evolve_cn,
-    evolve_diffusion,
+    cn_stepper,
+    diffusion_stepper,
     gaussian_packet,
     hamiltonian_diagonals,
+    last,
     make_grid,
+    march,
     propagate,
+    spectral_stepper,
 )
-from gaussprop.propagate import _Tridiagonal
+from gaussprop.propagate import Tridiagonal
 from gaussprop.reference import _diffusion_diagonals
 
 
@@ -62,7 +64,7 @@ def _diffusion_bands(n):
                          ids=("cn", "spectral-cayley", "diffusion"))
 def test_solve_is_bit_identical_to_the_banded_solve(bands):
     (lower, diag, upper), rhs = bands(4096)
-    op = _Tridiagonal(lower, diag, upper)
+    op = Tridiagonal(lower, diag, upper)
     expected = _banded_solve(lower, diag, upper, rhs)
     assert op.solve(rhs).dtype == expected.dtype
     assert np.array_equal(op.solve(rhs), expected)
@@ -72,7 +74,7 @@ def test_solve_is_bit_identical_to_the_banded_solve(bands):
 def test_apply_is_the_band_product():
     (lower, diag, upper), v = _cn_bands(64)
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
-    assert np.allclose(_Tridiagonal(lower, diag, upper).apply(v), dense @ v,
+    assert np.allclose(Tridiagonal(lower, diag, upper).apply(v), dense @ v,
                        rtol=1e-14, atol=1e-14)
 
 
@@ -118,14 +120,15 @@ def _counted(gttrf, calls):
 def test_a_cn_evolution_factors_once(gttrf_calls):
     grid = make_grid(-20.0, 20.0, 1024)
     ham = HamiltonianSpec(m=1.0, a_field=FieldSpec.linear(0.3), phi=FieldSpec.quadratic(0.5))
-    evolve_cn(gaussian_packet(grid, x0=0.0, sigma0=1.5), 0.001, 50, ham)
+    last(march(gaussian_packet(grid, x0=0.0, sigma0=1.5), 50, cn_stepper(grid, 0.001, ham)))
     assert gttrf_calls == [("z", 1024)]
 
 
 def test_a_spectral_evolution_factors_once(gttrf_calls):
     grid = make_grid(-20.0, 20.0, 1024)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.5))
-    evolve(gaussian_packet(grid, x0=0.0, sigma0=1.5), 0.001, 50, spec, method="spectral")
+    step = spectral_stepper(grid, 0.001, spec)
+    last(march(gaussian_packet(grid, x0=0.0, sigma0=1.5), 50, step))
     assert gttrf_calls == [("z", 1024)]
 
 
@@ -133,20 +136,21 @@ def test_a_diffusion_evolution_factors_once(gttrf_calls):
     grid = make_grid(-10.0, 10.0, 1024)
     density = np.exp(-grid.x ** 2)
     state = RealState(grid=grid, density=density / (np.sum(density) * grid.dx))
-    evolve_diffusion(state, 0.001, 50, PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.5)))
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.5))
+    last(march(state, 50, diffusion_stepper(grid, 0.001, spec)))
     assert gttrf_calls == [("d", 1024)]
 
 
 def test_a_drift_free_spectral_evolution_factors_nothing(gttrf_calls):
     grid = make_grid(-20.0, 20.0, 1024)
-    evolve(gaussian_packet(grid, x0=0.0, sigma0=1.5), 0.001, 50, PropagatorSpec(d=1.0),
-           method="spectral")
+    free = spectral_stepper(grid, 0.001, PropagatorSpec(d=1.0))
+    last(march(gaussian_packet(grid, x0=0.0, sigma0=1.5), 50, free))
     assert gttrf_calls == []
 
 
 def test_a_singular_matrix_raises_linalg_error():
     # its leading 2 x 2 block is [[1, 1], [1, 1]]
-    op = _Tridiagonal(np.array([1.0, 0.0, 0.0]), np.ones(4), np.array([1.0, 0.0, 0.0]))
+    op = Tridiagonal(np.array([1.0, 0.0, 0.0]), np.ones(4), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         op.solve(np.ones(4))
 
@@ -158,4 +162,4 @@ def test_a_non_finite_band_is_rejected_at_build(band, bad):
              np.ones(7, dtype=complex)]
     bands[band][2] = bad
     with pytest.raises(ValueError, match="bands must be finite"):
-        _Tridiagonal(*bands)
+        Tridiagonal(*bands)
