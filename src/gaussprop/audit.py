@@ -1,13 +1,15 @@
 """Norm-conservation audits for the complex kernel's correction term.
 
 The single-step propagator conserves the norm only when the real part of the
-correction exponent is a = (1/2) du/dx.  Everything here turns that statement
-into measurements:
+correction exponent is a = (1/2) du/dx, the a that kernel.a_field gives the
+admissible variant.  Everything here turns that statement into measurements:
 
   * analytic_drift_rate integrates psi* (du/dx - 2a) psi, the instantaneous
     d/dt of the squared norm once boundary fluxes vanish,
   * empirical_a_scan rediscovers the required constant a for linear drift by
-    minimizing a measured one-step drift, without assuming the answer,
+    minimizing a measured one-step drift, without assuming the answer: a
+    constant a scales the kernel, and so the step, by exp(-eps a), so one
+    step without T, of norm n1, prices each a at |exp(-2 eps a) n1 - n0|,
   * audit_packets fits the order of each state's per-step defect on an eps
     ladder and issues a conserves/drifts verdict, stepping every state on
     one grid with one dense operator per eps,
@@ -16,8 +18,8 @@ into measurements:
 
 Predicted rates for the broken variants (rate = d|psi|^2_tot/dt at eps -> 0):
 
-    no T          +int u' |psi|^2 dx           (a = 0)
-    endpoint T    -int u' |psi|^2 dx           (a = u')
+    no T          +int u' |psi|^2 dx           (a = 0, kernel.a_field)
+    endpoint T    -int u' |psi|^2 dx           (a = u', kernel.a_field)
     complex D     +Im(D) int |psi'|^2 dx
     complex u     -2 Im(u) int Im(psi* psi') dx
     x-dep D       -int D' Im(psi* psi') dx
@@ -35,6 +37,7 @@ import numpy as np
 
 from .fields import (FieldSpec, PropagatorSpec, WaveState, check_boundary_decay,
                      norm)
+from .kernel import a_field
 from .propagate import dense_stepper, last, march, wave_stepper
 
 CONSERVE_ORDER = 2.0
@@ -71,10 +74,8 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
     psi = state.psi
     if spec.variant == "admissible":
         return 0.0
-    if spec.variant == "no_t":
-        return analytic_drift_rate(state, spec, FieldSpec.constant(0.0))
-    if spec.variant == "endpoint_t":
-        return analytic_drift_rate(state, spec, spec.u.derivative_field())
+    if spec.variant in ("no_t", "endpoint_t"):
+        return analytic_drift_rate(state, spec, a_field(spec))
     dpsi = _central(psi, dx)
     if spec.variant == "complex_d":
         return float(spec.im_d * np.sum(np.abs(dpsi) ** 2) * dx)
@@ -85,11 +86,6 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
         ddx = spec.d_field.derivative_field()(x)
         return float(-np.sum(ddx * current) * dx)
     raise ValueError(f"no drift-rate prediction for variant {spec.variant!r}")
-
-
-def required_a(spec: PropagatorSpec) -> FieldSpec:
-    """The unique a-field with zero drift rate for every state: half du/dx."""
-    return spec.u.derivative_field().scaled(0.5)
 
 
 @dataclass(frozen=True)
@@ -103,19 +99,20 @@ def empirical_a_scan(state: WaveState, eps: float, spec: PropagatorSpec,
                      candidates) -> AScanResult:
     """Find the constant a minimizing one-step |norm drift|, blind to theory.
 
-    Meant for linear u, where the optimum is a single scalar.  A minimum
-    sitting on the edge of the candidate range is rejected unless the drift
+    Meant for an admissible spec with linear u, where the optimum is a
+    single scalar; one dense step without T prices every candidate.  A
+    minimum on the edge of the candidate range is rejected unless the drift
     profile has flattened there, since an edge minimum on a still-steep
     profile means the true optimum lies outside the range.
     """
+    if spec.variant != "admissible":
+        raise ValueError(f"the a scan needs an admissible spec, got variant {spec.variant!r}")
     cand = [float(c) for c in candidates]
     if len(cand) < 3:
         raise ValueError("need at least 3 candidate values")
     n0 = norm(state)
-    drifts = []
-    for c in cand:
-        stepped = dense_stepper(state.grid, eps, spec, FieldSpec.constant(c))(state)
-        drifts.append(abs(norm(stepped) - n0))
+    n1 = norm(dense_stepper(state.grid, eps, replace(spec, variant="no_t"))(state))
+    drifts = np.abs(np.exp(-2.0 * eps * np.array(cand)) * n1 - n0).tolist()
     idx = int(np.argmin(drifts))
     if idx in (0, len(cand) - 1):
         neighbor = drifts[1] if idx == 0 else drifts[-2]

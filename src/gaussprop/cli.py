@@ -308,11 +308,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_outputs(result: RunResult, sc: Scenario, command: str,
-                   out_dir: str) -> tuple[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
+def _output_names(sc: Scenario, command: str) -> tuple[str, str]:
+    """The CSV and JSON file names, which must differ: one would overwrite the other."""
     csv_name = sc.outputs.get("csv", f"{sc.name}_{command}.csv")
     json_name = sc.outputs.get("json", f"{sc.name}_{command}.json")
+    if csv_name == json_name:
+        raise ScenarioError(f"scenario.outputs: csv and json are both named {csv_name!r}")
+    return csv_name, json_name
+
+
+def _write_outputs(result: RunResult, out_dir: str, csv_name: str,
+                   json_name: str) -> tuple[str, str]:
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, csv_name)
     json_path = os.path.join(out_dir, json_name)
     csv_lines = [",".join(result.header)]
@@ -361,6 +368,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         sc = load_scenario(args.scenario)
+        names = _output_names(sc, args.command)
         result = _RUNNERS[args.command](sc, args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -374,7 +382,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get("GAUSSPROP_OUT") or "."
     try:
-        csv_path, json_path = _write_outputs(result, sc, args.command, out_dir)
+        csv_path, json_path = _write_outputs(result, out_dir, *names)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2

@@ -250,10 +250,6 @@ class PropagatorSpec:
             return base + 1j * self.im_u
         return base
 
-    def du_dx(self, x):
-        # im_u is a constant offset, so the derivative is the real drift's
-        return self.u.derivative(np.asarray(x, dtype=float)).astype(complex)
-
     def is_admissible(self) -> bool:
         return self.variant == "admissible"
 

@@ -67,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (BOUNDARY_DECAY_RATIO, FieldSpec, Grid, PropagatorSpec,
-                     RealState, WaveState, check_boundary_decay)
+from .fields import (BOUNDARY_DECAY_RATIO, Grid, PropagatorSpec, RealState,
+                     WaveState, check_boundary_decay)
 from .kernel import complex_kernel, real_kernel, source_factors
 
 
@@ -131,16 +131,13 @@ def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
     return _phase_report(grid, eps, _d_scale(grid, spec), state)
 
 
-def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec,
-                  a_override: FieldSpec | None = None) -> np.ndarray:
+def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec) -> np.ndarray:
     x = grid.x
     eta = x[None, :] - x[:, None]
-    ev = complex_kernel(eta, eps, x[None, :], spec, a_override=a_override)
-    return grid.dx * ev.value
+    return grid.dx * complex_kernel(eta, eps, x[None, :], spec)
 
 
-def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec,
-                  a_override: FieldSpec | None):
+def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
     # With x_j = x_0 + j dx and y_k = x_k - u(x_k) eps = y_0 + k r dx, the
     # phase c (y_k - x_j)^2 splits into a column chirp, a row chirp and the
     # chirp exp(i c r dx^2 (k - j)^2) of the index lag, a convolution done by
@@ -155,7 +152,7 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec,
     c_delta = -u_first / (2.0 * spec.d)             # c delta
     c_shear = slope / (2.0 * spec.d)                # c (1 - r)
     xs = grid.x - grid.x_min                        # x_j - x_0
-    norm_factor, t_factor = source_factors(eps, grid.x, spec, a_override)
+    norm_factor, t_factor = source_factors(eps, grid.x, spec)
     # c ((y_k - x_0)^2 - r (x_k - x_0)^2) and c ((1 - r) (x_j - x_0)^2
     # - 2 delta (x_j - x_0))
     col = dx * norm_factor * t_factor * np.exp(
@@ -180,8 +177,7 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec,
     return apply
 
 
-def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec,
-                   a_override: FieldSpec | None = None):
+def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
     """The dense quadrature step on grid as a function psi -> psi(t + eps).
 
     Real constant D with constant or linear u takes the chirp-z form in
@@ -190,18 +186,17 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec,
     """
     if (spec.u.kind in ("constant", "linear")
             and spec.variant not in ("complex_d", "x_dependent_d")):
-        return _chirp_z_step(grid, eps, spec, a_override)
+        return _chirp_z_step(grid, eps, spec)
     if grid.n > MAX_DENSE_MATRIX_N:
         raise ValueError(
             f"grid.n = {grid.n} needs a {grid.n} x {grid.n} kernel matrix "
             f"({16 * grid.n ** 2 / 2 ** 30:.0f} GiB) for this spec; the dense "
             f"path allows grid.n <= {MAX_DENSE_MATRIX_N}")
-    mat = _dense_matrix(grid, eps, spec, a_override)
+    mat = _dense_matrix(grid, eps, spec)
     return lambda psi: mat @ psi
 
 
-def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
-                  a_override: FieldSpec | None = None):
+def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     """One complex-kernel step by direct quadrature over the whole grid."""
     # The spec's guards (eps, and D > 0 in the phase check's D scale) run
     # here, before any step.  The state's guards run on every state; the
@@ -219,7 +214,7 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec,
         if not report.passes:
             raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
         if apply is None:
-            apply = dense_operator(grid, eps, spec, a_override)
+            apply = dense_operator(grid, eps, spec)
         return state.replace_psi(apply(state.psi), time=state.time + eps)
 
     return step
@@ -328,7 +323,7 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     implicit = Tridiagonal(half_face, np.ones(n), -half_face)
     # the zero-order kernel carries the full du/dx weight, half of which is
     # the non-unitary surplus the T correction removes
-    surplus = (np.exp(0.5 * eps * spec.du_dx(x).real)
+    surplus = (np.exp(0.5 * eps * spec.u.derivative(x))
                if drifts and spec.order == "zero" else None)
 
     def step(state: WaveState) -> WaveState:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
@@ -93,6 +94,14 @@ def _string(choices=None):
             raise ScenarioError(f"{path}: must be one of {sorted(choices)}, got {value!r}")
         return value
     return read
+
+
+def _file_name(value, path):
+    """A bare file name: no directory part, and neither . nor .."""
+    name = _string()(value, path)
+    if os.path.dirname(name) or name in (os.curdir, os.pardir):
+        raise ScenarioError(f"{path}: must be a bare file name, got {name!r}")
+    return name
 
 
 def _numbers(count, exact=False, positive=False):
@@ -290,7 +299,7 @@ def _ladder(eps):
 # spec's variant parameters; an audit variant sets them with its variant and verdict
 _VARIANT_KEYS = {"im_d": _number(), "im_u": _number(), "d_field": parse_field}
 
-_SCENARIO = _object({"name": _string()}, {
+_SCENARIO = _object({"name": _file_name}, {  # name stems the default output names
     "grid": _object({"x_min": _number(), "x_max": _number(), "n": _integer(16, 2 ** 20)},
                     build=make_grid),  # n <= 2^20: a complex state is 16 MiB
     "packet": _section(PacketSpec),
@@ -311,7 +320,7 @@ _SCENARIO = _object({"name": _string()}, {
                           _VARIANT_KEYS))}),
     "moments": _section(MomentsSettings),
     "compare": _section(CompareSettings),
-    "outputs": _object({}, {"csv": _string(), "json": _string()}),
+    "outputs": _object({}, {"csv": _file_name, "json": _file_name}),
 })
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from gaussprop import (
     analytic_drift_rate,
     audit_packets,
     boundary_flux_check,
+    dense_stepper,
     empirical_a_scan,
     gaussian_packet,
     load_scenario,
@@ -90,7 +92,26 @@ def test_a_scan_recovers_half_the_slope():
     result = empirical_a_scan(state, 0.04, LINEAR_DRIFT, candidates)
     assert result.best == 0.2
     assert len(result.drifts) == len(candidates)
+    assert all(type(d) is float for d in result.drifts)
     assert min(result.drifts) == result.drifts[candidates.index(0.2)]
+
+
+@pytest.mark.parametrize("eps", (0.32, 0.04))
+def test_a_constant_a_scales_the_dense_step(eps):
+    """What the scan rests on: a = u' = 0.4 is the step without T times exp(-0.4 eps)."""
+    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8, k0=0.7)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), b=FieldSpec.constant(0.3))
+    without_t = dense_stepper(GRID, eps, replace(spec, variant="no_t"))(state).psi
+    endpoint = dense_stepper(GRID, eps, replace(spec, variant="endpoint_t"))(state).psi
+    expected = np.exp(-0.4 * eps) * without_t
+    assert np.linalg.norm(endpoint - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_a_scan_needs_an_admissible_spec():
+    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
+    with pytest.raises(ValueError, match="admissible"):
+        empirical_a_scan(state, 0.04, spec, [0.1, 0.2, 0.3])
 
 
 def test_a_scan_rejects_unbracketed_minimum():
@@ -157,9 +178,9 @@ def test_audit_packets_shares_one_operator_per_rung(name, monkeypatch):
     builds = []
     build = propagate.dense_operator
 
-    def counting(grid, eps, spec, a_override=None):
+    def counting(grid, eps, spec):
         builds.append(eps)
-        return build(grid, eps, spec, a_override)
+        return build(grid, eps, spec)
 
     for case in sc.audit.variants:
         alone = [audit_packets([state], case.spec, sc.eps_ladder)[0] for state in states]

@@ -296,6 +296,52 @@ def test_custom_output_names(tmp_path):
     assert (tmp_path / "a.csv").exists() and (tmp_path / "b.json").exists()
 
 
+def _tiny_moments(tmp_path, outputs):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"name": "tiny", "moments": {"pairs": [[1.0, 0.1]]},
+                                "outputs": outputs}))
+    return path
+
+
+@pytest.mark.parametrize("key", ("csv", "json"))
+@pytest.mark.parametrize("name", ("../escaped.out", "sub/escaped.out", ".", "..", "absolute"))
+def test_output_names_must_be_bare_file_names(name, key, tmp_path, capsys):
+    """A name with a directory part would write outside --out, or fail after the run."""
+    if name == "absolute":
+        name = str(tmp_path / "escaped.out")
+    out = tmp_path / "out"
+    path = _tiny_moments(tmp_path, {key: name})
+    assert cli.main(["moments", str(path), "--out", str(out)]) == 2
+    assert f"scenario.outputs.{key}: must be a bare file name" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "escaped.out").exists()
+
+
+def test_scenario_name_must_be_a_bare_file_name(tmp_path, capsys):
+    """The name stems the default output names, so it could escape --out too."""
+    out = tmp_path / "out"
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"name": "../escaped", "moments": {"pairs": [[1.0, 0.1]]}}))
+    assert cli.main(["moments", str(path), "--out", str(out)]) == 2
+    assert "scenario.name: must be a bare file name" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.glob("escaped*"))
+
+
+@pytest.mark.parametrize("outputs", (
+    {"csv": "same.txt", "json": "same.txt"},
+    {"csv": "tiny_moments.json"},  # the json default
+    {"json": "tiny_moments.csv"},  # the csv default
+), ids=("both-set", "csv-is-json-default", "json-is-csv-default"))
+def test_output_names_must_differ(outputs, tmp_path, capsys, monkeypatch):
+    """The JSON would overwrite the CSV, so nothing runs and nothing is written."""
+    ran = []
+    monkeypatch.setitem(cli._RUNNERS, "moments", lambda sc, args: ran.append(sc))
+    out = tmp_path / "out"
+    assert cli.main(["moments", str(_tiny_moments(tmp_path, outputs)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "scenario.outputs: csv and json are both named" in captured.err
+    assert captured.out == "" and ran == [] and not out.exists()
+
+
 def test_missing_file_is_a_scenario_error(tmp_path):
     assert cli.main(["evolve", str(tmp_path / "nope.json")]) == 2
 

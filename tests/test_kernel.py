@@ -5,7 +5,6 @@ from gaussprop import (
     FieldSpec,
     PropagatorSpec,
     complex_kernel,
-    normalization_constant,
     real_kernel,
     t_correction,
 )
@@ -33,21 +32,18 @@ def test_real_kernel_rejects_variants():
         real_kernel(np.zeros(3), 0.1, 0.0, spec)
 
 
+def _closed_form(eta, eps, u=0.0, t=0.0):
+    """(2 pi i D eps)^(-1/2) exp(i (eta - u eps)^2 / (2 D eps)) exp(-eps T), D = 1."""
+    return ((2j * np.pi * eps) ** -0.5 * np.exp(1j * (eta - u * eps) ** 2 / (2.0 * eps))
+            * np.exp(-eps * t))
+
+
 def test_normalization_principal_branch():
     spec = PropagatorSpec(d=1.0, order="zero")
-    k = normalization_constant(spec, 0.5, 0.0)
-    assert abs(k) == pytest.approx(np.sqrt(2.0 * np.pi * 0.5))
-    # sqrt(i) on the principal branch carries phase pi/4
-    assert np.angle(complex(k)) == pytest.approx(np.pi / 4.0)
-
-
-def test_normalization_first_order_factor():
-    x = np.array([1.0])
-    eps = 0.1
-    k0 = normalization_constant(PropagatorSpec(d=1.0, u=SPEC.u, order="zero"), eps, x)
-    k1 = normalization_constant(SPEC, eps, x)
-    t = t_correction(SPEC, x)
-    assert np.allclose(k1, k0 * (1.0 + eps * t))
+    value = complex_kernel(0.0, 0.5, 0.0, spec)
+    assert abs(value) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi * 0.5))
+    # sqrt(i) on the principal branch carries phase pi/4, so 1/K carries -pi/4
+    assert np.angle(complex(value)) == pytest.approx(-np.pi / 4.0)
 
 
 def test_t_correction_value():
@@ -72,45 +68,30 @@ def test_t_correction_refuses_zero_order():
         t_correction(PropagatorSpec(d=1.0, order="zero"), np.zeros(1))
 
 
-def test_complex_kernel_factors_multiply_to_value():
-    eta = np.linspace(-3.0, 3.0, 101)
-    ev = complex_kernel(eta, 0.25, 0.5, SPEC)
-    assert np.allclose(ev.value, ev.normalization * ev.phase_quadratic * ev.t_factor)
-
-
 def test_complex_kernel_phase_is_unimodular_and_centered():
     eta = np.linspace(-2.0, 2.0, 81)
     eps = 0.25
-    ev = complex_kernel(eta, eps, 1.0, SPEC)
-    assert np.allclose(np.abs(ev.phase_quadratic), 1.0)
-    # stationary phase sits at eta = u eps
+    value = complex_kernel(eta, eps, 1.0, SPEC)
+    # u(1) = 0.4, T = 0.2 + 0.3i
+    assert np.allclose(value, _closed_form(eta, eps, u=0.4, t=0.2 + 0.3j))
+    assert np.allclose(np.abs(value), np.abs(value[0]))
+    # stationary phase sits at eta = u eps, where only the factors remain
     idx = np.argmin(np.abs(eta - 0.4 * eps))
-    assert np.angle(ev.phase_quadratic[idx]) == pytest.approx(0.0, abs=1e-9)
+    assert value[idx] == pytest.approx(_closed_form(0.0, eps, t=0.2 + 0.3j), rel=1e-9)
 
 
 def test_complex_kernel_exponential_t_factor():
     eps = 0.2
-    ev = complex_kernel(np.zeros(1), eps, 2.0, SPEC)
-    expected = np.exp(-eps * (0.2 + 0.3j))
-    assert ev.t_factor[0] == pytest.approx(expected)
+    value = complex_kernel(np.array([0.8 * eps]), eps, 2.0, SPEC)
+    expected = (2j * np.pi * eps) ** -0.5 * np.exp(-eps * (0.2 + 0.3j))
+    assert value[0] == pytest.approx(expected)
 
 
 def test_complex_kernel_zero_order_has_unit_t_factor():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), order="zero")
-    ev = complex_kernel(np.linspace(-1, 1, 11), 0.1, 0.0, spec)
-    assert np.allclose(ev.t_factor, 1.0)
-
-
-def test_complex_kernel_a_override_changes_only_t_factor():
-    eta = np.linspace(-1.0, 1.0, 21)
-    eps = 0.1
-    base = complex_kernel(eta, eps, 1.0, SPEC)
-    moved = complex_kernel(eta, eps, 1.0, SPEC,
-                           a_override=FieldSpec.constant(0.9))
-    assert np.allclose(base.phase_quadratic, moved.phase_quadratic)
-    assert np.allclose(base.normalization, moved.normalization)
-    ratio = moved.t_factor[0] / base.t_factor[0]
-    assert ratio == pytest.approx(np.exp(-eps * (0.9 - 0.2)))
+    eta = np.linspace(-1, 1, 11)
+    value = complex_kernel(eta, 0.1, 0.0, spec)
+    assert np.allclose(value, _closed_form(eta, 0.1))
 
 
 def test_kernel_rejects_nonpositive_eps():

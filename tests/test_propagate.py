@@ -311,14 +311,6 @@ def test_chirp_z_step_matches_the_kernel_matrix(name, eps):
     assert _rel(dense_operator(AUDIT_GRID, eps, spec)(psi), expected) <= 1e-10
 
 
-def test_chirp_z_step_honours_a_constant_a_override():
-    spec = CHIRP_Z_SPECS["admissible-linear"]
-    a = FieldSpec.constant(0.13)
-    expected = _dense_matrix(AUDIT_GRID, 0.08, spec, a) @ AUDIT_PACKET.psi
-    out = dense_stepper(AUDIT_GRID, 0.08, spec, a_override=a)(AUDIT_PACKET)
-    assert _rel(out.psi, expected) <= 1e-10
-
-
 def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():
     """n = 2^16, where the n x n operator would need 64 GiB."""
     grid = make_grid(-20.0, 20.0, 2 ** 16)

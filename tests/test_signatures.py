@@ -1,8 +1,10 @@
-"""The package's shape: no time argument, no private cross-module import, no wrapper layer.
+"""The package's shape: no time argument, no private cross-module import,
+no wrapper layer, and the kernel's correction T decided in one place.
 
 Fields are static functions of x, so no signature takes a time argument.
 Each method is stepped one way, through its builder and march, and each
-module uses only the public names of the others.
+module uses only the public names of the others.  kernel.a_field alone
+decides Re T, so no signature takes an a_override.
 """
 
 import ast
@@ -100,3 +102,21 @@ def test_the_wrapper_layer_is_gone():
     for info in pkgutil.iter_modules(gaussprop.__path__):
         module = importlib.import_module(f"gaussprop.{info.name}")
         assert not set(WRAPPERS) & set(vars(module)), info.name
+
+
+# the second ways of deciding or reading T, deleted for good
+KERNEL_LEFTOVERS = ("KernelEvaluation", "normalization_constant", "_a_value")
+
+
+def test_t_is_decided_in_one_place():
+    found = _callables()
+    assert {"kernel.complex_kernel", "kernel.source_factors", "propagate.dense_operator",
+            "propagate.dense_stepper"} <= set(found)
+    assert sorted(name for name, obj in found.items() if "a_override" in _parameters(obj)) == []
+    assert not set(KERNEL_LEFTOVERS) & set(gaussprop.__all__)
+    assert not [name for name in KERNEL_LEFTOVERS if hasattr(gaussprop, name)]
+    for info in pkgutil.iter_modules(gaussprop.__path__):
+        module = importlib.import_module(f"gaussprop.{info.name}")
+        assert not set(KERNEL_LEFTOVERS) & set(vars(module)), info.name
+    assert "fields.PropagatorSpec.du_dx" not in found
+    assert not hasattr(gaussprop.PropagatorSpec, "du_dx")
