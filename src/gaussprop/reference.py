@@ -29,15 +29,23 @@ round-off and the implicit (backward Euler) step keeps P nonnegative
 
 Each oracle LU-factors its implicit tridiagonal operator once (LAPACK gttrf),
 so a step is one O(n) gttrs solve, streamed by propagate.march to the final state.
+
+For constant D, constant or linear u and constant, linear or quadratic b the
+Schrodinger state of a Gaussian packet is known in closed form (exact_state),
+with neither a time step nor a spatial stencil: in 1D A = Lambda' is a pure
+gauge, phi = b - A^2/(2m) is quadratic, and a Gaussian stays Gaussian
+(Heller 1975, J. Chem. Phys. 62, 1544; Littlejohn 1986, Phys. Rep. 138, 193).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldSpec, Grid, PropagatorSpec, RealState, WaveState
+from .fields import (FieldSpec, Grid, PropagatorSpec, RealState, WaveState,
+                     check_boundary_decay)
 from .propagate import Tridiagonal
 
 
@@ -145,6 +153,96 @@ def cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
                                  time=state.time + eps)
 
     return step
+
+
+def has_exact_state(spec: PropagatorSpec) -> bool:
+    """Whether exact_state accepts spec: the admissible variant (so a constant
+    D), u constant or linear and b constant, linear or quadratic, which make
+    phi = b - A^2/(2m) quadratic."""
+    return (spec.is_admissible() and spec.u.kind in ("constant", "linear")
+            and spec.b.kind in ("constant", "linear", "quadratic"))
+
+
+def _polynomial(f: FieldSpec) -> tuple[float, float, float]:
+    """(c0, c1, c2) with f(x) = c0 + c1 x + c2 x^2, for a constant, linear or quadratic preset."""
+    return {"constant": (f.c, 0.0, 0.0), "linear": (0.0, f.slope, 0.0),
+            "quadratic": (0.0, 0.0, f.c)}[f.kind]
+
+
+def _fundamental(omega2: float, time: float) -> tuple[float, float, float, float]:
+    """c, s and the integrals of s and s^2 from 0 to time, where c and s solve
+    y'' = -omega2 y with c(0) = s'(0) = 1 and c'(0) = s(0) = 0."""
+    t = time
+    z = -omega2 * t * t
+    if abs(z) < 1.0:  # each is t^p times a series in z; the closed forms cancel here
+        terms = range(12)
+        return (sum(z ** j / math.factorial(2 * j) for j in terms),
+                t * sum(z ** j / math.factorial(2 * j + 1) for j in terms),
+                t ** 2 * sum(z ** j / math.factorial(2 * j + 2) for j in terms),
+                t ** 3 * sum(2.0 * (4.0 * z) ** j / math.factorial(2 * j + 3) for j in terms))
+    if omega2 > 0.0:
+        om = math.sqrt(omega2)
+        c, s = math.cos(om * t), math.sin(om * t) / om
+    else:
+        ka = math.sqrt(-omega2)
+        c, s = math.cosh(ka * t), math.sinh(ka * t) / ka
+    return c, s, (1.0 - c) / omega2, (t - s * c) / (2.0 * omega2)
+
+
+def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
+                k0: float, time: float) -> WaveState:
+    """The exact Schrodinger state at time of gaussian_packet(grid, x0, sigma0, k0).
+
+    The gauge Lambda = m (u0 x + u1 x^2/2) turns H into p^2/(2m) + v0 + v1 x
+    + v2 x^2, under which chi = exp(alpha x^2 + beta x + gamma) stays closed:
+    alpha = (im/2) w'/w with w'' + (2 v2/m) w = 0, (w beta)' = -i v1 w and
+    gamma' = i beta^2/(2m) - w'/(2w) - i v0.  With the fundamental solutions
+    c, s (c(0) = s'(0) = 1) every time integral is closed in c and s, and
+    log w follows its branch continuously in time.  gamma at time 0 carries
+    the packet's discrete normalization, so time 0 gives the built packet to
+    round-off.  Raises ValueError for a spec outside has_exact_state's class,
+    and BoundaryDecayError if the state has reached the grid edges.
+    """
+    if not has_exact_state(spec):
+        raise ValueError("the exact state needs the admissible variant, u constant or "
+                         "linear and b constant, linear or quadratic; got "
+                         f"{spec.variant}, u {spec.u.kind}, b {spec.b.kind}")
+    if not sigma0 > 0.0:
+        raise ValueError(f"sigma0 must be > 0, got {sigma0}")
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
+    m = 1.0 / spec.d
+    u0, u1, _ = _polynomial(spec.u)
+    b0, b1, b2 = _polynomial(spec.b)
+    v0, v1, v2 = b0 - 0.5 * m * u0 ** 2, b1 - m * u0 * u1, b2 - 0.5 * m * u1 ** 2
+    x = grid.x
+    scale = math.sqrt(float(np.sum(np.exp(-(x - x0) ** 2 / (2.0 * sigma0 ** 2)))) * grid.dx)
+    alpha0 = complex(-0.25 / sigma0 ** 2, -0.5 * m * u1)  # the packet times e^{-i Lambda}
+    beta0 = complex(0.5 * x0 / sigma0 ** 2, k0 - m * u0)
+    gamma0 = -0.25 * x0 ** 2 / sigma0 ** 2 - math.log(scale)
+
+    t, omega2 = time, 2.0 * v2 / m
+    c, s, s1, q = _fundamental(omega2, t)
+    # w turns half a period about 0 each pi/omega when omega2 > 0
+    half_turns = round(math.sqrt(omega2) * t / math.pi) if omega2 > 0.0 else 0
+    dw0 = -2j * alpha0 / m
+    w, dw = c + dw0 * s, -omega2 * s + dw0 * c
+    big_w = s + dw0 * s1  # the integral of w
+    # (-1)^n w with n = half_turns never crosses the negative real axis
+    turned = -w if half_turns % 2 else w
+    log_w = complex(math.log(abs(w)), math.atan2(turned.imag, turned.real) + math.pi * half_turns)
+    beta = (beta0 - 1j * v1 * big_w) / w
+    # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
+    i0 = s / w
+    i1 = big_w * s / w - s1
+    i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
+    beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
+    gamma = gamma0 - 0.5 * log_w - 1j * v0 * t + 0.5j / m * beta_sq
+    alpha = 0.5j * m * dw / w + 0.5j * m * u1  # times e^{i Lambda}
+    beta = beta + 1j * m * u0
+    state = WaveState(grid, np.exp((alpha * x + beta) * x + gamma), time=t)
+    check_boundary_decay(state)
+    return state
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

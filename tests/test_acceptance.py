@@ -25,6 +25,7 @@ from gaussprop import (
     density_stepper,
     diffusion_stepper,
     empirical_a_scan,
+    exact_state,
     fresnel_moment,
     gaussian_packet,
     hamiltonian_diagonals,
@@ -131,8 +132,9 @@ def test_criterion_05_falsification_variants():
 
 
 def test_criterion_06_schrodinger_agreement():
-    """Harmonic phi = x^2/2 with A = 0.3 x: first-order convergence to the
-    integrator at t = 1, plus exact operator identities."""
+    """Harmonic phi = x^2/2 with A = 0.3 x: first-order convergence at t = 1 to
+    the integrator and to the exact Gaussian state, plus exact operator
+    identities."""
     grid = make_grid(-20.0, 20.0, 4096)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3),
                           b=FieldSpec.quadratic(0.545))
@@ -147,15 +149,22 @@ def test_criterion_06_schrodinger_agreement():
     herm = hermiticity_check(ham, grid)
 
     ref = last(march(state, 2000, cn_stepper(grid, 5e-4, ham)))
+    exact = exact_state(grid, spec, 0.0, 1.5, 1.0, 1.0)
     ladder = (0.02, 0.01, 0.005, 0.0025)
-    errors = []
+    errors, exact_errors = [], []
     for eps in ladder:
         final = last(march(state, round(1.0 / eps), spectral_stepper(grid, eps, spec)))
         errors.append(np.sqrt(np.sum(np.abs(final.psi - ref.psi) ** 2) * grid.dx))
+        exact_errors.append(np.sqrt(np.sum(np.abs(final.psi - exact.psi) ** 2) * grid.dx))
     slope = float(np.polyfit(np.log(ladder), np.log(errors), 1)[0])
-    print(f"[acceptance] 6: L2 slope {slope:.3f} (1 +- 0.3), rhs gap "
+    exact_slope = float(np.polyfit(np.log(ladder), np.log(exact_errors), 1)[0])
+    print(f"[acceptance] 6: L2 slope {slope:.3f} (1 +- 0.3), against the exact "
+          f"state {exact_slope:.3f} (1 +- 0.01), rhs gap "
           f"{rhs_gap:.2e} (<= 1e-10), hermiticity {herm:.2e} (<= 1e-12)")
     assert slope == pytest.approx(1.0, abs=0.3)
+    # CN's own spatial floor (1.3e-4) bends its slope to 0.985; the exact
+    # state has none, so the first order shows undiluted
+    assert exact_slope == pytest.approx(1.0, abs=0.01)
     assert rhs_gap <= 1e-10
     assert herm <= 1e-12
 

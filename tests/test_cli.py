@@ -99,9 +99,13 @@ def test_walk_outputs_are_unchanged(extra, tmp_path):
 # sha256 of (csv, json) and the exit code, recorded before the tridiagonal solves
 # were factored once per evolution and the moment orders shared their chirps
 SHIPPED_SHA256 = {
+    # re-recorded when compare took the exact Gaussian state as its reference
+    # for a quadratic Hamiltonian instead of 2,000 CN steps: the errors are
+    # 1.7325e-2, 8.653e-3, 4.313e-3 and 2.142e-3 (slope 0.985 -> 1.005), and
+    # the summary gained reference and local_slopes, with eps_ref null
     ("compare", "compare_default"): (
-        0, "74796e2a13603f6a7ba7e7aabb91ec0e9abcab11ae124587acb85ee82727ad99",
-        "750fbe9e9f13e18d7cd559f429bc55fa9401395a2c40128542ac475bac51500a"),
+        0, "20a0f241416ffe7780f69f84192e332f6a7a4b022d3b89102d3096ee7789a347",
+        "81752f97b36dc7d06bd9846b20e8943597c45dd6ca3f5110f11812437deab556"),
     ("evolve", "harmonic"): (
         0, "a12c45a527d046f1d8f9f4efbe96bfe4ea823a76d719cd56f38acf00bfd95c45",
         "2be1279b05ea646a81780bfe0af94d5f0c8f77c3c7b5861ace538727a9ec830b"),
@@ -268,6 +272,38 @@ def test_compare_scenario(tmp_path):
     lo, hi = summary["slope_band"]
     assert lo <= summary["slope"] <= hi
     assert summary["l2_errors"] == sorted(summary["l2_errors"], reverse=True)
+    assert summary["reference"] == "exact"
+    assert summary["eps_ref"] is None  # the CN fallback's step, unused here
+    assert len(summary["local_slopes"]) == len(summary["eps_ladder"]) - 1
+    assert all(lo <= s <= hi for s in summary["local_slopes"])
+
+
+def test_compare_falls_back_to_cn_outside_the_quadratic_class(tmp_path, capsys):
+    """A sine drift has no closed-form state: the CN march is the reference."""
+    data = {"name": "sine", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256},
+            "packet": {"sigma0": 1.0, "k0": 0.5},
+            "spec": {"d": 1.0, "u": {"kind": "sine", "amplitude": 0.3, "wavenumber": 0.5}},
+            "schedule": {"eps_ladder": [0.1, 0.05]}, "method": "spectral",
+            "compare": {"t_final": 0.5}}
+    path = tmp_path / "sine.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "sine_compare.json").read_text())
+    assert summary["reference"] == "cn"
+    assert summary["eps_ref"] == pytest.approx(0.01)  # the smallest rung / 5
+    assert "against the eps=0.01 CN reference" in capsys.readouterr().out
+
+
+def test_compare_exits_three_when_the_exact_state_reaches_the_edges(tmp_path, capsys):
+    """A narrow free packet spreads past a small grid by t_final."""
+    data = {**COMPARE_BASE, "packet": {"sigma0": 0.3},
+            "schedule": {"eps_ladder": [0.5, 0.25]}, "compare": {"t_final": 5.0}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "state has not decayed at the grid edges" in err
+    assert "aborted at step" not in err  # the reference, before any ladder step
 
 
 def test_reruns_are_byte_identical(tmp_path):

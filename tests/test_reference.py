@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from gaussprop import (
+    VARIANTS,
+    BoundaryDecayError,
     FieldSpec,
     HamiltonianSpec,
     PropagatorSpec,
     RealState,
     cn_stepper,
     diffusion_stepper,
+    exact_state,
     gaussian_packet,
     hamiltonian_diagonals,
+    has_exact_state,
     hermiticity_check,
     last,
     make_grid,
@@ -170,3 +174,157 @@ def test_ornstein_uhlenbeck_steady_variance():
     mass, _, var = moments(last(march(state, 200, diffusion_stepper(grid, 0.05, spec))))
     assert var == pytest.approx(0.5, rel=5e-3)
     assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+# the compare_default Hamiltonian: A = 0.3 x and phi = x^2/2, so omega = 1
+HARMONIC = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.545))
+WIDE = make_grid(-20.0, 20.0, 4096)
+# (spec, omega^2 = 2 D v2, v1) over the class, phi = v0 + v1 x + v2 x^2
+EXACT_CASES = {
+    "harmonic": (HARMONIC, 1.0, 0.0),
+    "free": (PropagatorSpec(d=1.0), 0.0, 0.0),
+    "linear-force": (PropagatorSpec(d=0.7, u=FieldSpec.constant(0.4),
+                                    b=FieldSpec.linear(0.3)), 0.0, 0.3),
+    "inverted": (PropagatorSpec(d=1.3, b=FieldSpec.quadratic(-0.2)), -0.52, 0.0),
+    "inverted-force": (PropagatorSpec(d=1.0, u=FieldSpec.linear(0.5),
+                                      b=FieldSpec.linear(0.3)), -0.25, 0.3),
+    "shifted": (PropagatorSpec(d=0.8, u=FieldSpec.constant(-0.6),
+                               b=FieldSpec.quadratic(0.4)), 0.64, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_state_at_time_zero_is_the_packet(case):
+    spec = EXACT_CASES[case][0]
+    packet = gaussian_packet(WIDE, x0=0.5, sigma0=1.5, k0=1.0)
+    state = exact_state(WIDE, spec, 0.5, 1.5, 1.0, 0.0)
+    assert state.time == 0.0
+    assert np.max(np.abs(state.psi - packet.psi)) <= 1e-14
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_state_keeps_the_grid_norm(case):
+    state = exact_state(WIDE, EXACT_CASES[case][0], 0.5, 1.5, 1.0, 1.0)
+    assert abs(norm(state) - 1.0) <= 1e-13
+
+
+def _classical(omega2, t):
+    """c, s and the integral of s, where c and s solve x'' = -omega2 x with
+    c(0) = s'(0) = 1 and c'(0) = s(0) = 0; half angles keep the last exact."""
+    if omega2 > 0.0:
+        om = np.sqrt(omega2)
+        return np.cos(om * t), np.sin(om * t) / om, 2.0 * (np.sin(0.5 * om * t) / om) ** 2
+    if omega2 < 0.0:
+        ka = np.sqrt(-omega2)
+        return np.cosh(ka * t), np.sinh(ka * t) / ka, 2.0 * (np.sinh(0.5 * ka * t) / ka) ** 2
+    return 1.0, t, 0.5 * t ** 2
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_state_follows_the_classical_mean(case):
+    """Ehrenfest is exact for a quadratic H: x'' + omega^2 x = -v1/m, with
+    m x'(0) = <p - A> = k0 - m u(x0) for the packet."""
+    spec, omega2, v1 = EXACT_CASES[case]
+    m, x0, k0, t = 1.0 / spec.d, 0.5, 1.0, 1.0
+    c, s, forced = _classical(omega2, t)
+    expected = x0 * c + (k0 / m - spec.u(np.array([x0]))[0]) * s - v1 / m * forced
+    _, mean, _ = moments(exact_state(WIDE, spec, x0, 1.5, k0, t))
+    assert mean == pytest.approx(expected, abs=1e-10)
+
+
+def test_exact_state_is_continuous_as_omega_goes_to_zero():
+    """u = 1e-10 x gives omega^2 = -1e-20: the state differs from u = 0 by
+    the gauge e^(i 1e-10 x^2/2) and the momentum shift, both <= 1e-8."""
+    force = FieldSpec.linear(0.3)
+    free = exact_state(WIDE, PropagatorSpec(d=1.0, b=force), 0.5, 1.5, 1.0, 2.0)
+    near = exact_state(WIDE, PropagatorSpec(d=1.0, u=FieldSpec.linear(1e-10), b=force),
+                       0.5, 1.5, 1.0, 2.0)
+    assert np.max(np.abs(near.psi - free.psi)) <= 1e-8
+
+
+def test_exact_state_spreads_the_free_packet():
+    """psi = (1 + 2iaDt)^(-1/2) exp(-a (x - x0 - D k0 t)^2/(1 + 2iaDt) + i k0 x
+    - i D k0^2 t/2) times the packet's normalization, a = 1/(4 sigma0^2)."""
+    spec, x0, sigma0, k0, t = PropagatorSpec(d=0.8), -1.0, 1.2, 0.9, 2.5
+    x, a = WIDE.x, 0.25 / sigma0 ** 2
+    packet = gaussian_packet(WIDE, x0, sigma0, k0)
+    scale = packet.psi / np.exp(-a * (x - x0) ** 2 + 1j * k0 * x)
+    spread = 1.0 + 2j * a * spec.d * t
+    expected = (scale / np.sqrt(spread)
+                * np.exp(-a * (x - x0 - spec.d * k0 * t) ** 2 / spread + 1j * k0 * x
+                         - 0.5j * spec.d * k0 ** 2 * t))
+    state = exact_state(WIDE, spec, x0, sigma0, k0, t)
+    assert np.max(np.abs(state.psi - expected)) <= 1e-13
+
+
+def test_exact_state_opens_the_inverted_oscillator():
+    """phi = -0.2 x^2 (b's x^2 coefficient negative) drives the width apart:
+    var = sigma0^2 cosh^2(kt) + (D sinh(kt)/(2 sigma0 k))^2 with k^2 = -2 D v2."""
+    spec, sigma0, t = EXACT_CASES["inverted"][0], 1.0, 1.5
+    kappa = np.sqrt(-2.0 * spec.d * spec.b.c)
+    expected = ((sigma0 * np.cosh(kappa * t)) ** 2
+                + (spec.d * np.sinh(kappa * t) / (2.0 * sigma0 * kappa)) ** 2)
+    _, _, var = moments(exact_state(WIDE, spec, 0.5, sigma0, 1.0, t))
+    assert var == pytest.approx(expected, rel=1e-10)
+    assert var > 2.0 * sigma0 ** 2  # a packet trapped by +0.2 x^2 would breathe
+
+
+def test_exact_state_tracks_the_branch_of_the_square_root():
+    """For phi = x^2/2 and m = 1, psi(pi) = -i psi0(-x), psi(2 pi) = -psi0 and
+    psi(5 pi) = -i psi0(-x); on the grid -x_j is x_(n-j)."""
+    grid = make_grid(-10.0, 10.0, 1024)
+    spec = PropagatorSpec(d=1.0, b=FieldSpec.quadratic(0.5))
+    psi0 = gaussian_packet(grid, x0=1.0, sigma0=0.7, k0=0.5).psi
+    mirrored = psi0[:0:-1]  # psi0(-x_j) for j = 1..n-1
+    for t, expected in ((np.pi, -1j * mirrored), (2.0 * np.pi, -psi0[1:]),
+                        (5.0 * np.pi, -1j * mirrored)):
+        psi = exact_state(grid, spec, 1.0, 0.7, 0.5, t).psi
+        assert np.max(np.abs(psi[1:] - expected)) <= 1e-13, t
+
+
+@pytest.mark.parametrize("spec", [
+    PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0)),
+    PropagatorSpec(d=1.0, b=FieldSpec.tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="complex_d", im_d=0.1),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="complex_u", im_u=0.1),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="x_dependent_d",
+                   d_field=FieldSpec.constant(1.0)),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="endpoint_t"),
+    PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t"),
+], ids=("sine-u", "tabulated-b", *VARIANTS[1:]))
+def test_exact_state_refuses_specs_outside_the_class(spec):
+    assert not has_exact_state(spec)
+    with pytest.raises(ValueError):
+        exact_state(WIDE, spec, 0.0, 1.5, 1.0, 1.0)
+
+
+def test_exact_state_refuses_a_state_at_the_edges():
+    with pytest.raises(BoundaryDecayError):
+        exact_state(make_grid(-5.0, 5.0, 256), PropagatorSpec(d=1.0), 0.0, 0.3, 0.0, 5.0)
+
+
+def _cn_error(n, eps):
+    grid = make_grid(-20.0, 20.0, n)
+    start = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0)
+    final = last(march(start, round(1.0 / eps),
+                       cn_stepper(grid, eps, to_hamiltonian(HARMONIC, grid))))
+    gap = final.psi - exact_state(grid, HARMONIC, 0.0, 1.5, 1.0, 1.0).psi
+    return np.sqrt(np.sum(np.abs(gap) ** 2) * grid.dx)
+
+
+def test_cn_converges_to_the_exact_state_at_second_order_in_eps():
+    """At compare_default's dx = 0.0098 CN's spatial floor, 1.3e-4, is 15% of
+    the eps = 0.00625 error and bends the fit to 1.89; at a 4x finer dx the
+    floor is 16x smaller and the time error alone is left."""
+    ladder = (0.025, 0.0125, 0.00625)
+    errors = [_cn_error(4 * 4096, eps) for eps in ladder]
+    order = float(np.polyfit(np.log(ladder), np.log(errors), 1)[0])
+    assert order == pytest.approx(2.0, abs=0.05)
+
+
+def test_cn_converges_to_the_exact_state_at_second_order_in_dx():
+    """At eps = 1e-3 the second differences' error dominates for dx >= 0.039."""
+    ns = (256, 512, 1024)
+    errors = [_cn_error(n, 1e-3) for n in ns]
+    order = float(np.polyfit(np.log([40.0 / n for n in ns]), np.log(errors), 1)[0])
+    assert order == pytest.approx(2.0, abs=0.05)
