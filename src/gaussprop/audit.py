@@ -133,14 +133,12 @@ class AuditReport:
     drifts: tuple          # signed norm change per step, one per eps
     fitted_order: float
     predicted_rate: float
-    verdict: str
 
-    def __post_init__(self):
-        expected = ("conserves" if self.fitted_order
-                    >= CONSERVE_ORDER - DRIFT_ORDER_MARGIN else "drifts")
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} contradicts fitted "
-                             f"order {self.fitted_order:.3f}")
+    @property
+    def verdict(self) -> str:
+        """conserves from a fitted order of CONSERVE_ORDER - DRIFT_ORDER_MARGIN up."""
+        return ("conserves" if self.fitted_order >= CONSERVE_ORDER - DRIFT_ORDER_MARGIN
+                else "drifts")
 
     def __str__(self):
         return (f"{self.variant}: order {self.fitted_order:.3f}, "
@@ -183,13 +181,10 @@ def _audit_report(state: WaveState, spec: PropagatorSpec, ladder: list,
     else:
         order = float(np.polyfit(np.log(ladder),
                                  np.log(np.maximum(mags, 1e-300)), 1)[0])
-    verdict = ("conserves" if order >= CONSERVE_ORDER - DRIFT_ORDER_MARGIN
-               else "drifts")
     return AuditReport(variant=spec.variant, eps_ladder=tuple(ladder),
                        drifts=tuple(float(d) for d in drifts),
                        fitted_order=order,
-                       predicted_rate=predicted_drift_rate(state, spec),
-                       verdict=verdict)
+                       predicted_rate=predicted_drift_rate(state, spec))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ is invalid or incomplete for the command, 3 the run aborted for a physics
 reason (kernel phase unresolvable, packet reached the grid edge).
 
 compare measures the kernel steps against the exact Gaussian state when the
-spec has one (constant D, constant or linear u, constant, linear or quadratic
-b; reference.exact_state) and against a Crank-Nicolson march of step eps_ref
+spec has one (constant D, u of degree <= 1 and b a polynomial;
+reference.exact_state) and against a Crank-Nicolson march of step eps_ref
 otherwise.  The input decides; eps_ref is checked for every spec all the same.
 
 Output locations: --out wins, then the GAUSSPROP_OUT environment
@@ -38,7 +38,7 @@ from .fresnel import (MOMENT_ORDERS, RegularizedQuadrature, cancellation_check,
 from .propagate import METHODS, ValidityError, last, march, wave_stepper
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
-from .walk import MIN_HISTOGRAM_PARTICLES, histogram_compare, sample_paths
+from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
 
 
 @dataclass
@@ -203,10 +203,7 @@ def _run_walk(sc: Scenario, args) -> RunResult:
         for i in range(len(comparison.density))
     ]
     t = ensemble.time
-    expected_mean = expected_var = None
-    if sc.spec.u.is_constant():
-        expected_mean = ws.x0 + float(sc.spec.u(np.zeros(1))[0]) * t
-        expected_var = sc.spec.d * t
+    expected_mean, expected_var = gaussian_law(ensemble, sc.spec) or (None, None)
     summary = {
         "command": "walk",
         "scenario": sc.name,

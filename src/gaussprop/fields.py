@@ -12,8 +12,8 @@ first-order normalized kernel carrying the T = u'/2 + i b correction), and a
 falsification variant used by the audit module to break norm conservation on
 purpose (complex D, complex u, x-dependent D, endpoint or missing T factor).
 
-Field presets (constant, linear, sine, tabulated) are closed under d/dx, so
-the correction field a(x) = u'(x)/2 of any preset drift is again a preset.
+Field kinds (polynomial of degree <= 2, sine, tabulated) are closed under
+d/dx, so the correction field a(x) = u'(x)/2 of any drift is again a field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import numpy as np
 # States fed to a propagation step must satisfy |psi(edge)| < RATIO * max|psi|.
 BOUNDARY_DECAY_RATIO = 1e-6
 
-FIELD_KINDS = ("constant", "linear", "quadratic", "sine", "tabulated")
+FIELD_KINDS = ("polynomial", "sine", "tabulated")
+# c * x^p as one numpy operation each, so a one-term polynomial keeps its preset's bits
+_TERMS = (lambda c, x: np.full_like(x, c), lambda c, x: c * x, lambda c, x: c * x ** 2)
 # a tabulated field's derivative uses second-order stencils on three samples
 MIN_TABLE_SAMPLES = 3
 ORDERS = ("zero", "first")
@@ -81,14 +83,15 @@ def make_grid(x_min: float, x_max: float, n: int) -> Grid:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Static scalar field of x: a named analytic preset or tabulated samples.
+    """Static scalar field of x: a polynomial, a sine or tabulated samples.
 
+    The constant, linear and quadratic presets are one polynomial kind whose
+    coeffs hold the x^0, x^1, x^2 coefficients with trailing zeros dropped.
     Evaluation is total on the grid interval and vectorized over x.
     """
 
     kind: str
-    c: float = 0.0                    # constant value; quadratic: c * x^2
-    slope: float = 0.0                # linear:  slope * x
+    coeffs: tuple = ()                # polynomial: sum of coeffs[p] * x^p
     amplitude: float = 0.0            # sine:    amplitude * sin(wavenumber*x + phase)
     wavenumber: float = 0.0
     phase: float = 0.0
@@ -98,6 +101,11 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = coeffs[:max((p + 1 for p, c in enumerate(coeffs) if c), default=0)]
+        if len(coeffs) > 3:
+            raise ValueError(f"a polynomial field has degree <= 2, got coefficients {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
         if self.kind == "tabulated":
             if self.xs is None or self.values is None:
                 raise ValueError("tabulated field needs xs and values")
@@ -116,16 +124,16 @@ class FieldSpec:
             object.__setattr__(self, "values", values)
 
     @classmethod
-    def constant(cls, c: float) -> "FieldSpec":
-        return cls("constant", c=float(c))
+    def constant(cls, c: float = 0.0) -> "FieldSpec":
+        return cls("polynomial", coeffs=(c,))
 
     @classmethod
     def linear(cls, slope: float) -> "FieldSpec":
-        return cls("linear", slope=float(slope))
+        return cls("polynomial", coeffs=(0.0, slope))
 
     @classmethod
     def quadratic(cls, c: float) -> "FieldSpec":
-        return cls("quadratic", c=float(c))
+        return cls("polynomial", coeffs=(0.0, 0.0, c))
 
     @classmethod
     def sine(cls, amplitude: float, wavenumber: float, phase: float = 0.0) -> "FieldSpec":
@@ -137,14 +145,16 @@ class FieldSpec:
         return cls("tabulated", xs=np.asarray(xs, dtype=float),
                    values=np.asarray(values, dtype=float))
 
+    @property
+    def degree(self) -> int | None:
+        """The polynomial degree, -1 for the zero polynomial; None for a sine or table."""
+        return len(self.coeffs) - 1 if self.kind == "polynomial" else None
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.c)
-        if self.kind == "linear":
-            return self.slope * x
-        if self.kind == "quadratic":
-            return self.c * x ** 2
+        if self.kind == "polynomial":
+            terms = [_TERMS[p](c, x) for p, c in enumerate(self.coeffs) if c]
+            return sum(terms[1:], terms[0]) if terms else np.zeros_like(x)
         if self.kind == "sine":
             return self.amplitude * np.sin(self.wavenumber * x + self.phase)
         # tabulated: clamp to edge values outside the sample range
@@ -156,12 +166,8 @@ class FieldSpec:
 
     def derivative_field(self) -> "FieldSpec":
         """The derivative as another FieldSpec (the preset family is closed)."""
-        if self.kind == "constant":
-            return FieldSpec.constant(0.0)
-        if self.kind == "linear":
-            return FieldSpec.constant(self.slope)
-        if self.kind == "quadratic":
-            return FieldSpec.linear(2.0 * self.c)
+        if self.kind == "polynomial":
+            return FieldSpec("polynomial", coeffs=[p * c for p, c in enumerate(self.coeffs)][1:])
         if self.kind == "sine":
             return FieldSpec.sine(self.amplitude * self.wavenumber, self.wavenumber,
                                   self.phase + 0.5 * np.pi)
@@ -169,23 +175,15 @@ class FieldSpec:
         return FieldSpec.tabulated(self.xs, np.gradient(self.values, self.xs, edge_order=2))
 
     def scaled(self, factor: float) -> "FieldSpec":
-        if self.kind == "constant":
-            return FieldSpec.constant(factor * self.c)
-        if self.kind == "linear":
-            return FieldSpec.linear(factor * self.slope)
-        if self.kind == "quadratic":
-            return FieldSpec.quadratic(factor * self.c)
+        if self.kind == "polynomial":
+            return FieldSpec("polynomial", coeffs=tuple(factor * c for c in self.coeffs))
         if self.kind == "sine":
             return FieldSpec.sine(factor * self.amplitude, self.wavenumber, self.phase)
         return FieldSpec.tabulated(self.xs, factor * self.values)
 
     def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "linear":
-            return self.slope == 0.0
-        if self.kind == "quadratic":
-            return self.c == 0.0
+        if self.kind == "polynomial":
+            return len(self.coeffs) <= 1
         if self.kind == "sine":
             return self.amplitude == 0.0
         return bool(np.all(self.values == self.values[0]))

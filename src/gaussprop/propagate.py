@@ -12,16 +12,16 @@ does, which is why every state fed to a step must satisfy the boundary-decay
 invariant.
 
 dense_operator builds this step once per (grid, eps, spec).  For real
-constant D with a constant or linear drift u, the drifted sources
+constant D with a drift u of degree <= 1, the drifted sources
 y_k = x_k - u(x_k) eps again lie on a uniform grid, and the phase
 (x_k - x_j - u_k eps)^2 = (y_k - x_j)^2 makes the sum a chirp-z transform:
 a column chirp, a convolution with the chirp of the index lag done by FFT,
 and a row chirp (Rabiner, Schafer & Rader 1969; Bluestein 1970).  That is
 O(n log n) time and O(n) memory per step.  complex_u's constant imaginary
-drift enters as real row and column factors.  Sine, quadratic and tabulated
+drift enters as real row and column factors.  Sine, degree-2 and tabulated
 drifts, x-dependent D and complex D apply the n x n kernel matrix, which is
 also the reference the factored form is tested against; it is built only for
-grid.n <= MAX_DENSE_MATRIX_N.
+grid.n <= MAX_DENSE_MATRIX_N, as is the density step's real matrix.
 
 The quadrature can only resolve the kernel's quadratic phase when adjacent
 grid samples advance it by at most pi: max |eta| * dx / (D eps) <= pi.
@@ -75,8 +75,8 @@ from .kernel import complex_kernel, real_kernel, source_factors
 # the wave-stepping methods: the dense quadrature and the factorized kernel
 METHODS = ("dense", "spectral")
 
-# the largest grid.n the n x n kernel matrix is built for: 1 GiB of complex
-# entries kept (about 3.5 GiB at the peak of its build)
+# the largest grid.n an n x n kernel matrix is built for: 1 GiB of complex
+# entries kept (about 3.5 GiB at the peak of its build), half that for real
 MAX_DENSE_MATRIX_N = 2 ** 13
 
 
@@ -131,6 +131,13 @@ def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
     return _phase_report(grid, eps, _d_scale(grid, spec), state)
 
 
+def _check_matrix_size(grid: Grid, entry_bytes: int, path: str) -> None:
+    if grid.n > MAX_DENSE_MATRIX_N:
+        raise ValueError(f"grid.n = {grid.n} needs a {grid.n} x {grid.n} kernel matrix "
+                         f"({entry_bytes * grid.n ** 2 / 2 ** 30:.0f} GiB); the {path} "
+                         f"allows grid.n <= {MAX_DENSE_MATRIX_N}")
+
+
 def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec) -> np.ndarray:
     x = grid.x
     eta = x[None, :] - x[:, None]
@@ -180,18 +187,14 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
 def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
     """The dense quadrature step on grid as a function psi -> psi(t + eps).
 
-    Real constant D with constant or linear u takes the chirp-z form in
+    Real constant D with u of degree <= 1 takes the chirp-z form in
     O(n log n); every other spec applies the n x n kernel matrix, for
     grid.n <= MAX_DENSE_MATRIX_N only.
     """
-    if (spec.u.kind in ("constant", "linear")
+    if (spec.u.degree is not None and spec.u.degree <= 1
             and spec.variant not in ("complex_d", "x_dependent_d")):
         return _chirp_z_step(grid, eps, spec)
-    if grid.n > MAX_DENSE_MATRIX_N:
-        raise ValueError(
-            f"grid.n = {grid.n} needs a {grid.n} x {grid.n} kernel matrix "
-            f"({16 * grid.n ** 2 / 2 ** 30:.0f} GiB) for this spec; the dense "
-            f"path allows grid.n <= {MAX_DENSE_MATRIX_N}")
+    _check_matrix_size(grid, 16, "dense path for this spec")
     mat = _dense_matrix(grid, eps, spec)
     return lambda psi: mat @ psi
 
@@ -349,6 +352,7 @@ def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
         raise ValidityError(
             f"real kernel width {width:.3g} under-resolved by dx={grid.dx:.3g} "
             "(need sqrt(D eps) >= 2 dx)")
+    _check_matrix_size(grid, 8, "density step")
     x = grid.x
     mat = None
 

@@ -30,7 +30,7 @@ round-off and the implicit (backward Euler) step keeps P nonnegative
 Each oracle LU-factors its implicit tridiagonal operator once (LAPACK gttrf),
 so a step is one O(n) gttrs solve, streamed by propagate.march to the final state.
 
-For constant D, constant or linear u and constant, linear or quadratic b the
+For constant D, u of degree <= 1 and b a polynomial (FieldSpec.degree) the
 Schrodinger state of a Gaussian packet is known in closed form (exact_state),
 with neither a time step nor a spatial stencil: in 1D A = Lambda' is a pure
 gauge, phi = b - A^2/(2m) is quadratic, and a Gaussian stays Gaussian
@@ -157,16 +157,14 @@ def cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
 
 def has_exact_state(spec: PropagatorSpec) -> bool:
     """Whether exact_state accepts spec: the admissible variant (so a constant
-    D), u constant or linear and b constant, linear or quadratic, which make
+    D), u a polynomial of degree <= 1 and b a polynomial, which make
     phi = b - A^2/(2m) quadratic."""
-    return (spec.is_admissible() and spec.u.kind in ("constant", "linear")
-            and spec.b.kind in ("constant", "linear", "quadratic"))
+    return (spec.is_admissible() and spec.u.degree is not None and spec.u.degree <= 1
+            and spec.b.degree is not None)
 
 
-def _polynomial(f: FieldSpec) -> tuple[float, float, float]:
-    """(c0, c1, c2) with f(x) = c0 + c1 x + c2 x^2, for a constant, linear or quadratic preset."""
-    return {"constant": (f.c, 0.0, 0.0), "linear": (0.0, f.slope, 0.0),
-            "quadratic": (0.0, 0.0, f.c)}[f.kind]
+def _shape(f: FieldSpec) -> str:
+    return f.kind if f.degree is None else f"of degree {f.degree}"
 
 
 def _fundamental(omega2: float, time: float) -> tuple[float, float, float, float]:
@@ -204,16 +202,16 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
     and BoundaryDecayError if the state has reached the grid edges.
     """
     if not has_exact_state(spec):
-        raise ValueError("the exact state needs the admissible variant, u constant or "
-                         "linear and b constant, linear or quadratic; got "
-                         f"{spec.variant}, u {spec.u.kind}, b {spec.b.kind}")
+        raise ValueError("the exact state needs the admissible variant, u a polynomial "
+                         "of degree <= 1 and b a polynomial; got "
+                         f"{spec.variant}, u {_shape(spec.u)}, b {_shape(spec.b)}")
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be > 0, got {sigma0}")
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time}")
     m = 1.0 / spec.d
-    u0, u1, _ = _polynomial(spec.u)
-    b0, b1, b2 = _polynomial(spec.b)
+    u0, u1 = (*spec.u.coeffs, 0.0, 0.0)[:2]
+    b0, b1, b2 = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
     v0, v1, v2 = b0 - 0.5 * m * u0 ** 2, b1 - m * u0 * u1, b2 - 0.5 * m * u1 ** 2
     x = grid.x
     scale = math.sqrt(float(np.sum(np.exp(-(x - x0) ** 2 / (2.0 * sigma0 ** 2)))) * grid.dx)

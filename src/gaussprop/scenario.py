@@ -24,7 +24,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 from .fields import (
-    FIELD_KINDS,
     MIN_TABLE_SAMPLES,
     ORDERS,
     VARIANTS,
@@ -173,21 +172,21 @@ def _section(cls):
     return _object(required, optional, cls)
 
 
-_KIND = _string(FIELD_KINDS)
-
-
-def _preset(required, optional=(), read=_number()):
-    return _object({"kind": _KIND, **dict.fromkeys(required, read)},
-                   dict.fromkeys(optional, read), FieldSpec)
+def _preset(make, required, optional=(), read=_number()):
+    """A field object built by make from its keys; parse_field has read its kind."""
+    return _object({"kind": _string(), **dict.fromkeys(required, read)},
+                   dict.fromkeys(optional, read), lambda kind, **values: make(**values))
 
 
 _PRESETS = {
-    "constant": _preset((), ("c",)),
-    "linear": _preset(("slope",)),
-    "quadratic": _preset(("c",)),
-    "sine": _preset(("amplitude", "wavenumber"), ("phase",)),
-    "tabulated": _preset(("xs", "values"), read=_numbers(MIN_TABLE_SAMPLES)),
+    "constant": _preset(FieldSpec.constant, (), ("c",)),
+    "linear": _preset(FieldSpec.linear, ("slope",)),
+    "quadratic": _preset(FieldSpec.quadratic, ("c",)),
+    "sine": _preset(FieldSpec.sine, ("amplitude", "wavenumber"), ("phase",)),
+    "tabulated": _preset(FieldSpec.tabulated, ("xs", "values"),
+                         read=_numbers(MIN_TABLE_SAMPLES)),
 }
+_KIND = _string(tuple(_PRESETS))
 
 
 def parse_field(obj, path):

@@ -116,6 +116,14 @@ def _gaussian_bin_density(edges: np.ndarray, mean: float,
     return np.diff(cdf) / np.diff(edges)
 
 
+def gaussian_law(ensemble: WalkEnsemble, spec: PropagatorSpec) -> tuple[float, float] | None:
+    """Mean x0 + u t and variance D t of the ensemble's exact law for constant u, else None."""
+    if spec.u.is_constant():
+        t = ensemble.time
+        return ensemble.x0 + float(spec.u(np.zeros(1))[0]) * t, spec.d * t
+    return None
+
+
 def _oracle_bin_density(edges: np.ndarray, ensemble: WalkEnsemble,
                         spec: PropagatorSpec) -> np.ndarray:
     # start the solve from the short-time Gaussian, then integrate the PDE
@@ -159,10 +167,8 @@ def histogram_compare(ensemble: WalkEnsemble, spec: PropagatorSpec,
     if reference == "fitted":
         ref = _gaussian_bin_density(edges, mean, sd ** 2)
         label = "fitted_gaussian"
-    elif spec.u.is_constant():
-        t = ensemble.time
-        u0 = float(spec.u(np.array([0.0]))[0])
-        ref = _gaussian_bin_density(edges, ensemble.x0 + u0 * t, spec.d * t)
+    elif (law := gaussian_law(ensemble, spec)) is not None:
+        ref = _gaussian_bin_density(edges, *law)
         label = "gaussian"
     else:
         ref = _oracle_bin_density(edges, ensemble, spec)

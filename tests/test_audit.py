@@ -22,6 +22,7 @@ from gaussprop import (
     triple_product_check,
 )
 from gaussprop import propagate
+from gaussprop.audit import CONSERVE_ORDER, DRIFT_ORDER_MARGIN
 
 GRID = make_grid(-8.0, 8.0, 1024)
 LINEAR_DRIFT = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
@@ -201,11 +202,16 @@ def test_audit_packets_needs_one_grid():
         audit_packets([], LINEAR_DRIFT, LADDER)
 
 
-def test_audit_report_rejects_inconsistent_verdict():
-    with pytest.raises(ValueError):
-        AuditReport(variant="no_t", eps_ladder=LADDER,
-                    drifts=(0.1, 0.05, 0.025, 0.0125),
-                    fitted_order=1.0, predicted_rate=0.4, verdict="conserves")
+def test_audit_verdict_turns_at_order_1_7():
+    threshold = CONSERVE_ORDER - DRIFT_ORDER_MARGIN
+    assert threshold == pytest.approx(1.7, abs=1e-15)
+    cases = {threshold: "conserves", np.nextafter(threshold, 0.0): "drifts", 1.0: "drifts",
+             2.0: "conserves", float("inf"): "conserves"}
+    for order, verdict in cases.items():
+        report = AuditReport(variant="no_t", eps_ladder=LADDER,
+                             drifts=(0.1, 0.05, 0.025, 0.0125),
+                             fitted_order=float(order), predicted_rate=0.4)
+        assert report.verdict == verdict, order
 
 
 def test_phase_shift_dense():

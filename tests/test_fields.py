@@ -58,8 +58,8 @@ def test_field_derivatives_close_analytically():
 
 def test_quadratic_derivative_field_is_linear():
     f = FieldSpec.quadratic(0.545).derivative_field()
-    assert f.kind == "linear"
-    assert f.slope == pytest.approx(1.09)
+    assert f.degree == 1
+    assert f.coeffs == (0.0, 2.0 * 0.545)
 
 
 def test_tabulated_field_interpolates_and_differentiates():
@@ -99,6 +99,45 @@ def test_is_constant():
     assert not FieldSpec.linear(0.1).is_constant()
     assert FieldSpec.quadratic(0.0).is_constant()
     assert not FieldSpec.sine(0.3, 1.0).is_constant()
+
+
+@pytest.mark.parametrize("field,degree,coeffs", [
+    (FieldSpec.constant(0.0), -1, ()),
+    (FieldSpec.constant(0.7), 0, (0.7,)),
+    (FieldSpec.linear(0.4), 1, (0.0, 0.4)),
+    (FieldSpec.linear(0.0), -1, ()),
+    (FieldSpec.quadratic(0.545), 2, (0.0, 0.0, 0.545)),
+    (FieldSpec.quadratic(0.0), -1, ()),
+    (FieldSpec("polynomial", coeffs=(1.0, -2.0, 0.0)), 1, (1.0, -2.0)),
+    (FieldSpec.sine(0.3, 1.0), None, ()),
+    (FieldSpec.tabulated([-1.0, 0.0, 1.0], [0.0, 0.1, 0.3]), None, ()),
+], ids=("zero", "constant", "linear", "zero-linear", "quadratic", "zero-quadratic",
+        "trailing-zero", "sine", "tabulated"))
+def test_degree_and_coeffs(field, degree, coeffs):
+    assert field.degree == degree
+    assert field.coeffs == coeffs
+
+
+def test_a_polynomial_differentiates_scales_and_evaluates_by_its_coeffs():
+    f = FieldSpec("polynomial", coeffs=(1.0, 2.0, 3.0))
+    x = np.linspace(-2.0, 2.0, 9)
+    assert np.allclose(f(x), 1.0 + 2.0 * x + 3.0 * x ** 2, rtol=0.0, atol=1e-14)
+    assert f.derivative_field().coeffs == (2.0, 6.0)
+    assert f.derivative_field().derivative_field().coeffs == (6.0,)
+    assert f.derivative_field().derivative_field().derivative_field().degree == -1
+    assert f.scaled(0.5).coeffs == (0.5, 1.0, 1.5)
+    assert f.scaled(0.0).degree == -1
+    assert FieldSpec.linear(0.4).derivative_field() == FieldSpec.constant(0.4)
+    with pytest.raises(ValueError, match="degree <= 2"):
+        FieldSpec("polynomial", coeffs=(0.0, 0.0, 0.0, 1.0))
+
+
+def test_a_one_term_preset_keeps_its_bits():
+    x = np.linspace(-3.0, 3.0, 4097)
+    assert np.array_equal(FieldSpec.constant(0.7)(x), np.full_like(x, 0.7))
+    assert np.array_equal(FieldSpec.linear(0.4)(x), 0.4 * x)
+    assert np.array_equal(FieldSpec.quadratic(0.545)(x), 0.545 * x ** 2)
+    assert np.array_equal(FieldSpec.constant(0.0)(x), np.zeros_like(x))
 
 
 def test_propagator_spec_variant_validation():

@@ -201,12 +201,12 @@ def test_spectral_evolve_builds_its_factors_once():
             calls.append(self.kind)
             return super().__call__(x)
 
-    spec = PropagatorSpec(d=1.0, u=CountingField("linear", slope=0.2),
+    spec = PropagatorSpec(d=1.0, u=CountingField("polynomial", coeffs=(0.0, 0.2)),
                           b=CountingField("sine", amplitude=0.3, wavenumber=1.0))
     grid = make_grid(-10.0, 10.0, 512)
     stream = list(march(gaussian_packet(grid, x0=0.0, sigma0=0.9), 4,
                         spectral_stepper(grid, 0.05, spec)))
-    assert sorted(calls) == ["linear", "sine"]
+    assert sorted(calls) == ["polynomial", "sine"]
     assert len(stream) == 5
 
 
@@ -266,6 +266,19 @@ def test_density_step_requires_resolved_kernel():
         density_stepper(grid, 0.002, FREE)(state)
 
 
+def test_density_step_refuses_a_matrix_beyond_its_bound_before_allocating():
+    """n = 2^14 resolves sqrt(D eps) = 0.32, but its real matrix would be 2 GiB."""
+    grid = make_grid(-20.0, 20.0, 2 ** 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid.n = 16384 .* grid.n <= 8192"):
+            density_stepper(grid, 0.1, FREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_evolve_density_matches_free_spreading():
     grid = make_grid(-12.0, 12.0, 512)
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
@@ -309,6 +322,15 @@ def test_chirp_z_step_matches_the_kernel_matrix(name, eps):
     psi = AUDIT_PACKET.psi
     expected = _dense_matrix(AUDIT_GRID, eps, spec) @ psi
     assert _rel(dense_operator(AUDIT_GRID, eps, spec)(psi), expected) <= 1e-10
+
+
+def test_a_zero_coefficient_quadratic_drift_takes_chirp_z():
+    """quadratic(0) is the zero polynomial, so n = 2^14 needs no 4 GiB matrix."""
+    grid = make_grid(-20.0, 20.0, 2 ** 14)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.quadratic(0.0))
+    psi = gaussian_packet(grid, x0=0.5, sigma0=1.0).psi
+    assert np.array_equal(dense_operator(grid, 0.05, spec)(psi),
+                          dense_operator(grid, 0.05, FREE)(psi))
 
 
 def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():

@@ -261,7 +261,7 @@ def test_exact_state_opens_the_inverted_oscillator():
     """phi = -0.2 x^2 (b's x^2 coefficient negative) drives the width apart:
     var = sigma0^2 cosh^2(kt) + (D sinh(kt)/(2 sigma0 k))^2 with k^2 = -2 D v2."""
     spec, sigma0, t = EXACT_CASES["inverted"][0], 1.0, 1.5
-    kappa = np.sqrt(-2.0 * spec.d * spec.b.c)
+    kappa = np.sqrt(-2.0 * spec.d * spec.b.coeffs[2])
     expected = ((sigma0 * np.cosh(kappa * t)) ** 2
                 + (spec.d * np.sinh(kappa * t) / (2.0 * sigma0 * kappa)) ** 2)
     _, _, var = moments(exact_state(WIDE, spec, 0.5, sigma0, 1.0, t))
@@ -296,6 +296,26 @@ def test_exact_state_refuses_specs_outside_the_class(spec):
     assert not has_exact_state(spec)
     with pytest.raises(ValueError):
         exact_state(WIDE, spec, 0.0, 1.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("spec,named", [
+    (PropagatorSpec(d=1.0, u=FieldSpec.quadratic(0.1)), "u of degree 2, b of degree -1"),
+    (PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0), b=FieldSpec.linear(0.2)),
+     "u sine, b of degree 1"),
+    (PropagatorSpec(d=1.0, b=FieldSpec.tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])),
+     "u of degree -1, b tabulated"),
+], ids=("quadratic-u", "sine-u", "tabulated-b"))
+def test_exact_state_names_the_degree_or_kind_it_refuses(spec, named):
+    with pytest.raises(ValueError, match=f"got admissible, {named}$"):
+        exact_state(WIDE, spec, 0.0, 1.5, 1.0, 1.0)
+
+
+def test_exact_state_reads_a_zero_quadratic_drift_as_no_drift():
+    """u = 0 x^2 is the zero polynomial, inside the class, and the free state."""
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.quadratic(0.0))
+    assert has_exact_state(spec)
+    assert np.array_equal(exact_state(WIDE, spec, 0.0, 1.5, 1.0, 1.0).psi,
+                          exact_state(WIDE, PropagatorSpec(d=1.0), 0.0, 1.5, 1.0, 1.0).psi)
 
 
 def test_exact_state_refuses_a_state_at_the_edges():

@@ -4,9 +4,10 @@ import copy
 import json
 import re
 
+import numpy as np
 import pytest
 
-from gaussprop import ScenarioError, cli, parse_scenario, scenario
+from gaussprop import FieldSpec, ScenarioError, cli, parse_field, parse_scenario, scenario
 
 # a scenario that gives every declared key a valid value
 FULL = {
@@ -38,6 +39,31 @@ FIELDS = {
     "sine": {"kind": "sine", "amplitude": 0.2, "wavenumber": 1.0, "phase": 0.3},
     "tabulated": {"kind": "tabulated", "xs": [-1.0, 0.0, 1.0], "values": [0.0, 0.1, 0.3]},
 }
+
+
+# the constructor each preset kind parses to, with FIELDS' values
+CONSTRUCTED = {
+    "constant": FieldSpec.constant(0.1),
+    "linear": FieldSpec.linear(0.2),
+    "quadratic": FieldSpec.quadratic(0.1),
+    "sine": FieldSpec.sine(0.2, 1.0, 0.3),
+    "tabulated": FieldSpec.tabulated([-1.0, 0.0, 1.0], [0.0, 0.1, 0.3]),
+}
+
+
+@pytest.mark.parametrize("kind", FIELDS)
+def test_a_preset_parses_to_its_constructor(kind):
+    parsed, built = parse_field(FIELDS[kind], "u"), CONSTRUCTED[kind]
+    if kind == "tabulated":
+        assert parsed.kind == built.kind == "tabulated"
+        assert np.array_equal(parsed.xs, built.xs) and np.array_equal(parsed.values, built.values)
+    else:
+        assert parsed == built
+
+
+def test_a_constant_preset_defaults_to_zero():
+    assert parse_field({"kind": "constant"}, "u") == FieldSpec.constant(0.0)
+    assert parse_field({"kind": "constant"}, "u").degree == -1
 
 
 def _declared(read, at=()):

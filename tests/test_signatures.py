@@ -1,13 +1,17 @@
 """The package's shape: no time argument, no private cross-module import,
-no wrapper layer, and the kernel's correction T decided in one place.
+no wrapper layer, the kernel's correction T decided in one place, and one
+polynomial field kind.
 
 Fields are static functions of x, so no signature takes a time argument.
 Each method is stepped one way, through its builder and march, and each
 module uses only the public names of the others.  kernel.a_field alone
-decides Re T, so no signature takes an a_override.
+decides Re T, so no signature takes an a_override.  The constant, linear
+and quadratic presets are one polynomial kind, so every affine or quadratic
+decision outside fields reads FieldSpec.degree or coeffs, not a kind name.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -120,3 +124,39 @@ def test_t_is_decided_in_one_place():
         assert not set(KERNEL_LEFTOVERS) & set(vars(module)), info.name
     assert "fields.PropagatorSpec.du_dx" not in found
     assert not hasattr(gaussprop.PropagatorSpec, "du_dx")
+
+
+PRESET_KINDS = ("constant", "linear", "quadratic")
+
+
+def _preset_kind_tests(tree: ast.Module) -> list:
+    """Lines where a comparison or a lookup reads a `.kind` against a preset name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Compare, ast.Subscript)):
+            parts = list(ast.walk(node))
+            if (any(isinstance(p, ast.Attribute) and p.attr == "kind" for p in parts)
+                    and any(isinstance(p, ast.Constant) and p.value in PRESET_KINDS
+                            for p in parts)):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_guard_sees_a_preset_kind_test():
+    tree = ast.parse('ok = f.kind == "sine"\nif spec.u.kind in ("constant", "linear"):\n'
+                     '    pass\nc = {"quadratic": 2}[f.kind]\nd = PRESETS["linear"]\n')
+    assert _preset_kind_tests(tree) == [2, 4]
+
+
+def test_only_fields_names_the_polynomial_presets():
+    package = Path(gaussprop.__file__).parent
+    sources = sorted(p for p in package.glob("*.py") if p.name != "fields.py")
+    assert {"propagate.py", "reference.py", "walk.py"} <= {p.name for p in sources}
+    offenders = {p.name: found for p in sources
+                 if (found := _preset_kind_tests(ast.parse(p.read_text(), p.name)))}
+    assert offenders == {}
+    assert "reference._polynomial" not in _callables()
+    assert not hasattr(importlib.import_module("gaussprop.reference"), "_polynomial")
+    names = {f.name for f in dataclasses.fields(gaussprop.FieldSpec)}
+    assert "coeffs" in names and not {"c", "slope"} & names
+    assert not hasattr(gaussprop.FieldSpec.constant(1.0), "c")

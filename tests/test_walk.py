@@ -41,7 +41,7 @@ def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="ga
 
 @pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
 @pytest.mark.parametrize("u", [FieldSpec.constant(0.5), FieldSpec.linear(-0.5),
-                               FieldSpec.sine(0.3, 1.0)], ids=lambda u: u.kind)
+                               FieldSpec.sine(0.3, 1.0)], ids=("constant", "linear", "sine"))
 def test_paths_equal_the_per_particle_reference(u, step_law):
     """A full block and a partial one change no bit."""
     spec = PropagatorSpec(d=1.0, u=u)
