@@ -72,7 +72,7 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
     grid = state.grid
     x, dx = grid.x, grid.dx
     psi = state.psi
-    if spec.variant == "admissible":
+    if spec.is_admissible():
         return 0.0
     if spec.variant in ("no_t", "endpoint_t"):
         return analytic_drift_rate(state, spec, a_field(spec))
@@ -105,7 +105,7 @@ def empirical_a_scan(state: WaveState, eps: float, spec: PropagatorSpec,
     profile has flattened there, since an edge minimum on a still-steep
     profile means the true optimum lies outside the range.
     """
-    if spec.variant != "admissible":
+    if not spec.is_admissible():
         raise ValueError(f"the a scan needs an admissible spec, got variant {spec.variant!r}")
     cand = [float(c) for c in candidates]
     if len(cand) < 3:

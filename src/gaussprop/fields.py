@@ -314,6 +314,12 @@ def gaussian_packet(grid: Grid, x0: float, sigma0: float, k0: float = 0.0) -> Wa
     return state
 
 
+def check_eps(eps: float) -> None:
+    """Require a step duration eps that is finite and > 0."""
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be > 0 and finite, got {eps}")
+
+
 def check_boundary_decay(state) -> None:
     """Require the amplitude at both grid edges below BOUNDARY_DECAY_RATIO * peak."""
     amp = np.abs(state.psi) if isinstance(state, WaveState) else np.abs(state.density)

@@ -188,7 +188,7 @@ def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
     kernel phase and normalizes by K.  The closed form is (u' eps)^2: exactly
     zero for constant drift, O(eps^2) otherwise.
     """
-    if spec.variant != "admissible":
+    if not spec.is_admissible():
         raise ValueError("cancellation check applies to the admissible variant")
     d = spec.d
     u = float(spec.u(x))

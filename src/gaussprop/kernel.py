@@ -20,18 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldSpec, PropagatorSpec
-
-
-def _check_eps(eps: float) -> None:
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"step duration eps must be finite and > 0, got {eps}")
+from .fields import FieldSpec, PropagatorSpec, check_eps
 
 
 def real_kernel(eta, eps: float, x, spec: PropagatorSpec):
     """Gaussian step-length density at x, evaluated at displacement eta."""
-    _check_eps(eps)
-    if spec.variant != "admissible":
+    check_eps(eps)
+    if not spec.is_admissible():
         raise ValueError("the real kernel is defined for the admissible variant only")
     eta = np.asarray(eta, dtype=float)
     u = spec.u(x)
@@ -66,7 +61,7 @@ def source_factors(eps: float, x, spec: PropagatorSpec):
     Neither depends on the displacement, so a step that factors the
     quadratic phase can apply them to the source samples directly.
     """
-    _check_eps(eps)
+    check_eps(eps)
     norm_factor = 1.0 / np.sqrt(2.0j * np.pi * spec.d_value(x) * eps)
     if spec.order == "zero":
         return norm_factor, np.ones_like(norm_factor)

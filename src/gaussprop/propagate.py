@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (BOUNDARY_DECAY_RATIO, Grid, PropagatorSpec, RealState,
-                     WaveState, check_boundary_decay)
+                     WaveState, check_boundary_decay, check_eps)
 from .kernel import complex_kernel, real_kernel, source_factors
 
 
@@ -126,8 +126,7 @@ def _phase_report(grid: Grid, eps: float, d: float, state: WaveState) -> Validit
 def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
                    state: WaveState) -> ValidityReport:
     """Can the dense quadrature resolve the kernel phase at this step size?"""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_eps(eps)
     return _phase_report(grid, eps, _d_scale(grid, spec), state)
 
 
@@ -205,8 +204,7 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     # here, before any step.  The state's guards run on every state; the
     # operator is built once, on the first state that passes them, so a run
     # that must abort builds nothing.
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_eps(eps)
     d = _d_scale(grid, spec)
     apply = None
 
@@ -305,9 +303,8 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     """
     # Fields are static, so every factor of the step is built once; only the
     # boundary-decay check runs on every state.
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if spec.variant != "admissible":
+    check_eps(eps)
+    if not spec.is_admissible():
         raise ValueError("the spectral path assumes an admissible parameter set; "
                          f"variant {spec.variant!r} must use the dense path")
     n, x = grid.n, grid.x
@@ -345,7 +342,8 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
 
 def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
-    if spec.variant != "admissible":
+    check_eps(eps)
+    if not spec.is_admissible():
         raise ValueError("the real kernel is defined for the admissible variant only")
     width = np.sqrt(spec.d * eps)
     if width < 2.0 * grid.dx:

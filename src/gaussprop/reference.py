@@ -5,7 +5,8 @@ Hamiltonian H = (p - A)^2/(2m) + phi with hbar = 1 and unit charge:
 
     m = 1/D,        A = u m,        phi = b - A^2/(2m),
 
-and back.  The right-hand side of the Schrodinger equation expands to
+decided once, in to_hamiltonian.  The right-hand side of the Schrodinger
+equation expands to
 
     dpsi/dt = (i/2m) psi'' + (A/m) psi' + (1/2m) A' psi
               - i (A^2/(2m)) psi - i phi psi,
@@ -45,58 +46,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (FieldSpec, Grid, PropagatorSpec, RealState, WaveState,
-                     check_boundary_decay)
+                     check_boundary_decay, check_eps)
 from .propagate import Tridiagonal
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Minimally coupled 1D Hamiltonian (p - A)^2/(2m) + phi, hbar = 1.
-
-    im_a adds a constant imaginary part to A.  It exists to demonstrate that
-    a complex vector potential breaks Hermiticity; every oracle use keeps it 0.
-    """
+    """Minimally coupled 1D Hamiltonian (p - A)^2/(2m) + phi, hbar = 1."""
 
     m: float
     a_field: FieldSpec = field(default_factory=lambda: FieldSpec.constant(0.0))
     phi: FieldSpec = field(default_factory=lambda: FieldSpec.constant(0.0))
-    im_a: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.m) and self.m > 0.0):
             raise ValueError(f"mass must be finite and > 0, got {self.m}")
 
-    def a_values(self, x):
-        a = self.a_field(x).astype(complex)
-        return a + 1j * self.im_a if self.im_a else a
-
 
 def to_hamiltonian(spec: PropagatorSpec, grid: Grid) -> HamiltonianSpec:
-    """Map admissible propagator parameters to (m, A, phi)."""
+    """Map admissible propagator parameters to (m, A, phi).
+
+    In has_exact_state's class A = a0 + a1 x is affine and phi is the
+    polynomial b - A^2/(2m) of degree <= 2; otherwise phi is tabulated on
+    grid, which with A = 0 holds b's own values there.
+    """
     if not spec.is_admissible():
         raise ValueError("only the admissible variant maps to a Hamiltonian")
     m = 1.0 / spec.d
     a_field = spec.u.scaled(m)
-    if a_field.is_constant() and float(a_field(np.zeros(1))[0]) == 0.0:
-        phi = spec.b
+    if has_exact_state(spec):
+        a0, a1 = (*a_field.coeffs, 0.0, 0.0)[:2]
+        a_sq = (a0 ** 2, 2.0 * a0 * a1, a1 ** 2)
+        b = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
+        phi = FieldSpec("polynomial", coeffs=[bp - ap / (2.0 * m) for bp, ap in zip(b, a_sq)])
     else:
         x = grid.x
         phi = FieldSpec.tabulated(x, spec.b(x) - a_field(x) ** 2 / (2.0 * m))
     return HamiltonianSpec(m=m, a_field=a_field, phi=phi)
-
-
-def to_propagator(ham: HamiltonianSpec, grid: Grid) -> PropagatorSpec:
-    """Inverse map; with to_hamiltonian it round-trips to 1e-12 on the grid."""
-    if ham.im_a:
-        raise ValueError("complex A has no admissible propagator image")
-    d = 1.0 / ham.m
-    u = ham.a_field.scaled(d)
-    if ham.a_field.is_constant() and float(ham.a_field(np.zeros(1))[0]) == 0.0:
-        b = ham.phi
-    else:
-        x = grid.x
-        b = FieldSpec.tabulated(x, ham.phi(x) + ham.a_field(x) ** 2 / (2.0 * ham.m))
-    return PropagatorSpec(d=d, u=u, b=b, order="first")
 
 
 def rhs_apply(state: WaveState, ham: HamiltonianSpec) -> np.ndarray:
@@ -105,7 +91,7 @@ def rhs_apply(state: WaveState, ham: HamiltonianSpec) -> np.ndarray:
     psi = np.zeros(grid.n + 2, dtype=complex)
     psi[1:-1] = state.psi
     a = np.zeros(grid.n + 2, dtype=complex)
-    a[1:-1] = ham.a_values(grid.x)
+    a[1:-1] = ham.a_field(grid.x)
     lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx ** 2
     dpsi = (psi[2:] - psi[:-2]) / (2.0 * dx)
     dapsi = (a[2:] * psi[2:] - a[:-2] * psi[:-2]) / (2.0 * dx)
@@ -124,7 +110,9 @@ def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid):
     rhs_apply's expanded stencils.
     """
     n, dx, m = grid.n, grid.dx, ham.m
-    a = ham.a_values(grid.x)
+    # complex: numpy divides a complex array by a real scalar through its
+    # reciprocal, a real one exactly, and the bands keep the complex rounding
+    a = ham.a_field(grid.x).astype(complex)
     diag = np.full(n, 1.0 / (m * dx ** 2), dtype=complex)
     diag += a ** 2 / (2.0 * m) + ham.phi(grid.x)
     off = -0.5 / (m * dx ** 2)
@@ -141,8 +129,7 @@ def hermiticity_check(ham: HamiltonianSpec, grid: Grid) -> float:
 
 def cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
     """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_eps(eps)
     lower, diag, upper = hamiltonian_diagonals(ham, grid)
     half = 0.5j * eps
     explicit = Tridiagonal(-half * lower, 1.0 - half * diag, -half * upper)
@@ -191,8 +178,9 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
                 k0: float, time: float) -> WaveState:
     """The exact Schrodinger state at time of gaussian_packet(grid, x0, sigma0, k0).
 
-    The gauge Lambda = m (u0 x + u1 x^2/2) turns H into p^2/(2m) + v0 + v1 x
-    + v2 x^2, under which chi = exp(alpha x^2 + beta x + gamma) stays closed:
+    to_hamiltonian gives A = a0 + a1 x and phi = v0 + v1 x + v2 x^2.  The gauge
+    Lambda = a0 x + a1 x^2/2, whose Lambda' is A, turns H into p^2/(2m) + phi,
+    under which chi = exp(alpha x^2 + beta x + gamma) stays closed:
     alpha = (im/2) w'/w with w'' + (2 v2/m) w = 0, (w beta)' = -i v1 w and
     gamma' = i beta^2/(2m) - w'/(2w) - i v0.  With the fundamental solutions
     c, s (c(0) = s'(0) = 1) every time integral is closed in c and s, and
@@ -209,14 +197,14 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
         raise ValueError(f"sigma0 must be > 0, got {sigma0}")
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, got {time}")
-    m = 1.0 / spec.d
-    u0, u1 = (*spec.u.coeffs, 0.0, 0.0)[:2]
-    b0, b1, b2 = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
-    v0, v1, v2 = b0 - 0.5 * m * u0 ** 2, b1 - m * u0 * u1, b2 - 0.5 * m * u1 ** 2
+    ham = to_hamiltonian(spec, grid)
+    m = ham.m
+    a0, a1 = (*ham.a_field.coeffs, 0.0, 0.0)[:2]
+    v0, v1, v2 = (*ham.phi.coeffs, 0.0, 0.0, 0.0)[:3]
     x = grid.x
     scale = math.sqrt(float(np.sum(np.exp(-(x - x0) ** 2 / (2.0 * sigma0 ** 2)))) * grid.dx)
-    alpha0 = complex(-0.25 / sigma0 ** 2, -0.5 * m * u1)  # the packet times e^{-i Lambda}
-    beta0 = complex(0.5 * x0 / sigma0 ** 2, k0 - m * u0)
+    alpha0 = complex(-0.25 / sigma0 ** 2, -0.5 * a1)  # the packet times e^{-i Lambda}
+    beta0 = complex(0.5 * x0 / sigma0 ** 2, k0 - a0)
     gamma0 = -0.25 * x0 ** 2 / sigma0 ** 2 - math.log(scale)
 
     t, omega2 = time, 2.0 * v2 / m
@@ -236,8 +224,8 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
     i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
     beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
     gamma = gamma0 - 0.5 * log_w - 1j * v0 * t + 0.5j / m * beta_sq
-    alpha = 0.5j * m * dw / w + 0.5j * m * u1  # times e^{i Lambda}
-    beta = beta + 1j * m * u0
+    alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
+    beta = beta + 1j * a0
     state = WaveState(grid, np.exp((alpha * x + beta) * x + gamma), time=t)
     check_boundary_decay(state)
     return state
@@ -271,9 +259,8 @@ def diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
 
     It has no stability bound and keeps P nonnegative.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if spec.variant != "admissible":
+    check_eps(eps)
+    if not spec.is_admissible():
         raise ValueError("the diffusion oracle is defined for the admissible variant")
     lower, diag, upper = _diffusion_diagonals(grid, spec)
     implicit = Tridiagonal(eps * lower, 1.0 + eps * diag, eps * upper)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PropagatorSpec, RealState, make_grid
+from .fields import PropagatorSpec, RealState, check_eps, make_grid
 from .propagate import last, march
 from .reference import diffusion_stepper
 
@@ -65,14 +65,14 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
                  spec: PropagatorSpec, seed: int, x0: float = 0.0,
                  step_law: str = "gauss") -> WalkEnsemble:
     """Evolve n_particles from x0 for n_steps; deterministic per seed."""
-    if spec.variant != "admissible":
+    if not spec.is_admissible():
         raise ValueError("sampling is defined for the admissible variant only")
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_steps > 0 and not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if n_steps > 0:
+        check_eps(eps)
     if step_law not in STEP_LAWS:
         raise ValueError(f"step_law must be one of {STEP_LAWS}, got {step_law!r}")
     seed = int(seed)
@@ -144,30 +144,20 @@ def _oracle_bin_density(edges: np.ndarray, ensemble: WalkEnsemble,
 
 
 def histogram_compare(ensemble: WalkEnsemble, spec: PropagatorSpec,
-                      bins: int = 50,
-                      reference: str = "model") -> HistogramComparison:
-    """L1 distance between the binned ensemble and its analytic density.
-
-    reference "model" uses the closed-form Gaussian for constant u and the
-    drift-diffusion oracle otherwise; "fitted" uses a Gaussian with the
-    sample's own mean and variance (the central-limit comparison).
-    """
+                      bins: int = 50) -> HistogramComparison:
+    """L1 distance between the binned ensemble and its analytic density:
+    the closed-form Gaussian for constant u, the drift-diffusion oracle
+    otherwise."""
     if ensemble.n_particles < MIN_HISTOGRAM_PARTICLES:
         raise ValueError(f"need >= {MIN_HISTOGRAM_PARTICLES} particles for a "
                          f"stable histogram, got {ensemble.n_particles}")
-    if reference not in ("model", "fitted"):
-        raise ValueError(f"reference must be 'model' or 'fitted', got "
-                         f"{reference!r}")
     mean = ensemble.sample_mean()
     sd = np.sqrt(ensemble.sample_variance())
     edges = np.linspace(mean - 5.0 * sd, mean + 5.0 * sd, bins + 1)
     counts, _ = np.histogram(ensemble.positions, bins=edges)
     covered = counts.sum()
     density = counts / (covered * np.diff(edges))
-    if reference == "fitted":
-        ref = _gaussian_bin_density(edges, mean, sd ** 2)
-        label = "fitted_gaussian"
-    elif (law := gaussian_law(ensemble, spec)) is not None:
+    if (law := gaussian_law(ensemble, spec)) is not None:
         ref = _gaussian_bin_density(edges, *law)
         label = "gaussian"
     else:

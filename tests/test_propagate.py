@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gaussprop import (
     dense_operator,
     dense_stepper,
     density_stepper,
+    diffusion_stepper,
     gaussian_packet,
     last,
     make_grid,
@@ -191,6 +193,28 @@ def test_spectral_evolve_checks_before_it_steps(spec, n, eps, message):
                    wave_stepper(grid, eps, spec, method="spectral")))
     with pytest.raises(ValueError, match=message):
         spectral_stepper(grid, eps, spec)
+
+
+GUARD_GRID = make_grid(-8.0, 8.0, 256)
+EPS_BUILDERS = {
+    "dense": dense_stepper,
+    "spectral": spectral_stepper,
+    "density": density_stepper,
+    "cn": lambda grid, eps, spec: cn_stepper(grid, eps, to_hamiltonian(spec, grid)),
+    "diffusion": diffusion_stepper,
+    "validity": lambda grid, eps, spec: validity_check(
+        grid, eps, spec, gaussian_packet(grid, x0=0.0, sigma0=0.8)),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("builder", list(EPS_BUILDERS))
+def test_every_builder_refuses_a_bad_eps_when_built(builder, eps):
+    """eps must be finite and > 0, checked before any field is evaluated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            EPS_BUILDERS[builder](GUARD_GRID, eps, DRIFTED)
 
 
 def test_spectral_evolve_builds_its_factors_once():

@@ -22,7 +22,6 @@ from gaussprop import (
     norm,
     rhs_apply,
     to_hamiltonian,
-    to_propagator,
     total_mass,
 )
 
@@ -48,29 +47,39 @@ def test_parameter_map_values():
 def test_parameter_map_free_case_keeps_b():
     spec = PropagatorSpec(d=2.0, b=FieldSpec.quadratic(0.5))
     ham = to_hamiltonian(spec, GRID)
-    assert ham.phi is spec.b
+    assert ham.phi == spec.b
     assert ham.m == pytest.approx(0.5)
 
 
-def test_parameter_map_round_trip():
-    spec = PropagatorSpec(d=0.5, u=FieldSpec.linear(0.4), b=FieldSpec.sine(0.3, 1.0))
-    back = to_propagator(to_hamiltonian(spec, GRID), GRID)
+def test_parameter_map_keeps_phi_polynomial_in_the_exact_class():
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.5))
+    phi = to_hamiltonian(spec, GRID).phi
+    assert phi.degree == 2
+    assert phi.coeffs == pytest.approx((0.0, 0.0, 0.455), abs=1e-15)
+
+
+def test_parameter_map_expands_an_affine_vector_potential():
+    """phi = b - A^2/(2m) with A = a0 + a1 x, coefficient by coefficient."""
+    spec = PropagatorSpec(d=0.5, u=FieldSpec("polynomial", coeffs=(0.2, 0.4)),
+                          b=FieldSpec("polynomial", coeffs=(0.1, -0.3, 0.6)))
+    ham = to_hamiltonian(spec, GRID)
+    assert ham.a_field.coeffs == pytest.approx((0.4, 0.8))
+    assert ham.phi.coeffs == pytest.approx((0.1 - 0.04, -0.3 - 0.16, 0.6 - 0.16))
     x = GRID.x
-    assert back.d == pytest.approx(spec.d, abs=1e-15)
-    assert np.allclose(back.u(x), spec.u(x), atol=1e-12)
-    assert np.allclose(back.b(x), spec.b(x), atol=1e-12)
+    assert np.allclose(ham.phi(x), spec.b(x) - ham.a_field(x) ** 2 / 4.0, atol=1e-12)
+
+
+def test_parameter_map_tabulates_a_sine_b_at_its_own_grid_values():
+    spec = PropagatorSpec(d=2.0, b=FieldSpec.sine(0.3, 1.0))
+    phi = to_hamiltonian(spec, GRID).phi
+    assert phi.degree is None
+    assert np.array_equal(phi(GRID.x), spec.b(GRID.x))
 
 
 def test_parameter_map_rejects_variants():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
     with pytest.raises(ValueError):
         to_hamiltonian(spec, GRID)
-
-
-def test_inverse_map_rejects_complex_vector_potential():
-    ham = HamiltonianSpec(m=1.0, im_a=0.3)
-    with pytest.raises(ValueError):
-        to_propagator(ham, GRID)
 
 
 def test_hamiltonian_spec_rejects_bad_mass():
@@ -92,12 +101,6 @@ def test_hermiticity_real_fields():
     ham = HamiltonianSpec(m=1.0, a_field=FieldSpec.linear(0.3),
                           phi=FieldSpec.quadratic(0.5))
     assert hermiticity_check(ham, GRID) <= 1e-12
-
-
-def test_hermiticity_broken_by_complex_vector_potential():
-    ham = HamiltonianSpec(m=1.0, a_field=FieldSpec.linear(0.3),
-                          phi=FieldSpec.quadratic(0.5), im_a=0.3)
-    assert hermiticity_check(ham, GRID) > 1e-3
 
 
 def test_cn_step_is_unitary():

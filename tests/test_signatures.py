@@ -1,6 +1,7 @@
 """The package's shape: no time argument, no private cross-module import,
-no wrapper layer, the kernel's correction T decided in one place, and one
-polynomial field kind.
+no wrapper layer, the kernel's correction T decided in one place, one
+polynomial field kind, one spelling of "admissible" and one
+propagator-to-Hamiltonian map.
 
 Fields are static functions of x, so no signature takes a time argument.
 Each method is stepped one way, through its builder and march, and each
@@ -8,6 +9,8 @@ module uses only the public names of the others.  kernel.a_field alone
 decides Re T, so no signature takes an a_override.  The constant, linear
 and quadratic presets are one polynomial kind, so every affine or quadratic
 decision outside fields reads FieldSpec.degree or coeffs, not a kind name.
+PropagatorSpec.is_admissible alone compares the variant with "admissible",
+and reference.to_hamiltonian alone reads u's and b's coefficients.
 """
 
 import ast
@@ -51,7 +54,7 @@ def test_no_signature_takes_a_time_argument():
     assert all(id(obj) in scanned for name in gaussprop.__all__
                if callable(obj := getattr(gaussprop, name)))
     assert {"fields.FieldSpec.__call__", "fields.FieldSpec.derivative",
-            "fields.PropagatorSpec.d_value", "reference.HamiltonianSpec.a_values",
+            "fields.PropagatorSpec.d_value", "reference.to_hamiltonian",
             "propagate.dense_stepper", "reference.diffusion_stepper"} <= set(found)
     offenders = sorted(name for name, obj in found.items() if "t" in _parameters(obj))
     assert offenders == []
@@ -160,3 +163,63 @@ def test_only_fields_names_the_polynomial_presets():
     names = {f.name for f in dataclasses.fields(gaussprop.FieldSpec)}
     assert "coeffs" in names and not {"c", "slope"} & names
     assert not hasattr(gaussprop.FieldSpec.constant(1.0), "c")
+
+
+def _admissible_tests(tree: ast.Module) -> list:
+    """Lines where a comparison reads a `.variant` against "admissible"."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(p, ast.Attribute) and p.attr == "variant" for p in ast.walk(node))
+            and any(isinstance(p, ast.Constant) and p.value == "admissible"
+                    for p in ast.walk(node))]
+
+
+def test_the_guard_sees_an_admissible_test():
+    tree = ast.parse('ok = spec.variant != "admissible"\nif spec.is_admissible():\n    pass\n'
+                     'c = s.variant in ("admissible", "no_t")\nd = s.variant == "no_t"\n')
+    assert _admissible_tests(tree) == [1, 4]
+
+
+def test_only_fields_spells_admissible():
+    package = Path(gaussprop.__file__).parent
+    sources = sorted(p for p in package.glob("*.py") if p.name != "fields.py")
+    assert {"audit.py", "kernel.py", "walk.py"} <= {p.name for p in sources}
+    offenders = {p.name: found for p in sources
+                 if (found := _admissible_tests(ast.parse(p.read_text(), p.name)))}
+    assert offenders == {}
+
+
+def _coefficient_readers(tree: ast.Module) -> set:
+    """The functions ("<module>" outside any) that read `.u.coeffs` or `.b.coeffs`."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "coeffs"
+                    and isinstance(child.value, ast.Attribute) and child.value.attr in ("u", "b")):
+                found.add(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_guard_sees_a_coefficient_reader():
+    tree = ast.parse("def to_hamiltonian(spec):\n    return spec.u.coeffs, ham.a_field.coeffs\n"
+                     "def exact_state(spec):\n    u0 = spec.u.coeffs[0]\n"
+                     "    def inner():\n        return spec.b.coeffs\n")
+    assert _coefficient_readers(tree) == {"to_hamiltonian", "exact_state", "inner"}
+
+
+# the inverse map and the complex vector potential, deleted for good
+HAMILTONIAN_LEFTOVERS = ("to_propagator", "im_a", "a_values")
+
+
+def test_the_hamiltonian_map_is_written_once():
+    reference = importlib.import_module("gaussprop.reference")
+    assert not set(HAMILTONIAN_LEFTOVERS) & set(gaussprop.__all__)
+    assert not [name for name in HAMILTONIAN_LEFTOVERS
+                if hasattr(gaussprop, name) or hasattr(reference, name)
+                or hasattr(gaussprop.HamiltonianSpec, name)]
+    assert [f.name for f in dataclasses.fields(gaussprop.HamiltonianSpec)] == ["m", "a_field", "phi"]
+    source = Path(reference.__file__).read_text()
+    assert _coefficient_readers(ast.parse(source)) == {"to_hamiltonian"}
