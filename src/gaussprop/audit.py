@@ -140,10 +140,6 @@ class AuditReport:
         return ("conserves" if self.fitted_order >= CONSERVE_ORDER - DRIFT_ORDER_MARGIN
                 else "drifts")
 
-    def __str__(self):
-        return (f"{self.variant}: order {self.fitted_order:.3f}, "
-                f"rate {self.predicted_rate:+.3e}, {self.verdict}")
-
 
 def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
     """One dense step per eps for each state; fit log|drift| vs log eps;

@@ -7,10 +7,10 @@ Everything downstream works on a uniform periodic-convention grid
 with wavefunctions psi(x_j) treated as samples of a square-integrable state
 whose tails have decayed below 1e-6 of the peak at both grid edges.  The
 propagator parameter set bundles the diffusivity D, the drift field u(x),
-the free phase field b(x), the kernel order (bare zero-order kernel vs the
-first-order normalized kernel carrying the T = u'/2 + i b correction), and a
+the free phase field b(x) of the kernel's T = u'/2 + i b correction, and a
 falsification variant used by the audit module to break norm conservation on
-purpose (complex D, complex u, x-dependent D, endpoint or missing T factor).
+purpose (complex D, complex u, x-dependent D, endpoint or missing T factor),
+so only the admissible variant conserves the norm.
 
 Field kinds (polynomial of degree <= 2, sine, tabulated) are closed under
 d/dx, so the correction field a(x) = u'(x)/2 of any drift is again a field.
@@ -31,7 +31,6 @@ FIELD_KINDS = ("polynomial", "sine", "tabulated")
 _TERMS = (lambda c, x: np.full_like(x, c), lambda c, x: c * x, lambda c, x: c * x ** 2)
 # a tabulated field's derivative uses second-order stencils on three samples
 MIN_TABLE_SAMPLES = 3
-ORDERS = ("zero", "first")
 VARIANTS = ("admissible", "complex_d", "complex_u", "x_dependent_d",
             "endpoint_t", "no_t")
 
@@ -196,14 +195,14 @@ class PropagatorSpec:
     d is the (real, positive) diffusivity scale; the falsification variants
     perturb it: complex_d adds i*im_d, x_dependent_d replaces it by the field
     d_field(x).  complex_u adds i*im_u to the drift.  endpoint_t and no_t keep
-    the fields admissible but spoil the first-order correction exponent
-    (a = u' instead of u'/2, and a = 0).
+    the fields admissible but spoil the correction exponent (a = u' instead
+    of u'/2, and a = 0); no_t with b = 0 is the bare kernel, which carries
+    no T factor at all.
     """
 
     d: float
     u: FieldSpec = field(default_factory=lambda: FieldSpec.constant(0.0))
     b: FieldSpec = field(default_factory=lambda: FieldSpec.constant(0.0))
-    order: str = "first"
     variant: str = "admissible"
     im_d: float = 0.0
     im_u: float = 0.0
@@ -212,8 +211,6 @@ class PropagatorSpec:
     def __post_init__(self):
         if not (np.isfinite(self.d) and self.d > 0.0):
             raise ValueError(f"diffusivity scale must be finite and > 0, got {self.d}")
-        if self.order not in ORDERS:
-            raise ValueError(f"unknown order {self.order!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "complex_d" and self.im_d == 0.0:
@@ -228,9 +225,6 @@ class PropagatorSpec:
             raise ValueError("im_u is only meaningful for the complex_u variant")
         if self.variant != "x_dependent_d" and self.d_field is not None:
             raise ValueError("d_field is only meaningful for the x_dependent_d variant")
-        if self.variant in ("endpoint_t", "no_t") and self.order == "zero":
-            raise ValueError(f"{self.variant} is a first-order variant; "
-                             "the zero-order kernel has no T factor to spoil")
 
     def d_value(self, x):
         """Effective diffusivity at x (complex for complex_d, a field for x_dependent_d)."""
@@ -249,6 +243,7 @@ class PropagatorSpec:
         return base
 
     def is_admissible(self) -> bool:
+        """Whether the step conserves the norm: only the admissible variant does."""
         return self.variant == "admissible"
 
 
@@ -269,8 +264,8 @@ class WaveState:
         psi.flags.writeable = False
         object.__setattr__(self, "psi", psi)
 
-    def replace_psi(self, psi, time: float | None = None) -> "WaveState":
-        return WaveState(self.grid, psi, self.time if time is None else time)
+    def replace_psi(self, psi, time: float) -> "WaveState":
+        return WaveState(self.grid, psi, time)
 
 
 @dataclass(frozen=True)
@@ -293,8 +288,8 @@ class RealState:
         dens.flags.writeable = False
         object.__setattr__(self, "density", dens)
 
-    def replace_density(self, density, time: float | None = None) -> "RealState":
-        return RealState(self.grid, density, self.time if time is None else time)
+    def replace_density(self, density, time: float) -> "RealState":
+        return RealState(self.grid, density, time)
 
 
 def gaussian_packet(grid: Grid, x0: float, sigma0: float, k0: float = 0.0) -> WaveState:

@@ -50,8 +50,6 @@ def a_field(spec: PropagatorSpec) -> FieldSpec:
 
 def t_correction(spec: PropagatorSpec, x):
     """T(x) = a + i b with a = a_field(spec)."""
-    if spec.order == "zero":
-        raise ValueError("the zero-order kernel carries no T correction")
     return a_field(spec)(x).astype(complex) + 1j * spec.b(x)
 
 
@@ -63,8 +61,6 @@ def source_factors(eps: float, x, spec: PropagatorSpec):
     """
     check_eps(eps)
     norm_factor = 1.0 / np.sqrt(2.0j * np.pi * spec.d_value(x) * eps)
-    if spec.order == "zero":
-        return norm_factor, np.ones_like(norm_factor)
     return norm_factor, np.exp(-eps * t_correction(spec, x))
 
 

@@ -297,9 +297,11 @@ class Tridiagonal:
 def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     """One step via the factorized kernel on the periodic grid.
 
-    Drift and phase fields act in position space to O(eps); the free
-    quadratic-phase convolution is the exact multiplier exp(-i D eps k^2/2).
-    For zero drift and zero b the step is exactly unimodular.
+    For an admissible spec only: the Cayley drift, the phase exp(-i eps b)
+    and the free multiplier exp(-i D eps k^2/2), in that order.  The drift
+    and b act in position space to O(eps); the free quadratic-phase
+    convolution is exact.  Each factor is unitary, so the step conserves
+    the norm to round-off.
     """
     # Fields are static, so every factor of the step is built once; only the
     # boundary-decay check runs on every state.
@@ -311,7 +313,7 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     if n & (n - 1):
         raise ValueError(f"spectral stepping needs a power-of-two grid, got n={n}")
     free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-    phase = np.exp(-1j * eps * spec.b(x)) if spec.order == "first" else None
+    phase = np.exp(-1j * eps * spec.b(x))
     u = spec.u(x)
     drifts = bool(np.any(u != 0.0))
     # Cayley step of the antisymmetric drift u d/dx + (1/2) du/dx, written in
@@ -321,20 +323,13 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     half_face = 0.5 * eps * ((u[:-1] + u[1:]) / (4.0 * grid.dx)) + 0j  # psi is complex
     explicit = Tridiagonal(-half_face, np.ones(n), half_face)
     implicit = Tridiagonal(half_face, np.ones(n), -half_face)
-    # the zero-order kernel carries the full du/dx weight, half of which is
-    # the non-unitary surplus the T correction removes
-    surplus = (np.exp(0.5 * eps * spec.u.derivative(x))
-               if drifts and spec.order == "zero" else None)
 
     def step(state: WaveState) -> WaveState:
         check_boundary_decay(state)
         psi = state.psi
         if drifts:
             psi = implicit.solve(explicit.apply(psi))
-        if surplus is not None:
-            psi = psi * surplus
-        if phase is not None:
-            psi = phase * psi
+        psi = phase * psi
         return state.replace_psi(np.fft.ifft(free * np.fft.fft(psi)), time=state.time + eps)
 
     return step
@@ -365,7 +360,7 @@ def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     return step
 
 
-def wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, method: str = "dense"):
+def wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, method: str):
     """The dense or the spectral step, as method names it."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")

@@ -25,7 +25,6 @@ from functools import partial
 
 from .fields import (
     MIN_TABLE_SAMPLES,
-    ORDERS,
     VARIANTS,
     FieldSpec,
     Grid,
@@ -303,8 +302,7 @@ _SCENARIO = _object({"name": _file_name}, {  # name stems the default output nam
                     build=make_grid),  # n <= 2^20: a complex state is 16 MiB
     "packet": _section(PacketSpec),
     "spec": _object({}, {"d": _number(positive=True), "u": parse_field, "b": parse_field,
-                         "order": _string(ORDERS), "variant": _string(VARIANTS),
-                         **_VARIANT_KEYS},
+                         "variant": _string(VARIANTS), **_VARIANT_KEYS},
                     partial(PropagatorSpec, d=1.0)),
     "schedule": _object({}, {"eps": _number(positive=True),
                              # n_steps <= 2^15: walk's 4096-particle block of draws is 1 GiB

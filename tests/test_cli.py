@@ -487,12 +487,8 @@ AUDIT_BASE = {
 @pytest.mark.parametrize("spec,variants,key", [
     (AUDIT_BASE["spec"], [{"variant": "no_t", "im_d": 0.3, "expect": "drifts"}],
      "audit.variants[0]"),
-    ({**AUDIT_BASE["spec"], "order": "zero"},
-     [{"variant": "admissible", "expect": "conserves"},
-      {"variant": "no_t", "expect": "drifts"}],
-     "audit.variants[1]"),
     (None, AUDIT_BASE["audit"]["variants"], "audit"),
-], ids=("im_d-without-complex_d", "no_t-with-zero-order", "no-spec-section"))
+], ids=("im_d-without-complex_d", "no-spec-section"))
 def test_audit_variant_specs_are_built_at_parse_time(spec, variants, key, tmp_path,
                                                      capsys):
     data = {**AUDIT_BASE, "audit": {**AUDIT_BASE["audit"], "variants": variants}}
@@ -526,6 +522,10 @@ COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, 
     ("compare", {**COMPARE_BASE, "schedule": {"eps_ladder": [0.1, 0.07]},
                  "compare": {"t_final": 1.0}},
      "scenario.schedule.eps_ladder: eps=0.014 does not divide"),
+    # a variant is refused before the ladder's divisibility is checked
+    ("compare", {**COMPARE_BASE, "spec": {"d": 1.0, "variant": "no_t"},
+                 "schedule": {"eps_ladder": [0.1, 0.03]}, "compare": {"t_final": 1.0}},
+     "only the admissible variant maps to a Hamiltonian"),
     # D(x) <= 0 on the grid is refused when the dense step is built, not divided
     # by (D = 0 at x = 0) or audited as a negative diffusivity
     ("evolve", {"name": "x", "grid": GRID_16, "packet": {"sigma0": 0.8},
@@ -538,7 +538,7 @@ COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, 
                     "expect": "conserves"}]}},
      "spec.d_field must be > 0 on the grid, but its minimum there is D = -1"),
 ], ids=("audit-3-rungs", "compare-eps_ladder", "compare-eps_ref", "compare-default-eps_ref",
-        "evolve-d_field-linear", "audit-d_field-negative"))
+        "compare-variant", "evolve-d_field-linear", "audit-d_field-negative"))
 def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from gaussprop import (
     real_kernel,
     t_correction,
 )
+from gaussprop.kernel import source_factors
 
 SPEC = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), b=FieldSpec.constant(0.3))
 
@@ -39,7 +40,7 @@ def _closed_form(eta, eps, u=0.0, t=0.0):
 
 
 def test_normalization_principal_branch():
-    spec = PropagatorSpec(d=1.0, order="zero")
+    spec = PropagatorSpec(d=1.0)  # u = b = 0, so T = 0
     value = complex_kernel(0.0, 0.5, 0.0, spec)
     assert abs(value) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi * 0.5))
     # sqrt(i) on the principal branch carries phase pi/4, so 1/K carries -pi/4
@@ -63,11 +64,6 @@ def test_t_correction_variants():
     assert t_correction(end, x)[0].real == pytest.approx(0.4)
 
 
-def test_t_correction_refuses_zero_order():
-    with pytest.raises(ValueError):
-        t_correction(PropagatorSpec(d=1.0, order="zero"), np.zeros(1))
-
-
 def test_complex_kernel_phase_is_unimodular_and_centered():
     eta = np.linspace(-2.0, 2.0, 81)
     eps = 0.25
@@ -87,11 +83,14 @@ def test_complex_kernel_exponential_t_factor():
     assert value[0] == pytest.approx(expected)
 
 
-def test_complex_kernel_zero_order_has_unit_t_factor():
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), order="zero")
-    eta = np.linspace(-1, 1, 11)
-    value = complex_kernel(eta, 0.1, 0.0, spec)
-    assert np.allclose(value, _closed_form(eta, 0.1))
+def test_bare_kernel_is_no_t_without_b():
+    """no_t with b = 0 drops T entirely: its T factor is exactly 1."""
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
+    x = np.linspace(-1, 1, 11)
+    _, t_factor = source_factors(0.1, x, spec)
+    assert np.all(t_factor == 1.0)
+    value = complex_kernel(x, 0.1, 0.0, spec)
+    assert np.allclose(value, _closed_form(x, 0.1))
 
 
 def test_kernel_rejects_nonpositive_eps():

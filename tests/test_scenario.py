@@ -15,7 +15,7 @@ FULL = {
     "grid": {"x_min": -8.0, "x_max": 8.0, "n": 256},
     "packet": {"x0": 0.5, "sigma0": 0.8, "k0": 1.0},
     "spec": {"d": 1.0, "u": {"kind": "linear", "slope": 0.2},
-             "b": {"kind": "constant", "c": 0.1}, "order": "first",
+             "b": {"kind": "constant", "c": 0.1},
              "variant": "x_dependent_d", "im_d": 0.0, "im_u": 0.0,
              "d_field": {"kind": "constant", "c": 1.0}},
     "schedule": {"eps": 0.01, "n_steps": 2, "eps_ladder": [0.02, 0.01]},

@@ -1,7 +1,7 @@
 """The package's shape: no time argument, no private cross-module import,
 no wrapper layer, the kernel's correction T decided in one place, one
-polynomial field kind, one spelling of "admissible" and one
-propagator-to-Hamiltonian map.
+polynomial field kind, one spelling of "admissible", one
+propagator-to-Hamiltonian map and no kernel order.
 
 Fields are static functions of x, so no signature takes a time argument.
 Each method is stepped one way, through its builder and march, and each
@@ -10,13 +10,16 @@ decides Re T, so no signature takes an a_override.  The constant, linear
 and quadratic presets are one polynomial kind, so every affine or quadratic
 decision outside fields reads FieldSpec.degree or coeffs, not a kind name.
 PropagatorSpec.is_admissible alone compares the variant with "admissible",
-and reference.to_hamiltonian alone reads u's and b's coefficients.
+and reference.to_hamiltonian alone reads u's and b's coefficients.  The
+kernel always applies exp(-eps T): the bare kernel is the no_t variant with
+b = 0, so no order knob selects it and "admissible" always conserves the norm.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
@@ -223,3 +226,19 @@ def test_the_hamiltonian_map_is_written_once():
     assert [f.name for f in dataclasses.fields(gaussprop.HamiltonianSpec)] == ["m", "a_field", "phi"]
     source = Path(reference.__file__).read_text()
     assert _coefficient_readers(ast.parse(source)) == {"to_hamiltonian"}
+
+
+# the kernel order and its choices, deleted for good
+ORDER_LEFTOVERS = ("order", "ORDERS")
+
+
+def test_the_kernel_has_no_order(tmp_path, capsys):
+    assert "order" not in {f.name for f in dataclasses.fields(gaussprop.PropagatorSpec)}
+    fields = importlib.import_module("gaussprop.fields")
+    assert not [name for name in ORDER_LEFTOVERS
+                if hasattr(fields, name) or hasattr(gaussprop, name)]
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"name": "order", "spec": {"d": 1.0, "order": "zero"}}))
+    assert gaussprop.cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.spec" in err and "'order'" in err
