@@ -5,15 +5,15 @@ table and a JSON summary next to each other, print a short report.  Exit
 codes are part of the contract: 0 success, 1 a quality gate failed (audit
 expectations, moment tolerance, convergence slope band), 2 the scenario
 is invalid or incomplete for the command, 3 the run aborted for a physics
-reason (kernel phase unresolvable, packet reached the grid edge).
+reason (a kernel phase unresolvable, a packet at the grid edge).
 
 compare measures the kernel steps against the exact Gaussian state when the
 spec has one (constant D, u of degree <= 1 and b a polynomial;
 reference.exact_state) and against a Crank-Nicolson march of step eps_ref
 otherwise.  The input decides; eps_ref is checked for every spec all the same.
 
-Output locations: --out wins, then the GAUSSPROP_OUT environment
-variable, then the working directory.  Writes are atomic and the files
+Every run writes <name>_<command>.csv and .json into --out, else
+$GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
 carry no timestamps, so a rerun with the same inputs is byte-identical.
 """
 
@@ -74,8 +74,6 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
 
     _, final_time, final_norm, _, _, final_err = rows[-1]
     summary = {
-        "command": "evolve",
-        "scenario": sc.name,
         "method": method,
         "eps": sc.eps,
         "n_steps": sc.n_steps,
@@ -133,8 +131,6 @@ def _run_audit(sc: Scenario, args) -> RunResult:
         lines.append(f"  {variant}: {verdict} (expected {case.expect}, "
                      f"{marker}); drift orders per packet: {orders}")
     summary = {
-        "command": "audit",
-        "scenario": sc.name,
         "eps_ladder": list(sc.eps_ladder),
         "variants": variants_out,
         "passed": passed,
@@ -153,14 +149,14 @@ def _run_moments(sc: Scenario, args) -> RunResult:
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
     for d, eps in ms.pairs:
-        quad = RegularizedQuadrature.for_params(d, eps, ms.samples, ms.delta0)
+        quad = RegularizedQuadrature.for_params(d, eps, ms.delta0)
         values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
         checks += [(d, eps, f"moment_{n}", complex(q), closed_moment(n, d, eps))
                    for n, q in zip(MOMENT_ORDERS, values)]
     if ms.cancellation is not None:
         cs = ms.cancellation
         spec = PropagatorSpec(d=ms.pairs[0][0], u=FieldSpec.sine(1.0, cs.k))
-        quad = RegularizedQuadrature.for_params(spec.d, cs.eps, ms.samples, ms.delta0)
+        quad = RegularizedQuadrature.for_params(spec.d, cs.eps, ms.delta0)
         res = cancellation_check(spec, cs.x, cs.eps, quad=quad)
         checks.append((spec.d, cs.eps, "cancellation", res.quadrature, res.closed_form))
     rows, max_rel = [], 0.0
@@ -171,8 +167,6 @@ def _run_moments(sc: Scenario, args) -> RunResult:
         rows.append((d, eps, check, q.real, q.imag, c.real, c.imag, abs_err, rel))
     passed = max_rel <= ms.tolerance
     summary = {
-        "command": "moments",
-        "scenario": sc.name,
         "tolerance": ms.tolerance,
         "max_rel_error": max_rel,
         "n_checks": len(rows),
@@ -205,8 +199,6 @@ def _run_walk(sc: Scenario, args) -> RunResult:
     t = ensemble.time
     expected_mean, expected_var = gaussian_law(ensemble, sc.spec) or (None, None)
     summary = {
-        "command": "walk",
-        "scenario": sc.name,
         "seed": seed,
         "n_particles": ws.n_particles,
         "n_steps": sc.n_steps,
@@ -272,8 +264,6 @@ def _run_compare(sc: Scenario, args) -> RunResult:
     lo, hi = cs.slope_band
     passed = lo <= slope <= hi
     summary = {
-        "command": "compare",
-        "scenario": sc.name,
         "method": method,
         "t_final": cs.t_final,
         "reference": reference,
@@ -321,20 +311,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _output_names(sc: Scenario, command: str) -> tuple[str, str]:
-    """The CSV and JSON file names, which must differ: one would overwrite the other."""
-    csv_name = sc.outputs.get("csv", f"{sc.name}_{command}.csv")
-    json_name = sc.outputs.get("json", f"{sc.name}_{command}.json")
-    if csv_name == json_name:
-        raise ScenarioError(f"scenario.outputs: csv and json are both named {csv_name!r}")
-    return csv_name, json_name
-
-
-def _write_outputs(result: RunResult, out_dir: str, csv_name: str,
-                   json_name: str) -> tuple[str, str]:
+def _write_outputs(result: RunResult, out_dir: str, stem: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, csv_name)
-    json_path = os.path.join(out_dir, json_name)
+    csv_path = os.path.join(out_dir, f"{stem}.csv")
+    json_path = os.path.join(out_dir, f"{stem}.json")
     csv_lines = [",".join(result.header)]
     csv_lines.extend(",".join(_fmt_cell(cell) for cell in row)
                      for row in result.rows)
@@ -381,7 +361,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         sc = load_scenario(args.scenario)
-        names = _output_names(sc, args.command)
         result = _RUNNERS[args.command](sc, args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -394,8 +373,9 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = args.out or os.environ.get("GAUSSPROP_OUT") or "."
+    result.summary.update(command=args.command, scenario=sc.name)
     try:
-        csv_path, json_path = _write_outputs(result, out_dir, *names)
+        csv_path, json_path = _write_outputs(result, out_dir, f"{sc.name}_{args.command}")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2

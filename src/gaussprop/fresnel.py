@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PropagatorSpec
+from .propagate import ValidityError
 
 MOMENT_ORDERS = (0, 1, 2, 4)
 
@@ -78,16 +79,17 @@ class RegularizedQuadrature:
                 f"{delta_min * self.half_width ** 2:.3f} < {_TAIL_EXPONENT}")
 
     @classmethod
-    def for_params(cls, d: float, eps: float, samples: int = 100_000,
-                   delta0: float | None = None) -> "RegularizedQuadrature":
-        """Ladder and window scaled to the chirp rate 1/(2 D eps).
+    def for_params(cls, d: float, eps: float,
+                   delta0: float | None = None) -> RegularizedQuadrature:
+        """Ladder and window scaled to the chirp rate 1/(2 D eps), on 100,000 nodes.
 
+        L^2 = 40000 D eps turns the chirp 0.8 rad a node at the edge for any D, eps.
         A given delta0 is kept as the regulator; the window is then sized only
-        to close its tail."""
+        to close its tail, and ladder_integral refuses it if the nodes cannot."""
         if delta0 is None:
             delta0 = _DELTA_SCALE / (2.0 * d * eps)
         half_width = float(np.sqrt(_AUTO_TAIL_EXPONENT / (delta0 / 4.0)) * (1.0 + 1e-9))
-        return cls(delta0, half_width, samples)
+        return cls(delta0, half_width, 100_000)
 
 
 def monomial(n: int):
@@ -116,8 +118,16 @@ def _trapezoid(center, pair, deta: float) -> complex:
 
 def ladder_integral(polys, d: float, eps: float, quad: RegularizedQuadrature) -> list:
     """Richardson-extrapolated trapezoid of each poly(eta) * exp(i eta^2/(2 D eps)),
-    with one regulated chirp per ladder shared by every rung and poly."""
+    with one regulated chirp per ladder shared by every rung and poly.
+
+    Raises ValidityError when the chirp turns by more than pi between the last
+    two nodes: the trapezoid would alias it and return garbage."""
     m = quad.samples // 2
+    edge_step = quad.half_width ** 2 / (m * d * eps)  # the chirp's turn a node at L
+    if edge_step > np.pi:
+        raise ValidityError(f"quadrature cannot resolve the kernel chirp: phase step "
+                            f"{edge_step:.3g} rad > pi at the window edge, delta0 = "
+                            f"{quad.delta0:g} at D = {d:g}, eps = {eps:g}; raise delta0")
     deta = quad.half_width / m
     eta = deta * np.arange(1, m + 1)
     chirp = 1j / (2.0 * d * eps)

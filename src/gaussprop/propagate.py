@@ -81,7 +81,7 @@ MAX_DENSE_MATRIX_N = 2 ** 13
 
 
 class ValidityError(RuntimeError):
-    """The grid cannot resolve the kernel's phase for this step size."""
+    """The grid, or the moment quadrature's nodes, cannot resolve the kernel's phase."""
 
 
 @dataclass(frozen=True)

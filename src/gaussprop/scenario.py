@@ -234,9 +234,6 @@ class MomentsSettings:
         _list_of(_numbers(2, exact=True, positive=True)))
     tolerance: float = _key(_number(positive=True), 1e-6)
     delta0: float | None = _key(_number(positive=True), None)
-    # 20000 is the quadrature's own floor; the ladder peaks near 44 B a
-    # sample, so 2^24 samples stay under 0.75 GiB
-    samples: int = _key(_integer(20_000, 2 ** 24), 100_000)
     cancellation: CancellationSettings | None = _key(_section(CancellationSettings), None)
 
 
@@ -278,7 +275,6 @@ class Scenario:
     audit: AuditSettings | None = None
     moments: MomentsSettings | None = None
     compare: CompareSettings | None = None
-    outputs: dict = field(default_factory=dict)
 
     def require(self, *names):
         """Raise ScenarioError naming the command when a section is absent."""
@@ -297,7 +293,7 @@ def _ladder(eps):
 # spec's variant parameters; an audit variant sets them with its variant and verdict
 _VARIANT_KEYS = {"im_d": _number(), "im_u": _number(), "d_field": parse_field}
 
-_SCENARIO = _object({"name": _file_name}, {  # name stems the default output names
+_SCENARIO = _object({"name": _file_name}, {  # name stems the output names
     "grid": _object({"x_min": _number(), "x_max": _number(), "n": _integer(16, 2 ** 20)},
                     build=make_grid),  # n <= 2^20: a complex state is 16 MiB
     "packet": _section(PacketSpec),
@@ -317,7 +313,6 @@ _SCENARIO = _object({"name": _file_name}, {  # name stems the default output nam
                           _VARIANT_KEYS))}),
     "moments": _section(MomentsSettings),
     "compare": _section(CompareSettings),
-    "outputs": _object({}, {"csv": _file_name, "json": _file_name}),
 })
 
 

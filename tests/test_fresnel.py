@@ -14,6 +14,7 @@ from gaussprop import (
     MOMENT_ORDERS,
     PropagatorSpec,
     RegularizedQuadrature,
+    ValidityError,
     cancellation_check,
     closed_moment,
     fresnel_moment,
@@ -44,6 +45,9 @@ def test_closed_moment_ratios():
 @pytest.mark.parametrize("eps", [1.0, 0.1])
 def test_quadrature_matches_closed_forms(d, eps):
     quad = RegularizedQuadrature.for_params(d, eps)
+    # 100,000 nodes; the chirp turns 0.8 rad a node at the window edge
+    assert quad.samples == 100_000
+    assert quad.half_width ** 2 / (quad.samples // 2 * d * eps) == pytest.approx(0.8)
     for n in MOMENT_ORDERS:
         q = fresnel_moment(n, d, eps, quad)
         c = closed_moment(n, d, eps)
@@ -78,6 +82,15 @@ def test_quadrature_validation():
     # window too short to close the smallest regulator's tail
     with pytest.raises(ValueError):
         RegularizedQuadrature(delta0=0.1, half_width=5.0, samples=100_000)
+
+
+def test_the_ladder_refuses_a_chirp_its_nodes_cannot_resolve():
+    """delta0 = 0.001 stretches L to 400, where the chirp turns 32 rad a node."""
+    quad = RegularizedQuadrature.for_params(1.0, 0.1, delta0=0.001)
+    with pytest.raises(ValidityError, match=r"phase step 32 rad > pi"):
+        ladder_integral([monomial(0)], 1.0, 0.1, quad)
+    with pytest.raises(ValidityError, match=r"phase step 32 rad > pi"):
+        fresnel_moment(0, 1.0, 0.1, quad)
 
 
 def test_coarse_regulator_degrades_accuracy():

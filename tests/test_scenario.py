@@ -26,9 +26,8 @@ FULL = {
               "variants": [{"variant": "complex_u", "expect": "drifts", "im_d": 0.0,
                             "im_u": 0.2}]},
     "moments": {"pairs": [[1.0, 0.1]], "tolerance": 1e-6, "delta0": 0.25,
-                "samples": 20_000, "cancellation": {"k": 1.0, "x": 0.5, "eps": 0.1}},
+                "cancellation": {"k": 1.0, "x": 0.5, "eps": 0.1}},
     "compare": {"t_final": 1.0, "eps_ref": 0.001, "slope_band": [0.7, 1.3]},
-    "outputs": {"csv": "a.csv", "json": "b.json"},
 }
 
 # one valid field object per preset kind, placed at spec.u
@@ -145,7 +144,6 @@ def test_an_audit_variant_resets_the_variant_keys_it_omits():
     ("grid", "n", 2 ** 17, 2 ** 20),
     ("walk", "n_particles", 10 ** 8, 10 ** 8),
     ("walk", "bins", 10 ** 6, 10 ** 6),
-    ("moments", "samples", 2 ** 24, 2 ** 24),
 ])
 def test_a_size_is_bounded_at_its_key(section, key, admitted, maximum):
     """Sizes are refused at parse time, before anything is allocated for them."""

@@ -1,7 +1,8 @@
 """The package's shape: no time argument, no private cross-module import,
 no wrapper layer, the kernel's correction T decided in one place, one
 polynomial field kind, one spelling of "admissible", one
-propagator-to-Hamiltonian map and no kernel order.
+propagator-to-Hamiltonian map, no kernel order and no output-name or
+node-budget setting.
 
 Fields are static functions of x, so no signature takes a time argument.
 Each method is stepped one way, through its builder and march, and each
@@ -242,3 +243,27 @@ def test_the_kernel_has_no_order(tmp_path, capsys):
     assert gaussprop.cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "scenario.spec" in err and "'order'" in err
+
+
+# the scenario settings no run set, deleted for good: every run writes
+# <name>_<command>.csv and .json, and an auto-sized quadrature lays 100,000 nodes
+def _refused(tmp_path, capsys, section):
+    path = tmp_path / "leftover.json"
+    path.write_text(json.dumps({"name": "leftover", **section}))
+    out = tmp_path / "out"
+    assert gaussprop.cli.main(["moments", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_the_output_names_and_node_budget_are_not_settings(tmp_path, capsys):
+    scenario = importlib.import_module("gaussprop.scenario")
+    assert "outputs" not in {f.name for f in dataclasses.fields(scenario.Scenario)}
+    assert "samples" not in {f.name for f in dataclasses.fields(scenario.MomentsSettings)}
+    assert not hasattr(gaussprop.cli, "_output_names")
+    assert list(_parameters(gaussprop.RegularizedQuadrature.for_params)) == ["d", "eps", "delta0"]
+    moments = {"pairs": [[1.0, 0.1]]}
+    err = _refused(tmp_path, capsys, {"moments": moments, "outputs": {"csv": "a.csv"}})
+    assert "scenario:" in err and "'outputs'" in err
+    err = _refused(tmp_path, capsys, {"moments": {**moments, "samples": 200_000}})
+    assert "scenario.moments:" in err and "'samples'" in err
