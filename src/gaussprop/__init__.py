@@ -42,7 +42,6 @@ from .fields import (
 from .fresnel import (
     CancellationResult,
     MOMENT_ORDERS,
-    RegularizedQuadrature,
     cancellation_check,
     closed_moment,
     fresnel_moment,
@@ -112,7 +111,6 @@ __all__ = [
     "PhaseShiftReport",
     "PropagatorSpec",
     "RealState",
-    "RegularizedQuadrature",
     "STEP_LAWS",
     "Scenario",
     "ScenarioError",

@@ -33,8 +33,7 @@ import numpy as np
 
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments
-from .fresnel import (MOMENT_ORDERS, RegularizedQuadrature, cancellation_check,
-                      closed_moment, ladder_integral, monomial)
+from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, ladder_integral, monomial
 from .propagate import METHODS, ValidityError, last, march, wave_stepper
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -120,7 +119,8 @@ def _run_audit(sc: Scenario, args) -> RunResult:
             "matches_expectation": ok,
             "packets": [
                 {"x0": p.x0, "sigma0": p.sigma0, "k0": p.k0,
-                 "fitted_order": r.fitted_order,
+                 # inf (drift at round-off) has no JSON literal
+                 "fitted_order": None if math.isinf(r.fitted_order) else r.fitted_order,
                  "predicted_rate": r.predicted_rate,
                  "verdict": r.verdict}
                 for p, r in packet_reports
@@ -149,15 +149,13 @@ def _run_moments(sc: Scenario, args) -> RunResult:
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
     for d, eps in ms.pairs:
-        quad = RegularizedQuadrature.for_params(d, eps, ms.delta0)
-        values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
+        values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, ms.delta0)
         checks += [(d, eps, f"moment_{n}", complex(q), closed_moment(n, d, eps))
                    for n, q in zip(MOMENT_ORDERS, values)]
     if ms.cancellation is not None:
         cs = ms.cancellation
         spec = PropagatorSpec(d=ms.pairs[0][0], u=FieldSpec.sine(1.0, cs.k))
-        quad = RegularizedQuadrature.for_params(spec.d, cs.eps, ms.delta0)
-        res = cancellation_check(spec, cs.x, cs.eps, quad=quad)
+        res = cancellation_check(spec, cs.x, cs.eps, delta0=ms.delta0)
         checks.append((spec.d, cs.eps, "cancellation", res.quadrature, res.closed_form))
     rows, max_rel = [], 0.0
     for d, eps, check, q, c in checks:

@@ -41,55 +41,16 @@ from .propagate import ValidityError
 
 MOMENT_ORDERS = (0, 1, 2, 4)
 
-# delta0 * (2 D eps) for auto-built quadratures; Richardson residual scales
+# delta0 * (2 D eps) for the default regulator; Richardson residual scales
 # like this cubed, comfortably under the 1e-6 certification target.
 _DELTA_SCALE = 0.008
 
-# regulator tail floor: delta_min * L^2 >= 25 keeps exp(-delta L^2) <= e^-25
-_TAIL_EXPONENT = 25.0
-
-# auto-built windows use a larger budget: the eta^4 moment's truncated tail
+# the window's tail budget (delta0/4) L^2: the eta^4 moment's truncated tail
 # scales like L^3 exp(-delta L^2) and must stay below the 1e-6 certification
-_AUTO_TAIL_EXPONENT = 40.0
+_TAIL_EXPONENT = 40.0
 
-
-@dataclass(frozen=True)
-class RegularizedQuadrature:
-    """Trapezoid rule on [-L, L] with a Gaussian regulator ladder.
-
-    delta0 is the largest regulator of the ladder {delta0, delta0/2,
-    delta0/4}; half_width is L; samples is the node budget per evaluation.
-    """
-
-    delta0: float
-    half_width: float
-    samples: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.delta0) and self.delta0 > 0.0):
-            raise ValueError(f"delta0 must be finite and > 0, got {self.delta0}")
-        if not (np.isfinite(self.half_width) and self.half_width > 0.0):
-            raise ValueError(f"half_width must be finite and > 0, got {self.half_width}")
-        if self.samples < 20_000:
-            raise ValueError(f"need at least 20000 sample points, got {self.samples}")
-        delta_min = self.delta0 / 4.0
-        if delta_min * self.half_width ** 2 < _TAIL_EXPONENT * (1.0 - 1e-9):
-            raise ValueError(
-                f"window too short for the regulator ladder: delta_min * L^2 = "
-                f"{delta_min * self.half_width ** 2:.3f} < {_TAIL_EXPONENT}")
-
-    @classmethod
-    def for_params(cls, d: float, eps: float,
-                   delta0: float | None = None) -> RegularizedQuadrature:
-        """Ladder and window scaled to the chirp rate 1/(2 D eps), on 100,000 nodes.
-
-        L^2 = 40000 D eps turns the chirp 0.8 rad a node at the edge for any D, eps.
-        A given delta0 is kept as the regulator; the window is then sized only
-        to close its tail, and ladder_integral refuses it if the nodes cannot."""
-        if delta0 is None:
-            delta0 = _DELTA_SCALE / (2.0 * d * eps)
-        half_width = float(np.sqrt(_AUTO_TAIL_EXPONENT / (delta0 / 4.0)) * (1.0 + 1e-9))
-        return cls(delta0, half_width, 100_000)
+# trapezoid nodes on [-L, L]: the default window turns the chirp 0.8 rad a node at L
+_SAMPLES = 100_000
 
 
 def monomial(n: int):
@@ -116,22 +77,30 @@ def _trapezoid(center, pair, deta: float) -> complex:
     return (center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta
 
 
-def ladder_integral(polys, d: float, eps: float, quad: RegularizedQuadrature) -> list:
+def ladder_integral(polys, d: float, eps: float, delta0: float | None = None) -> list:
     """Richardson-extrapolated trapezoid of each poly(eta) * exp(i eta^2/(2 D eps)),
     with one regulated chirp per ladder shared by every rung and poly.
 
-    Raises ValidityError when the chirp turns by more than pi between the last
-    two nodes: the trapezoid would alias it and return garbage."""
-    m = quad.samples // 2
-    edge_step = quad.half_width ** 2 / (m * d * eps)  # the chirp's turn a node at L
+    delta0, the largest regulator of the ladder {delta0, delta0/2, delta0/4}, is
+    0.008/(2 D eps) unless given; the window [-L, L] closes the smallest one's
+    tail, (delta0/4) L^2 = 40, on 100,000 nodes.  Raises ValidityError when the
+    chirp turns by more than pi between the last two nodes: the trapezoid would
+    alias it and return garbage."""
+    if delta0 is None:
+        delta0 = _DELTA_SCALE / (2.0 * d * eps)
+    if not (np.isfinite(delta0) and delta0 > 0.0):
+        raise ValueError(f"delta0 must be finite and > 0, got {delta0}")
+    half_width = float(np.sqrt(_TAIL_EXPONENT / (delta0 / 4.0)) * (1.0 + 1e-9))
+    m = _SAMPLES // 2
+    edge_step = half_width ** 2 / (m * d * eps)  # the chirp's turn a node at L
     if edge_step > np.pi:
         raise ValidityError(f"quadrature cannot resolve the kernel chirp: phase step "
                             f"{edge_step:.3g} rad > pi at the window edge, delta0 = "
-                            f"{quad.delta0:g} at D = {d:g}, eps = {eps:g}; raise delta0")
-    deta = quad.half_width / m
+                            f"{delta0:g} at D = {d:g}, eps = {eps:g}; raise delta0")
+    deta = half_width / m
     eta = deta * np.arange(1, m + 1)
     chirp = 1j / (2.0 * d * eps)
-    step = quad.delta0 / 4.0
+    step = delta0 / 4.0
     centers = [complex(np.asarray(poly(np.zeros(1)))[0]) for poly in polys]
     pairs = [np.asarray(poly(eta)) + np.asarray(poly(-eta)) for poly in polys]
     r = np.exp(-step * eta ** 2)  # real; it takes a rung to the next one up
@@ -160,22 +129,18 @@ def closed_moment(n: int, d: float, eps: float) -> complex:
     return complex(root * (-3.0 * d ** 2 * eps ** 2))
 
 
-def fresnel_moment(n: int, d: float, eps: float,
-                   quad: RegularizedQuadrature | None = None) -> complex:
+def fresnel_moment(n: int, d: float, eps: float) -> complex:
     """Quadrature value of integral eta^n exp(i eta^2/(2 D eps)) d eta."""
     if n not in MOMENT_ORDERS:
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}, got {n}")
     if not (np.isfinite(d) and d > 0.0 and np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"need d > 0 and eps > 0, got d={d}, eps={eps}")
-    if quad is None:
-        quad = RegularizedQuadrature.for_params(d, eps)
-    return complex(ladder_integral([monomial(n)], d, eps, quad)[0])
+    return complex(ladder_integral([monomial(n)], d, eps)[0])
 
 
-def unit_mass_check(d: float, eps: float,
-                    quad: RegularizedQuadrature | None = None) -> complex:
+def unit_mass_check(d: float, eps: float) -> complex:
     """Zero-order kernel mass: quadrature moment over K, expected 1 + 0i."""
-    return fresnel_moment(0, d, eps, quad) / closed_moment(0, d, eps)
+    return fresnel_moment(0, d, eps) / closed_moment(0, d, eps)
 
 
 @dataclass(frozen=True)
@@ -191,7 +156,7 @@ class CancellationResult:
 
 
 def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
-                       quad: RegularizedQuadrature | None = None) -> CancellationResult:
+                       delta0: float | None = None) -> CancellationResult:
     """Residual of the drift-squared cancellation at the point x.
 
     Integrates (u + eta u')^2 [-eta^2/(2 D^2) + i eps/(2 D)] against the bare
@@ -203,13 +168,11 @@ def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
     d = spec.d
     u = float(spec.u(x))
     du = float(spec.u.derivative(x))
-    if quad is None:
-        quad = RegularizedQuadrature.for_params(d, eps)
 
     def integrand(eta):
         u_plus = u + eta * du
         return u_plus ** 2 * (-(eta ** 2) / (2.0 * d ** 2) + 1j * eps / (2.0 * d))
 
-    value = ladder_integral([integrand], d, eps, quad)[0] / closed_moment(0, d, eps)
+    value = ladder_integral([integrand], d, eps, delta0)[0] / closed_moment(0, d, eps)
     return CancellationResult(quadrature=complex(value),
                               closed_form=complex(du ** 2 * eps ** 2))

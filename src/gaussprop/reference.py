@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (FieldSpec, Grid, PropagatorSpec, RealState, WaveState,
-                     check_boundary_decay, check_eps)
+from .fields import (BoundaryDecayError, FieldSpec, Grid, PropagatorSpec, RealState,
+                     WaveState, check_boundary_decay, check_eps)
 from .propagate import Tridiagonal
 
 
@@ -187,7 +187,8 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
     log w follows its branch continuously in time.  gamma at time 0 carries
     the packet's discrete normalization, so time 0 gives the built packet to
     round-off.  Raises ValueError for a spec outside has_exact_state's class,
-    and BoundaryDecayError if the state has reached the grid edges.
+    and BoundaryDecayError if the state has reached the grid edges or its
+    closed form overflows (an inverted oscillator spreads it exponentially).
     """
     if not has_exact_state(spec):
         raise ValueError("the exact state needs the admissible variant, u a polynomial "
@@ -208,25 +209,34 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
     gamma0 = -0.25 * x0 ** 2 / sigma0 ** 2 - math.log(scale)
 
     t, omega2 = time, 2.0 * v2 / m
-    c, s, s1, q = _fundamental(omega2, t)
-    # w turns half a period about 0 each pi/omega when omega2 > 0
-    half_turns = round(math.sqrt(omega2) * t / math.pi) if omega2 > 0.0 else 0
-    dw0 = -2j * alpha0 / m
-    w, dw = c + dw0 * s, -omega2 * s + dw0 * c
-    big_w = s + dw0 * s1  # the integral of w
-    # (-1)^n w with n = half_turns never crosses the negative real axis
-    turned = -w if half_turns % 2 else w
-    log_w = complex(math.log(abs(w)), math.atan2(turned.imag, turned.real) + math.pi * half_turns)
-    beta = (beta0 - 1j * v1 * big_w) / w
-    # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
-    i0 = s / w
-    i1 = big_w * s / w - s1
-    i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
-    beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
-    gamma = gamma0 - 0.5 * log_w - 1j * v0 * t + 0.5j / m * beta_sq
-    alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
-    beta = beta + 1j * a0
-    state = WaveState(grid, np.exp((alpha * x + beta) * x + gamma), time=t)
+    try:  # cosh, sinh and the squares overflow once the packet has spread far
+        c, s, s1, q = _fundamental(omega2, t)
+        # w turns half a period about 0 each pi/omega when omega2 > 0
+        half_turns = round(math.sqrt(omega2) * t / math.pi) if omega2 > 0.0 else 0
+        dw0 = -2j * alpha0 / m
+        w, dw = c + dw0 * s, -omega2 * s + dw0 * c
+        big_w = s + dw0 * s1  # the integral of w
+        # (-1)^n w with n = half_turns never crosses the negative real axis
+        turned = -w if half_turns % 2 else w
+        log_w = complex(math.log(abs(w)),
+                        math.atan2(turned.imag, turned.real) + math.pi * half_turns)
+        beta = (beta0 - 1j * v1 * big_w) / w
+        # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
+        i0 = s / w
+        i1 = big_w * s / w - s1
+        i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
+        beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
+        gamma = gamma0 - 0.5 * log_w - 1j * v0 * t + 0.5j / m * beta_sq
+        alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
+        beta = beta + 1j * a0
+        with np.errstate(all="ignore"):
+            psi = np.exp((alpha * x + beta) * x + gamma)
+    except OverflowError:
+        psi = None
+    if psi is None or not np.isfinite(psi.view(float)).all():
+        raise BoundaryDecayError(f"the exact state at time {t:g} overflows: the packet "
+                                 "has spread far past the grid")
+    state = WaveState(grid, psi, time=t)
     check_boundary_decay(state)
     return state
 

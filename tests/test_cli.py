@@ -324,6 +324,28 @@ def test_compare_exits_three_when_the_exact_state_reaches_the_edges(tmp_path, ca
     assert "aborted at step" not in err  # the reference, before any ladder step
 
 
+@pytest.mark.parametrize("c,message", [
+    (-15.0, "state has not decayed at the grid edges"),
+    (-20.0, "the exact state at time 40 overflows"),  # its closed form is nan
+    (-50.0, "the exact state at time 40 overflows"),  # a square overflows
+    (-500.0, "the exact state at time 40 overflows"),  # cosh overflows
+], ids=("c-15", "c-20", "c-50", "c-500"))
+def test_compare_exits_three_when_an_inverted_oscillator_spreads_the_packet(
+        c, message, tmp_path, capsys):
+    """b = c x^2 with c < 0 (D = 1) widens the packet like cosh(sqrt(-2 c) t)
+    until its exact state leaves the grid, then overflows the floats."""
+    data = {"name": "inverted", "grid": {"x_min": -20.0, "x_max": 20.0, "n": 4096},
+            "packet": {"sigma0": 1.5}, "spec": {"d": 1.0, "b": {"kind": "quadratic", "c": c}},
+            "schedule": {"eps_ladder": [0.4, 0.2, 0.1, 0.05]}, "method": "spectral",
+            "compare": {"t_final": 40.0}}
+    path = tmp_path / "inverted.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["compare", str(path), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -436,10 +458,18 @@ def test_every_shipped_scenario_has_an_expected_exit_code():
         path.name for path in SCENARIOS.glob("*.json"))
 
 
+def _refuse_constant(literal):
+    raise ValueError(f"{literal} is not JSON")
+
+
 @pytest.mark.parametrize("command,scenario,code", SHIPPED,
                          ids=[name[:-5] for _, name, _ in SHIPPED])
 def test_shipped_scenario_exit_code(command, scenario, code, tmp_path):
+    """Each shipped run exits with its code and writes a summary in strict JSON:
+    no Infinity or NaN, which the scenario loader itself refuses."""
     assert _run(command, scenario, tmp_path) == code
+    summary = (tmp_path / f"{scenario[:-5]}_{command}.json").read_text()
+    json.loads(summary, parse_constant=_refuse_constant)
 
 
 AUDIT_BASE = {
@@ -448,6 +478,24 @@ AUDIT_BASE = {
     "audit": {"packets": [{}],
               "variants": [{"variant": "admissible", "expect": "conserves"}]},
 }
+
+
+def test_an_audit_at_round_off_writes_a_null_order(tmp_path, capsys):
+    """A free packet's drift stays at round-off, so its fitted order is inf:
+    the CSV keeps inf, the JSON summary writes null."""
+    data = {**AUDIT_BASE, "grid": {"x_min": -8.0, "x_max": 8.0, "n": 1024},
+            "spec": {"d": 1.0}, "schedule": {"eps_ladder": [0.32, 0.16, 0.08, 0.04]}}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["audit", str(path), "--out", str(tmp_path)]) == 0
+    assert "audit: PASS" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "x_audit.json").read_text(),
+                         parse_constant=_refuse_constant)
+    variant = summary["variants"][0]
+    assert variant["verdict"] == "conserves"
+    assert variant["packets"][0]["fitted_order"] is None
+    rows = (tmp_path / "x_audit.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[6] for row in rows] == ["inf"] * 4
 
 
 @pytest.mark.parametrize("spec,variants,key", [

@@ -13,7 +13,6 @@ from gaussprop import (
     FieldSpec,
     MOMENT_ORDERS,
     PropagatorSpec,
-    RegularizedQuadrature,
     ValidityError,
     cancellation_check,
     closed_moment,
@@ -22,6 +21,15 @@ from gaussprop import (
     unit_mass_check,
 )
 from gaussprop.fresnel import ladder_integral
+
+
+def _window(d, eps, delta0=None):
+    """The documented window: delta0 = 0.008/(2 D eps) unless given,
+    (delta0/4) L^2 = 40 (times 1 + 1e-9 on L) and 100,000 nodes."""
+    if delta0 is None:
+        delta0 = 0.008 / (2.0 * d * eps)
+    half_width = float(np.sqrt(40.0 / (delta0 / 4.0)) * (1.0 + 1e-9))
+    return delta0, half_width, 100_000
 
 
 def test_moment_orders_exposed():
@@ -44,12 +52,15 @@ def test_closed_moment_ratios():
 @pytest.mark.parametrize("d", [1.0, 0.5])
 @pytest.mark.parametrize("eps", [1.0, 0.1])
 def test_quadrature_matches_closed_forms(d, eps):
-    quad = RegularizedQuadrature.for_params(d, eps)
-    # 100,000 nodes; the chirp turns 0.8 rad a node at the window edge
-    assert quad.samples == 100_000
-    assert quad.half_width ** 2 / (quad.samples // 2 * d * eps) == pytest.approx(0.8)
+    delta0, half_width, samples = _window(d, eps)
+    # the default window turns the chirp 0.8 rad a node at its edge, so the
+    # ladder's refusal of a step above pi sits at 0.8/pi times the default delta0
+    assert half_width ** 2 / (samples // 2 * d * eps) == pytest.approx(0.8)
+    with pytest.raises(ValidityError):
+        ladder_integral([monomial(0)], d, eps, delta0 * 0.8 / np.pi * (1.0 - 1e-6))
+    ladder_integral([monomial(0)], d, eps, delta0 * 0.8 / np.pi * (1.0 + 1e-6))
     for n in MOMENT_ORDERS:
-        q = fresnel_moment(n, d, eps, quad)
+        q = fresnel_moment(n, d, eps)
         c = closed_moment(n, d, eps)
         if n == 1:
             assert abs(q) <= 1e-6 * abs(closed_moment(0, d, eps))
@@ -75,29 +86,24 @@ def test_moment_rejects_bad_order_and_params():
 
 
 def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        RegularizedQuadrature(delta0=-0.1, half_width=10.0, samples=100_000)
-    with pytest.raises(ValueError):
-        RegularizedQuadrature(delta0=0.1, half_width=10.0, samples=1000)
-    # window too short to close the smallest regulator's tail
-    with pytest.raises(ValueError):
-        RegularizedQuadrature(delta0=0.1, half_width=5.0, samples=100_000)
+    for delta0 in (-0.1, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="delta0 must be finite and > 0"):
+            ladder_integral([monomial(0)], 1.0, 0.1, delta0)
 
 
 def test_the_ladder_refuses_a_chirp_its_nodes_cannot_resolve():
     """delta0 = 0.001 stretches L to 400, where the chirp turns 32 rad a node."""
-    quad = RegularizedQuadrature.for_params(1.0, 0.1, delta0=0.001)
     with pytest.raises(ValidityError, match=r"phase step 32 rad > pi"):
-        ladder_integral([monomial(0)], 1.0, 0.1, quad)
+        ladder_integral([monomial(0)], 1.0, 0.1, 0.001)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
     with pytest.raises(ValidityError, match=r"phase step 32 rad > pi"):
-        fresnel_moment(0, 1.0, 0.1, quad)
+        cancellation_check(spec, 0.5, 0.1, delta0=0.001)
 
 
 def test_coarse_regulator_degrades_accuracy():
     # a deliberately large delta0 leaves a visible regulator error
     d, eps = 1.0, 0.1
-    coarse = RegularizedQuadrature(delta0=0.25, half_width=51.0, samples=100_000)
-    q = fresnel_moment(2, d, eps, coarse)
+    q = ladder_integral([monomial(2)], d, eps, 0.25)[0]
     c = closed_moment(2, d, eps)
     assert abs(q - c) / abs(c) > 1e-6
 
@@ -141,19 +147,20 @@ def test_cancellation_refuses_variants():
         cancellation_check(spec, 0.0, 0.1)
 
 
-def _one_poly_ladder(poly, d, eps, quad):
+def _one_poly_ladder(poly, d, eps, delta0=None):
     """The ladder integral of a single poly, its chirp made for it alone.
 
     The value stays a numpy complex, as ladder_integral returns it, so that
     dividing it by K rounds as cancellation_check's division does."""
-    m = quad.samples // 2
-    deta = quad.half_width / m
+    delta0, half_width, samples = _window(d, eps, delta0)
+    m = samples // 2
+    deta = half_width / m
     eta = deta * np.arange(1, m + 1)
     chirp = 1j / (2.0 * d * eps)
     center = complex(np.asarray(poly(np.zeros(1)))[0])
     pair = np.asarray(poly(eta)) + np.asarray(poly(-eta))
-    r = np.exp(-(quad.delta0 / 4.0) * eta ** 2)
-    g = np.exp((chirp - quad.delta0 / 4.0) * eta ** 2)
+    r = np.exp(-(delta0 / 4.0) * eta ** 2)
+    g = np.exp((chirp - delta0 / 4.0) * eta ** 2)
     ladder = []
     for rung in (g * r * r * r, g * r, g):  # delta0, delta0/2, delta0/4
         weighted = pair * rung
@@ -166,25 +173,26 @@ def _one_poly_ladder(poly, d, eps, quad):
 @pytest.mark.parametrize("d,eps", [(1.0, 0.1), (0.5, 1.0), (2.0, 0.03)])
 def test_shared_ladder_equals_one_ladder_per_order(d, eps, explicit):
     """Sharing the chirp across the orders changes no bit of any moment."""
-    quad = (RegularizedQuadrature(0.25, 30.0, 60_000) if explicit
-            else RegularizedQuadrature.for_params(d, eps))
-    shared = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
+    delta0 = 0.25 if explicit else None
+    shared = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, delta0)
     for n, value in zip(MOMENT_ORDERS, shared):
-        expected = _one_poly_ladder(monomial(n), d, eps, quad)
+        expected = _one_poly_ladder(monomial(n), d, eps, delta0)
         assert complex(value) == expected
-        assert fresnel_moment(n, d, eps, quad if explicit else None) == expected
+        if not explicit:
+            assert fresnel_moment(n, d, eps) == expected
 
 
-def _power_ladder(n, d, eps, quad):
+def _power_ladder(n, d, eps, delta0=None):
     """The ladder as first written: a regulated chirp per rung, eta ** n."""
-    m = quad.samples // 2
-    deta = quad.half_width / m
+    delta0, half_width, samples = _window(d, eps, delta0)
+    m = samples // 2
+    deta = half_width / m
     eta = deta * np.arange(1, m + 1)
     chirp = 1j / (2.0 * d * eps)
     pair = eta ** n + (-eta) ** n
     center = 1.0 if n == 0 else 0.0
     ladder = []
-    for delta in (quad.delta0, quad.delta0 / 2.0, quad.delta0 / 4.0):
+    for delta in (delta0, delta0 / 2.0, delta0 / 4.0):
         weighted = pair * np.exp((chirp - delta) * eta ** 2)
         ladder.append((center + np.sum(weighted[:-1]) + 0.5 * weighted[-1]) * deta)
     v0, v1, v2 = ladder
@@ -201,23 +209,22 @@ def test_one_chirp_ladder_agrees_with_a_chirp_per_rung(d, eps, explicit):
     must also keep every order within 5e-7 of its closed form (the explicit
     coarse regulator is not that accurate, whichever way it is summed).
     """
-    quad = (RegularizedQuadrature(0.25, 30.0, 60_000) if explicit
-            else RegularizedQuadrature.for_params(d, eps))
+    delta0 = 0.25 if explicit else None
     k = abs(closed_moment(0, d, eps))
-    values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, quad)
+    values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, delta0)
     for n, value in zip(MOMENT_ORDERS, values):
-        assert abs(value - _power_ladder(n, d, eps, quad)) <= 1e-9 * k
+        assert abs(value - _power_ladder(n, d, eps, delta0)) <= 1e-9 * k
         if not explicit:
             c = closed_moment(n, d, eps)
             assert abs(value - c) <= 5e-7 * (abs(c) if n != 1 else k)
 
 
 def test_monomials_have_exact_parity():
-    quad = RegularizedQuadrature.for_params(1.0, 0.1)
-    eta = quad.half_width / (quad.samples // 2) * np.arange(1, quad.samples // 2 + 1)
+    _, half_width, samples = _window(1.0, 0.1)
+    eta = half_width / (samples // 2) * np.arange(1, samples // 2 + 1)
     for n in MOMENT_ORDERS:
         assert np.array_equal(monomial(n)(-eta), (-1) ** n * monomial(n)(eta))
-    assert fresnel_moment(1, 1.0, 0.1, quad) == 0.0
+    assert fresnel_moment(1, 1.0, 0.1) == 0.0
     with pytest.raises(ValueError):
         monomial(-1)
 
@@ -230,7 +237,6 @@ def test_cancellation_check_is_unchanged_at_the_shipped_point():
     def integrand(eta):
         return (u + eta * du) ** 2 * (-(eta ** 2) / 2.0 + 0.05j)
 
-    quad = RegularizedQuadrature.for_params(1.0, 0.1)
-    res = cancellation_check(spec, 0.5, 0.1, quad=quad)
-    assert res.quadrature == _one_poly_ladder(integrand, 1.0, 0.1, quad) / closed_moment(0, 1.0, 0.1)
+    res = cancellation_check(spec, 0.5, 0.1)
+    assert res.quadrature == _one_poly_ladder(integrand, 1.0, 0.1) / closed_moment(0, 1.0, 0.1)
     assert res.closed_form == complex(du ** 2 * 0.1 ** 2)

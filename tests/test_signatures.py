@@ -1,8 +1,8 @@
 """The package's shape: no time argument, no private cross-module import,
 no wrapper layer, the kernel's correction T decided in one place, one
 polynomial field kind, one spelling of "admissible", one
-propagator-to-Hamiltonian map, no kernel order and no output-name or
-node-budget setting.
+propagator-to-Hamiltonian map, no kernel order, no output-name or
+node-budget setting and no quadrature object.
 
 Fields are static functions of x, so no signature takes a time argument.
 Each method is stepped one way, through its builder and march, and each
@@ -14,6 +14,8 @@ PropagatorSpec.is_admissible alone compares the variant with "admissible",
 and reference.to_hamiltonian alone reads u's and b's coefficients.  The
 kernel always applies exp(-eps T): the bare kernel is the no_t variant with
 b = 0, so no order knob selects it and "admissible" always conserves the norm.
+The moment quadrature's window and nodes follow from D, eps and delta0, so
+no fresnel function takes a quadrature.
 """
 
 import ast
@@ -246,7 +248,8 @@ def test_the_kernel_has_no_order(tmp_path, capsys):
 
 
 # the scenario settings no run set, deleted for good: every run writes
-# <name>_<command>.csv and .json, and an auto-sized quadrature lays 100,000 nodes
+# <name>_<command>.csv and .json, and the moment quadrature lays 100,000 nodes
+# on a window it sizes itself, so delta0 is its one input
 def _refused(tmp_path, capsys, section):
     path = tmp_path / "leftover.json"
     path.write_text(json.dumps({"name": "leftover", **section}))
@@ -261,7 +264,12 @@ def test_the_output_names_and_node_budget_are_not_settings(tmp_path, capsys):
     assert "outputs" not in {f.name for f in dataclasses.fields(scenario.Scenario)}
     assert "samples" not in {f.name for f in dataclasses.fields(scenario.MomentsSettings)}
     assert not hasattr(gaussprop.cli, "_output_names")
-    assert list(_parameters(gaussprop.RegularizedQuadrature.for_params)) == ["d", "eps", "delta0"]
+    fresnel = importlib.import_module("gaussprop.fresnel")
+    assert not hasattr(gaussprop, "RegularizedQuadrature")
+    assert not hasattr(fresnel, "RegularizedQuadrature")
+    assert list(_parameters(fresnel.ladder_integral)) == ["polys", "d", "eps", "delta0"]
+    assert not [name for name, obj in _callables().items()
+                if name.startswith("fresnel.") and "quad" in _parameters(obj)]
     moments = {"pairs": [[1.0, 0.1]]}
     err = _refused(tmp_path, capsys, {"moments": moments, "outputs": {"csv": "a.csv"}})
     assert "scenario:" in err and "'outputs'" in err
