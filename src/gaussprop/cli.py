@@ -33,7 +33,7 @@ import numpy as np
 
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments
-from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, ladder_integral, monomial
+from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, fresnel_moments
 from .propagate import METHODS, ValidityError, last, march, wave_stepper
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -149,8 +149,8 @@ def _run_moments(sc: Scenario, args) -> RunResult:
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
     for d, eps in ms.pairs:
-        values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, ms.delta0)
-        checks += [(d, eps, f"moment_{n}", complex(q), closed_moment(n, d, eps))
+        values = fresnel_moments(MOMENT_ORDERS, d, eps, ms.delta0)
+        checks += [(d, eps, f"moment_{n}", q, closed_moment(n, d, eps))
                    for n, q in zip(MOMENT_ORDERS, values)]
     if ms.cancellation is not None:
         cs = ms.cancellation

@@ -12,13 +12,12 @@ Gaussian moment identities
 so the quadrature multiplies the integrand by exp(-delta eta^2), integrates
 by trapezoid on a symmetric window [-L, L], and removes the regulator by
 Richardson extrapolation over the ladder {delta0, delta0/2, delta0/4}.
-A ladder computes one complex exponential, the chirp at the smallest
-regulator; the larger rungs multiply it by the real factor
-exp(-(delta0/4) eta^2), once for delta0/2 and three times for delta0.
-Sample points come in +-eta pairs that are summed pair-first.  The moments'
-monomials are products of eta (eta^4 = (eta eta)(eta eta)), so p(-eta) is
-exactly +-p(eta): odd pairs cancel to exactly zero and even pairs are
-exactly symmetric, instead of relying on float luck.
+The ladder integrates even parts e(eta) = (f(eta) + f(-eta))/2 on eta >= 0,
+a rung's trapezoid being (e(0) + 2 sum_{k<m} e_k g_k + e_m g_m) deta.  Even
+monomials, exact products (eta^4 = (eta eta)(eta eta)), are their own even
+parts; odd moments are exactly 0 and never summed.  Per (D, eps) there is one
+complex exponential, the chirp g at delta0/4, whose rungs up are g times the
+real exp(-(delta0/4) eta^2) once and thrice, and one work buffer for e g.
 
 The same machinery certifies the first-order cancellation: for drift sampled
 at the displaced point, u_plus = u + eta u', the combination
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PropagatorSpec
+from .fields import PropagatorSpec, check_eps
 from .propagate import ValidityError
 
 MOMENT_ORDERS = (0, 1, 2, 4)
@@ -56,38 +55,32 @@ _SAMPLES = 100_000
 def monomial(n: int):
     """eta -> eta^n as a product tree, e.g. (eta eta)(eta eta) for n = 4.
 
-    Negating eta flips the sign of each odd factor and nothing else, so
-    monomial(n)(-eta) is exactly (-1)^n monomial(n)(eta); numpy's float power
-    does not promise that, and runs far slower for negative bases.
-    """
+    monomial(n)(-eta) is exactly (-1)^n monomial(n)(eta), which numpy's float
+    power does not promise: an even monomial is exactly its own even part."""
     if n < 0:
         raise ValueError(f"monomial order must be >= 0, got {n}")
 
     def power(eta):
-        if n == 0:
-            return np.ones_like(eta)
+        if n < 2:  # no product: a copy of ones or of eta
+            return np.ones_like(eta) if n == 0 else +eta
         half = monomial(n // 2)(eta)
         return half * half * eta if n % 2 else half * half
 
     return power
 
 
-def _trapezoid(center, pair, deta: float) -> complex:
-    # one weighted pair array is alive at a time: it is freed on return
-    return (center + np.sum(pair[:-1]) + 0.5 * pair[-1]) * deta
+def ladder_integral(evens, d: float, eps: float, delta0: float | None = None) -> list:
+    """Richardson-extrapolated trapezoid on [-L, L] of each e(eta) exp(i eta^2/(2 D eps)),
+    e in evens an even part taking eta >= 0; every rung and part share one chirp.
 
-
-def ladder_integral(polys, d: float, eps: float, delta0: float | None = None) -> list:
-    """Richardson-extrapolated trapezoid of each poly(eta) * exp(i eta^2/(2 D eps)),
-    with one regulated chirp per ladder shared by every rung and poly.
-
-    delta0, the largest regulator of the ladder {delta0, delta0/2, delta0/4}, is
-    0.008/(2 D eps) unless given; the window [-L, L] closes the smallest one's
-    tail, (delta0/4) L^2 = 40, on 100,000 nodes.  Raises ValidityError when the
-    chirp turns by more than pi between the last two nodes: the trapezoid would
-    alias it and return garbage."""
-    if delta0 is None:
-        delta0 = _DELTA_SCALE / (2.0 * d * eps)
+    delta0, the largest regulator of {delta0, delta0/2, delta0/4}, is 0.008/(2 D eps)
+    unless given; the window [-L, L] closes the smallest one's tail, (delta0/4) L^2
+    = 40, on 100,000 nodes.  Raises ValidityError when the chirp turns by more than
+    pi between the last two nodes: the trapezoid would alias it into garbage."""
+    check_eps(eps)
+    if not (np.isfinite(d) and d > 0.0):
+        raise ValueError(f"D must be finite and > 0, got {d}")
+    delta0 = _DELTA_SCALE / (2.0 * d * eps) if delta0 is None else delta0
     if not (np.isfinite(delta0) and delta0 > 0.0):
         raise ValueError(f"delta0 must be finite and > 0, got {delta0}")
     half_width = float(np.sqrt(_TAIL_EXPONENT / (delta0 / 4.0)) * (1.0 + 1e-9))
@@ -98,19 +91,20 @@ def ladder_integral(polys, d: float, eps: float, delta0: float | None = None) ->
                             f"{edge_step:.3g} rad > pi at the window edge, delta0 = "
                             f"{delta0:g} at D = {d:g}, eps = {eps:g}; raise delta0")
     deta = half_width / m
-    eta = deta * np.arange(1, m + 1)
-    chirp = 1j / (2.0 * d * eps)
+    nodes = deta * np.arange(m + 1)  # 0, then the +eta of each +-eta pair
+    eta2 = nodes[1:] ** 2
     step = delta0 / 4.0
-    centers = [complex(np.asarray(poly(np.zeros(1)))[0]) for poly in polys]
-    pairs = [np.asarray(poly(eta)) + np.asarray(poly(-eta)) for poly in polys]
-    r = np.exp(-step * eta ** 2)  # real; it takes a rung to the next one up
-    rung = np.exp((chirp - step) * eta ** 2)  # the regulated chirp at delta0/4
-    ladder = []  # per rung delta0/4, delta0/2, delta0: the trapezoid of each poly
+    parts = [np.asarray(even(nodes)) for even in evens]
+    rung = (1j / (2.0 * d * eps) - step) * eta2
+    np.exp(rung, out=rung)  # the regulated chirp at delta0/4
+    r = np.exp(np.multiply(-step, eta2, out=eta2), out=eta2)  # real: takes a rung up
+    work = np.empty_like(rung)  # part times rung, in that order: FMA rounds by it
+    ladder = []  # per rung delta0/4, delta0/2, delta0: the trapezoid of each part
     for factors in (0, 1, 2):  # r takes delta0/4 to delta0/2, r r then to delta0
         for _ in range(factors):
             rung *= r
-        ladder.append([_trapezoid(center, pair * rung, deta)
-                       for center, pair in zip(centers, pairs)])
+        ladder.append([(e[0] + 2.0 * np.sum(np.multiply(e[1:], rung, out=work)[:-1])
+                        + work[-1]) * deta for e in parts])
     # kills the O(delta) and O(delta^2) regulator error
     return [(8.0 * v2 - 6.0 * v1 + v0) / 3.0 for v2, v1, v0 in zip(*ladder)]
 
@@ -129,13 +123,18 @@ def closed_moment(n: int, d: float, eps: float) -> complex:
     return complex(root * (-3.0 * d ** 2 * eps ** 2))
 
 
+def fresnel_moments(orders, d: float, eps: float, delta0: float | None = None) -> list:
+    """Quadrature value of integral eta^n exp(i eta^2/(2 D eps)) d eta per n in
+    orders: the even ones share one ladder, the odd ones are exactly 0."""
+    if not set(orders) <= set(MOMENT_ORDERS):
+        raise ValueError(f"moment order must be one of {MOMENT_ORDERS}, got {orders}")
+    even = iter(ladder_integral([monomial(n) for n in orders if n % 2 == 0], d, eps, delta0))
+    return [complex(next(even)) if n % 2 == 0 else 0j for n in orders]
+
+
 def fresnel_moment(n: int, d: float, eps: float) -> complex:
     """Quadrature value of integral eta^n exp(i eta^2/(2 D eps)) d eta."""
-    if n not in MOMENT_ORDERS:
-        raise ValueError(f"moment order must be one of {MOMENT_ORDERS}, got {n}")
-    if not (np.isfinite(d) and d > 0.0 and np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"need d > 0 and eps > 0, got d={d}, eps={eps}")
-    return complex(ladder_integral([monomial(n)], d, eps)[0])
+    return fresnel_moments([n], d, eps)[0]
 
 
 def unit_mass_check(d: float, eps: float) -> complex:
@@ -173,6 +172,7 @@ def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
         u_plus = u + eta * du
         return u_plus ** 2 * (-(eta ** 2) / (2.0 * d ** 2) + 1j * eps / (2.0 * d))
 
-    value = ladder_integral([integrand], d, eps, delta0)[0] / closed_moment(0, d, eps)
+    even = ladder_integral([lambda eta: 0.5 * (integrand(eta) + integrand(-eta))], d, eps, delta0)
+    value = even[0] / closed_moment(0, d, eps)
     return CancellationResult(quadrature=complex(value),
                               closed_form=complex(du ** 2 * eps ** 2))

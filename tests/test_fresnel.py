@@ -20,7 +20,7 @@ from gaussprop import (
     monomial,
     unit_mass_check,
 )
-from gaussprop.fresnel import ladder_integral
+from gaussprop.fresnel import fresnel_moments, ladder_integral
 
 
 def _window(d, eps, delta0=None):
@@ -89,6 +89,22 @@ def test_quadrature_validation():
     for delta0 in (-0.1, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="delta0 must be finite and > 0"):
             ladder_integral([monomial(0)], 1.0, 0.1, delta0)
+
+
+@pytest.mark.parametrize("delta0", (None, 0.25), ids=("auto", "explicit"))
+@pytest.mark.parametrize("d,eps,name", [
+    (-1.0, 0.1, "D"), (0.0, 0.1, "D"), (np.inf, 0.1, "D"), (np.nan, 0.1, "D"),
+    (1.0, -0.1, "eps"), (1.0, 0.0, "eps"), (1.0, np.inf, "eps"), (1.0, np.nan, "eps"),
+])
+def test_the_ladder_refuses_a_bad_d_or_eps(d, eps, name, delta0):
+    """Neither the conjugate integral (D or eps < 0), a vanished chirp (D = inf)
+    nor a ZeroDivisionError: the ladder names the bad parameter itself."""
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        ladder_integral([monomial(0)], d, eps, delta0)
+    if name == "eps":
+        spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
+        with pytest.raises(ValueError, match="^eps must be > 0 and finite"):
+            cancellation_check(spec, 0.5, eps, delta0=delta0)
 
 
 def test_the_ladder_refuses_a_chirp_its_nodes_cannot_resolve():
@@ -170,14 +186,14 @@ def _one_poly_ladder(poly, d, eps, delta0=None):
 
 
 @pytest.mark.parametrize("explicit", (False, True), ids=("auto", "explicit"))
-@pytest.mark.parametrize("d,eps", [(1.0, 0.1), (0.5, 1.0), (2.0, 0.03)])
+@pytest.mark.parametrize("d,eps", [(1.0, 0.1), (0.5, 1.0), (2.0, 0.03), (0.5, 0.05), (2.0, 0.2)])
 def test_shared_ladder_equals_one_ladder_per_order(d, eps, explicit):
     """Sharing the chirp across the orders changes no bit of any moment."""
     delta0 = 0.25 if explicit else None
-    shared = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, delta0)
+    shared = fresnel_moments(MOMENT_ORDERS, d, eps, delta0)
     for n, value in zip(MOMENT_ORDERS, shared):
         expected = _one_poly_ladder(monomial(n), d, eps, delta0)
-        assert complex(value) == expected
+        assert value == expected
         if not explicit:
             assert fresnel_moment(n, d, eps) == expected
 
@@ -211,7 +227,7 @@ def test_one_chirp_ladder_agrees_with_a_chirp_per_rung(d, eps, explicit):
     """
     delta0 = 0.25 if explicit else None
     k = abs(closed_moment(0, d, eps))
-    values = ladder_integral([monomial(n) for n in MOMENT_ORDERS], d, eps, delta0)
+    values = fresnel_moments(MOMENT_ORDERS, d, eps, delta0)
     for n, value in zip(MOMENT_ORDERS, values):
         assert abs(value - _power_ladder(n, d, eps, delta0)) <= 1e-9 * k
         if not explicit:

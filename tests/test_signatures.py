@@ -267,7 +267,7 @@ def test_the_output_names_and_node_budget_are_not_settings(tmp_path, capsys):
     fresnel = importlib.import_module("gaussprop.fresnel")
     assert not hasattr(gaussprop, "RegularizedQuadrature")
     assert not hasattr(fresnel, "RegularizedQuadrature")
-    assert list(_parameters(fresnel.ladder_integral)) == ["polys", "d", "eps", "delta0"]
+    assert list(_parameters(fresnel.ladder_integral)) == ["evens", "d", "eps", "delta0"]
     assert not [name for name, obj in _callables().items()
                 if name.startswith("fresnel.") and "quad" in _parameters(obj)]
     moments = {"pairs": [[1.0, 0.1]]}
