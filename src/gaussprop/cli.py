@@ -15,24 +15,29 @@ otherwise.  The input decides; eps_ref is checked for every spec all the same.
 Every run writes <name>_<command>.csv and .json into --out, else
 $GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
 carry no timestamps, so a rerun with the same inputs is byte-identical.
+
+COMMANDS is the one place a command is declared: runner, required sections,
+option and help.  A command is gated iff its summary has "passed", which alone
+decides PASS or FAIL and exit 0 or 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .audit import MIN_LADDER_RUNGS, audit_packets
-from .fields import BoundaryDecayError, FieldSpec, PropagatorSpec, moments
+from .fields import BoundaryDecayError, FieldSpec, moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, fresnel_moments
 from .propagate import METHODS, ValidityError, last, march, wave_stepper
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
@@ -40,24 +45,20 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     header: tuple
     rows: list
-    summary: dict
-    passed: bool = True
-    lines: list = field(default_factory=list)
+    summary: dict  # a gated command's "passed" is its verdict
+    lines: list
 
 
 def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * dx))
 
 
-def _run_evolve(sc: Scenario, args) -> RunResult:
-    sc.require("grid", "packet", "spec", "eps", "n_steps")
-    method = args.method or sc.method
+def _run_evolve(sc: Scenario) -> RunResult:
     state0 = sc.packet.build(sc.grid)
-    kernel = march(state0, sc.n_steps, wave_stepper(sc.grid, sc.eps, sc.spec, method))
+    kernel = march(state0, sc.n_steps, wave_stepper(sc.grid, sc.eps, sc.spec, sc.method))
     reference = itertools.repeat(None)
     if sc.spec.is_admissible():
         ham = to_hamiltonian(sc.spec, sc.grid)
@@ -73,7 +74,7 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
 
     _, final_time, final_norm, _, _, final_err = rows[-1]
     summary = {
-        "method": method,
+        "method": sc.method,
         "eps": sc.eps,
         "n_steps": sc.n_steps,
         "final_time": final_time,
@@ -81,7 +82,7 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
         "max_abs_norm_drift": max(abs(row[2] - rows[0][2]) for row in rows),
         "final_l2_error_vs_reference": None if math.isnan(final_err) else final_err,
     }
-    lines = [f"evolve [{method}]: {sc.n_steps} steps of eps={sc.eps:g}, "
+    lines = [f"evolve [{sc.method}]: {sc.n_steps} steps of eps={sc.eps:g}, "
              f"final norm {final_norm:.12f}"]
     if sc.spec.is_admissible():
         lines.append(f"  final L2 distance to the integrator reference: {final_err:.3e}")
@@ -91,13 +92,11 @@ def _run_evolve(sc: Scenario, args) -> RunResult:
         rows=rows, summary=summary, lines=lines)
 
 
-def _run_audit(sc: Scenario, args) -> RunResult:
-    sc.require("grid", "spec", "audit", "eps_ladder")
+def _run_audit(sc: Scenario) -> RunResult:
     if len(sc.eps_ladder) < MIN_LADDER_RUNGS:
         raise ScenarioError(f"scenario.schedule.eps_ladder: need at least {MIN_LADDER_RUNGS} "
                             f"eps values to fit a drift order, got {len(sc.eps_ladder)}")
     rows, variants_out, lines = [], [], []
-    passed = True
     states = [packet.build(sc.grid) for packet in sc.audit.packets]
     for case in sc.audit.variants:
         variant = case.spec.variant
@@ -111,7 +110,6 @@ def _run_audit(sc: Scenario, args) -> RunResult:
                    if all(r.verdict == "conserves" for _, r in packet_reports)
                    else "drifts")
         ok = verdict == case.expect
-        passed = passed and ok
         variants_out.append({
             "variant": variant,
             "expect": case.expect,
@@ -133,7 +131,7 @@ def _run_audit(sc: Scenario, args) -> RunResult:
     summary = {
         "eps_ladder": list(sc.eps_ladder),
         "variants": variants_out,
-        "passed": passed,
+        "passed": all(v["matches_expectation"] for v in variants_out),
     }
     lines.insert(0, f"audit: {len(sc.audit.variants)} variants x "
                     f"{len(sc.audit.packets)} packets on a "
@@ -141,11 +139,10 @@ def _run_audit(sc: Scenario, args) -> RunResult:
     return RunResult(
         header=("variant", "packet_x0", "packet_sigma0", "packet_k0", "eps",
                 "norm_change_per_step", "fitted_order", "packet_verdict"),
-        rows=rows, summary=summary, passed=passed, lines=lines)
+        rows=rows, summary=summary, lines=lines)
 
 
-def _run_moments(sc: Scenario, args) -> RunResult:
-    sc.require("moments")
+def _run_moments(sc: Scenario) -> RunResult:
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
     for d, eps in ms.pairs:
@@ -154,21 +151,20 @@ def _run_moments(sc: Scenario, args) -> RunResult:
                    for n, q in zip(MOMENT_ORDERS, values)]
     if ms.cancellation is not None:
         cs = ms.cancellation
-        spec = PropagatorSpec(d=ms.pairs[0][0], u=FieldSpec.sine(1.0, cs.k))
-        res = cancellation_check(spec, cs.x, cs.eps, delta0=ms.delta0)
-        checks.append((spec.d, cs.eps, "cancellation", res.quadrature, res.closed_form))
+        d = ms.pairs[0][0]
+        res = cancellation_check(d, FieldSpec.sine(1.0, cs.k), cs.x, cs.eps, delta0=ms.delta0)
+        checks.append((d, cs.eps, "cancellation", res.quadrature, res.closed_form))
     rows, max_rel = [], 0.0
     for d, eps, check, q, c in checks:
         abs_err = abs(q - c)
         rel = abs_err / abs(c) if abs(c) > 0.0 else abs_err
         max_rel = max(max_rel, rel)
         rows.append((d, eps, check, q.real, q.imag, c.real, c.imag, abs_err, rel))
-    passed = max_rel <= ms.tolerance
     summary = {
         "tolerance": ms.tolerance,
         "max_rel_error": max_rel,
         "n_checks": len(rows),
-        "passed": passed,
+        "passed": max_rel <= ms.tolerance,
     }
     lines = [f"moments: {len(rows)} checks, max relative error {max_rel:.3e} "
              f"(tolerance {ms.tolerance:g})"]
@@ -176,18 +172,16 @@ def _run_moments(sc: Scenario, args) -> RunResult:
         header=("diffusivity", "eps", "check", "quadrature_real",
                 "quadrature_imag", "closed_real", "closed_imag", "abs_error",
                 "rel_error"),
-        rows=rows, summary=summary, passed=passed, lines=lines)
+        rows=rows, summary=summary, lines=lines)
 
 
-def _run_walk(sc: Scenario, args) -> RunResult:
-    sc.require("spec", "walk", "eps", "n_steps")
+def _run_walk(sc: Scenario) -> RunResult:
     ws = sc.walk
     if ws.n_particles < MIN_HISTOGRAM_PARTICLES:
         raise ScenarioError(f"scenario.walk.n_particles: need >= {MIN_HISTOGRAM_PARTICLES} "
                             f"particles for a stable histogram, got {ws.n_particles}")
-    seed = args.seed if args.seed is not None else sc.seed
     ensemble = sample_paths(ws.n_particles, sc.n_steps, sc.eps, sc.spec,
-                            seed, x0=ws.x0, step_law=ws.step_law)
+                            sc.seed, x0=ws.x0, step_law=ws.step_law)
     comparison = histogram_compare(ensemble, sc.spec, bins=ws.bins)
     rows = [
         (float(comparison.edges[i]), float(comparison.edges[i + 1]),
@@ -197,7 +191,7 @@ def _run_walk(sc: Scenario, args) -> RunResult:
     t = ensemble.time
     expected_mean, expected_var = gaussian_law(ensemble, sc.spec) or (None, None)
     summary = {
-        "seed": seed,
+        "seed": sc.seed,
         "n_particles": ws.n_particles,
         "n_steps": sc.n_steps,
         "eps": sc.eps,
@@ -211,7 +205,7 @@ def _run_walk(sc: Scenario, args) -> RunResult:
         "reference": comparison.reference,
     }
     lines = [f"walk: {ws.n_particles} particles, {sc.n_steps} steps of "
-             f"eps={sc.eps:g} (seed {seed})",
+             f"eps={sc.eps:g} (seed {sc.seed})",
              f"  sample mean {ensemble.sample_mean():+.4f}, variance "
              f"{ensemble.sample_variance():.4f}; histogram L1 distance to the "
              f"{comparison.reference} law {comparison.l1:.4f}"]
@@ -229,10 +223,8 @@ def _steps_for(t_final: float, eps: float, key: str) -> int:
     return n
 
 
-def _run_compare(sc: Scenario, args) -> RunResult:
-    sc.require("grid", "packet", "spec", "eps_ladder", "compare")
+def _run_compare(sc: Scenario) -> RunResult:
     cs = sc.compare
-    method = args.method or sc.method
     # only the CN fallback needs H; mapping a variant is a ValueError: exit 2
     ham = None if has_exact_state(sc.spec) else to_hamiltonian(sc.spec, sc.grid)
     if cs.eps_ref is not None:
@@ -252,7 +244,7 @@ def _run_compare(sc: Scenario, args) -> RunResult:
 
     rows, errors = [], []
     for eps, n in zip(sc.eps_ladder, ladder_steps):
-        final = last(march(state0, n, wave_stepper(sc.grid, eps, sc.spec, method)))
+        final = last(march(state0, n, wave_stepper(sc.grid, eps, sc.spec, sc.method)))
         err = _l2_distance(final.psi, ref.psi, sc.grid.dx)
         rows.append((eps, n, err))
         errors.append(err)
@@ -260,9 +252,8 @@ def _run_compare(sc: Scenario, args) -> RunResult:
     slope = float(np.polyfit(log_eps, log_err, 1)[0])
     local_slopes = (np.diff(log_err) / np.diff(log_eps)).tolist()
     lo, hi = cs.slope_band
-    passed = lo <= slope <= hi
     summary = {
-        "method": method,
+        "method": sc.method,
         "t_final": cs.t_final,
         "reference": reference,
         "eps_ref": eps_ref,
@@ -271,22 +262,40 @@ def _run_compare(sc: Scenario, args) -> RunResult:
         "slope": slope,
         "local_slopes": local_slopes,
         "slope_band": [lo, hi],
-        "passed": passed,
+        "passed": lo <= slope <= hi,
     }
-    lines = [f"compare [{method}]: errors at t={cs.t_final:g} against {against}",
+    lines = [f"compare [{sc.method}]: errors at t={cs.t_final:g} against {against}",
              f"  fitted convergence slope {slope:.3f} "
              f"(accepted band [{lo:g}, {hi:g}]), local slopes "
              + ", ".join(f"{s:.3f}" for s in local_slopes)]
     return RunResult(header=("eps", "n_steps", "l2_error_vs_reference"),
-                     rows=rows, summary=summary, passed=passed, lines=lines)
+                     rows=rows, summary=summary, lines=lines)
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "audit": _run_audit,
-    "moments": _run_moments,
-    "walk": _run_walk,
-    "compare": _run_compare,
+class Command(NamedTuple):
+    run: Callable[[Scenario], RunResult]
+    needs: tuple  # the scenario sections Scenario.require checks first
+    option: str | None  # the scenario setting --<option> overrides
+    help: str
+
+
+COMMANDS = {
+    "evolve": Command(_run_evolve, ("grid", "packet", "spec", "eps", "n_steps"), "method",
+                      "evolve a packet and tabulate norm, moments, and reference error"),
+    "audit": Command(_run_audit, ("grid", "spec", "audit", "eps_ladder"), None,
+                     "measure norm drift for propagator variants over an eps ladder"),
+    "moments": Command(_run_moments, ("moments",), None,
+                       "verify regularized kernel moments against closed forms"),
+    "walk": Command(_run_walk, ("spec", "walk", "eps", "n_steps"), "seed",
+                    "sample random-walk paths and compare the final histogram"),
+    "compare": Command(_run_compare, ("grid", "packet", "spec", "eps_ladder", "compare"),
+                       "method", "fit the convergence slope against the exact or "
+                                 "integrator reference"),
+}
+
+_OPTIONS = {
+    "seed": {"type": int, "help": "override the scenario seed"},
+    "method": {"choices": METHODS, "help": "override the scenario method"},
 }
 
 
@@ -328,26 +337,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run single-step propagator scenarios: evolve packets, "
                     "audit norm conservation, check kernel moments, sample "
                     "random walks, compare against the exact or integrator reference.")
-    parser.set_defaults(seed=None, method=None)  # for the commands without them
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "evolve": "evolve a packet and tabulate norm, moments, and reference error",
-        "audit": "measure norm drift for propagator variants over an eps ladder",
-        "moments": "verify regularized kernel moments against closed forms",
-        "walk": "sample random-walk paths and compare the final histogram",
-        "compare": "fit the convergence slope against the exact or integrator reference",
-    }
-    for name in ("evolve", "audit", "moments", "walk", "compare"):
-        p = sub.add_parser(name, help=helps[name])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--out", default=None,
                        help="output directory (default: $GAUSSPROP_OUT or .)")
-        if name == "walk":
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the scenario seed")
-        if name in ("evolve", "compare"):
-            p.add_argument("--method", choices=METHODS,
-                           default=None, help="override the scenario method")
+        if command.option:
+            p.add_argument(f"--{command.option}", default=None, **_OPTIONS[command.option])
     return parser
 
 
@@ -357,18 +354,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    command = COMMANDS[args.command]
     try:
         sc = load_scenario(args.scenario)
-        result = _RUNNERS[args.command](sc, args)
-    except ScenarioError as exc:
+        sc.require(*command.needs)
+        override = vars(args).get(command.option)
+        if override is not None:
+            sc = dataclasses.replace(sc, **{command.option: override})
+        result = command.run(sc)
+    except (ValueError, ValidityError) as exc:  # a ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidityError, BoundaryDecayError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (ValidityError, BoundaryDecayError)) else 2
 
     out_dir = args.out or os.environ.get("GAUSSPROP_OUT") or "."
     result.summary.update(command=args.command, scenario=sc.name)
@@ -382,9 +378,9 @@ def main(argv=None) -> int:
         print(line)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
-    if args.command in ("audit", "moments", "compare"):
-        print(f"{args.command}: {'PASS' if result.passed else 'FAIL'}")
-    return 0 if result.passed else 1
+    if "passed" in result.summary:
+        print(f"{args.command}: {'PASS' if result.summary['passed'] else 'FAIL'}")
+    return 0 if result.summary.get("passed", True) else 1
 
 
 def entry() -> None:

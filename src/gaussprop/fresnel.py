@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PropagatorSpec, check_eps
+from .fields import FieldSpec, check_eps
 from .propagate import ValidityError
 
 MOMENT_ORDERS = (0, 1, 2, 4)
@@ -90,6 +90,8 @@ def ladder_integral(evens, d: float, eps: float, delta0: float | None = None) ->
         raise ValidityError(f"quadrature cannot resolve the kernel chirp: phase step "
                             f"{edge_step:.3g} rad > pi at the window edge, delta0 = "
                             f"{delta0:g} at D = {d:g}, eps = {eps:g}; raise delta0")
+    if not evens:  # odd moments only: checked, and nothing to sum
+        return []
     deta = half_width / m
     nodes = deta * np.arange(m + 1)  # 0, then the +eta of each +-eta pair
     eta2 = nodes[1:] ** 2
@@ -154,22 +156,19 @@ class CancellationResult:
         return abs(self.quadrature - self.closed_form)
 
 
-def cancellation_check(spec: PropagatorSpec, x: float, eps: float, *,
+def cancellation_check(d: float, u: FieldSpec, x: float, eps: float, *,
                        delta0: float | None = None) -> CancellationResult:
-    """Residual of the drift-squared cancellation at the point x.
+    """Residual of the drift-squared cancellation for diffusivity D and drift u
+    at the point x.
 
     Integrates (u + eta u')^2 [-eta^2/(2 D^2) + i eps/(2 D)] against the bare
     kernel phase and normalizes by K.  The closed form is (u' eps)^2: exactly
     zero for constant drift, O(eps^2) otherwise.
     """
-    if not spec.is_admissible():
-        raise ValueError("cancellation check applies to the admissible variant")
-    d = spec.d
-    u = float(spec.u(x))
-    du = float(spec.u.derivative(x))
+    u0, du = float(u(x)), float(u.derivative(x))
 
     def integrand(eta):
-        u_plus = u + eta * du
+        u_plus = u0 + eta * du
         return u_plus ** 2 * (-(eta ** 2) / (2.0 * d ** 2) + 1j * eps / (2.0 * d))
 
     even = ladder_integral([lambda eta: 0.5 * (integrand(eta) + integrand(-eta))], d, eps, delta0)

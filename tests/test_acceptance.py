@@ -69,12 +69,12 @@ def test_criterion_02_unit_mass():
 
 def test_criterion_03_cancellation_residual_order():
     """Drift-squared residual for u = 0.4 x scales as eps^2 (order 2 +- 0.3)."""
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
+    u = FieldSpec.linear(0.4)
     ladder = (0.4, 0.2, 0.1, 0.05)
-    residuals = [abs(cancellation_check(spec, 0.5, eps).quadrature)
+    residuals = [abs(cancellation_check(1.0, u, 0.5, eps).quadrature)
                  for eps in ladder]
     order = float(np.polyfit(np.log(ladder), np.log(residuals), 1)[0])
-    top = cancellation_check(spec, 0.5, ladder[0])
+    top = cancellation_check(1.0, u, 0.5, ladder[0])
     print(f"[acceptance] 3: cancellation residual order {order:.3f} (2 +- 0.3)")
     assert order == pytest.approx(2.0, abs=0.3)
     assert top.abs_error <= 1e-6

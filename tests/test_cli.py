@@ -563,3 +563,69 @@ def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message,
     assert "Traceback" not in err
     assert "aborted at step" not in err  # a spec fault, raised before any step
     assert not list(tmp_path.glob("*.csv"))
+
+
+# every section, so each command can run it; a free spectral compare is exact
+# at every rung, so its slope is ~0 and the band [-1, 1] holds it
+ALL_SECTIONS = {"name": "small", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256},
+                "packet": {}, "spec": {"d": 1.0},
+                "schedule": {"eps": 0.05, "n_steps": 2, "eps_ladder": [0.1, 0.05]},
+                "compare": {"t_final": 0.5, "slope_band": [-1.0, 1.0]},
+                "walk": {"n_particles": 10000, "bins": 20}, "seed": 3}
+# the value each option overrides with; the scenario has method dense and seed 3
+OVERRIDES = {"method": "spectral", "seed": "5"}
+TAKES = {("evolve", "method"), ("compare", "method"), ("walk", "seed")}
+
+
+@pytest.mark.parametrize("option", list(OVERRIDES))
+@pytest.mark.parametrize("command", ["evolve", "audit", "moments", "walk", "compare"])
+def test_options_belong_to_their_commands(command, option, tmp_path, capsys):
+    """--seed is walk's, --method is evolve's and compare's; an override is
+    what the summary records."""
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(ALL_SECTIONS))
+    out = tmp_path / "out"
+    code = cli.main([command, str(path), "--out", str(out), f"--{option}", OVERRIDES[option]])
+    if (command, option) not in TAKES:
+        assert code == 2
+        assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    summary = json.loads((out / f"small_{command}.json").read_text())
+    assert str(summary[option]) == OVERRIDES[option]
+
+
+def _gate_case(tmp_path, name):
+    if name == "moments_fail":
+        return "moments", SCENARIOS / "moments_fail.json"
+    if name == "audit_wrong_expect":  # a free packet conserves; drifts is expected
+        command, data = "audit", {
+            **AUDIT_BASE, "grid": GRID_16, "spec": {"d": 1.0},
+            "schedule": {"eps_ladder": [0.32, 0.16, 0.08, 0.04]},
+            "audit": {"packets": [{}],
+                      "variants": [{"variant": "admissible", "expect": "drifts"}]}}
+    else:  # compare_default's slope is 1.005
+        command, data = "compare", json.loads((SCENARIOS / "compare_default.json").read_text())
+        data["compare"]["slope_band"] = [1.5, 2.0]
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(data))
+    return command, path
+
+
+@pytest.mark.parametrize("name", ["audit_wrong_expect", "moments_fail", "compare_slope_band"])
+def test_a_failed_gate_exits_one_and_records_it(name, tmp_path, capsys):
+    command, path = _gate_case(tmp_path, name)
+    assert cli.main([command, str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"{command}: FAIL"
+    (summary,) = tmp_path.glob(f"*_{command}.json")
+    assert json.loads(summary.read_text())["passed"] is False
+
+
+@pytest.mark.parametrize("command,scenario", [
+    ("evolve", "free_packet.json"), ("walk", "walk_default.json")])
+def test_an_ungated_command_prints_no_verdict(command, scenario, tmp_path, capsys):
+    assert _run(command, scenario, tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "PASS" not in out and "FAIL" not in out
+    assert "passed" not in json.loads((tmp_path / f"{scenario[:-5]}_{command}.json").read_text())

@@ -6,13 +6,14 @@ n = {0, 1, 2, 4}.  The quadrature must recover them through the regulator
 ladder without being told the answer.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gaussprop import (
     FieldSpec,
     MOMENT_ORDERS,
-    PropagatorSpec,
     ValidityError,
     cancellation_check,
     closed_moment,
@@ -102,18 +103,16 @@ def test_the_ladder_refuses_a_bad_d_or_eps(d, eps, name, delta0):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         ladder_integral([monomial(0)], d, eps, delta0)
     if name == "eps":
-        spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
         with pytest.raises(ValueError, match="^eps must be > 0 and finite"):
-            cancellation_check(spec, 0.5, eps, delta0=delta0)
+            cancellation_check(1.0, FieldSpec.sine(1.0, 1.0), 0.5, eps, delta0=delta0)
 
 
 def test_the_ladder_refuses_a_chirp_its_nodes_cannot_resolve():
     """delta0 = 0.001 stretches L to 400, where the chirp turns 32 rad a node."""
     with pytest.raises(ValidityError, match=r"phase step 32 rad > pi"):
         ladder_integral([monomial(0)], 1.0, 0.1, 0.001)
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
     with pytest.raises(ValidityError, match=r"phase step 32 rad > pi"):
-        cancellation_check(spec, 0.5, 0.1, delta0=0.001)
+        cancellation_check(1.0, FieldSpec.sine(1.0, 1.0), 0.5, 0.1, delta0=0.001)
 
 
 def test_coarse_regulator_degrades_accuracy():
@@ -125,42 +124,34 @@ def test_coarse_regulator_degrades_accuracy():
 
 
 def test_cancellation_constant_drift_is_exact_zero():
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.constant(0.7))
-    res = cancellation_check(spec, 0.3, 0.2)
+    res = cancellation_check(1.0, FieldSpec.constant(0.7), 0.3, 0.2)
     assert res.closed_form == pytest.approx(0.0)
     assert abs(res.quadrature) < 1e-7
 
 
 def test_cancellation_residual_matches_u_prime_squared():
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
     for eps in (0.4, 0.1):
-        res = cancellation_check(spec, 0.5, eps)
+        res = cancellation_check(1.0, FieldSpec.linear(0.4), 0.5, eps)
         assert res.closed_form == pytest.approx((0.4 * eps) ** 2)
         assert res.abs_error <= 1e-6 * max(abs(res.closed_form), 1.0)
 
 
 def test_cancellation_residual_order_two():
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
+    u = FieldSpec.linear(0.4)
     ladder = (0.4, 0.2, 0.1, 0.05)
-    vals = [abs(cancellation_check(spec, 0.5, eps).quadrature) for eps in ladder]
+    vals = [abs(cancellation_check(1.0, u, 0.5, eps).quadrature) for eps in ladder]
     slope = np.polyfit(np.log(ladder), np.log(vals), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_cancellation_spatial_dependence():
     # sine drift: residual tracks (u'(x) eps)^2 point by point
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
+    u = FieldSpec.sine(1.0, 1.0)
     eps = 0.1
     for x in (0.0, 0.5, 1.2):
-        res = cancellation_check(spec, x, eps)
+        res = cancellation_check(1.0, u, x, eps)
         assert res.closed_form == pytest.approx((np.cos(x) * eps) ** 2)
         assert res.abs_error <= 1e-6
-
-
-def test_cancellation_refuses_variants():
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
-    with pytest.raises(ValueError):
-        cancellation_check(spec, 0.0, 0.1)
 
 
 def _one_poly_ladder(poly, d, eps, delta0=None):
@@ -245,14 +236,36 @@ def test_monomials_have_exact_parity():
         monomial(-1)
 
 
+@pytest.mark.parametrize("d,eps,delta0,error,match", [
+    (-1.0, 0.1, None, ValueError, "^D must be "), (1.0, 0.0, None, ValueError, "^eps must be "),
+    (1.0, 0.1, -1.0, ValueError, "^delta0 must be "),
+    (1.0, 0.1, 0.001, ValidityError, "phase step 32 rad > pi"),
+], ids=("D", "eps", "delta0", "edge-step"))
+def test_odd_moments_alone_are_checked(d, eps, delta0, error, match):
+    with pytest.raises(error, match=match):
+        fresnel_moments([1], d, eps, delta0)
+
+
+def test_odd_moments_alone_build_no_ladder():
+    """Odd moments are exactly 0: no 50,000-node chirp is built to say so."""
+    tracemalloc.start()
+    try:
+        values = fresnel_moments([1, 1], 1.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == [0j, 0j] and all(type(v) is complex for v in values)
+    assert ladder_integral([], 1.0, 0.1) == []
+    assert peak < 64 * 1024  # a ladder's nodes alone are 400 KB
+
+
 def test_cancellation_check_is_unchanged_at_the_shipped_point():
     """moments_default's cancellation row: k = 1, x = 0.5, eps = 0.1, D = 1."""
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(1.0, 1.0))
     u, du = np.sin(0.5), np.cos(0.5)
 
     def integrand(eta):
         return (u + eta * du) ** 2 * (-(eta ** 2) / 2.0 + 0.05j)
 
-    res = cancellation_check(spec, 0.5, 0.1)
+    res = cancellation_check(1.0, FieldSpec.sine(1.0, 1.0), 0.5, 0.1)
     assert res.quadrature == _one_poly_ladder(integrand, 1.0, 0.1) / closed_moment(0, 1.0, 0.1)
     assert res.closed_form == complex(du ** 2 * 0.1 ** 2)

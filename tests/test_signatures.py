@@ -15,7 +15,10 @@ and reference.to_hamiltonian alone reads u's and b's coefficients.  The
 kernel always applies exp(-eps T): the bare kernel is the no_t variant with
 b = 0, so no order knob selects it and "admissible" always conserves the norm.
 The moment quadrature's window and nodes follow from D, eps and delta0, so
-no fresnel function takes a quadrature.
+no fresnel function takes a quadrature, and the cancellation check takes D
+and u, not a spec.  A CLI command is declared once, in cli.COMMANDS: no
+other constant of cli.py names one, a runner takes the scenario alone and
+the summary's "passed" is the only gate.
 """
 
 import ast
@@ -275,3 +278,39 @@ def test_the_output_names_and_node_budget_are_not_settings(tmp_path, capsys):
     assert "scenario:" in err and "'outputs'" in err
     err = _refused(tmp_path, capsys, {"moments": {**moments, "samples": 200_000}})
     assert "scenario.moments:" in err and "'samples'" in err
+
+
+def _stray_command_names(source: str, names) -> list:
+    """Constants naming a command anywhere but in the COMMANDS table (whose
+    entries name the sections they require, and a section may share a name)."""
+    tree = ast.parse(source)
+    table = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and [ast.unparse(t) for t in node.targets] == ["COMMANDS"]
+             for inner in ast.walk(node.value)}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and node.value in names and id(node) not in table]
+
+
+def test_a_command_is_declared_once_in_the_cli_table():
+    cli = importlib.import_module("gaussprop.cli")
+    names = {"evolve", "audit", "moments", "walk", "compare"}
+    assert set(cli.COMMANDS) == names
+    source = Path(cli.__file__).read_text()
+    assert _stray_command_names(source, names) == []
+    assert all(list(_parameters(c.run)) == ["sc"] for c in cli.COMMANDS.values())
+    assert "passed" not in cli.RunResult._fields
+    main = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    run_errors = [h for node in ast.walk(main) if isinstance(node, ast.Try)
+                  for h in node.handlers if "ValueError" in ast.unparse(h.type)]
+    assert len(run_errors) == 1
+    fresnel = importlib.import_module("gaussprop.fresnel")
+    assert list(_parameters(fresnel.cancellation_check)) == ["d", "u", "x", "eps", "delta0"]
+
+
+def test_the_guard_sees_a_command_named_outside_the_table():
+    source = ('COMMANDS = {"walk": 1}\n'
+              'def build(name):\n'
+              '    if name == "walk":\n'
+              '        return COMMANDS["walk"]\n')
+    assert _stray_command_names(source, {"walk"}) == ["walk", "walk"]
