@@ -1,14 +1,14 @@
 """Monte-Carlo sampler for the real Gaussian random walk.
 
-Particle pid draws its steps, in order, from numpy's counter-based Philox
-stream keyed (master seed, pid), as in Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3" (SC'11).  Draws are therefore bit-reproducible
-for a given (seed, parameters) pair no matter how particles are batched, and
-a smaller ensemble is a prefix of a larger one.  Normal variates come from
-numpy's ziggurat sampler on that fixed bit stream.  One generator is re-keyed
-for each particle, and particles advance in blocks of _BLOCK that draw all
-their steps at once, so memory is O(_BLOCK x n_steps + n_particles) rather
-than O(n_particles x n_steps).
+The walk reads one counter-based Philox stream keyed by the seed, particle-
+major: row i of the (n_particles, n_steps) draw matrix is particle i's steps.
+Draws are bit-reproducible per (seed, parameters) whatever the block size, and
+a smaller ensemble is a prefix of a larger one.  Per-particle keys, as in
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11), would
+give random access to one particle's stream, which only a parallel sampler
+needs; re-keying a generator per particle costs more than the ziggurat draws.
+Particles advance in blocks sized by a byte budget, each block filled by one
+draw call, so memory is O(block x n_steps + n_particles).
 
 A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
 at the particle's current position.  The optional centered-exponential step
@@ -24,6 +24,7 @@ at bin centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ from .propagate import last, march
 from .reference import diffusion_stepper
 
 STEP_LAWS = ("gauss", "exp_centered")
-MAX_SEED = 2 ** 64 - 1     # the seed is one 64-bit word of the Philox key
-_BLOCK = 4096              # particles advanced together
+MAX_SEED = 2 ** 64 - 1     # one 64-bit word: Philox(key=seed) has key (seed, 0)
+_BLOCK = 4096              # most particles advanced together
+_DRAW_BYTES = 32 * 2 ** 20  # the draws one block holds at most
 MIN_HISTOGRAM_PARTICLES = 10_000
 
 
@@ -53,12 +55,6 @@ class WalkEnsemble:
 
     def sample_variance(self) -> float:
         return float(np.var(self.positions, ddof=1))
-
-
-def _keyed(seed: int, pid: int) -> dict:
-    """The state of np.random.Philox(key=[seed, pid]) before its first draw."""
-    return {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, pid)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def sample_paths(n_particles: int, n_steps: int, eps: float,
@@ -80,16 +76,15 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
         raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     x = np.full(n_particles, float(x0))
     if n_steps > 0:
-        gen = np.random.Generator(np.random.Philox(0))  # re-keyed for each particle
+        gen = np.random.Generator(np.random.Philox(key=seed))
         draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
         width = np.sqrt(spec.d * eps)
-        z = np.empty((min(_BLOCK, n_particles), n_steps))
-        for start in range(0, n_particles, _BLOCK):
-            xb = x[start:start + _BLOCK]
+        block = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps)))
+        z = np.empty((min(block, n_particles), n_steps))
+        for start in range(0, n_particles, block):
+            xb = x[start:start + block]
             zb = z[:len(xb)]
-            for i, row in enumerate(zb):
-                gen.bit_generator.state = _keyed(seed, start + i)
-                draw(out=row)
+            draw(out=zb)
             if step_law == "exp_centered":
                 zb -= 1.0
             for s in range(n_steps):
@@ -109,10 +104,9 @@ class HistogramComparison:
 
 def _gaussian_bin_density(edges: np.ndarray, mean: float,
                           var: float) -> np.ndarray:
-    from scipy.special import ndtr  # on first use, so that moments and audit never load scipy
-
-    sd = np.sqrt(var)
-    cdf = ndtr((edges - mean) / sd)
+    # the normal CDF as 0.5 erfc(-z / sqrt 2), one scalar call per edge: no scipy
+    z = (mean - edges) / np.sqrt(2.0 * var)
+    cdf = 0.5 * np.array([math.erfc(v) for v in z.tolist()])
     return np.diff(cdf) / np.diff(edges)
 
 

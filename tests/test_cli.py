@@ -97,12 +97,17 @@ def test_walk_seed_override(tmp_path):
     assert same != (c / "walk_default_walk.csv").read_bytes()
 
 
-# sha256 of the walk_default outputs, recorded from the per-particle Philox sampler
+# sha256 of the walk_default outputs, re-recorded when the sampler drew from one
+# Philox stream keyed by the seed in place of one stream per particle, and the
+# Gaussian law's CDF came from math.erfc in place of scipy.special.ndtr.
+# (sample_mean, sample_variance, l1_distance) went
+#   seed 7:  (1.003858, 2.036681, 0.026255) -> (0.988906, 1.993278, 0.023770)
+#   seed 11: (1.004970, 1.970889, 0.025256) -> (0.985387, 2.042418, 0.024377)
 WALK_DEFAULT_SHA256 = {
-    (): ("6e9cbc9f9bc8beffaa440e37ec7ce6e34b85f12e73028b8773346c3e2a4389e3",
-         "d4f38c837a87ee892e69b72f99055d0244e030c2dba1955db7139f5c6576e6f5"),
-    ("--seed", "11"): ("a13af8b72620aef642a7c2b32b8a0430eaeb92670acf87991325ac8953fad3f4",
-                       "2c51a47a3d6ae60cd667442f82b5c474801089f224d537a6ea2c8edc50a398e1"),
+    (): ("4373189cadafe17492b7d35f525cd66b5478db28d804f75e0a7f704af4c195db",
+         "d68864e587a0260a2f56e2aa8174bdd2053b18d8dc61d724b3d3746968eac843"),
+    ("--seed", "11"): ("5d97f40b0bdb79596aef377a89895472f1481985f2bec00f860873d6b40c0511",
+                       "bb596f5071afa4d16721d0ada554350118dcbb009adfe6f3d6e47eb53895e382"),
 }
 
 
@@ -152,13 +157,15 @@ SHIPPED_SHA256 = {
 
 # An Ornstein-Uhlenbeck walk: the drift varies with x, so every step re-evaluates
 # u at the particles and the histogram is checked against the drift-diffusion
-# oracle.  sha256 of (csv, json) recorded before the time argument was removed
-# from the field and kernel signatures.
+# oracle.
 OU_WALK = {"name": "ou", "spec": {"d": 1.0, "u": {"kind": "linear", "slope": -0.5}},
            "schedule": {"eps": 0.02, "n_steps": 100}, "seed": 3,
            "walk": {"n_particles": 10000, "x0": 1.0, "bins": 40}}
-OU_WALK_SHA256 = ("94e0d38d140eff6dfdfd162c7a948f0355b4a89c5e6a60fd624fd468b7f968c0",
-                  "acb9040e10ff63d5a8e54483c26bc220dfc12290ef1b8cdd2355aba9a782c6aa")
+# sha256 of (csv, json), re-recorded when the sampler drew from one Philox
+# stream keyed by the seed: (sample_mean, sample_variance, l1_distance) went
+#   (0.370661, 0.854107, 0.037600) -> (0.345697, 0.875991, 0.030755)
+OU_WALK_SHA256 = ("696f136871bb58323f2d9f69fbaa5a9365c50f3cf3b795fa6a8e0a2736d8978e",
+                  "76b4fa808d52b9d70c48e0dcc9f446dd98141c8f524051498c5026f5c6585893")
 
 
 def test_ou_walk_outputs_are_unchanged(tmp_path):
@@ -244,8 +251,9 @@ def test_kernel_matrix_beyond_its_bound_exits_two_before_allocating(spec, tmp_pa
     assert not list(tmp_path.glob("*.csv"))
 
 
-# run in a fresh interpreter: the commands that never solve must not import
-# scipy, and those that solve load only its LAPACK extension
+# run in a fresh interpreter: the commands that never solve, and a walk with a
+# constant drift, must not import scipy, and those that solve load only its
+# LAPACK extension
 LAZY_SCIPY = """
 import sys
 from gaussprop import cli
@@ -256,6 +264,8 @@ def scipy_modules():
 for command, name in (("moments", "moments_default"), ("audit", "variants_audit")):
     assert cli.main([command, f"{scenarios}/{name}.json", "--out", out]) == 0
 print("moments, audit:", scipy_modules())
+assert cli.main(["walk", f"{scenarios}/walk_default.json", "--out", out]) == 0
+print("walk_default:", scipy_modules())
 for command, path in (("evolve", f"{scenarios}/free_packet.json"),
                       ("compare", f"{scenarios}/compare_default.json"), ("walk", ou_walk)):
     assert cli.main([command, path, "--out", out]) == 0
@@ -277,6 +287,7 @@ def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert "moments, audit: []" in lines
+    assert "walk_default: []" in lines  # the Gaussian law's CDF is math.erfc
     # the CN, Cayley and drift-diffusion solves load the extension alone:
     # neither scipy.linalg nor scipy._lib is imported
     assert "evolve, compare, walk: ['scipy.linalg._flapack']" in lines

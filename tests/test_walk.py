@@ -8,6 +8,7 @@ from gaussprop import (
     PropagatorSpec,
     histogram_compare,
     sample_paths,
+    walk,
 )
 from gaussprop.walk import _BLOCK, MAX_SEED
 
@@ -24,14 +25,12 @@ def test_same_seed_reproduces_bit_for_bit():
 
 
 def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="gauss"):
-    """One fresh Philox per particle and the whole draw matrix at once."""
-    z = np.empty((n_particles, n_steps))
-    for pid in range(n_particles):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, pid], dtype=np.uint64)))
-        if step_law == "gauss":
-            z[pid] = gen.standard_normal(n_steps)
-        else:
-            z[pid] = gen.standard_exponential(n_steps) - 1.0
+    """One Philox keyed by the seed and the whole (n_particles, n_steps) draw matrix at once."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    if step_law == "gauss":
+        z = gen.standard_normal((n_particles, n_steps))
+    else:
+        z = gen.standard_exponential((n_particles, n_steps)) - 1.0
     x = np.full(n_particles, float(x0))
     width = np.sqrt(spec.d * eps)
     for s in range(n_steps):
@@ -42,12 +41,34 @@ def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="ga
 @pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
 @pytest.mark.parametrize("u", [FieldSpec.constant(0.5), FieldSpec.linear(-0.5),
                                FieldSpec.sine(0.3, 1.0)], ids=("constant", "linear", "sine"))
-def test_paths_equal_the_per_particle_reference(u, step_law):
+def test_paths_equal_the_one_stream_reference(u, step_law):
     """A full block and a partial one change no bit."""
     spec = PropagatorSpec(d=1.0, u=u)
     ens = sample_paths(_BLOCK + 3, 20, 0.01, spec, seed=9, x0=0.3, step_law=step_law)
     assert np.array_equal(ens.positions,
                           _reference_paths(_BLOCK + 3, 20, 0.01, spec, 9, 0.3, step_law))
+
+
+@pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
+def test_paths_do_not_depend_on_the_block_size(step_law, monkeypatch):
+    """Blocks of one row, of 7 rows with a partial last block, and one block of all 600."""
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.5))
+    runs = []
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(walk, "_BLOCK", block)
+        runs.append(sample_paths(600, 20, 0.01, spec, seed=13, x0=0.3, step_law=step_law))
+    assert all(np.array_equal(runs[0].positions, run.positions) for run in runs[1:])
+
+
+def test_particle_zero_keeps_the_stream_keyed_seed_and_zero():
+    """Particle 0 draws the Philox stream with key (seed, 0), whatever the ensemble."""
+    seed = 2 ** 64 - 3
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    x = np.full(1, 0.3)
+    for z in gen.standard_normal(50):
+        x += 0.5 * 0.01 + np.sqrt(0.01) * z
+    ens = sample_paths(1_000, 50, 0.01, DRIFTING, seed=seed, x0=0.3)
+    assert ens.positions[0] == x[0]
 
 
 def test_particle_streams_do_not_depend_on_ensemble_size():
@@ -80,6 +101,13 @@ def _peak_mib(*args, **kwargs):
 def test_sampler_memory_holds_no_particles_by_steps_matrix():
     """The draws of a 20,000 x 200 walk take 31 MiB; one block of them is held at a time."""
     assert _peak_mib(20_000, 200, 0.01, DRIFTING, seed=1) < 8.0
+
+
+def test_long_walk_memory_stays_within_the_draw_budget():
+    """All 5,000 steps of 2,000 particles would take 76 MiB of draws; a block holds the budget."""
+    budget = walk._DRAW_BYTES / 2 ** 20
+    assert budget < 76.0
+    assert _peak_mib(2_000, 5_000, 0.001, DRIFTING, seed=1) < budget + 2.0
 
 
 def test_zero_steps_leaves_particles_at_the_origin():
