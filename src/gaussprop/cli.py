@@ -39,7 +39,7 @@ import numpy as np
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, fresnel_moments
-from .propagate import METHODS, ValidityError, last, march, wave_stepper
+from .propagate import METHODS, ValidityError, chirp_z_applies, finals, march, wave_stepper
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
@@ -234,17 +234,22 @@ def _run_compare(sc: Scenario) -> RunResult:
     ref_steps = _steps_for(cs.t_final, eps_ref, ref_key)  # checked even if unused
     ladder_steps = [_steps_for(cs.t_final, eps, "schedule.eps_ladder") for eps in sc.eps_ladder]
     state0 = sc.packet.build(sc.grid)
+    runs = [(state0, n, lambda eps=eps: wave_stepper(sc.grid, eps, sc.spec, sc.method))
+            for eps, n in zip(sc.eps_ladder, ladder_steps)]
     if ham is None:
         p = sc.packet
         ref = exact_state(sc.grid, sc.spec, p.x0, p.sigma0, p.k0, cs.t_final)
         reference, eps_ref, against = "exact", None, "the exact solution"
     else:
-        ref = last(march(state0, ref_steps, cn_stepper(sc.grid, eps_ref, ham)))
+        runs.insert(0, (state0, ref_steps, lambda: cn_stepper(sc.grid, eps_ref, ham)))
         reference, against = "cn", f"the eps={eps_ref:g} CN reference"
+    # a dense rung off the chirp-z class builds an n x n matrix: one at a time
+    ends = finals(runs, serial=sc.method == "dense" and not chirp_z_applies(sc.spec))
+    if ham is not None:
+        ref = ends.pop(0)
 
     rows, errors = [], []
-    for eps, n in zip(sc.eps_ladder, ladder_steps):
-        final = last(march(state0, n, wave_stepper(sc.grid, eps, sc.spec, sc.method)))
+    for eps, n, final in zip(sc.eps_ladder, ladder_steps, ends):
         err = _l2_distance(final.psi, ref.psi, sc.grid.dx)
         rows.append((eps, n, err))
         errors.append(err)

@@ -49,7 +49,8 @@ Each method has one builder, (grid, eps, spec) -> step, holding its guards
 and its operator: dense_stepper, spectral_stepper and density_stepper here,
 cn_stepper and diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
-is its final state.
+is its final state.  finals marches independent runs side by side, one thread
+per CPU: a step's FFTs and gttrs solve release the GIL.
 
 The tridiagonal solves (the spectral Cayley drift here, the Crank-Nicolson
 and drift-diffusion oracles in reference) call LAPACK gttrf/gttrs from
@@ -63,6 +64,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +185,12 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
     return apply
 
 
+def chirp_z_applies(spec: PropagatorSpec) -> bool:
+    """Does the dense step take the chirp-z form (real constant D, u of degree <= 1)?"""
+    return (spec.u.degree is not None and spec.u.degree <= 1
+            and spec.variant not in ("complex_d", "x_dependent_d"))
+
+
 def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
     """The dense quadrature step on grid as a function psi -> psi(t + eps).
 
@@ -190,8 +198,7 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
     O(n log n); every other spec applies the n x n kernel matrix, for
     grid.n <= MAX_DENSE_MATRIX_N only.
     """
-    if (spec.u.degree is not None and spec.u.degree <= 1
-            and spec.variant not in ("complex_d", "x_dependent_d")):
+    if chirp_z_applies(spec):
         return _chirp_z_step(grid, eps, spec)
     _check_matrix_size(grid, 16, "dense path for this spec")
     mat = _dense_matrix(grid, eps, spec)
@@ -222,6 +229,7 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
 
 
 _FLAPACK = "scipy.linalg._flapack"
+_FLAPACK_LOCK = threading.Lock()  # runs marched side by side solve at once
 
 
 def _flapack_dirs() -> list[str]:
@@ -235,19 +243,23 @@ def _flapack():
     module = sys.modules.get(_FLAPACK)
     if module is not None:  # loaded by an earlier call or by scipy.linalg
         return module
-    searched = [os.path.join(folder, "_flapack" + suffix)
-                for folder in _flapack_dirs()
-                for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in searched if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError(f"LAPACK extension {_FLAPACK} not found (is scipy "
-                          f"installed?); searched {searched}", name=_FLAPACK)
-    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_loader(_FLAPACK, loader, origin=path))
-    sys.modules[_FLAPACK] = module
-    loader.exec_module(module)
-    return module
+    with _FLAPACK_LOCK:
+        module = sys.modules.get(_FLAPACK)
+        if module is not None:  # loaded by a thread that held the lock first
+            return module
+        searched = [os.path.join(folder, "_flapack" + suffix)
+                    for folder in _flapack_dirs()
+                    for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in searched if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"LAPACK extension {_FLAPACK} not found (is scipy "
+                              f"installed?); searched {searched}", name=_FLAPACK)
+        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(_FLAPACK, loader, origin=path))
+        sys.modules[_FLAPACK] = module
+        loader.exec_module(module)
+        return module
 
 
 def get_lapack_funcs(names, arrays):
@@ -387,3 +399,46 @@ def last(states):
     for state in states:
         pass
     return state
+
+
+def finals(runs, serial: bool = False) -> list:
+    """[last(march(state, n_steps, build())) for state, n_steps, build in runs]
+    for a list runs, bit for bit, on one thread per CPU and run (the caller's
+    included), longest first, or in order on the caller's thread if serial.
+    Each build() runs on its run's thread, so only runs in flight hold an
+    operator.  A failure raises the serial loop's: the first in input order,
+    and no run after it in input order starts."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = 1 if serial else min(cpus or 1, len(runs))
+    if threads <= 1:
+        return [last(march(state, n_steps, build())) for state, n_steps, build in runs]
+    out, failed, lock = [None] * len(runs), {}, threading.Lock()
+    todo = sorted(range(len(runs)), key=lambda i: -runs[i][1])  # ties in input order
+
+    def work():
+        while True:
+            with lock:
+                todo[:] = [i for i in todo if i < min(failed, default=len(runs))]
+                if not todo:
+                    return
+                i = todo.pop(0)
+            state, n_steps, build = runs[i]
+            try:
+                out[i] = last(march(state, n_steps, build()))
+            except Exception as exc:
+                with lock:
+                    failed[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:  # an interrupt of the caller starts no further run
+        with lock:
+            todo.clear()
+        for worker in workers:
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
+    return out

@@ -294,6 +294,43 @@ def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
     assert "scipy.linalg shares the extension: True" in lines  # never a second copy
 
 
+# a fresh interpreter whose first solves are compare's rungs, marched on four
+# threads at once: the LAPACK extension is loaded once, alone
+RACING_SCIPY = """
+import importlib.machinery, os, sys, time
+from gaussprop import cli, propagate
+
+dirs = propagate._flapack_dirs
+propagate._flapack_dirs = lambda: time.sleep(0.2) or dirs()  # let every rung get there
+loads = []
+exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+def counted(self, module):
+    loads.append(module.__name__)
+    exec_module(self, module)
+importlib.machinery.ExtensionFileLoader.exec_module = counted
+os.sched_getaffinity = lambda pid: set(range(4))
+scenarios, out = sys.argv[1:]
+assert cli.main(["compare", f"{scenarios}/compare_default.json", "--out", out]) == 0
+print("compare:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      loads.count("scipy.linalg._flapack"))
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+print("scipy.linalg shares the extension:", scipy.linalg.lapack._flapack is flapack)
+"""
+
+
+def test_compare_on_threads_loads_the_lapack_extension_once(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", RACING_SCIPY, str(SCENARIOS), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "compare: ['scipy.linalg._flapack'] 1" in lines
+    assert "scipy.linalg shares the extension: True" in lines
+
+
 def test_compare_scenario(tmp_path):
     assert _run("compare", "compare_default.json", tmp_path) == 0
     summary = json.loads((tmp_path / "compare_default_compare.json").read_text())
@@ -307,20 +344,77 @@ def test_compare_scenario(tmp_path):
     assert all(lo <= s <= hi for s in summary["local_slopes"])
 
 
+SINE_COMPARE = {"name": "sine", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256},
+                "packet": {"sigma0": 1.0, "k0": 0.5},
+                "spec": {"d": 1.0, "u": {"kind": "sine", "amplitude": 0.3, "wavenumber": 0.5}},
+                "schedule": {"eps_ladder": [0.1, 0.05]}, "method": "spectral",
+                "compare": {"t_final": 0.5}}
+
+
 def test_compare_falls_back_to_cn_outside_the_quadratic_class(tmp_path, capsys):
     """A sine drift has no closed-form state: the CN march is the reference."""
-    data = {"name": "sine", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256},
-            "packet": {"sigma0": 1.0, "k0": 0.5},
-            "spec": {"d": 1.0, "u": {"kind": "sine", "amplitude": 0.3, "wavenumber": 0.5}},
-            "schedule": {"eps_ladder": [0.1, 0.05]}, "method": "spectral",
-            "compare": {"t_final": 0.5}}
     path = tmp_path / "sine.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(SINE_COMPARE))
     assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "sine_compare.json").read_text())
     assert summary["reference"] == "cn"
     assert summary["eps_ref"] == pytest.approx(0.01)  # the smallest rung / 5
     assert "against the eps=0.01 CN reference" in capsys.readouterr().out
+
+
+# a chirp-z dense ladder whose rungs from the 2nd on cannot resolve the phase
+FAILING_LADDER = {"name": "ladder", "grid": {"x_min": -12.0, "x_max": 12.0, "n": 512},
+                  "packet": {"sigma0": 1.0, "k0": 0.5},
+                  "spec": {"d": 1.0, "u": {"kind": "linear", "slope": 0.3}},
+                  "schedule": {"eps_ladder": [0.4, 0.1, 0.08, 0.05]}, "method": "dense",
+                  "compare": {"t_final": 0.8}}
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("data,code,err", [
+    (None, 0, ""), (SINE_COMPARE, 0, ""),
+    (FAILING_LADDER, 3, "error: aborted at step 0: dense step cannot resolve the kernel "
+                        "phase: phase step 3.472 rad vs pi (unresolved; eps >= 0.1105 "
+                        "recommended)\n"),
+], ids=("compare_default", "sine-cn", "failing-ladder"))
+def test_threaded_and_serial_compare_agree(data, code, err, tmp_path, monkeypatch, capsys):
+    """compare marches its runs side by side: exit code, error and outputs are
+    those of marching them one after another, the first failing rung's."""
+    path = SCENARIOS / "compare_default.json"
+    if data is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+    seen = []
+    for cpus in (1, 4):
+        _set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["compare", str(path), "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        seen.append({f.name: f.read_bytes() for f in out.glob("*")} if code != 3 else None)
+    assert seen[0] == seen[1] and (code == 3 or len(seen[0]) == 2)
+
+
+def test_compare_marches_matrix_rungs_one_at_a_time(tmp_path, monkeypatch):
+    """Off the chirp-z class each dense rung builds an n x n matrix, so those
+    rungs are marched serially: threads would hold two at once."""
+    data = {**SINE_COMPARE, "grid": {"x_min": -10.0, "x_max": 10.0, "n": 512},
+            "schedule": {"eps_ladder": [0.4, 0.2]}, "method": "dense",
+            "compare": {"t_final": 0.8}}
+    path = tmp_path / "sine.json"
+    path.write_text(json.dumps(data))
+    peaks = []
+    for cpus in (1, 4):
+        _set_cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_compare_exits_three_when_the_exact_state_reaches_the_edges(tmp_path, capsys):

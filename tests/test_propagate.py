@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -153,6 +156,105 @@ def test_march_streams_the_start_state_then_each_step():
     stream = list(march(state, 3, spectral_stepper(grid, 0.05, FREE)))
     assert stream[0] is state
     assert [s.time for s in stream] == pytest.approx([0.0, 0.05, 0.1, 0.15])
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(propagate.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 4))
+def test_finals_are_the_serial_loop_bit_for_bit(cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+    grid = make_grid(-12.0, 12.0, 512)
+    state = gaussian_packet(grid, x0=0.0, sigma0=1.0, k0=0.5)
+    runs = [(state, n, lambda eps=eps: spectral_stepper(grid, eps, DRIFTED))
+            for eps, n in ((0.04, 10), (0.02, 20), (0.01, 40))]
+    runs.append((state, 20, lambda: cn_stepper(grid, 0.02, to_hamiltonian(DRIFTED, grid))))
+    expected = [last(march(state, n, build())) for state, n, build in runs]
+    finals = propagate.finals(runs)
+    assert [f.time for f in finals] == [e.time for e in expected]
+    assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
+
+
+@pytest.mark.parametrize("count", ("affinity", "cpu_count"))
+def test_finals_march_the_longest_runs_side_by_side_each_on_its_own_thread(count, monkeypatch):
+    """Two CPUs: the two longest runs are built first, and each build waits
+    for the other, which passes only if both are in flight at once.  Where
+    the OS has no affinity call, os.cpu_count() counts the CPUs."""
+    if count == "affinity":
+        _cpus(monkeypatch, 2)
+    else:
+        monkeypatch.delattr(propagate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(propagate.os, "cpu_count", lambda: 2)
+    both = threading.Barrier(2, timeout=10)
+    built, stepped = [], {}
+
+    def run(i, n_steps):
+        def build():
+            built.append((i, threading.get_ident()))
+            both.wait()
+            return lambda x: stepped.setdefault(i, set()).add(threading.get_ident()) or x + 1
+        return 0, n_steps, build
+
+    assert propagate.finals([run(0, 1), run(1, 5), run(2, 3), run(3, 4)]) == [1, 5, 3, 4]
+    assert {i for i, _ in built[:2]} == {1, 3}
+    assert all(stepped[i] == {ident} for i, ident in built)  # built where marched
+
+
+@pytest.mark.parametrize("cpus", (1, 4))
+def test_finals_raise_the_first_failure_in_input_order(cpus, monkeypatch):
+    _cpus(monkeypatch, cpus)
+
+    def failing_at(k):
+        def step(x):
+            if x == k:
+                raise ValidityError(f"state {k}")
+            return x + 1
+        return step
+
+    runs = [(0, 3, lambda: failing_at(9)), (0, 4, lambda: failing_at(2)),
+            (0, 5, lambda: failing_at(9)), (0, 6, lambda: failing_at(1))]
+    with pytest.raises(ValidityError, match=r"^aborted at step 2: state 2$"):
+        propagate.finals(runs)
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_finals_start_no_run_after_a_failure(cpus, monkeypatch):
+    """The first run is the longest and its build fails: besides it, at most
+    the run already in flight on the other thread is built."""
+    _cpus(monkeypatch, cpus)
+    built = []
+
+    def build_failing():
+        built.append(0)
+        raise ValueError("no operator")
+
+    def builder(i):
+        def build():
+            built.append(i)
+            return lambda x: time.sleep(0.005) or x + 1
+        return build
+
+    runs = [(0, 10, build_failing)] + [(0, 10 - i, builder(i)) for i in range(1, 6)]
+    with pytest.raises(ValueError, match="^no operator$"):
+        propagate.finals(runs)
+    assert 0 in built and set(built) <= set(range(cpus))
+
+
+def test_finals_march_every_run_once_under_contention(monkeypatch):
+    """Eight threads on a short switch interval: no run is lost or taken twice."""
+    _cpus(monkeypatch, 8)
+    built = []
+    runs = [(i, 1 + i % 7, lambda i=i: built.append(i) or (lambda x: x + 1))
+            for i in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        finals = propagate.finals(runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert finals == [i + 1 + i % 7 for i in range(300)]
+    assert sorted(built) == list(range(300))
 
 
 def test_dense_evolve_checks_before_it_builds(monkeypatch):
