@@ -183,11 +183,9 @@ def _run_walk(sc: Scenario) -> RunResult:
     ensemble = sample_paths(ws.n_particles, sc.n_steps, sc.eps, sc.spec,
                             sc.seed, x0=ws.x0, step_law=ws.step_law)
     comparison = histogram_compare(ensemble, sc.spec, bins=ws.bins)
-    rows = [
-        (float(comparison.edges[i]), float(comparison.edges[i + 1]),
-         float(comparison.density[i]), float(comparison.reference_density[i]))
-        for i in range(len(comparison.density))
-    ]
+    edges = comparison.edges.tolist()
+    rows = list(zip(edges[:-1], edges[1:], comparison.density.tolist(),
+                    comparison.reference_density.tolist()))
     t = ensemble.time
     expected_mean, expected_var = gaussian_law(ensemble, sc.spec) or (None, None)
     summary = {
@@ -304,10 +302,9 @@ _OPTIONS = {
 }
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _csv_line(row) -> str:
+    # one %-format call per row: floats as %.17g, every other cell as str()
+    return ",".join(["%.17g" if isinstance(cell, float) else "%s" for cell in row]) % tuple(row)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -328,8 +325,7 @@ def _write_outputs(result: RunResult, out_dir: str, stem: str) -> tuple[str, str
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     json_path = os.path.join(out_dir, f"{stem}.json")
     csv_lines = [",".join(result.header)]
-    csv_lines.extend(",".join(_fmt_cell(cell) for cell in row)
-                     for row in result.rows)
+    csv_lines.extend(map(_csv_line, result.rows))
     _atomic_write(csv_path, "\n".join(csv_lines) + "\n")
     _atomic_write(json_path,
                   json.dumps(result.summary, sort_keys=True, indent=2) + "\n")

@@ -50,7 +50,8 @@ and its operator: dense_stepper, spectral_stepper and density_stepper here,
 cn_stepper and diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
 is its final state.  finals marches independent runs side by side, one thread
-per CPU: a step's FFTs and gttrs solve release the GIL.
+per CPU: a step's FFTs and gttrs solve release the GIL.  side_by_side is that
+thread pool, which the walk's particle chunks share.
 
 The tridiagonal solves (the spectral Cayley drift here, the Crank-Nicolson
 and drift-diffusion oracles in reference) call LAPACK gttrf/gttrs from
@@ -401,30 +402,33 @@ def last(states):
     return state
 
 
-def finals(runs, serial: bool = False) -> list:
-    """[last(march(state, n_steps, build())) for state, n_steps, build in runs]
-    for a list runs, bit for bit, on one thread per CPU and run (the caller's
-    included), longest first, or in order on the caller's thread if serial.
-    Each build() runs on its run's thread, so only runs in flight hold an
-    operator.  A failure raises the serial loop's: the first in input order,
-    and no run after it in input order starts."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else os.cpu_count()."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = 1 if serial else min(cpus or 1, len(runs))
+    return cpus or 1
+
+
+def side_by_side(tasks, threads: int, start=None) -> list:
+    """[task() for task in tasks], bit for bit, on `threads` threads (the
+    caller's included) that take the tasks in the index order `start` (default:
+    input order).  Results come in input order.  A failure raises the serial
+    loop's: the first in input order, and no task after it in input order
+    starts.  An interrupt of the caller starts no further task and joins the
+    workers."""
     if threads <= 1:
-        return [last(march(state, n_steps, build())) for state, n_steps, build in runs]
-    out, failed, lock = [None] * len(runs), {}, threading.Lock()
-    todo = sorted(range(len(runs)), key=lambda i: -runs[i][1])  # ties in input order
+        return [task() for task in tasks]
+    out, failed, lock = [None] * len(tasks), {}, threading.Lock()
+    todo = list(range(len(tasks)) if start is None else start)
 
     def work():
         while True:
             with lock:
-                todo[:] = [i for i in todo if i < min(failed, default=len(runs))]
+                todo[:] = [i for i in todo if i < min(failed, default=len(tasks))]
                 if not todo:
                     return
                 i = todo.pop(0)
-            state, n_steps, build = runs[i]
             try:
-                out[i] = last(march(state, n_steps, build()))
+                out[i] = tasks[i]()
             except Exception as exc:
                 with lock:
                     failed[i] = exc
@@ -434,7 +438,7 @@ def finals(runs, serial: bool = False) -> list:
         worker.start()
     try:
         work()
-    finally:  # an interrupt of the caller starts no further run
+    finally:  # an interrupt of the caller starts no further task
         with lock:
             todo.clear()
         for worker in workers:
@@ -442,3 +446,16 @@ def finals(runs, serial: bool = False) -> list:
     if failed:
         raise failed[min(failed)]
     return out
+
+
+def finals(runs, serial: bool = False) -> list:
+    """[last(march(state, n_steps, build())) for state, n_steps, build in runs]
+    for a list runs, side by side on one thread per CPU and run, longest
+    first, or in order on the caller's thread if serial.  Each build() runs
+    on its run's thread, so only runs in flight hold an operator.  A failure
+    raises as side_by_side says."""
+    tasks = [lambda state=state, n_steps=n_steps, build=build:
+             last(march(state, n_steps, build())) for state, n_steps, build in runs]
+    threads = 1 if serial else min(usable_cpus(), len(runs))
+    return side_by_side(tasks, threads,
+                        sorted(range(len(runs)), key=lambda i: -runs[i][1]))  # ties in input order

@@ -1,14 +1,22 @@
 """Monte-Carlo sampler for the real Gaussian random walk.
 
-The walk reads one counter-based Philox stream keyed by the seed, particle-
-major: row i of the (n_particles, n_steps) draw matrix is particle i's steps.
-Draws are bit-reproducible per (seed, parameters) whatever the block size, and
-a smaller ensemble is a prefix of a larger one.  Per-particle keys, as in
-Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11), would
-give random access to one particle's stream, which only a parallel sampler
-needs; re-keying a generator per particle costs more than the ziggurat draws.
+The draw matrix is particle-major: row i of the (n_particles, n_steps) matrix
+is particle i's steps.  It is cut into chunks of _CHUNK = 2**15 particles, and
+chunk c reads, row by row, the counter-based Philox stream keyed by the seed
+and jumped c times, as if 2**128 c draws had been made (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chunk 0 is the
+unjumped stream, so a walk of at most 2**15 particles draws what one stream
+gave before chunks existed; every shipped scenario and pinned output (20,000
+particles at most) keeps its bits.  Draws are bit-reproducible per (seed,
+parameters) whatever the block size or CPU count, and a smaller ensemble is a
+prefix of a larger one.  Chunks march side by side, one thread per CPU and
+chunk, on propagate.side_by_side: a bulk draw fill releases the GIL.
+
 Particles advance in blocks sized by a byte budget, each block filled by one
-draw call, so memory is O(block x n_steps + n_particles).
+draw call and scaled by sqrt(D eps) once.  The caller allocates one buffer of
+that budget and splits it into one slice per thread; the one chunk still in
+flight, once no other can start, takes the whole buffer.  Memory is
+O(block x n_steps + n_particles) whatever the thread count.
 
 A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
 at the particle's current position.  The optional centered-exponential step
@@ -25,17 +33,20 @@ at bin centers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fields import PropagatorSpec, RealState, check_eps, make_grid
-from .propagate import last, march
+from .propagate import last, march, side_by_side, usable_cpus
 from .reference import diffusion_stepper
 
 STEP_LAWS = ("gauss", "exp_centered")
 MAX_SEED = 2 ** 64 - 1     # one 64-bit word: Philox(key=seed) has key (seed, 0)
 _BLOCK = 4096              # most particles advanced together
+_CHUNK = 2 ** 15           # particles per Philox stream: chunk c draws jumped(c)
 _DRAW_BYTES = 32 * 2 ** 20  # the draws one block holds at most
 MIN_HISTOGRAM_PARTICLES = 10_000
 
@@ -76,19 +87,40 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
         raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     x = np.full(n_particles, float(x0))
     if n_steps > 0:
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
         width = np.sqrt(spec.d * eps)
-        block = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps)))
-        z = np.empty((min(block, n_particles), n_steps))
-        for start in range(0, n_particles, block):
-            xb = x[start:start + block]
-            zb = z[:len(xb)]
-            draw(out=zb)
-            if step_law == "exp_centered":
-                zb -= 1.0
-            for s in range(n_steps):
-                xb += spec.u(xb) * eps + width * zb[:, s]
+        chunks = -(-n_particles // _CHUNK)
+        threads = min(usable_cpus(), chunks)
+        rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
+        z = np.empty((threads * rows, n_steps))
+        free, lock = [z[k * rows:(k + 1) * rows] for k in range(threads)], threading.Lock()
+        unstarted = chunks
+
+        def march_chunk(c: int) -> None:
+            nonlocal unstarted
+            with lock:
+                unstarted -= 1
+                own = free.pop()
+            try:
+                gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
+                draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
+                xc, zt = x[c * _CHUNK:(c + 1) * _CHUNK], own
+                while len(xc):
+                    with lock:  # the one chunk left in flight takes the whole buffer
+                        if not unstarted and len(free) == threads - 1:
+                            zt = z
+                    xb, xc = xc[:len(zt)], xc[len(zt):]
+                    zb = zt[:len(xb)]
+                    draw(out=zb)
+                    if step_law == "exp_centered":
+                        zb -= 1.0
+                    zb *= width
+                    for s in range(n_steps):
+                        xb += spec.u(xb) * eps + zb[:, s]
+            finally:
+                with lock:
+                    free.append(own)
+
+        side_by_side([partial(march_chunk, c) for c in range(chunks)], threads)
     x.flags.writeable = False
     return WalkEnsemble(positions=x, time=n_steps * eps, x0=float(x0))
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,9 +28,10 @@ def test_same_seed_reproduces_bit_for_bit():
     assert not np.array_equal(a.positions, c.positions)
 
 
-def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="gauss"):
-    """One Philox keyed by the seed and the whole (n_particles, n_steps) draw matrix at once."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
+def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="gauss", jumps=0):
+    """One Philox keyed by the seed, jumped `jumps` times, and the whole
+    (n_particles, n_steps) draw matrix at once."""
+    gen = np.random.Generator(np.random.Philox(key=seed).jumped(jumps))
     if step_law == "gauss":
         z = gen.standard_normal((n_particles, n_steps))
     else:
@@ -58,6 +63,103 @@ def test_paths_do_not_depend_on_the_block_size(step_law, monkeypatch):
         monkeypatch.setattr(walk, "_BLOCK", block)
         runs.append(sample_paths(600, 20, 0.01, spec, seed=13, x0=0.3, step_law=step_law))
     assert all(np.array_equal(runs[0].positions, run.positions) for run in runs[1:])
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _chunked_reference(n_particles, chunk, *args):
+    """Particles [c chunk, (c + 1) chunk): the reference of the stream jumped c times."""
+    return np.concatenate([_reference_paths(min(chunk, n_particles - start), *args,
+                                            jumps=start // chunk)
+                           for start in range(0, n_particles, chunk)])
+
+
+@pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
+@pytest.mark.parametrize("cpus", (1, 2, 4))
+def test_chunk_c_draws_the_stream_jumped_c_at_any_cpu_count_and_block(cpus, step_law, monkeypatch):
+    """Chunks of 64 on 200 particles (64, 64, 64 and 8 rows), each on a block
+    of one row, of 7 rows (3 a thread at 2 CPUs, 1 at 4) and of 4096."""
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(walk, "_CHUNK", 64)
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.5))
+    expected = _chunked_reference(200, 64, 20, 0.01, spec, 13, 0.3, step_law)
+    assert not np.array_equal(expected, _reference_paths(200, 20, 0.01, spec, 13, 0.3, step_law))
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(walk, "_BLOCK", block)
+        ens = sample_paths(200, 20, 0.01, spec, seed=13, x0=0.3, step_law=step_law)
+        assert np.array_equal(ens.positions, expected)
+
+
+def test_chunks_share_the_buffer_under_contention(monkeypatch):
+    """Eight threads, 63 chunks, slices of one row and a short switch interval:
+    no two chunks advance on the same slice, or the bits would differ."""
+    _cpus(monkeypatch, 8)
+    monkeypatch.setattr(walk, "_CHUNK", 16)
+    monkeypatch.setattr(walk, "_BLOCK", 8)
+    expected = _chunked_reference(1_000, 16, 5, 0.01, DRIFTING, 21)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = sample_paths(1_000, 5, 0.01, DRIFTING, seed=21)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(ens.positions, expected)
+
+
+def _on_jump(monkeypatch, hook):
+    """Call hook(c) each time the walk jumps a Philox stream to chunk c."""
+    philox = np.random.Philox
+
+    class Watched:
+        def __init__(self, key):
+            self.key = key
+
+        def jumped(self, c):
+            hook(c)
+            return philox(key=self.key).jumped(c)
+
+    monkeypatch.setattr(np.random, "Philox", Watched)
+
+
+def test_chunks_march_side_by_side_and_leave_no_thread_behind(monkeypatch):
+    """Two CPUs: chunks 0 and 1 each wait for the other to start, which passes
+    only if both are in flight at once, on two threads."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(walk, "_CHUNK", 64)
+    expected = _chunked_reference(200, 64, 20, 0.01, DRIFTING, 5)
+    both, jumped_on = threading.Barrier(2, timeout=10), {}
+
+    def hook(c):
+        jumped_on[c] = threading.get_ident()
+        if c < 2:
+            both.wait()
+
+    _on_jump(monkeypatch, hook)
+    threads = threading.active_count()
+    ens = sample_paths(200, 20, 0.01, DRIFTING, seed=5)
+    assert threading.active_count() == threads
+    assert sorted(jumped_on) == [0, 1, 2, 3] and jumped_on[0] != jumped_on[1]
+    assert np.array_equal(ens.positions, expected)
+
+
+def test_a_failing_chunk_raises_and_leaves_no_thread_behind(monkeypatch):
+    """Four CPUs: chunk 2 fails at once while the other three are still
+    running; the failure is raised only after they are joined."""
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(walk, "_CHUNK", 64)
+
+    def hook(c):
+        if c == 2:
+            raise RuntimeError("chunk 2")
+        time.sleep(0.05)
+
+    _on_jump(monkeypatch, hook)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^chunk 2$"):
+        sample_paths(200, 20, 0.01, DRIFTING, seed=5)
+    assert threading.active_count() == threads
 
 
 def test_particle_zero_keeps_the_stream_keyed_seed_and_zero():
@@ -108,6 +210,14 @@ def test_long_walk_memory_stays_within_the_draw_budget():
     budget = walk._DRAW_BYTES / 2 ** 20
     assert budget < 76.0
     assert _peak_mib(2_000, 5_000, 0.001, DRIFTING, seed=1) < budget + 2.0
+
+
+def test_two_chunks_on_two_threads_share_the_draw_budget(monkeypatch):
+    """Two chunks of 1,000 particles on two threads: each advances on half of
+    the one buffer, not on a budget of its own."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(walk, "_CHUNK", 1_000)
+    assert _peak_mib(2_000, 5_000, 0.001, DRIFTING, seed=1) < walk._DRAW_BYTES / 2 ** 20 + 2.0
 
 
 def test_zero_steps_leaves_particles_at_the_origin():
