@@ -241,12 +241,9 @@ def _flapack_dirs() -> list[str]:
 
 
 def _flapack():
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:  # loaded by an earlier call or by scipy.linalg
-        return module
-    with _FLAPACK_LOCK:
+    with _FLAPACK_LOCK:  # one call per operator built, so the lock is never hot
         module = sys.modules.get(_FLAPACK)
-        if module is not None:  # loaded by a thread that held the lock first
+        if module is not None:  # loaded by an earlier call or by scipy.linalg
             return module
         searched = [os.path.join(folder, "_flapack" + suffix)
                     for folder in _flapack_dirs()

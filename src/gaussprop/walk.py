@@ -14,9 +14,9 @@ chunk, on propagate.side_by_side: a bulk draw fill releases the GIL.
 
 Particles advance in blocks sized by a byte budget, each block filled by one
 draw call and scaled by sqrt(D eps) once.  The caller allocates one buffer of
-that budget and splits it into one slice per thread; the one chunk still in
-flight, once no other can start, takes the whole buffer.  Memory is
-O(block x n_steps + n_particles) whatever the thread count.
+that budget.  A thread keeps one row slice of it from its first chunk on,
+and a chunk takes the whole buffer once every other chunk has ended, so no
+lock is needed.  Memory is O(block x n_steps + n_particles) at any CPU count.
 
 A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
 at the particle's current position.  The optional centered-exponential step
@@ -92,33 +92,25 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
         threads = min(usable_cpus(), chunks)
         rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
         z = np.empty((threads * rows, n_steps))
-        free, lock = [z[k * rows:(k + 1) * rows] for k in range(threads)], threading.Lock()
-        unstarted = chunks
+        slices = [z[k * rows:(k + 1) * rows] for k in range(threads)]
+        ended, mine = [], threading.local()  # chunks done; this thread's slice
 
         def march_chunk(c: int) -> None:
-            nonlocal unstarted
-            with lock:
-                unstarted -= 1
-                own = free.pop()
-            try:
-                gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
-                draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
-                xc, zt = x[c * _CHUNK:(c + 1) * _CHUNK], own
-                while len(xc):
-                    with lock:  # the one chunk left in flight takes the whole buffer
-                        if not unstarted and len(free) == threads - 1:
-                            zt = z
-                    xb, xc = xc[:len(zt)], xc[len(zt):]
-                    zb = zt[:len(xb)]
-                    draw(out=zb)
-                    if step_law == "exp_centered":
-                        zb -= 1.0
-                    zb *= width
-                    for s in range(n_steps):
-                        xb += spec.u(xb) * eps + zb[:, s]
-            finally:
-                with lock:
-                    free.append(own)
+            if not hasattr(mine, "rows"):  # a thread's first chunk takes its slice for the call
+                mine.rows = slices.pop()
+            gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
+            draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
+            xc = x[c * _CHUNK:(c + 1) * _CHUNK]
+            while len(xc):  # once every other chunk has ended, this one takes the whole buffer
+                zb = (z if len(ended) == chunks - 1 else mine.rows)[:len(xc)]
+                xb, xc = xc[:len(zb)], xc[len(zb):]
+                draw(out=zb)
+                if step_law == "exp_centered":
+                    zb -= 1.0
+                zb *= width
+                for s in range(n_steps):
+                    xb += spec.u(xb) * eps + zb[:, s]
+            ended.append(c)
 
         side_by_side([partial(march_chunk, c) for c in range(chunks)], threads)
     x.flags.writeable = False

@@ -212,14 +212,15 @@ WALK_KEYS = '"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps
     ('{"name": "x", "spec": {"d": 1.0}, "schedule": {"eps": 0.01, "n_steps": %d}, '
      '"walk": {"n_particles": 10000}}' % 10 ** 12, "schedule.n_steps"),
     ('{%s, "walk": {"n_particles": 9999}}' % WALK_KEYS, "walk.n_particles"),
+    ('{%s, "walk": {"bins": 10}}' % WALK_KEYS, "walk: missing required key 'n_particles'"),
 ], ids=("seed-2**64", "walk.x0-1e400", "packet.x0-401-digits", "packet.x0-minus-401-digits",
-        "n_particles-1e15", "bins-1e15", "n_steps-1e12", "n_particles-9999"))
+        "n_particles-1e15", "bins-1e15", "n_steps-1e12", "n_particles-9999", "no-n_particles"))
 def test_walk_scenario_out_of_range_exits_two_naming_the_key(text, key, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert cli.main(["walk", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"scenario.{key}:" in err
+    assert re.search(rf"^error: scenario\.{re.escape(key)}(:|$)", err, re.M)
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
@@ -463,6 +464,16 @@ def test_out_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("GAUSSPROP_OUT", str(tmp_path))
     assert cli.main(["walk", str(SCENARIOS / "walk_default.json")]) == 0
     assert (tmp_path / "walk_default_walk.csv").exists()
+
+
+def test_out_naming_a_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert _run("walk", "walk_default.json", out) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write outputs" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory" and not list(tmp_path.rglob("*.csv"))
 
 
 def test_scenario_name_must_be_a_bare_file_name(tmp_path, capsys):

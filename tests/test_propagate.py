@@ -257,6 +257,26 @@ def test_finals_march_every_run_once_under_contention(monkeypatch):
     assert sorted(built) == list(range(300))
 
 
+def test_an_interrupt_starts_no_further_task_and_joins_the_workers():
+    """Two threads on six tasks: the caller's task is interrupted while the
+    worker's is still running, so the other four never start."""
+    caller, started, busy = threading.get_ident(), [], threading.Event()
+
+    def task(i):
+        started.append(i)
+        if threading.get_ident() == caller:
+            assert busy.wait(10)
+            raise KeyboardInterrupt
+        busy.set()
+        time.sleep(0.1)  # still running when the caller's interrupt clears the queue
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        propagate.side_by_side([lambda i=i: task(i) for i in range(6)], 2)
+    assert sorted(started) == [0, 1]
+    assert threading.active_count() == threads
+
+
 def test_dense_evolve_checks_before_it_builds(monkeypatch):
     """A run that must exit at step 0 never builds the n x n matrix."""
     def fail(*args, **kwargs):

@@ -18,7 +18,9 @@ The moment quadrature's window and nodes follow from D, eps and delta0, so
 no fresnel function takes a quadrature, and the cancellation check takes D
 and u, not a spec.  A CLI command is declared once, in cli.COMMANDS: no
 other constant of cli.py names one, a runner takes the scenario alone and
-the summary's "passed" is the only gate.
+the summary's "passed" is the only gate.  The walk's threads share its
+draw buffer without a lock: walk.py builds no threading.Lock, rebinds no
+enclosing name and needs no try/finally.
 """
 
 import ast
@@ -314,3 +316,24 @@ def test_the_guard_sees_a_command_named_outside_the_table():
               '    if name == "walk":\n'
               '        return COMMANDS["walk"]\n')
     assert _stray_command_names(source, {"walk"}) == ["walk", "walk"]
+
+
+def _lock_protocol(tree: ast.Module) -> list:
+    """Lines that build a threading.Lock or RLock, or declare a name nonlocal."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Nonlocal)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("Lock", "RLock"))]
+
+
+def test_the_guard_sees_a_lock_protocol():
+    tree = ast.parse("lock = threading.Lock()\ndef f():\n    nonlocal n\n"
+                     "    local = threading.local()\nr = threading.RLock()\n")
+    assert _lock_protocol(tree) == [1, 3, 5]
+
+
+def test_the_walk_shares_its_buffer_without_a_lock():
+    walk = importlib.import_module("gaussprop.walk")
+    tree = ast.parse(Path(walk.__file__).read_text())
+    assert _lock_protocol(tree) == []
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
