@@ -55,8 +55,11 @@ thread pool, which the walk's particle chunks share.
 
 The tridiagonal solves (the spectral Cayley drift here, the Crank-Nicolson
 and drift-diffusion oracles in reference) call LAPACK gttrf/gttrs from
-scipy's compiled extension, loaded alone on the first solve, so no command
-imports the scipy.linalg package.
+scipy.linalg._flapack, and the chirp-z and spectral steps' FFTs call
+pocketfft from scipy.fft._pocketfft.pypocketfft, which keeps its plans
+between calls.  Each compiled extension is loaded alone, on the first
+operator that needs it, so no command imports the scipy.linalg or scipy.fft
+package.
 """
 
 from __future__ import annotations
@@ -178,10 +181,15 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
     size = 1 << (2 * n - 2).bit_length()           # >= 2n - 1: no wrap-around
     lag = np.arange(size)
     lag = np.minimum(lag, size - lag).astype(float)
-    chirp_hat = np.fft.fft(np.exp(1j * c * r * dx ** 2 * lag ** 2))
+    fft, ifft = _in_place_ffts()
+    chirp_hat = fft(np.exp(1j * c * r * dx ** 2 * lag ** 2))
+    work = np.empty(size, dtype=complex)  # col * psi zero-padded, then transformed
 
     def apply(psi: np.ndarray) -> np.ndarray:
-        return row * np.fft.ifft(chirp_hat * np.fft.fft(col * psi, size))[:n]
+        np.multiply(col, psi, out=work[:n])
+        work[n:] = 0.0
+        np.multiply(chirp_hat, fft(work), out=work)
+        return row * ifft(work)[:n]
 
     return apply
 
@@ -197,7 +205,8 @@ def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
 
     Real constant D with u of degree <= 1 takes the chirp-z form in
     O(n log n); every other spec applies the n x n kernel matrix, for
-    grid.n <= MAX_DENSE_MATRIX_N only.
+    grid.n <= MAX_DENSE_MATRIX_N only.  The chirp-z form transforms in a
+    buffer of its own, so one operator steps one state at a time.
     """
     if chirp_z_applies(spec):
         return _chirp_z_step(grid, eps, spec)
@@ -230,34 +239,49 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
 
 
 _FLAPACK = "scipy.linalg._flapack"
-_FLAPACK_LOCK = threading.Lock()  # runs marched side by side solve at once
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+_LOAD_LOCK = threading.Lock()  # runs marched side by side build at once
 
 
-def _flapack_dirs() -> list[str]:
+def _extension_dirs(name: str) -> list[str]:
     # find_spec of a top-level name locates the package without importing it
-    spec = importlib.util.find_spec("scipy")
+    top, *package = name.split(".")[:-1]
+    spec = importlib.util.find_spec(top)
     roots = [] if spec is None else spec.submodule_search_locations or []
-    return [os.path.join(root, "linalg") for root in roots]
+    return [os.path.join(root, *package) for root in roots]
 
 
-def _flapack():
-    with _FLAPACK_LOCK:  # one call per operator built, so the lock is never hot
-        module = sys.modules.get(_FLAPACK)
-        if module is not None:  # loaded by an earlier call or by scipy.linalg
+def _extension(name: str):
+    """scipy's compiled extension module `name`, loaded under its own name
+    without running the __init__ of any package above it.  A package of
+    scipy's imported before or after shares the one registered module."""
+    with _LOAD_LOCK:  # one call per operator built, so the lock is never hot
+        module = sys.modules.get(name)
+        if module is not None:  # loaded by an earlier call or by scipy itself
             return module
-        searched = [os.path.join(folder, "_flapack" + suffix)
-                    for folder in _flapack_dirs()
+        searched = [os.path.join(folder, name.rpartition(".")[2] + suffix)
+                    for folder in _extension_dirs(name)
                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
         path = next((p for p in searched if os.path.isfile(p)), None)
         if path is None:
-            raise ImportError(f"LAPACK extension {_FLAPACK} not found (is scipy "
-                              f"installed?); searched {searched}", name=_FLAPACK)
-        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            raise ImportError(f"scipy extension {name} not found (is scipy "
+                              f"installed?); searched {searched}", name=name)
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
         module = importlib.util.module_from_spec(
-            importlib.util.spec_from_loader(_FLAPACK, loader, origin=path))
-        sys.modules[_FLAPACK] = module
+            importlib.util.spec_from_loader(name, loader, origin=path))
+        sys.modules[name] = module
         loader.exec_module(module)
         return module
+
+
+def _in_place_ffts():
+    """(fft, ifft) of a complex 1-d array, written over it and returned, bit
+    for bit numpy.fft's: pocketfft's c2c, the C++ code numpy.fft vendors, from
+    scipy's compiled extension, which keeps each length's plan between calls
+    where numpy.fft sets one up on every call."""
+    c2c = _extension(_POCKETFFT).c2c
+    return (lambda a: c2c(a, None, True, 0, a, 1),   # unnormalized
+            lambda a: c2c(a, None, False, 2, a, 1))  # times 1/n
 
 
 def get_lapack_funcs(names, arrays):
@@ -270,7 +294,7 @@ def get_lapack_funcs(names, arrays):
     about 25 MB and 0.2-0.3 s a process for two routines.  A scipy.linalg
     imported before or after shares the one registered module, so the
     routines are the very same objects."""
-    module = _flapack()
+    module = _extension(_FLAPACK)
     prefix = "z" if any(np.iscomplexobj(a) for a in arrays) else "d"
     return [getattr(module, prefix + name) for name in names]
 
@@ -333,14 +357,16 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     half_face = 0.5 * eps * ((u[:-1] + u[1:]) / (4.0 * grid.dx)) + 0j  # psi is complex
     explicit = Tridiagonal(-half_face, np.ones(n), half_face)
     implicit = Tridiagonal(half_face, np.ones(n), -half_face)
+    fft, ifft = _in_place_ffts()
 
     def step(state: WaveState) -> WaveState:
         check_boundary_decay(state)
         psi = state.psi
         if drifts:
             psi = implicit.solve(explicit.apply(psi))
-        psi = phase * psi
-        return state.replace_psi(np.fft.ifft(free * np.fft.fft(psi)), time=state.time + eps)
+        psi = phase * psi  # a fresh array, transformed in place
+        np.multiply(free, fft(psi), out=psi)
+        return state.replace_psi(ifft(psi), time=state.time + eps)
 
     return step
 

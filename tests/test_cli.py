@@ -252,9 +252,9 @@ def test_kernel_matrix_beyond_its_bound_exits_two_before_allocating(spec, tmp_pa
     assert not list(tmp_path.glob("*.csv"))
 
 
-# run in a fresh interpreter: the commands that never solve, and a walk with a
-# constant drift, must not import scipy, and those that solve load only its
-# LAPACK extension
+# run in a fresh interpreter: the commands that neither solve nor transform,
+# and a walk with a constant drift, must not import scipy; those that do load
+# only its LAPACK and pocketfft extensions
 LAZY_SCIPY = """
 import sys
 from gaussprop import cli
@@ -262,19 +262,24 @@ from gaussprop import cli
 scenarios, ou_walk, out = sys.argv[1:]
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-for command, name in (("moments", "moments_default"), ("audit", "variants_audit")):
-    assert cli.main([command, f"{scenarios}/{name}.json", "--out", out]) == 0
-print("moments, audit:", scipy_modules())
+assert cli.main(["moments", f"{scenarios}/moments_default.json", "--out", out]) == 0
+print("moments:", scipy_modules())
 assert cli.main(["walk", f"{scenarios}/walk_default.json", "--out", out]) == 0
 print("walk_default:", scipy_modules())
+assert cli.main(["audit", f"{scenarios}/variants_audit.json", "--out", out]) == 0
+print("audit:", scipy_modules())
 for command, path in (("evolve", f"{scenarios}/free_packet.json"),
                       ("compare", f"{scenarios}/compare_default.json"), ("walk", ou_walk)):
     assert cli.main([command, path, "--out", out]) == 0
 print("evolve, compare, walk:", scipy_modules())
 flapack = sys.modules["scipy.linalg._flapack"]
-import scipy.linalg
+pocketfft = sys.modules["scipy.fft._pocketfft.pypocketfft"]
+import scipy.fft, scipy.linalg
 print("scipy.linalg shares the extension:", scipy.linalg.lapack._flapack is flapack)
+print("scipy.fft shares the extension:", scipy.fft._pocketfft.basic.pfft is pocketfft)
 """
+
+EXTENSIONS = "['scipy.fft._pocketfft.pypocketfft', 'scipy.linalg._flapack']"
 
 
 def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
@@ -287,22 +292,25 @@ def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert "moments, audit: []" in lines
+    assert "moments: []" in lines
     assert "walk_default: []" in lines  # the Gaussian law's CDF is math.erfc
-    # the CN, Cayley and drift-diffusion solves load the extension alone:
-    # neither scipy.linalg nor scipy._lib is imported
-    assert "evolve, compare, walk: ['scipy.linalg._flapack']" in lines
+    # the chirp-z steps load the pocketfft extension alone
+    assert "audit: ['scipy.fft._pocketfft.pypocketfft']" in lines
+    # the CN, Cayley and drift-diffusion solves load the LAPACK extension
+    # alone: neither scipy.linalg, scipy.fft nor scipy._lib is imported
+    assert f"evolve, compare, walk: {EXTENSIONS}" in lines
     assert "scipy.linalg shares the extension: True" in lines  # never a second copy
+    assert "scipy.fft shares the extension: True" in lines
 
 
-# a fresh interpreter whose first solves are compare's rungs, marched on four
-# threads at once: the LAPACK extension is loaded once, alone
+# a fresh interpreter whose first solves and transforms are compare's rungs,
+# marched on four threads at once: each extension is loaded once, alone
 RACING_SCIPY = """
 import importlib.machinery, os, sys, time
 from gaussprop import cli, propagate
 
-dirs = propagate._flapack_dirs
-propagate._flapack_dirs = lambda: time.sleep(0.2) or dirs()  # let every rung get there
+dirs = propagate._extension_dirs
+propagate._extension_dirs = lambda name: time.sleep(0.2) or dirs(name)  # let every rung get there
 loads = []
 exec_module = importlib.machinery.ExtensionFileLoader.exec_module
 def counted(self, module):
@@ -313,7 +321,7 @@ os.sched_getaffinity = lambda pid: set(range(4))
 scenarios, out = sys.argv[1:]
 assert cli.main(["compare", f"{scenarios}/compare_default.json", "--out", out]) == 0
 print("compare:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-      loads.count("scipy.linalg._flapack"))
+      loads.count("scipy.fft._pocketfft.pypocketfft"), loads.count("scipy.linalg._flapack"))
 flapack = sys.modules["scipy.linalg._flapack"]
 import scipy.linalg
 print("scipy.linalg shares the extension:", scipy.linalg.lapack._flapack is flapack)
@@ -328,7 +336,7 @@ def test_compare_on_threads_loads_the_lapack_extension_once(tmp_path):
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert "compare: ['scipy.linalg._flapack'] 1" in lines
+    assert f"compare: {EXTENSIONS} 1 1" in lines
     assert "scipy.linalg shares the extension: True" in lines
 
 

@@ -170,6 +170,9 @@ def test_finals_are_the_serial_loop_bit_for_bit(cpus, monkeypatch):
     runs = [(state, n, lambda eps=eps: spectral_stepper(grid, eps, DRIFTED))
             for eps, n in ((0.04, 10), (0.02, 20), (0.01, 40))]
     runs.append((state, 20, lambda: cn_stepper(grid, 0.02, to_hamiltonian(DRIFTED, grid))))
+    # chirp-z rungs: each dense operator transforms in a buffer of its own
+    runs += [(state, n, lambda eps=eps: dense_stepper(grid, eps, DRIFTED))
+             for eps, n in ((0.2, 5), (0.15, 8))]
     expected = [last(march(state, n, build())) for state, n, build in runs]
     finals = propagate.finals(runs)
     assert [f.time for f in finals] == [e.time for e in expected]

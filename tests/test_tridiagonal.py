@@ -90,7 +90,7 @@ def test_the_routines_are_scipy_linalg_s_own(bands):
 
 def test_a_missing_extension_raises_import_error_naming_the_path(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(propagate, "_flapack_dirs", lambda: [str(tmp_path)])
+    monkeypatch.setattr(propagate, "_extension_dirs", lambda name: [str(tmp_path)])
     with pytest.raises(ImportError, match="scipy.linalg._flapack not found") as info:
         propagate.get_lapack_funcs(("gttrf", "gttrs"), _diffusion_bands(8)[0])
     assert str(tmp_path / "_flapack.") in str(info.value)
