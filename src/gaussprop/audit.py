@@ -145,11 +145,13 @@ def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
     """One dense step per eps for each state; fit log|drift| vs log eps;
     issue each state's verdict.
 
-    Order ~2 means the defect is the quadrature's own O(eps^2) error and the
-    variant conserves; order ~1 means a genuine linear-in-eps leak.  The
-    states must share one grid, and one dense operator per eps steps them
-    all; each still passes the stepper's boundary-decay and
-    phase-resolution checks on every step.
+    Order ~2 means the variant conserves; order ~1 means a genuine
+    linear-in-eps leak.  The O(eps^2) defect is not the quadrature's: it is
+    the source map's Jacobian.  For linear u one step scales every packet's
+    norm by exp(-2 eps a) / (1 - eps u'), whatever the packet, and a = u'/2
+    cancels only the O(eps) term.  The states must share one grid, and one
+    dense operator per eps steps them all; each still passes the stepper's
+    boundary-decay and phase-resolution checks on every step.
     """
     states = list(states)
     ladder = sorted((float(e) for e in eps_ladder), reverse=True)
@@ -216,22 +218,3 @@ def phase_freedom_check(state: WaveState, eps: float, spec: PropagatorSpec,
                             phase_expected=expected,
                             phase_error=error)
 
-
-def boundary_flux_check(state: WaveState) -> float:
-    """|sum of d/dx (psi* psi' - psi'* psi)|: telescopes to edge values."""
-    dx = state.grid.dx
-    dpsi = _central(state.psi, dx)
-    flux = np.conj(state.psi) * dpsi - np.conj(dpsi) * state.psi
-    return float(np.abs(np.sum(_central(flux, dx)) * dx))
-
-
-def triple_product_check(state: WaveState, spec: PropagatorSpec) -> float:
-    """|int (psi* u psi' + psi* u' psi + psi'* u psi) dx|: a total derivative."""
-    x, dx = state.grid.x, state.grid.dx
-    u = spec.u(x)
-    du = spec.u.derivative_field()(x)
-    psi = state.psi
-    dpsi = _central(psi, dx)
-    integrand = (np.conj(psi) * u * dpsi + np.conj(psi) * du * psi
-                 + np.conj(dpsi) * u * psi)
-    return float(np.abs(np.sum(integrand) * dx))

@@ -333,15 +333,10 @@ def norm(state: WaveState) -> float:
     return float(np.sum(np.abs(state.psi) ** 2) * state.grid.dx)
 
 
-def total_mass(state: RealState) -> float:
-    """Discrete mass sum(P_j) * dx."""
-    return float(np.sum(state.density) * state.grid.dx)
-
-
 def moments(state) -> tuple[float, float, float]:
     """Mass, mean and variance of the state's density on the grid.
 
-    The mass is norm (or total_mass) to the bit, from the one |psi|^2 pass."""
+    The mass is norm to the bit, from the one |psi|^2 pass."""
     w = np.abs(state.psi) ** 2 if isinstance(state, WaveState) else state.density
     total = np.sum(w) * state.grid.dx
     if total <= 0.0:
@@ -351,12 +346,3 @@ def moments(state) -> tuple[float, float, float]:
     var = float(np.sum((x - mean) ** 2 * w) * state.grid.dx / total)
     return float(total), mean, var
 
-
-def mean_momentum(state: WaveState) -> float:
-    """Mean momentum observable <psi| -i d/dx |psi> / <psi|psi> via the FFT."""
-    psi_hat = np.fft.fft(state.psi)
-    w = np.abs(psi_hat) ** 2
-    total = np.sum(w)
-    if total <= 0.0:
-        raise ValueError("state carries no mass; momentum is undefined")
-    return float(np.sum(state.grid.k * w) / total)

@@ -12,8 +12,9 @@ complex twin replaces the negative exponent by a positive imaginary one,
 with K = (2 pi i D eps)^(1/2) on the principal branch (i^(1/2) = e^(i pi/4)).
 At first order the paper normalizes with K = (2 pi i D eps)^(1/2) (1 + eps T),
 T = a + i b; the kernel applies it as exp(-eps T), which agrees to O(eps^2).
-Norm conservation forces a = u'/2 (required_a).  a_field decides a, once, for
-every variant: endpoint_t and no_t spoil it on purpose (a = u' and a = 0).
+Norm conservation forces a = u'/2, the a that a_field gives the admissible
+variant.  a_field decides a, once, for every variant: endpoint_t and no_t
+spoil it on purpose (a = u' and a = 0).
 """
 
 from __future__ import annotations
@@ -34,23 +35,13 @@ def real_kernel(eta, eps: float, x, spec: PropagatorSpec):
     return np.exp(-((eta - u * eps) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
-def required_a(spec: PropagatorSpec) -> FieldSpec:
-    """The unique a-field with zero drift rate for every state: half du/dx."""
-    return spec.u.derivative_field().scaled(0.5)
-
-
 def a_field(spec: PropagatorSpec) -> FieldSpec:
-    """Re T as a field: u' for endpoint_t, 0 for no_t, else required_a's u'/2."""
+    """Re T as a field: u' for endpoint_t, 0 for no_t, else the conserving u'/2."""
     if spec.variant == "endpoint_t":
         return spec.u.derivative_field()
     if spec.variant == "no_t":
         return FieldSpec.constant(0.0)
-    return required_a(spec)
-
-
-def t_correction(spec: PropagatorSpec, x):
-    """T(x) = a + i b with a = a_field(spec)."""
-    return a_field(spec)(x).astype(complex) + 1j * spec.b(x)
+    return spec.u.derivative_field().scaled(0.5)
 
 
 def source_factors(eps: float, x, spec: PropagatorSpec):
@@ -61,7 +52,8 @@ def source_factors(eps: float, x, spec: PropagatorSpec):
     """
     check_eps(eps)
     norm_factor = 1.0 / np.sqrt(2.0j * np.pi * spec.d_value(x) * eps)
-    return norm_factor, np.exp(-eps * t_correction(spec, x))
+    t = a_field(spec)(x).astype(complex) + 1j * spec.b(x)
+    return norm_factor, np.exp(-eps * t)
 
 
 def complex_kernel(eta, eps: float, x, spec: PropagatorSpec):

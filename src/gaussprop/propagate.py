@@ -25,8 +25,9 @@ grid.n <= MAX_DENSE_MATRIX_N, as is the density step's real matrix.
 
 The quadrature can only resolve the kernel's quadratic phase when adjacent
 grid samples advance it by at most pi: max |eta| * dx / (D eps) <= pi.
-validity_check reports this number for the window the state actually
-occupies; the dense step refuses to run when it fails.  Equivalently, the
+The dense step measures this number over the window the state actually
+occupies and refuses to run when it fails; its ValidityError reports the
+number and the smallest eps that window resolves.  Equivalently, the
 sampled chirp's aliasing images (spaced 2 pi D eps / dx apart) must fall
 outside the occupied window.  The chirp-z form computes the same sampled sum
 as the matrix, so the floor holds for both: an unresolved chirp aliases
@@ -127,13 +128,6 @@ def _phase_report(grid: Grid, eps: float, d: float, state: WaveState) -> Validit
         state_phase_step=governing,
         passes=bool(governing <= np.pi),
         recommended_min_eps=float(window * grid.dx / (np.pi * d)))
-
-
-def validity_check(grid: Grid, eps: float, spec: PropagatorSpec,
-                   state: WaveState) -> ValidityReport:
-    """Can the dense quadrature resolve the kernel phase at this step size?"""
-    check_eps(eps)
-    return _phase_report(grid, eps, _d_scale(grid, spec), state)
 
 
 def _check_matrix_size(grid: Grid, entry_bytes: int, path: str) -> None:

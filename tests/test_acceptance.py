@@ -11,36 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussprop import (
-    FieldSpec,
-    PropagatorSpec,
-    RealState,
-    audit_packets,
-    cancellation_check,
-    cli,
-    closed_moment,
-    cn_stepper,
-    dense_stepper,
-    density_stepper,
-    diffusion_stepper,
-    empirical_a_scan,
-    exact_state,
-    fresnel_moment,
-    gaussian_packet,
-    hamiltonian_diagonals,
-    hermiticity_check,
-    histogram_compare,
-    last,
-    make_grid,
-    march,
-    moments,
-    phase_freedom_check,
-    rhs_apply,
-    sample_paths,
-    spectral_stepper,
-    to_hamiltonian,
-    unit_mass_check,
-)
+from gaussprop import cli
+from gaussprop.audit import audit_packets, empirical_a_scan, phase_freedom_check
+from gaussprop.fields import (FieldSpec, PropagatorSpec, RealState, gaussian_packet, make_grid,
+                              moments)
+from gaussprop.fresnel import cancellation_check, closed_moment, fresnel_moment, unit_mass_check
+from gaussprop.propagate import dense_stepper, density_stepper, last, march, spectral_stepper
+from gaussprop.reference import (cn_stepper, diffusion_stepper, exact_state, hamiltonian_diagonals,
+                                 hermiticity_check, rhs_apply, to_hamiltonian)
+from gaussprop.walk import histogram_compare, sample_paths
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 PAIRS = [(1.0, 1.0), (1.0, 0.1), (0.5, 1.0), (0.5, 0.1)]

@@ -4,25 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussprop import (
-    AuditReport,
-    FieldSpec,
-    PropagatorSpec,
-    analytic_drift_rate,
-    audit_packets,
-    boundary_flux_check,
-    dense_stepper,
-    empirical_a_scan,
-    gaussian_packet,
-    load_scenario,
-    make_grid,
-    phase_freedom_check,
-    predicted_drift_rate,
-    required_a,
-    triple_product_check,
-)
 from gaussprop import propagate
-from gaussprop.audit import CONSERVE_ORDER, DRIFT_ORDER_MARGIN
+from gaussprop.audit import (CONSERVE_ORDER, DRIFT_ORDER_MARGIN, AuditReport, analytic_drift_rate,
+                             audit_packets, empirical_a_scan, phase_freedom_check,
+                             predicted_drift_rate)
+from gaussprop.fields import FieldSpec, PropagatorSpec, gaussian_packet, make_grid
+from gaussprop.kernel import a_field
+from gaussprop.propagate import dense_stepper
+from gaussprop.scenario import load_scenario
 
 GRID = make_grid(-8.0, 8.0, 1024)
 LINEAR_DRIFT = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4))
@@ -35,17 +24,18 @@ def test_analytic_rate_for_the_three_a_choices():
     spec = LINEAR_DRIFT
     assert analytic_drift_rate(state, spec, FieldSpec.constant(0.0)) == \
         pytest.approx(0.4, abs=1e-9)
-    assert analytic_drift_rate(state, spec, required_a(spec)) == \
+    assert analytic_drift_rate(state, spec, a_field(spec)) == \
         pytest.approx(0.0, abs=1e-12)
     assert analytic_drift_rate(state, spec, spec.u.derivative_field()) == \
         pytest.approx(-0.4, abs=1e-9)
 
 
 def test_required_a_presets():
-    assert required_a(LINEAR_DRIFT)(np.zeros(3))[0] == pytest.approx(0.2)
+    """The admissible variant's a is u'/2."""
+    assert a_field(LINEAR_DRIFT)(np.zeros(3))[0] == pytest.approx(0.2)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 2.0))
     x = GRID.x
-    assert np.allclose(required_a(spec)(x), 0.3 * np.cos(2.0 * x), atol=1e-12)
+    assert np.allclose(a_field(spec)(x), 0.3 * np.cos(2.0 * x), atol=1e-12)
 
 
 def test_predicted_rate_admissible_is_zero():
@@ -233,11 +223,3 @@ def test_phase_shift_spectral():
                                  method="spectral")
     assert report.density_max_diff < 1e-12
     assert report.phase_error < 1e-9
-
-
-def test_integration_identities_vanish():
-    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8, k0=0.7)
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
-    assert boundary_flux_check(state) < 1e-10
-    # total derivative of u |psi|^2; vanishes to the stencil's O(dx^2)
-    assert triple_product_check(state, spec) < 1e-3

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from gaussprop import ScenarioError, cli, parse_scenario
+from gaussprop import cli
+from gaussprop.scenario import ScenarioError, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -7,15 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from gaussprop import (
-    FieldSpec,
-    PropagatorSpec,
-    dense_operator,
-    gaussian_packet,
-    make_grid,
-    propagate,
-    spectral_stepper,
-)
+from gaussprop import propagate
+from gaussprop.fields import FieldSpec, PropagatorSpec, gaussian_packet, make_grid
+from gaussprop.propagate import dense_operator, spectral_stepper
 
 SIZES = (8, 100, 1000, 1024, 2048, 3000, 4096, 8192, 2 ** 16, 2 ** 17)
 GRID = make_grid(-8.0, 8.0, 1024)

@@ -11,17 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussprop import (
-    FieldSpec,
-    MOMENT_ORDERS,
-    ValidityError,
-    cancellation_check,
-    closed_moment,
-    fresnel_moment,
-    monomial,
-    unit_mass_check,
-)
-from gaussprop.fresnel import fresnel_moments, ladder_integral
+from gaussprop.fields import FieldSpec
+from gaussprop.fresnel import (MOMENT_ORDERS, cancellation_check, closed_moment, fresnel_moment,
+                               fresnel_moments, ladder_integral, monomial, unit_mass_check)
+from gaussprop.propagate import ValidityError
 
 
 def _window(d, eps, delta0=None):

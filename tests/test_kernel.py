@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from gaussprop import (
-    FieldSpec,
-    PropagatorSpec,
-    complex_kernel,
-    real_kernel,
-    t_correction,
-)
-from gaussprop.kernel import source_factors
+from gaussprop.fields import FieldSpec, PropagatorSpec
+from gaussprop.kernel import complex_kernel, real_kernel, source_factors
 
 SPEC = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), b=FieldSpec.constant(0.3))
 
@@ -47,9 +41,14 @@ def test_normalization_principal_branch():
     assert np.angle(complex(value)) == pytest.approx(-np.pi / 4.0)
 
 
+def _t(spec, x, eps=0.1):
+    """T(x), read back from source_factors' exp(-eps T)."""
+    return -np.log(source_factors(eps, x, spec)[1]) / eps
+
+
 def test_t_correction_value():
     x = np.array([2.0])
-    t = t_correction(SPEC, x)[0]
+    t = _t(SPEC, x)[0]
     # a = u'/2 = 0.2 for the admissible variant, b enters imaginary
     assert t.real == pytest.approx(0.2)
     assert t.imag == pytest.approx(0.3)
@@ -60,8 +59,8 @@ def test_t_correction_variants():
     x = np.array([0.0])
     none = PropagatorSpec(d=1.0, u=u, variant="no_t")
     end = PropagatorSpec(d=1.0, u=u, variant="endpoint_t")
-    assert t_correction(none, x)[0].real == pytest.approx(0.0)
-    assert t_correction(end, x)[0].real == pytest.approx(0.4)
+    assert _t(none, x)[0].real == pytest.approx(0.0)
+    assert _t(end, x)[0].real == pytest.approx(0.4)
 
 
 def test_complex_kernel_phase_is_unimodular_and_centered():

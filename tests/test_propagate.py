@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -7,32 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussprop import (
-    BoundaryDecayError,
-    FieldSpec,
-    PropagatorSpec,
-    RealState,
-    ValidityError,
-    cn_stepper,
-    dense_operator,
-    dense_stepper,
-    density_stepper,
-    diffusion_stepper,
-    gaussian_packet,
-    last,
-    make_grid,
-    march,
-    moments,
-    norm,
-    predicted_drift_rate,
-    spectral_stepper,
-    to_hamiltonian,
-    total_mass,
-    validity_check,
-    wave_stepper,
-)
 from gaussprop import propagate
-from gaussprop.propagate import _dense_matrix
+from gaussprop.audit import predicted_drift_rate
+from gaussprop.fields import (BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
+                              gaussian_packet, make_grid, moments, norm)
+from gaussprop.propagate import (ValidityError, _dense_matrix, dense_operator, dense_stepper,
+                                 density_stepper, last, march, spectral_stepper, wave_stepper)
+from gaussprop.reference import cn_stepper, diffusion_stepper, to_hamiltonian
 
 FREE = PropagatorSpec(d=1.0)
 DRIFTED = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.2), b=FieldSpec.sine(0.3, 1.0))
@@ -100,13 +82,15 @@ def test_dense_step_conserves_norm_to_first_order():
 
 
 def test_validity_check_report():
+    """The dense step's phase check passes at eps = 0.1; at 0.001 its error
+    reports the check's failure and a smallest eps above 0.001."""
     grid = make_grid(-8.0, 8.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8)
-    good = validity_check(grid, 0.1, FREE, state)
-    assert good.passes
-    bad = validity_check(grid, 0.001, FREE, state)
-    assert not bad.passes
-    assert bad.recommended_min_eps > 0.001
+    assert dense_stepper(grid, 0.1, FREE)(state).time == 0.1
+    with pytest.raises(ValidityError, match="unresolved") as info:
+        dense_stepper(grid, 0.001, FREE)(state)
+    recommended = re.search(r"eps >= (\S+) recommended", str(info.value)).group(1)
+    assert float(recommended) > 0.001
 
 
 def test_dense_step_raises_below_phase_resolution():
@@ -331,8 +315,6 @@ EPS_BUILDERS = {
     "density": density_stepper,
     "cn": lambda grid, eps, spec: cn_stepper(grid, eps, to_hamiltonian(spec, grid)),
     "diffusion": diffusion_stepper,
-    "validity": lambda grid, eps, spec: validity_check(
-        grid, eps, spec, gaussian_packet(grid, x0=0.0, sigma0=0.8)),
 }
 
 
@@ -392,7 +374,7 @@ def test_density_step_mass_positivity_and_spread():
     state = RealState(grid=grid, density=_gaussian_density(grid, 0.8), time=0.0)
     eps = 0.05
     out = density_stepper(grid, eps, FREE)(state)
-    assert total_mass(out) == pytest.approx(1.0, abs=1e-9)
+    assert moments(out)[0] == pytest.approx(1.0, abs=1e-9)
     assert np.all(out.density >= 0.0)
     _, _, v0 = moments(state)
     _, _, v1 = moments(out)
@@ -438,7 +420,7 @@ def test_evolve_density_matches_free_spreading():
     stream = list(march(state, 50, density_stepper(grid, 0.02, FREE)))
     _, _, var = moments(stream[-1])
     assert var == pytest.approx(0.64 + 1.0, rel=1e-3)
-    assert np.max(np.abs(np.array([total_mass(s) for s in stream]) - 1.0)) < 1e-8
+    assert np.max(np.abs(np.array([moments(s)[0] for s in stream]) - 1.0)) < 1e-8
 
 
 def test_evolve_density_refuses_an_under_resolved_kernel():

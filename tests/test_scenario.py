@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from gaussprop import FieldSpec, ScenarioError, cli, parse_field, parse_scenario, scenario
+from gaussprop import cli, scenario
+from gaussprop.fields import FieldSpec
+from gaussprop.scenario import ScenarioError, parse_field, parse_scenario
 
 # a scenario that gives every declared key a valid value
 FULL = {

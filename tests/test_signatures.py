@@ -20,7 +20,10 @@ and u, not a spec.  A CLI command is declared once, in cli.COMMANDS: no
 other constant of cli.py names one, a runner takes the scenario alone and
 the summary's "passed" is the only gate.  The walk's threads share its
 draw buffer without a lock: walk.py builds no threading.Lock, rebinds no
-enclosing name and needs no try/finally.
+enclosing name and needs no try/finally.  The package root re-exports
+nothing, so importing it loads no module, and every public function or class
+is reached from a command or an acceptance criterion, not only from a unit
+test.
 """
 
 import ast
@@ -28,10 +31,16 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import gaussprop
+from gaussprop import cli
+from gaussprop.fields import FieldSpec, PropagatorSpec
+from gaussprop.reference import HamiltonianSpec
 
 
 def _callables():
@@ -61,9 +70,7 @@ def _parameters(obj):
 
 def test_no_signature_takes_a_time_argument():
     found = _callables()
-    scanned = {id(obj) for obj in found.values()}
-    assert all(id(obj) in scanned for name in gaussprop.__all__
-               if callable(obj := getattr(gaussprop, name)))
+    assert not hasattr(gaussprop, "__all__")
     assert {"fields.FieldSpec.__call__", "fields.FieldSpec.derivative",
             "fields.PropagatorSpec.d_value", "reference.to_hamiltonian",
             "propagate.dense_stepper", "reference.diffusion_stepper"} <= set(found)
@@ -113,7 +120,7 @@ WRAPPERS = ("step_dense", "step_spectral", "step_density", "evolve", "evolve_den
 
 
 def test_the_wrapper_layer_is_gone():
-    assert not set(WRAPPERS) & set(gaussprop.__all__)
+    assert not hasattr(gaussprop, "__all__")
     assert not [name for name in WRAPPERS if hasattr(gaussprop, name)]
     defined = {name.split(".")[1] for name in _callables()}
     assert not set(WRAPPERS) & defined
@@ -131,13 +138,13 @@ def test_t_is_decided_in_one_place():
     assert {"kernel.complex_kernel", "kernel.source_factors", "propagate.dense_operator",
             "propagate.dense_stepper"} <= set(found)
     assert sorted(name for name, obj in found.items() if "a_override" in _parameters(obj)) == []
-    assert not set(KERNEL_LEFTOVERS) & set(gaussprop.__all__)
+    assert not hasattr(gaussprop, "__all__")
     assert not [name for name in KERNEL_LEFTOVERS if hasattr(gaussprop, name)]
     for info in pkgutil.iter_modules(gaussprop.__path__):
         module = importlib.import_module(f"gaussprop.{info.name}")
         assert not set(KERNEL_LEFTOVERS) & set(vars(module)), info.name
     assert "fields.PropagatorSpec.du_dx" not in found
-    assert not hasattr(gaussprop.PropagatorSpec, "du_dx")
+    assert not hasattr(PropagatorSpec, "du_dx")
 
 
 PRESET_KINDS = ("constant", "linear", "quadratic")
@@ -171,9 +178,9 @@ def test_only_fields_names_the_polynomial_presets():
     assert offenders == {}
     assert "reference._polynomial" not in _callables()
     assert not hasattr(importlib.import_module("gaussprop.reference"), "_polynomial")
-    names = {f.name for f in dataclasses.fields(gaussprop.FieldSpec)}
+    names = {f.name for f in dataclasses.fields(FieldSpec)}
     assert "coeffs" in names and not {"c", "slope"} & names
-    assert not hasattr(gaussprop.FieldSpec.constant(1.0), "c")
+    assert not hasattr(FieldSpec.constant(1.0), "c")
 
 
 def _admissible_tests(tree: ast.Module) -> list:
@@ -227,11 +234,11 @@ HAMILTONIAN_LEFTOVERS = ("to_propagator", "im_a", "a_values")
 
 def test_the_hamiltonian_map_is_written_once():
     reference = importlib.import_module("gaussprop.reference")
-    assert not set(HAMILTONIAN_LEFTOVERS) & set(gaussprop.__all__)
+    assert not hasattr(gaussprop, "__all__")
     assert not [name for name in HAMILTONIAN_LEFTOVERS
                 if hasattr(gaussprop, name) or hasattr(reference, name)
-                or hasattr(gaussprop.HamiltonianSpec, name)]
-    assert [f.name for f in dataclasses.fields(gaussprop.HamiltonianSpec)] == ["m", "a_field", "phi"]
+                or hasattr(HamiltonianSpec, name)]
+    assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == ["m", "a_field", "phi"]
     source = Path(reference.__file__).read_text()
     assert _coefficient_readers(ast.parse(source)) == {"to_hamiltonian"}
 
@@ -241,13 +248,13 @@ ORDER_LEFTOVERS = ("order", "ORDERS")
 
 
 def test_the_kernel_has_no_order(tmp_path, capsys):
-    assert "order" not in {f.name for f in dataclasses.fields(gaussprop.PropagatorSpec)}
+    assert "order" not in {f.name for f in dataclasses.fields(PropagatorSpec)}
     fields = importlib.import_module("gaussprop.fields")
     assert not [name for name in ORDER_LEFTOVERS
                 if hasattr(fields, name) or hasattr(gaussprop, name)]
     path = tmp_path / "order.json"
     path.write_text(json.dumps({"name": "order", "spec": {"d": 1.0, "order": "zero"}}))
-    assert gaussprop.cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    assert cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "scenario.spec" in err and "'order'" in err
 
@@ -259,7 +266,7 @@ def _refused(tmp_path, capsys, section):
     path = tmp_path / "leftover.json"
     path.write_text(json.dumps({"name": "leftover", **section}))
     out = tmp_path / "out"
-    assert gaussprop.cli.main(["moments", str(path), "--out", str(out)]) == 2
+    assert cli.main(["moments", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     return capsys.readouterr().err
 
@@ -268,7 +275,7 @@ def test_the_output_names_and_node_budget_are_not_settings(tmp_path, capsys):
     scenario = importlib.import_module("gaussprop.scenario")
     assert "outputs" not in {f.name for f in dataclasses.fields(scenario.Scenario)}
     assert "samples" not in {f.name for f in dataclasses.fields(scenario.MomentsSettings)}
-    assert not hasattr(gaussprop.cli, "_output_names")
+    assert not hasattr(cli, "_output_names")
     fresnel = importlib.import_module("gaussprop.fresnel")
     assert not hasattr(gaussprop, "RegularizedQuadrature")
     assert not hasattr(fresnel, "RegularizedQuadrature")
@@ -337,3 +344,59 @@ def test_the_walk_shares_its_buffer_without_a_lock():
     tree = ast.parse(Path(walk.__file__).read_text())
     assert _lock_protocol(tree) == []
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+
+
+def test_importing_the_package_loads_no_module():
+    """Each name is imported from the module that defines it: the package
+    root re-exports nothing, so importing it runs no module."""
+    root = str(Path(gaussprop.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, gaussprop; "
+             "print([m for m in sys.modules if m.startswith('gaussprop.')], "
+             "[name for name in vars(gaussprop) if not name.startswith('__')])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == ["[]", "[]"]
+
+
+def _unreached(sources: dict, kept) -> list:
+    """Public top-level functions and classes of the sources (module -> text)
+    that no other definition and no module-level statement names, by Name or
+    attribute; an import alone, or a definition naming itself, does not count.
+    Names in kept are reached from outside."""
+    defined, users = [], {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = (module, node.name)
+                if not node.name.startswith("_"):
+                    defined.append(owner)
+            for inner in ast.walk(node):
+                name = (inner.id if isinstance(inner, ast.Name)
+                        else inner.attr if isinstance(inner, ast.Attribute) else None)
+                if name is not None:
+                    users.setdefault(name, set()).add(owner)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in kept and not users.get(name, set()) - {(module, name)}]
+
+
+def test_the_guard_sees_an_unreached_definition():
+    sources = {"a": "def used():\n    pass\ndef orphan(n):\n    return orphan(n - 1)\n"
+                    "def _private():\n    pass\nclass Kept:\n    pass\n",
+               "b": "from .a import orphan\nSTEP = used\n"}
+    assert _unreached(sources, {"Kept"}) == ["a.orphan"]
+
+
+def test_every_public_definition_is_reached_by_a_command_or_a_criterion():
+    """No code that only a unit test reaches: every public top-level function
+    and class is named by another definition or at module level in the
+    package, or is imported by an acceptance criterion."""
+    package = Path(gaussprop.__file__).parent
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    acceptance = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    kept = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("gaussprop") for alias in node.names}
+    assert {"audit", "cli", "kernel", "propagate"} <= set(sources)
+    assert {"empirical_a_scan", "hermiticity_check", "rhs_apply"} <= kept
+    assert _unreached(sources, kept) == []

@@ -6,23 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs, solve_banded
 
-from gaussprop import (
-    FieldSpec,
-    HamiltonianSpec,
-    PropagatorSpec,
-    RealState,
-    cn_stepper,
-    diffusion_stepper,
-    gaussian_packet,
-    hamiltonian_diagonals,
-    last,
-    make_grid,
-    march,
-    propagate,
-    spectral_stepper,
-)
-from gaussprop.propagate import Tridiagonal
-from gaussprop.reference import _diffusion_diagonals
+from gaussprop import propagate
+from gaussprop.fields import FieldSpec, PropagatorSpec, RealState, gaussian_packet, make_grid
+from gaussprop.propagate import Tridiagonal, last, march, spectral_stepper
+from gaussprop.reference import (HamiltonianSpec, _diffusion_diagonals, cn_stepper,
+                                 diffusion_stepper, hamiltonian_diagonals)
 
 
 def _banded_solve(lower, diag, upper, rhs):

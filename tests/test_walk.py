@@ -8,14 +8,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gaussprop import (
-    FieldSpec,
-    PropagatorSpec,
-    histogram_compare,
-    sample_paths,
-    walk,
-)
-from gaussprop.walk import _BLOCK, MAX_SEED
+from gaussprop import walk
+from gaussprop.fields import FieldSpec, PropagatorSpec
+from gaussprop.walk import _BLOCK, MAX_SEED, histogram_compare, sample_paths
 
 DRIFTING = PropagatorSpec(d=1.0, u=FieldSpec.constant(0.5))
 FREE = PropagatorSpec(d=1.0)
