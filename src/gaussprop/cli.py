@@ -1,11 +1,11 @@
 """Command line front end: scenario JSON in, CSV plus JSON summary out.
 
-Five subcommands share one shape: load a scenario file, run, write a CSV
-table and a JSON summary next to each other, print a short report.  Exit
-codes are part of the contract: 0 success, 1 a quality gate failed (audit
-expectations, moment tolerance, convergence slope band), 2 the scenario
-is invalid or incomplete for the command, 3 the run aborted for a physics
-reason (a kernel phase unresolvable, a packet at the grid edge).
+Five subcommands share one shape: load a scenario file, run, write a CSV table
+and a JSON summary next to each other, print a short report.  Exit codes are
+part of the contract: 0 success, 1 a quality gate failed (audit expectations,
+moment tolerance, convergence slope band), 2 the scenario is invalid or
+incomplete for the command, 3 the run aborted for a physics reason (a kernel
+phase unresolvable, a packet at the grid edge, a walk's growth past float64).
 
 compare measures the kernel steps against the exact Gaussian state when the
 spec has one (constant D, u of degree <= 1 and b a polynomial;

@@ -88,7 +88,7 @@ MAX_DENSE_MATRIX_N = 2 ** 13
 
 
 class ValidityError(RuntimeError):
-    """The grid, or the moment quadrature's nodes, cannot resolve the kernel's phase."""
+    """The grid or moment nodes cannot resolve the kernel's phase, or a walk's growth overflows."""
 
 
 @dataclass(frozen=True)

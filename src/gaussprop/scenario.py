@@ -301,7 +301,7 @@ _SCENARIO = _object({"name": _file_name}, {  # name stems the output names
                          "variant": _string(VARIANTS), **_VARIANT_KEYS},
                     partial(PropagatorSpec, d=1.0)),
     "schedule": _object({}, {"eps": _number(positive=True),
-                             # n_steps <= 2^15: a 32 MiB walk block is 128 rows, call-bound
+                             # n_steps <= 2^15: 128-row walk blocks; non-affine u is call-bound
                              "n_steps": _integer(1, 2 ** 15),
                              "eps_ladder": _then(_numbers(2, positive=True), _ladder)}),
     "method": _string(METHODS),

@@ -13,15 +13,20 @@ prefix of a larger one.  Chunks march side by side, one thread per CPU and
 chunk, on propagate.side_by_side: a bulk draw fill releases the GIL.
 
 Particles advance in blocks sized by a byte budget, each block filled by one
-draw call and scaled by sqrt(D eps) once.  The caller allocates one buffer of
-that budget.  A thread keeps one row slice of it from its first chunk on,
-and a chunk takes the whole buffer once every other chunk has ended, so no
-lock is needed.  Memory is O(block x n_steps + n_particles) at any CPU count.
+draw call.  The caller allocates one buffer of that budget.  A thread keeps
+one row slice of it from its first chunk on, and a chunk takes the whole
+buffer once every other chunk has ended, so no lock is needed.  Memory is
+O(block x n_steps + n_particles) at any CPU count.
 
 A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
-at the particle's current position.  The optional centered-exponential step
-law keeps the same mean and variance with a skewed distribution; many such
-steps still approach the Gaussian, which is the central-limit demonstration.
+at the particle's current position.  For u = u0 + s x the walk is linear in
+its draws z_k: x_n = r^n x0 + u0 eps sum(w) + sum(sqrt(D eps) w_k z_k) with
+r = 1 + s eps and w_k = r^(n-1-k), so a block advances by one pairwise sum
+over each row (BLAS bits would follow the row count), and an r^n that
+overflows is refused before any draw.  Other u evaluate u at every step.
+The optional centered-exponential step law keeps the same mean and variance
+with a skewed distribution; many such steps still approach the Gaussian,
+which is the central-limit demonstration.
 
 histogram_compare measures the L1 distance between the ensemble's binned
 density and its analytic law: the closed-form Gaussian (mean x0 + u t,
@@ -40,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .fields import PropagatorSpec, RealState, check_eps, make_grid
-from .propagate import last, march, side_by_side, usable_cpus
+from .propagate import ValidityError, last, march, side_by_side, usable_cpus
 from .reference import diffusion_stepper
 
 STEP_LAWS = ("gauss", "exp_centered")
@@ -88,6 +93,16 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
     x = np.full(n_particles, float(x0))
     if n_steps > 0:
         width = np.sqrt(spec.d * eps)
+        if affine := spec.u.kind == "polynomial" and spec.u.degree <= 1:
+            u0, slope = (*spec.u.coeffs, 0.0, 0.0)[:2]
+            with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+                powers = np.float64(1.0 + slope * eps) ** np.arange(n_steps, -1, -1)
+                start = powers[0] * x0 + u0 * eps * powers[1:].sum()
+                weights = width * powers[1:]
+                variance = np.square(weights).sum()  # x_n's: every draw has variance 1
+            if not np.isfinite([start, variance]).all():
+                raise ValidityError(f"the drift's growth overflows: u = {u0:g} + {slope:g} x grows "
+                                    f"the walk by (1 + {slope:g} eps)^{n_steps} = {powers[0]:g}")
         chunks = -(-n_particles // _CHUNK)
         threads = min(usable_cpus(), chunks)
         rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
@@ -107,9 +122,14 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
                 draw(out=zb)
                 if step_law == "exp_centered":
                     zb -= 1.0
-                zb *= width
-                for s in range(n_steps):
-                    xb += spec.u(xb) * eps + zb[:, s]
+                if affine:
+                    zb *= weights
+                    zb.sum(axis=1, out=xb)
+                    xb += start
+                else:
+                    zb *= width
+                    for s in range(n_steps):
+                        xb += spec.u(xb) * eps + zb[:, s]
             ended.append(c)
 
         side_by_side([partial(march_chunk, c) for c in range(chunks)], threads)

@@ -104,11 +104,18 @@ def test_walk_seed_override(tmp_path):
 # (sample_mean, sample_variance, l1_distance) went
 #   seed 7:  (1.003858, 2.036681, 0.026255) -> (0.988906, 1.993278, 0.023770)
 #   seed 11: (1.004970, 1.970889, 0.025256) -> (0.985387, 2.042418, 0.024377)
+# Re-recorded again when an affine-drift walk advanced each block by one weighted
+# sum over each row in place of the step loop; only rounding moved:
+#   seed 7:  (0.9889061255423545, 1.9932780401926942, 0.023769696008043885)
+#         -> (0.9889061255423541, 1.9932780401926942, 0.023769696008043885)
+#   seed 11: (0.9853872619948867, 2.04241754379752, 0.02437729421005512)
+#         -> (0.9853872619948862, 2.0424175437975194, 0.02437729421005512)
+# and every bin's observed density is unchanged; the bin edges moved with the mean.
 WALK_DEFAULT_SHA256 = {
-    (): ("4373189cadafe17492b7d35f525cd66b5478db28d804f75e0a7f704af4c195db",
-         "d68864e587a0260a2f56e2aa8174bdd2053b18d8dc61d724b3d3746968eac843"),
-    ("--seed", "11"): ("5d97f40b0bdb79596aef377a89895472f1481985f2bec00f860873d6b40c0511",
-                       "bb596f5071afa4d16721d0ada554350118dcbb009adfe6f3d6e47eb53895e382"),
+    (): ("11a91b026174d0c08773dc3db3a8dee5ea45ed435ac0a98151f4af6cd227fe00",
+         "2f41515fc4e52bae4705875c0887bb2defb69b7503c2ca340f160cc72c85102f"),
+    ("--seed", "11"): ("360a26b75fc7230cb808f822eaa049e74e70eb999eb78e635916dee0a9cbf8cb",
+                       "11aaa6ac9741f2c3405aeb06b536d6a8564df2a29d50d3509c58c675056e25a3"),
 }
 
 
@@ -165,8 +172,26 @@ OU_WALK = {"name": "ou", "spec": {"d": 1.0, "u": {"kind": "linear", "slope": -0.
 # sha256 of (csv, json), re-recorded when the sampler drew from one Philox
 # stream keyed by the seed: (sample_mean, sample_variance, l1_distance) went
 #   (0.370661, 0.854107, 0.037600) -> (0.345697, 0.875991, 0.030755)
-OU_WALK_SHA256 = ("696f136871bb58323f2d9f69fbaa5a9365c50f3cf3b795fa6a8e0a2736d8978e",
-                  "76b4fa808d52b9d70c48e0dcc9f446dd98141c8f524051498c5026f5c6585893")
+# Re-recorded again when the affine walk advanced each block by one weighted sum
+# over each row; only rounding moved:
+#   (0.34569673993325284, 0.8759909651012496, 0.0307554519075835)
+#   -> (0.3456967399332525, 0.8759909651012492, 0.030755451907584254)
+OU_WALK_SHA256 = ("6ed4a4cd559c4f014f8eeafbddc1bc8080016d60314322bd8f837218038b913b",
+                  "d61baac37c19a2eb2aa1b62f4b40566415353124c930bcd76dc2deded5da48c3")
+
+
+def test_a_walk_whose_drift_growth_overflows_exits_three(tmp_path, capsys):
+    """u = 5x at eps 0.5 grows the walk by 3.5^2000: refused before any draw,
+    with no warning (the suite turns warnings into errors) and no output."""
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps({**OU_WALK, "name": "growing",
+                                "spec": {"d": 1.0, "u": {"kind": "linear", "slope": 5.0}},
+                                "schedule": {"eps": 0.5, "n_steps": 2000}}))
+    out = tmp_path / "out"
+    assert cli.main(["walk", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the drift's growth overflows") and "(1 + 5 eps)^2000" in err
+    assert not out.exists()
 
 
 def test_ou_walk_outputs_are_unchanged(tmp_path):

@@ -24,19 +24,38 @@ def test_same_seed_reproduces_bit_for_bit():
     assert not np.array_equal(a.positions, c.positions)
 
 
-def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="gauss", jumps=0):
+def _draws(n_particles, n_steps, seed, step_law="gauss", jumps=0):
     """One Philox keyed by the seed, jumped `jumps` times, and the whole
     (n_particles, n_steps) draw matrix at once."""
     gen = np.random.Generator(np.random.Philox(key=seed).jumped(jumps))
     if step_law == "gauss":
-        z = gen.standard_normal((n_particles, n_steps))
-    else:
-        z = gen.standard_exponential((n_particles, n_steps)) - 1.0
-    x = np.full(n_particles, float(x0))
+        return gen.standard_normal((n_particles, n_steps))
+    return gen.standard_exponential((n_particles, n_steps)) - 1.0
+
+
+def _step_loop(z, eps, spec, x0):
+    """Each step re-evaluates u at the particles: the walk's definition."""
+    x = np.full(len(z), float(x0))
     width = np.sqrt(spec.d * eps)
-    for s in range(n_steps):
+    for s in range(z.shape[1]):
         x += spec.u(x) * eps + width * z[:, s]
     return x
+
+
+def _reduction(z, eps, spec, x0):
+    """x_n = r^n x0 + u0 eps sum(w) + sum(sqrt(D eps) w_k z_k) for u = u0 + s x,
+    with r = 1 + s eps and w_k = r^(n-1-k): one pairwise sum over each row."""
+    u0, slope = (*spec.u.coeffs, 0.0, 0.0)[:2]
+    powers = np.float64(1.0 + slope * eps) ** np.arange(z.shape[1], -1, -1)
+    start = powers[0] * x0 + u0 * eps * powers[1:].sum()
+    return (z * (np.sqrt(spec.d * eps) * powers[1:])).sum(axis=1) + start
+
+
+def _reference_paths(n_particles, n_steps, eps, spec, seed, x0=0.0, step_law="gauss", jumps=0):
+    """The reduction for affine u, the step loop otherwise, on _draws' matrix."""
+    z = _draws(n_particles, n_steps, seed, step_law, jumps)
+    affine = spec.u.kind == "polynomial" and spec.u.degree <= 1
+    return (_reduction if affine else _step_loop)(z, eps, spec, x0)
 
 
 @pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
@@ -48,6 +67,23 @@ def test_paths_equal_the_one_stream_reference(u, step_law):
     ens = sample_paths(_BLOCK + 3, 20, 0.01, spec, seed=9, x0=0.3, step_law=step_law)
     assert np.array_equal(ens.positions,
                           _reference_paths(_BLOCK + 3, 20, 0.01, spec, 9, 0.3, step_law))
+
+
+@pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
+@pytest.mark.parametrize("u,eps,n_steps", [
+    (FieldSpec.linear(-0.5), 0.0005, 8_192),
+    (FieldSpec.linear(0.3), 0.01, 2_000),                          # r > 1: the walk grows
+    (FieldSpec("polynomial", coeffs=(0.7, -150.0)), 0.01, 2_000),  # r = -0.5
+    (FieldSpec("polynomial", coeffs=(0.2, -0.8)), 0.01, 2_000),
+    (FieldSpec.constant(0.5), 0.01, 2_000),
+], ids=("ou-long", "growing", "r-negative", "affine", "constant"))
+def test_affine_reduction_matches_the_step_loop(u, eps, n_steps, step_law):
+    """The one-sum advance and the walk's own step loop, on the same draws,
+    agree to 1e-11 of max(1, |x|)."""
+    spec = PropagatorSpec(d=1.0, u=u)
+    ens = sample_paths(64, n_steps, eps, spec, seed=17, x0=0.3, step_law=step_law)
+    loop = _step_loop(_draws(64, n_steps, 17, step_law), eps, spec, 0.3)
+    assert np.all(np.abs(ens.positions - loop) <= 1e-11 * np.maximum(1.0, np.abs(loop)))
 
 
 @pytest.mark.parametrize("step_law", ["gauss", "exp_centered"])
@@ -201,9 +237,7 @@ def test_particle_zero_keeps_the_stream_keyed_seed_and_zero():
     """Particle 0 draws the Philox stream with key (seed, 0), whatever the ensemble."""
     seed = 2 ** 64 - 3
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    x = np.full(1, 0.3)
-    for z in gen.standard_normal(50):
-        x += 0.5 * 0.01 + np.sqrt(0.01) * z
+    x = _reduction(gen.standard_normal((1, 50)), 0.01, DRIFTING, 0.3)
     ens = sample_paths(1_000, 50, 0.01, DRIFTING, seed=seed, x0=0.3)
     assert ens.positions[0] == x[0]
 
