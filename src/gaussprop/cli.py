@@ -5,7 +5,7 @@ and a JSON summary next to each other, print a short report.  Exit codes are
 part of the contract: 0 success, 1 a quality gate failed (audit expectations,
 moment tolerance, convergence slope band), 2 the scenario is invalid or
 incomplete for the command, 3 the run aborted for a physics reason (a kernel
-phase unresolvable, a packet at the grid edge, a walk's growth past float64).
+phase unresolvable, a packet at the grid edge, a walk or a moment past float64).
 
 compare measures the kernel steps against the exact Gaussian state when the
 spec has one (constant D, u of degree <= 1 and b a polynomial;
@@ -38,7 +38,7 @@ import numpy as np
 
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, moments
-from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, fresnel_moments
+from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
 from .propagate import METHODS, ValidityError, chirp_z_applies, finals, march, wave_stepper
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -145,17 +145,21 @@ def _run_audit(sc: Scenario) -> RunResult:
 def _run_moments(sc: Scenario) -> RunResult:
     ms = sc.moments
     checks = []  # (diffusivity, eps, check, quadrature, closed form)
-    for d, eps in ms.pairs:
-        values = fresnel_moments(MOMENT_ORDERS, d, eps, ms.delta0)
-        checks += [(d, eps, f"moment_{n}", q, closed_moment(n, d, eps))
-                   for n, q in zip(MOMENT_ORDERS, values)]
-    if ms.cancellation is not None:
-        cs = ms.cancellation
-        d = ms.pairs[0][0]
-        res = cancellation_check(d, FieldSpec.sine(1.0, cs.k), cs.x, cs.eps, delta0=ms.delta0)
-        checks.append((d, cs.eps, "cancellation", res.quadrature, res.closed_form))
+    with np.errstate(all="ignore"):  # a value past float64 is refused below, not warned about
+        for (d, eps), values in zip(ms.pairs, pair_moments(MOMENT_ORDERS, ms.pairs, ms.delta0)):
+            checks += [(d, eps, f"moment_{n}", q, closed_moment(n, d, eps))
+                       for n, q in zip(MOMENT_ORDERS, values)]
+        if ms.cancellation is not None:
+            cs = ms.cancellation
+            d = ms.pairs[0][0]
+            res = cancellation_check(d, FieldSpec.sine(1.0, cs.k), cs.x, cs.eps,
+                                     delta0=ms.delta0)
+            checks.append((d, cs.eps, "cancellation", res.quadrature, res.closed_form))
     rows, max_rel = [], 0.0
     for d, eps, check, q, c in checks:
+        if not np.isfinite([q, c]).all():
+            raise ValidityError(f"{check} at D = {d:g}, eps = {eps:g} leaves float64: "
+                                f"quadrature {q}, closed form {c}")
         abs_err = abs(q - c)
         rel = abs_err / abs(c) if abs(c) > 0.0 else abs_err
         max_rel = max(max_rel, rel)

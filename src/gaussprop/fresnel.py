@@ -15,9 +15,15 @@ Richardson extrapolation over the ladder {delta0, delta0/2, delta0/4}.
 The ladder integrates even parts e(eta) = (f(eta) + f(-eta))/2 on eta >= 0,
 a rung's trapezoid being (e(0) + 2 sum_{k<m} e_k g_k + e_m g_m) deta.  Even
 monomials, exact products (eta^4 = (eta eta)(eta eta)), are their own even
-parts; odd moments are exactly 0 and never summed.  Per (D, eps) there is one
+parts; odd moments are exactly 0 and never summed.  A ladder makes one
 complex exponential, the chirp g at delta0/4, whose rungs up are g times the
 real exp(-(delta0/4) eta^2) once and thrice, and one work buffer for e g.
+
+Under the default regulator delta0 = 0.008/(2 D eps) the ladder is scale-free
+in s = eta/c, c = (2 D eps)^(1/2): its nodes in s, chirp and rungs depend on
+the node index alone, so pair_moments integrates the first pair's ladder and
+rescales its n-th moment by (c/c1)^(n+1) for each later pair.  An explicit
+delta0 makes delta0 2 D eps differ from pair to pair: each integrates its own.
 
 The same machinery certifies the first-order cancellation: for drift sampled
 at the displaced point, u_plus = u + eta u', the combination
@@ -69,6 +75,14 @@ def monomial(n: int):
     return power
 
 
+def _check_pair(d: float, eps: float) -> None:
+    check_eps(eps)
+    if not (np.isfinite(d) and d > 0.0):
+        raise ValueError(f"D must be finite and > 0, got {d}")
+    if not (np.isfinite(d * eps) and d * eps > 0.0):  # the window and chirp scale with it
+        raise ValueError(f"D eps must be finite and > 0 in float64, got {d:g} * {eps:g}")
+
+
 def ladder_integral(evens, d: float, eps: float, delta0: float | None = None) -> list:
     """Richardson-extrapolated trapezoid on [-L, L] of each e(eta) exp(i eta^2/(2 D eps)),
     e in evens an even part taking eta >= 0; every rung and part share one chirp.
@@ -77,9 +91,7 @@ def ladder_integral(evens, d: float, eps: float, delta0: float | None = None) ->
     unless given; the window [-L, L] closes the smallest one's tail, (delta0/4) L^2
     = 40, on 100,000 nodes.  Raises ValidityError when the chirp turns by more than
     pi between the last two nodes: the trapezoid would alias it into garbage."""
-    check_eps(eps)
-    if not (np.isfinite(d) and d > 0.0):
-        raise ValueError(f"D must be finite and > 0, got {d}")
+    _check_pair(d, eps)
     delta0 = _DELTA_SCALE / (2.0 * d * eps) if delta0 is None else delta0
     if not (np.isfinite(delta0) and delta0 > 0.0):
         raise ValueError(f"delta0 must be finite and > 0, got {delta0}")
@@ -122,7 +134,8 @@ def closed_moment(n: int, d: float, eps: float) -> complex:
         return 0.0 + 0.0j
     if n == 2:
         return complex(root * (1j * d * eps))
-    return complex(root * (-3.0 * d ** 2 * eps ** 2))
+    # numpy's power overflows to inf where float's raises; the bits are the same
+    return complex(root * (-3.0 * np.float64(d) ** 2 * np.float64(eps) ** 2))
 
 
 def fresnel_moments(orders, d: float, eps: float, delta0: float | None = None) -> list:
@@ -132,6 +145,23 @@ def fresnel_moments(orders, d: float, eps: float, delta0: float | None = None) -
         raise ValueError(f"moment order must be one of {MOMENT_ORDERS}, got {orders}")
     even = iter(ladder_integral([monomial(n) for n in orders if n % 2 == 0], d, eps, delta0))
     return [complex(next(even)) if n % 2 == 0 else 0j for n in orders]
+
+
+def pair_moments(orders, pairs, delta0: float | None = None) -> list:
+    """fresnel_moments(orders, d, eps, delta0) per (d, eps) in pairs, up to rounding:
+    unless delta0 is given, a later pair rescales the first pair's moments.  A
+    rescaled value past float64 is inf or nan, unwarned: the caller refuses it."""
+    (d1, eps1), *later = pairs
+    first = fresnel_moments(orders, d1, eps1, delta0)
+    if delta0 is not None:
+        return [first] + [fresnel_moments(orders, d, eps, delta0) for d, eps in later]
+    out = [first]
+    for d, eps in later:
+        _check_pair(d, eps)
+        with np.errstate(all="ignore"):
+            ratio = np.sqrt(d * eps / (d1 * eps1))
+            out.append([complex(v * ratio ** (n + 1)) for n, v in zip(orders, first)])
+    return out
 
 
 def fresnel_moment(n: int, d: float, eps: float) -> complex:

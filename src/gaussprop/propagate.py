@@ -88,7 +88,8 @@ MAX_DENSE_MATRIX_N = 2 ** 13
 
 
 class ValidityError(RuntimeError):
-    """The grid or moment nodes cannot resolve the kernel's phase, or a walk's growth overflows."""
+    """The grid or moment nodes cannot resolve the kernel's phase, or a walk, a moment or
+    an oracle's face weight leaves float64."""
 
 
 @dataclass(frozen=True)

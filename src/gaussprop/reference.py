@@ -26,7 +26,8 @@ The real kernel's oracle is the drift-diffusion equation
 the continuum limit of the Gaussian step-length law, discretized in flux
 form with Scharfetter-Gummel faces and no-flux ends: mass is conserved to
 round-off and the implicit (backward Euler) step keeps P nonnegative
-(M-matrix), with no step-size stability bound.
+(M-matrix), with no step-size stability bound.  A face whose weight
+exponential overflows float64 is refused (ValidityError).
 
 Each oracle LU-factors its implicit tridiagonal operator once (LAPACK gttrf),
 so a step is one O(n) gttrs solve, streamed by propagate.march to the final state.
@@ -47,7 +48,10 @@ import numpy as np
 
 from .fields import (BoundaryDecayError, FieldSpec, Grid, PropagatorSpec, RealState,
                      WaveState, check_boundary_decay, check_eps)
-from .propagate import Tridiagonal
+from .propagate import Tridiagonal, ValidityError
+
+# the largest |w| whose exp(w) a float64 holds: a face weight B(w) = w/(e^w - 1) past it reads 0
+_EXP_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -255,6 +259,10 @@ def _diffusion_diagonals(grid: Grid, spec: PropagatorSpec):
     dh = 0.5 * spec.d
     x_face = grid.x[:-1] + 0.5 * dx
     w = spec.u(x_face) * dx / dh
+    if not np.all(np.abs(w) <= _EXP_MAX):
+        raise ValidityError(f"the drift-diffusion oracle cannot weigh its faces: |u dx/(D/2)| "
+                            f"reaches {np.max(np.abs(w)):.3g} > {_EXP_MAX:.2f} on "
+                            f"[{grid.x[0]:g}, {grid.x[-1]:g}], where exp overflows")
     bp = _bernoulli(w)
     bm = _bernoulli(-w)
     coef = dh / dx ** 2

@@ -23,7 +23,8 @@ at the particle's current position.  For u = u0 + s x the walk is linear in
 its draws z_k: x_n = r^n x0 + u0 eps sum(w) + sum(sqrt(D eps) w_k z_k) with
 r = 1 + s eps and w_k = r^(n-1-k), so a block advances by one pairwise sum
 over each row (BLAS bits would follow the row count), and an r^n that
-overflows is refused before any draw.  Other u evaluate u at every step.
+overflows is refused before any draw.  Other u evaluate u at every step, and
+a walk whose positions leave float64 is refused before any histogram.
 The optional centered-exponential step law keeps the same mean and variance
 with a skewed distribution; many such steps still approach the Gaussian,
 which is the central-limit demonstration.
@@ -128,11 +129,16 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
                     xb += start
                 else:
                     zb *= width
-                    for s in range(n_steps):
-                        xb += spec.u(xb) * eps + zb[:, s]
+                    with np.errstate(all="ignore"):  # a blow-up is refused below, not warned about
+                        for s in range(n_steps):
+                            xb += spec.u(xb) * eps + zb[:, s]
             ended.append(c)
 
         side_by_side([partial(march_chunk, c) for c in range(chunks)], threads)
+        if not np.isfinite(x).all():
+            raise ValidityError(f"the walk leaves float64: {np.count_nonzero(~np.isfinite(x))} "
+                                f"of {n_particles} positions are not finite after {n_steps} "
+                                f"steps of eps = {eps:g}")
     x.flags.writeable = False
     return WalkEnsemble(positions=x, time=n_steps * eps, x0=float(x0))
 

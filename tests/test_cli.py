@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface on the shipped scenarios."""
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -58,6 +59,81 @@ def test_moments_gate_passes(tmp_path, capsys):
 def test_moments_gate_failure_exits_one(tmp_path, capsys):
     assert _run("moments", "moments_fail.json", tmp_path) == 1
     assert "moments: FAIL" in capsys.readouterr().out
+
+
+# moments_default's pair and cancellation, then two later pairs rescaled from
+# the first pair's ladder
+THREE_PAIRS = {"name": "three_pairs",
+               "moments": {"pairs": [[1.0, 0.1], [0.7, 0.13], [1.9, 0.07]], "tolerance": 1e-6,
+                           "cancellation": {"k": 1.0, "x": 0.5, "eps": 0.1}}}
+THREE_PAIRS_SHA256 = ("e4509de4751b69fb3b45d8458e7726cc1bb1db2fd40fd93b1ef505d8ba2d4e2d",
+                      "c970038727eab39b093576f713fccaf253ea0f8d087d07806470c3439565ca6b")
+
+
+def test_a_later_pair_leaves_the_first_pair_s_rows_as_they_were(tmp_path):
+    path = tmp_path / "three_pairs.json"
+    path.write_text(json.dumps(THREE_PAIRS))
+    assert cli.main(["moments", str(path), "--out", str(tmp_path)]) == 0
+    assert _run("moments", "moments_default.json", tmp_path) == 0
+    rows = (tmp_path / "three_pairs_moments.csv").read_text().splitlines()
+    alone = (tmp_path / "moments_default_moments.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 4 + 1
+    assert rows[:5] + rows[-1:] == alone  # the header, the first pair, the cancellation
+    digests = tuple(hashlib.sha256((tmp_path / f"three_pairs_moments.{ext}").read_bytes())
+                    .hexdigest() for ext in ("csv", "json"))
+    assert digests == THREE_PAIRS_SHA256
+
+
+# the benchmark's audit moments at seed 41: six pairs and the cancellation
+BENCH_MOMENTS = {"name": "bench_moments",
+                 "moments": {"pairs": [[1.618234, 0.196917], [1.566169, 0.094922],
+                                       [1.792301, 0.060546], [0.927352, 0.12346],
+                                       [1.004522, 0.060945], [1.351034, 0.101651]],
+                             "tolerance": 1e-6,
+                             "cancellation": {"k": 1.0, "x": 0.5, "eps": 0.1}}}
+
+
+@pytest.mark.parametrize("delta0,ladders,code", [(None, 2, 0), (0.25, 7, 1)],
+                         ids=("auto", "explicit"))
+def test_moments_integrates_one_ladder_per_regulator(delta0, ladders, code, tmp_path,
+                                                     monkeypatch):
+    """The default regulator integrates the first pair and the cancellation, and
+    rescales the five later pairs (one ladder per pair took 7); an explicit
+    delta0 integrates every pair (0.25 is too coarse to pass the gate)."""
+    fresnel = importlib.import_module("gaussprop.fresnel")
+    calls = []
+    integrate = fresnel.ladder_integral
+    monkeypatch.setattr(fresnel, "ladder_integral",
+                        lambda *args: calls.append(args) or integrate(*args))
+    moments = {**BENCH_MOMENTS["moments"], **({} if delta0 is None else {"delta0": delta0})}
+    path = tmp_path / "bench_moments.json"
+    path.write_text(json.dumps({"name": "bench_moments", "moments": moments}))
+    assert cli.main(["moments", str(path), "--out", str(tmp_path)]) == code
+    assert len(calls) == ladders
+    summary = json.loads((tmp_path / "bench_moments_moments.json").read_text())
+    assert summary["n_checks"] == 4 * 6 + 1
+    assert summary["passed"] == (summary["max_rel_error"] <= 1e-6) == (delta0 is None)
+
+
+@pytest.mark.parametrize("pairs,delta0,check", [
+    ([[1.0, 0.1], [1e150, 1e100]], None, "moment_2 at D = 1e+150, eps = 1e+100"),
+    ([[1.0, 0.1], [1e150, 1e100]], 0.25, "moment_2 at D = 1e+150, eps = 1e+100"),
+    ([[1.0, 0.1], [1e200, 1e100]], None, "moment_2 at D = 1e+200, eps = 1e+100"),
+    ([[1e150, 1e100]], None, "moment_2 at D = 1e+150, eps = 1e+100"),
+], ids=("rescaled", "explicit", "closed-form-overflow", "first"))
+def test_a_moment_past_float64_exits_three_before_any_output(pairs, delta0, check, tmp_path,
+                                                            capsys):
+    """max(max_rel, nan) drops a nan: a nan moment once printed PASS.  No
+    warning either; the suite turns warnings into errors."""
+    moments = {"pairs": pairs, **({} if delta0 is None else {"delta0": delta0})}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "moments": moments}))
+    out = tmp_path / "out"
+    assert cli.main(["moments", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {check} leaves float64: quadrature ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta0,code,step", [
@@ -191,6 +267,37 @@ def test_a_walk_whose_drift_growth_overflows_exits_three(tmp_path, capsys):
     assert cli.main(["walk", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: the drift's growth overflows") and "(1 + 5 eps)^2000" in err
+    assert not out.exists()
+
+
+def test_a_non_affine_walk_that_blows_up_exits_three(tmp_path, capsys):
+    """u = -0.05 x^2 sends a particle from 0.2 past float64 within 3,000 steps:
+    refused before the histogram, with no warning and no output."""
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps({**OU_WALK, "name": "blowup",
+                                "spec": {"d": 0.7, "u": {"kind": "quadratic", "c": -0.05}},
+                                "schedule": {"eps": 0.01, "n_steps": 3000}, "seed": 1,
+                                "walk": {"n_particles": 10000, "x0": 0.2}}))
+    out = tmp_path / "out"
+    assert cli.main(["walk", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the walk leaves float64: \d+ of 10000 positions are not "
+                        r"finite after 3000 steps of eps = 0.01\n", err)
+    assert not out.exists()
+
+
+def test_a_walk_the_oracle_cannot_weigh_exits_three(tmp_path, capsys):
+    """u = 5x at eps 0.5 for 50 steps stays finite near 1e27, past the affine
+    guard; the drift-diffusion oracle's face weights exp(u dx/(D/2)) do not."""
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({**OU_WALK, "name": "steep",
+                                "spec": {"d": 1.0, "u": {"kind": "linear", "slope": 5.0}},
+                                "schedule": {"eps": 0.5, "n_steps": 50}}))
+    out = tmp_path / "out"
+    assert cli.main(["walk", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the drift-diffusion oracle cannot weigh its faces: ")
+    assert "where exp overflows" in err and "Warning" not in err
     assert not out.exists()
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from gaussprop.fields import FieldSpec
 from gaussprop.fresnel import (MOMENT_ORDERS, cancellation_check, closed_moment, fresnel_moment,
-                               fresnel_moments, ladder_integral, monomial, unit_mass_check)
+                               fresnel_moments, ladder_integral, monomial, pair_moments,
+                               unit_mass_check)
 from gaussprop.propagate import ValidityError
 
 
@@ -262,3 +263,70 @@ def test_cancellation_check_is_unchanged_at_the_shipped_point():
     res = cancellation_check(1.0, FieldSpec.sine(1.0, 1.0), 0.5, 0.1)
     assert res.quadrature == _one_poly_ladder(integrand, 1.0, 0.1) / closed_moment(0, 1.0, 0.1)
     assert res.closed_form == complex(du ** 2 * 0.1 ** 2)
+
+
+# the benchmark's audit pairs at seed 41, and D, eps at the corners of its range
+PAIRS = [(1.618234, 0.196917), (1.566169, 0.094922), (1.792301, 0.060546),
+         (0.927352, 0.12346), (0.5, 0.05), (2.0, 0.2)]
+
+
+def _rel_errors(d, eps, values):
+    return [abs(q - c) / abs(c) if (c := closed_moment(n, d, eps)) else abs(q)
+            for n, q in zip(MOMENT_ORDERS, values)]
+
+
+def test_a_later_pair_rescales_the_first_pair_s_ladder():
+    """Under the default regulator the ladder is scale-free in eta/(2 D eps)^(1/2):
+    the first pair keeps its bits, a later pair is its own ladder up to rounding.
+
+    Over the benchmark's 30 audit seeds the rescaled moments sat at most
+    2.2e-8 |K| from their own ladders; their relative errors matched the first
+    pair's to 5e-9 of themselves (2e-15 apart), the rounding of q and its closed
+    form over a relative error near 1e-7."""
+    shared = pair_moments(MOMENT_ORDERS, PAIRS)
+    assert shared[0] == fresnel_moments(MOMENT_ORDERS, *PAIRS[0])
+    first = _rel_errors(*PAIRS[0], shared[0])
+    for (d, eps), values in zip(PAIRS[1:], shared[1:]):
+        k = abs(closed_moment(0, d, eps))
+        own = fresnel_moments(MOMENT_ORDERS, d, eps)
+        assert all(abs(v - w) <= 1e-7 * k for v, w in zip(values, own))
+        assert values[1] == own[1] == 0j
+        assert _rel_errors(d, eps, values) == pytest.approx(first, rel=0, abs=1e-12)
+
+
+def test_an_explicit_delta0_integrates_every_pair():
+    """delta0 (2 D eps) differs from pair to pair: no pair is rescaled."""
+    shared = pair_moments(MOMENT_ORDERS, PAIRS[:3], 0.25)
+    assert shared == [fresnel_moments(MOMENT_ORDERS, d, eps, 0.25) for d, eps in PAIRS[:3]]
+
+
+@pytest.mark.parametrize("delta0", (None, 0.25), ids=("auto", "explicit"))
+@pytest.mark.parametrize("d,eps,name", [
+    (-1.0, 0.1, "D"), (0.0, 0.1, "D"), (np.inf, 0.1, "D"), (np.nan, 0.1, "D"),
+    (1.0, -0.1, "eps"), (1.0, 0.0, "eps"), (1.0, np.inf, "eps"), (1.0, np.nan, "eps"),
+])
+def test_a_bad_later_pair_is_refused_as_its_own_ladder_refuses_it(d, eps, name, delta0):
+    with pytest.raises(ValueError) as own:
+        fresnel_moments(MOMENT_ORDERS, d, eps, delta0)
+    with pytest.raises(ValueError, match=f"^{name} must be ") as later:
+        pair_moments(MOMENT_ORDERS, [(1.0, 0.1), (d, eps)], delta0)
+    assert str(later.value) == str(own.value)
+
+
+@pytest.mark.parametrize("delta0", (None, 0.25), ids=("auto", "explicit"))
+@pytest.mark.parametrize("d,eps", [(1e-200, 1e-200), (1e200, 1e200)], ids=("under", "over"))
+def test_a_d_eps_product_past_float64_is_refused(d, eps, delta0):
+    """D eps sets the window and the rescaling: 0 would rescale every moment to
+    0 and pass, inf would read as a delta0 of 0."""
+    message = "^D eps must be finite and > 0 in float64, got "
+    with pytest.raises(ValueError, match=message):
+        fresnel_moments(MOMENT_ORDERS, d, eps, delta0)
+    with pytest.raises(ValueError, match=message):
+        pair_moments(MOMENT_ORDERS, [(1.0, 0.1), (d, eps)], delta0)
+
+
+def test_a_rescaled_moment_past_float64_is_inf_and_unwarned():
+    """The suite turns warnings into errors; the caller refuses the value."""
+    k, zero, second, fourth = pair_moments(MOMENT_ORDERS, [(1.0, 0.1), (1e150, 1e100)])[1]
+    assert np.isfinite(k) and zero == 0j  # |K| = (2 pi D eps)^(1/2) is 2.5e125
+    assert not np.isfinite(second) and not np.isfinite(fourth)

@@ -3,7 +3,7 @@ import pytest
 
 from gaussprop.fields import (VARIANTS, BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
                               gaussian_packet, make_grid, moments, norm)
-from gaussprop.propagate import last, march
+from gaussprop.propagate import ValidityError, last, march
 from gaussprop.reference import (HamiltonianSpec, cn_stepper, diffusion_stepper, exact_state,
                                  hamiltonian_diagonals, has_exact_state, hermiticity_check,
                                  rhs_apply, to_hamiltonian)
@@ -150,6 +150,16 @@ def test_diffusion_rejects_variants():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="endpoint_t")
     with pytest.raises(ValueError):
         diffusion_stepper(grid, 0.02, spec)(state)
+
+
+def test_diffusion_refuses_a_face_weight_exp_cannot_hold():
+    """A face's weight B(w) = w/(e^w - 1), w = u dx/(D/2), reads 0 once e^|w|
+    overflows.  u = 5x on 8 nodes of [-L, L] puts |w| at 2.1875 L^2 on the
+    outer faces: 21,875 at L = 100, and 708.75 at L = 18, still representable."""
+    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(5.0))
+    with pytest.raises(ValidityError, match=r"reaches 2.19e\+04 > 709.78 on \[-100, 75\]"):
+        diffusion_stepper(make_grid(-100.0, 100.0, 8), 0.1, spec)
+    diffusion_stepper(make_grid(-18.0, 18.0, 8), 0.1, spec)
 
 
 def test_ornstein_uhlenbeck_steady_variance():

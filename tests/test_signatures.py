@@ -400,3 +400,15 @@ def test_every_public_definition_is_reached_by_a_command_or_a_criterion():
     assert {"audit", "cli", "kernel", "propagate"} <= set(sources)
     assert {"empirical_a_scan", "hermiticity_check", "rhs_apply"} <= kept
     assert _unreached(sources, kept) == []
+
+
+def test_the_moment_pairs_share_one_entry_point_reached_from_the_cli():
+    """moments hands every (D, eps) pair to fresnel.pair_moments at once; its
+    delta0 is the scenario's, so no setting picks the shared ladder."""
+    fresnel = importlib.import_module("gaussprop.fresnel")
+    assert list(_parameters(fresnel.pair_moments)) == ["orders", "pairs", "delta0"]
+    package = Path(gaussprop.__file__).parent
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert "fresnel.pair_moments" not in _unreached(sources, set())
+    del sources["cli"]
+    assert "fresnel.pair_moments" in _unreached(sources, set())
