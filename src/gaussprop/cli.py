@@ -9,8 +9,10 @@ phase unresolvable, a packet at the grid edge, a walk or a moment past float64).
 
 compare measures the kernel steps against the exact Gaussian state when the
 spec has one (constant D, u of degree <= 1 and b a polynomial;
-reference.exact_state) and against a Crank-Nicolson march of step eps_ref
-otherwise.  The input decides; eps_ref is checked for every spec all the same.
+reference.exact_state) and otherwise against a Strang split-step march of
+step eps_ref (default: the smallest rung / 5) in the gauge frame, second
+order in eps_ref and spectral in x.  The input decides; eps_ref is checked
+for every spec all the same.  evolve measures against Crank-Nicolson.
 
 Every run writes <name>_<command>.csv and .json into --out, else
 $GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
@@ -39,7 +41,8 @@ import numpy as np
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
-from .propagate import METHODS, ValidityError, chirp_z_applies, finals, march, wave_stepper
+from .propagate import (METHODS, ValidityError, chirp_z_applies, finals, march,
+                        spectral_stepper, wave_stepper)
 from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
@@ -227,7 +230,7 @@ def _steps_for(t_final: float, eps: float, key: str) -> int:
 
 def _run_compare(sc: Scenario) -> RunResult:
     cs = sc.compare
-    # only the CN fallback needs H; mapping a variant is a ValueError: exit 2
+    # only the split fallback needs H; mapping a variant is a ValueError: exit 2
     ham = None if has_exact_state(sc.spec) else to_hamiltonian(sc.spec, sc.grid)
     if cs.eps_ref is not None:
         eps_ref, ref_key = cs.eps_ref, "compare.eps_ref"
@@ -243,12 +246,17 @@ def _run_compare(sc: Scenario) -> RunResult:
         ref = exact_state(sc.grid, sc.spec, p.x0, p.sigma0, p.k0, cs.t_final)
         reference, eps_ref, against = "exact", None, "the exact solution"
     else:
-        runs.insert(0, (state0, ref_steps, lambda: cn_stepper(sc.grid, eps_ref, ham)))
-        reference, against = "cn", f"the eps={eps_ref:g} CN reference"
+        # n Strang steps exp(-i eps phi/2) free exp(-i eps phi/2) are
+        # exp(-i eps phi/2) (spectral step)^n exp(+i eps phi/2)
+        half = np.exp(0.5j * eps_ref * ham.phi(sc.grid.x))
+        runs.insert(0, (state0.replace_psi(half * state0.psi, time=state0.time), ref_steps,
+                        lambda: spectral_stepper(sc.grid, eps_ref, sc.spec)))
+        reference, against = "split", f"the eps={eps_ref:g} split-step reference"
     # a dense rung off the chirp-z class builds an n x n matrix: one at a time
     ends = finals(runs, serial=sc.method == "dense" and not chirp_z_applies(sc.spec))
     if ham is not None:
-        ref = ends.pop(0)
+        end = ends.pop(0)
+        ref = end.replace_psi(half.conj() * end.psi, time=end.time)
 
     rows, errors = [], []
     for eps, n, final in zip(sc.eps_ladder, ladder_steps, ends):

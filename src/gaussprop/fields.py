@@ -159,6 +159,30 @@ class FieldSpec:
         # tabulated: clamp to edge values outside the sample range
         return np.interp(x, self.xs, self.values)
 
+    def antiderivative(self, x):
+        """An F with F' = field at x, exact for each kind: a cubic for a
+        polynomial and a cosine for a sine, both 0 at x = 0, and for a table
+        the integral from xs[0] of the piecewise-linear, end-clamped curve
+        that __call__ evaluates."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "polynomial":
+            c0, c1, c2 = (*self.coeffs, 0.0, 0.0, 0.0)[:3]
+            return x * (c0 + x * (c1 / 2.0 + x * (c2 / 3.0)))
+        if self.kind == "sine":
+            # A (cos(phase) - cos(k x + phase)) / k, written to hold at k = 0
+            half = 0.5 * self.wavenumber * x
+            return (self.amplitude * x * np.sin(half + self.phase)
+                    * np.sinc(half / np.pi))
+        xs, values = self.xs, self.values
+        nodes = np.concatenate(([0.0], np.cumsum(0.5 * (values[1:] + values[:-1])
+                                                 * np.diff(xs))))
+        inside = np.clip(x, xs[0], xs[-1])
+        i = np.clip(np.searchsorted(xs, inside, side="right") - 1, 0, xs.size - 2)
+        t = inside - xs[i]
+        slope = (values[i + 1] - values[i]) / (xs[i + 1] - xs[i])
+        beyond = (x - inside) * np.interp(x, xs, values)  # past an end, its constant value
+        return nodes[i] + t * (values[i] + 0.5 * slope * t) + beyond
+
     def derivative(self, x):
         """d(field)/dx at x; analytic for presets, central differences for tables."""
         return self.derivative_field()(x)

@@ -33,10 +33,14 @@ outside the occupied window.  The chirp-z form computes the same sampled sum
 as the matrix, so the floor holds for both: an unresolved chirp aliases
 however the sum is evaluated.
 
-The spectral path uses the kernel's factorized form on a periodic grid:
-position factors for the drift and phase fields applied to O(eps), and the
-free quadratic-phase convolution applied exactly as the Fourier multiplier
-exp(-i D eps k^2 / 2).  It exists for admissible parameter sets only; the
+The spectral path uses the kernel's factorized form on a periodic grid of
+any length, in the gauge frame: in 1D the drift's vector potential u/D is
+the gradient of Lambda = (the integral of u)/D, so psi = exp(i Lambda) chi,
+and chi evolves under the free part and phi = b - u^2/(2D) alone (Feit,
+Fleck & Steiger 1982).  Each step is one position phase exp(-i (eps phi +
+Lambda)), the free quadratic-phase convolution applied exactly as the
+Fourier multiplier exp(-i D eps k^2 / 2), and the position phase
+exp(i Lambda).  It exists for admissible parameter sets only; the
 falsification variants must go through the dense quadrature.
 
 The real kernel composes as a Chapman-Kolmogorov step: a particle at the
@@ -51,16 +55,15 @@ and its operator: dense_stepper, spectral_stepper and density_stepper here,
 cn_stepper and diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
 is its final state.  finals marches independent runs side by side, one thread
-per CPU: a step's FFTs and gttrs solve release the GIL.  side_by_side is that
-thread pool, which the walk's particle chunks share.
+per CPU: a step's FFTs and matrix products release the GIL.  side_by_side is
+that thread pool, which the walk's particle chunks share.
 
-The tridiagonal solves (the spectral Cayley drift here, the Crank-Nicolson
-and drift-diffusion oracles in reference) call LAPACK gttrf/gttrs from
-scipy.linalg._flapack, and the chirp-z and spectral steps' FFTs call
-pocketfft from scipy.fft._pocketfft.pypocketfft, which keeps its plans
-between calls.  Each compiled extension is loaded alone, on the first
-operator that needs it, so no command imports the scipy.linalg or scipy.fft
-package.
+The tridiagonal solves of the Crank-Nicolson and drift-diffusion oracles in
+reference call LAPACK gttrf/gttrs from scipy.linalg._flapack, and the
+chirp-z and spectral steps' FFTs call pocketfft from
+scipy.fft._pocketfft.pypocketfft, which keeps its plans between calls.  Each
+compiled extension is loaded alone, on the first operator that needs it, so
+no command imports the scipy.linalg or scipy.fft package.
 """
 
 from __future__ import annotations
@@ -324,13 +327,13 @@ class Tridiagonal:
 
 
 def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
-    """One step via the factorized kernel on the periodic grid.
+    """One step via the factorized kernel on the periodic grid, in the gauge frame.
 
-    For an admissible spec only: the Cayley drift, the phase exp(-i eps b)
-    and the free multiplier exp(-i D eps k^2/2), in that order.  The drift
-    and b act in position space to O(eps); the free quadratic-phase
-    convolution is exact.  Each factor is unitary, so the step conserves
-    the norm to round-off.
+    For an admissible spec only: exp(-i (eps phi + Lambda)), the free
+    multiplier exp(-i D eps k^2/2) between the FFT pair, and exp(i Lambda),
+    with Lambda the integral of u/D and phi = b - u^2/(2D).  phi acts to
+    O(eps), the drift and the free quadratic-phase convolution exactly.
+    Each factor is unitary, so the step conserves the norm to round-off.
     """
     # Fields are static, so every factor of the step is built once; only the
     # boundary-decay check runs on every state.
@@ -338,30 +341,20 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     if not spec.is_admissible():
         raise ValueError("the spectral path assumes an admissible parameter set; "
                          f"variant {spec.variant!r} must use the dense path")
-    n, x = grid.n, grid.x
-    if n & (n - 1):
-        raise ValueError(f"spectral stepping needs a power-of-two grid, got n={n}")
+    x = grid.x
+    gauge = spec.u.antiderivative(x) / spec.d
+    phi = spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d)
+    pre = np.exp(-1j * (eps * phi + gauge))
+    post = np.exp(1j * gauge)
     free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-    phase = np.exp(-1j * eps * spec.b(x))
-    u = spec.u(x)
-    drifts = bool(np.any(u != 0.0))
-    # Cayley step of the antisymmetric drift u d/dx + (1/2) du/dx, written in
-    # the symmetrized product form so only u samples enter; unconditionally
-    # stable and exactly norm-preserving, unlike an explicit update, which
-    # amplifies round-off near the edges once eps*|u|*k_max exceeds 1.
-    half_face = 0.5 * eps * ((u[:-1] + u[1:]) / (4.0 * grid.dx)) + 0j  # psi is complex
-    explicit = Tridiagonal(-half_face, np.ones(n), half_face)
-    implicit = Tridiagonal(half_face, np.ones(n), -half_face)
     fft, ifft = _in_place_ffts()
 
     def step(state: WaveState) -> WaveState:
         check_boundary_decay(state)
-        psi = state.psi
-        if drifts:
-            psi = implicit.solve(explicit.apply(psi))
-        psi = phase * psi  # a fresh array, transformed in place
+        psi = pre * state.psi  # a fresh array, transformed in place
         np.multiply(free, fft(psi), out=psi)
-        return state.replace_psi(ifft(psi), time=state.time + eps)
+        return state.replace_psi(np.multiply(post, ifft(psi), out=psi),
+                                 time=state.time + eps)
 
     return step
 

@@ -16,8 +16,10 @@ drift (1/2m)(A psi' + (A psi)'), which makes the discrete generator exactly
 anti-Hermitian for real fields.  The same H is assembled independently as a
 tridiagonal operator from p = -i * central difference, so the expansion can
 be checked against -i H psi term by term.  Crank-Nicolson (the Cayley form
-of exp(-i eps H)) then conserves the norm to solver round-off and serves as
-the time-evolution oracle the kernel methods are compared against.
+of exp(-i eps H)) then conserves the norm to solver round-off.  It is the
+reference of the evolve command and of acceptance criterion 6; compare
+takes the exact state below, else the Strang split of the same H in the
+gauge frame, which needs no spatial stencil.
 
 The real kernel's oracle is the drift-diffusion equation
 

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussprop import cli
@@ -209,13 +210,19 @@ SHIPPED_SHA256 = {
     # re-recorded when compare took the exact Gaussian state as its reference
     # for a quadratic Hamiltonian instead of 2,000 CN steps: the errors are
     # 1.7325e-2, 8.653e-3, 4.313e-3 and 2.142e-3 (slope 0.985 -> 1.005), and
-    # the summary gained reference and local_slopes, with eps_ref null
+    # the summary gained reference and local_slopes, with eps_ref null.
+    # Re-recorded when the spectral step took the drift as its gauge phase
+    # instead of a Cayley solve: the errors went 1.7325e-2, 8.653e-3,
+    # 4.313e-3, 2.142e-3 (slope 1.005) -> 1.7171e-2, 8.564e-3, 4.277e-3,
+    # 2.137e-3 (slope 1.002)
     ("compare", "compare_default"): (
-        0, "20a0f241416ffe7780f69f84192e332f6a7a4b022d3b89102d3096ee7789a347",
-        "81752f97b36dc7d06bd9846b20e8943597c45dd6ca3f5110f11812437deab556"),
+        0, "44e2483bfdea1297f66c45ed000feb0de0e0d6dd70b09dd227bb68fb9e32b7d8",
+        "726e966442624f443dcc232fd9c49af0ec9e49c5a82d165f8832a321d33ee282"),
+    # re-recorded with compare_default: the final L2 distance to the CN
+    # reference went 9.807e-3 -> 1.002e-2
     ("evolve", "harmonic"): (
-        0, "a12c45a527d046f1d8f9f4efbe96bfe4ea823a76d719cd56f38acf00bfd95c45",
-        "2be1279b05ea646a81780bfe0af94d5f0c8f77c3c7b5861ace538727a9ec830b"),
+        0, "2aee1d72a64616fcef705497e3a7a429270995f92733c2fdc4adffac494f5339",
+        "eb20573397afc5c0ba3720873af0002e888fb449cf1ee2740497a3312179803d"),
     ("evolve", "free_packet"): (
         0, "ee07922be799200a402546d7a43aa6a34f5c74d9999f7c295d7babd538ac95a1",
         "b2a484191825e4e46489ad3a557dc149af007c1b2f4772c6a0d7bac8fed0e89a"),
@@ -314,7 +321,7 @@ def test_ou_walk_outputs_are_unchanged(tmp_path):
 @pytest.mark.parametrize("command,name", list(SHIPPED_SHA256),
                          ids=[f"{c}-{n}" for c, n in SHIPPED_SHA256])
 def test_shipped_outputs_are_unchanged(command, name, tmp_path):
-    """The CN oracle, the spectral Cayley drift and the moment ladder, to the byte."""
+    """The CN oracle, the spectral gauge step and the moment ladder, to the byte."""
     code = _run(command, f"{name}.json", tmp_path)
     digests = tuple(hashlib.sha256((tmp_path / f"{name}_{command}.{ext}").read_bytes())
                     .hexdigest() for ext in ("csv", "json"))
@@ -429,15 +436,15 @@ def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
     assert "walk_default: []" in lines  # the Gaussian law's CDF is math.erfc
     # the chirp-z steps load the pocketfft extension alone
     assert "audit: ['scipy.fft._pocketfft.pypocketfft']" in lines
-    # the CN, Cayley and drift-diffusion solves load the LAPACK extension
-    # alone: neither scipy.linalg, scipy.fft nor scipy._lib is imported
+    # the CN and drift-diffusion solves load the LAPACK extension alone:
+    # neither scipy.linalg, scipy.fft nor scipy._lib is imported
     assert f"evolve, compare, walk: {EXTENSIONS}" in lines
     assert "scipy.linalg shares the extension: True" in lines  # never a second copy
     assert "scipy.fft shares the extension: True" in lines
 
 
-# a fresh interpreter whose first solves and transforms are compare's rungs,
-# marched on four threads at once: each extension is loaded once, alone
+# a fresh interpreter whose first transforms are compare's rungs, marched on
+# four threads at once: pocketfft is loaded once, alone, and LAPACK not at all
 RACING_SCIPY = """
 import importlib.machinery, os, sys, time
 from gaussprop import cli, propagate
@@ -455,13 +462,13 @@ scenarios, out = sys.argv[1:]
 assert cli.main(["compare", f"{scenarios}/compare_default.json", "--out", out]) == 0
 print("compare:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
       loads.count("scipy.fft._pocketfft.pypocketfft"), loads.count("scipy.linalg._flapack"))
-flapack = sys.modules["scipy.linalg._flapack"]
-import scipy.linalg
-print("scipy.linalg shares the extension:", scipy.linalg.lapack._flapack is flapack)
+pocketfft = sys.modules["scipy.fft._pocketfft.pypocketfft"]
+import scipy.fft
+print("scipy.fft shares the extension:", scipy.fft._pocketfft.basic.pfft is pocketfft)
 """
 
 
-def test_compare_on_threads_loads_the_lapack_extension_once(tmp_path):
+def test_compare_on_threads_loads_only_pocketfft_once(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -469,8 +476,8 @@ def test_compare_on_threads_loads_the_lapack_extension_once(tmp_path):
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert f"compare: {EXTENSIONS} 1 1" in lines
-    assert "scipy.linalg shares the extension: True" in lines
+    assert "compare: ['scipy.fft._pocketfft.pypocketfft'] 1 0" in lines
+    assert "scipy.fft shares the extension: True" in lines
 
 
 def test_compare_scenario(tmp_path):
@@ -493,15 +500,41 @@ SINE_COMPARE = {"name": "sine", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256
                 "compare": {"t_final": 0.5}}
 
 
-def test_compare_falls_back_to_cn_outside_the_quadratic_class(tmp_path, capsys):
-    """A sine drift has no closed-form state: the CN march is the reference."""
+def test_compare_falls_back_to_the_split_march_outside_the_quadratic_class(tmp_path, capsys):
+    """A sine drift has no closed-form state: the Strang split march is the
+    reference, and the first-order ladder fits slope 1 against it."""
     path = tmp_path / "sine.json"
     path.write_text(json.dumps(SINE_COMPARE))
     assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "sine_compare.json").read_text())
-    assert summary["reference"] == "cn"
+    assert summary["reference"] == "split"
     assert summary["eps_ref"] == pytest.approx(0.01)  # the smallest rung / 5
-    assert "against the eps=0.01 CN reference" in capsys.readouterr().out
+    assert abs(summary["slope"] - 1.0) <= 0.02
+    assert "against the eps=0.01 split-step reference" in capsys.readouterr().out
+
+
+def test_the_split_reference_is_an_explicit_strang_march(tmp_path, monkeypatch):
+    """The conjugated spectral march compare takes as its reference is 50
+    Strang steps written out: half phase, free, half phase in the gauge frame
+    chi = exp(-i Lambda) psi."""
+    refs = []
+    distance = cli._l2_distance
+    monkeypatch.setattr(cli, "_l2_distance", lambda a, b, dx: refs.append(b) or distance(a, b, dx))
+    path = tmp_path / "sine.json"
+    path.write_text(json.dumps(SINE_COMPARE))
+    assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    sc = parse_scenario(SINE_COMPARE)
+    grid, spec, eps = sc.grid, sc.spec, 0.01
+    x = grid.x
+    gauge = spec.u.antiderivative(x) / spec.d
+    half = np.exp(-0.5j * eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d)))
+    free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
+    chi = np.exp(-1j * gauge) * sc.packet.build(grid).psi
+    for _ in range(50):  # t_final 0.5
+        chi = half * np.fft.ifft(free * np.fft.fft(half * chi))
+    assert len(refs) == 2
+    for ref in refs:
+        assert np.max(np.abs(ref - np.exp(1j * gauge) * chi)) <= 1e-12
 
 
 # a chirp-z dense ladder whose rungs from the 2nd on cannot resolve the phase
@@ -862,7 +895,7 @@ def _gate_case(tmp_path, name):
             "schedule": {"eps_ladder": [0.32, 0.16, 0.08, 0.04]},
             "audit": {"packets": [{}],
                       "variants": [{"variant": "admissible", "expect": "drifts"}]}}
-    else:  # compare_default's slope is 1.005
+    else:  # compare_default's slope is 1.002
         command, data = "compare", json.loads((SCENARIOS / "compare_default.json").read_text())
         data["compare"]["slope_band"] = [1.5, 2.0]
     path = tmp_path / "gate.json"

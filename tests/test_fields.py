@@ -65,6 +65,42 @@ def test_tabulated_derivative_is_exact_for_a_quadratic_on_uneven_samples():
     assert np.allclose(table.derivative_field().values, 2.0 * xs, rtol=0.0, atol=1e-12)
 
 
+# an uneven table, so each piece has its own slope
+TABLE_XS = np.array([-3.0, -1.7, -0.2, 0.4, 1.9, 3.5])
+TABLE = FieldSpec.tabulated(TABLE_XS, [0.4, -0.3, 1.1, 0.2, -0.8, 0.5])
+
+
+@pytest.mark.parametrize("field,x", [
+    (FieldSpec.constant(0.7), np.linspace(-5.0, 5.0, 11)),
+    (FieldSpec("polynomial", coeffs=(0.3, -0.4, 0.545)), np.linspace(-5.0, 5.0, 11)),
+    (FieldSpec.sine(0.3, 1.7, 0.4), np.linspace(-5.0, 5.0, 11)),
+    (FieldSpec.sine(0.3, 0.0, 0.4), np.linspace(-5.0, 5.0, 11)),
+    (TABLE, np.array([-7.0, -3.2, 3.7, 9.0])),                 # beyond either end
+    (TABLE, 0.5 * (TABLE_XS[1:] + TABLE_XS[:-1])),             # within every piece
+], ids=("constant", "quadratic", "sine", "sine-k0", "table-beyond", "table-pieces"))
+def test_an_antiderivative_differentiates_back_to_its_field(field, x):
+    """Each probe's x +- h stay within one piece of a table, where the
+    integral is quadratic, so the central difference is exact there."""
+    h = 1e-4
+    slope = (field.antiderivative(x + h) - field.antiderivative(x - h)) / (2.0 * h)
+    assert np.max(np.abs(slope - field(x))) <= 1e-8
+
+
+def test_a_table_s_antiderivative_is_the_trapezoid_sum_at_its_nodes():
+    """The piecewise-linear curve's integral: continuous, exact at each node."""
+    trapezoids = np.concatenate(([0.0], np.cumsum(
+        0.5 * (TABLE.values[1:] + TABLE.values[:-1]) * np.diff(TABLE_XS))))
+    assert np.allclose(TABLE.antiderivative(TABLE_XS), trapezoids, rtol=0.0, atol=1e-15)
+    gap = TABLE.antiderivative(TABLE_XS + 1e-12) - TABLE.antiderivative(TABLE_XS - 1e-12)
+    assert np.max(np.abs(gap)) <= 1e-11
+
+
+def test_a_polynomial_or_sine_antiderivative_is_zero_at_zero():
+    for field in (FieldSpec.quadratic(0.545), FieldSpec.sine(0.3, 1.7, 0.4),
+                  FieldSpec.sine(0.3, 0.0, 0.4)):
+        assert field.antiderivative(0.0) == 0.0
+
+
 @pytest.mark.parametrize("xs,values,message", [
     ([0.0, 1.0], [0.0, 1.0], "at least 3 samples"),
     ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),

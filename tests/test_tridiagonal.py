@@ -112,12 +112,13 @@ def test_a_cn_evolution_factors_once(gttrf_calls):
     assert gttrf_calls == [("z", 1024)]
 
 
-def test_a_spectral_evolution_factors_once(gttrf_calls):
+def test_a_drifted_spectral_evolution_factors_nothing(gttrf_calls):
+    """The drift is the step's gauge phase: no tridiagonal solve."""
     grid = make_grid(-20.0, 20.0, 1024)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.5))
     step = spectral_stepper(grid, 0.001, spec)
     last(march(gaussian_packet(grid, x0=0.0, sigma0=1.5), 50, step))
-    assert gttrf_calls == [("z", 1024)]
+    assert gttrf_calls == []
 
 
 def test_a_diffusion_evolution_factors_once(gttrf_calls):
