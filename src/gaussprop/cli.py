@@ -7,12 +7,12 @@ moment tolerance, convergence slope band), 2 the scenario is invalid or
 incomplete for the command, 3 the run aborted for a physics reason (a kernel
 phase unresolvable, a packet at the grid edge, a walk or a moment past float64).
 
-compare measures the kernel steps against the exact Gaussian state when the
-spec has one (constant D, u of degree <= 1 and b a polynomial;
-reference.exact_state) and otherwise against a Strang split-step march of
-step eps_ref (default: the smallest rung / 5) in the gauge frame, second
-order in eps_ref and spectral in x.  The input decides; eps_ref is checked
-for every spec all the same.  evolve measures against Crank-Nicolson.
+compare and evolve measure the kernel against the exact Gaussian state when
+the spec has one (constant D, u of degree <= 1, b a polynomial) and else
+against a Strang split-step march (propagate.split_stepper) of step eps_ref
+(default: the smallest rung / 5) for compare, of evolve's own eps for evolve.
+The input decides; compare checks eps_ref for every spec all the same.  A
+variant has no reference: evolve tabulates none, and compare refuses it.
 
 Every run writes <name>_<command>.csv and .json into --out, else
 $GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -42,8 +41,8 @@ from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
 from .propagate import (METHODS, ValidityError, chirp_z_applies, finals, march,
-                        spectral_stepper, wave_stepper)
-from .reference import cn_stepper, exact_state, has_exact_state, to_hamiltonian
+                        split_stepper, wave_stepper)
+from .reference import exact_evolution, exact_state, has_exact_state
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
 
@@ -62,14 +61,21 @@ def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float) -> float:
 def _run_evolve(sc: Scenario) -> RunResult:
     state0 = sc.packet.build(sc.grid)
     kernel = march(state0, sc.n_steps, wave_stepper(sc.grid, sc.eps, sc.spec, sc.method))
-    reference = itertools.repeat(None)
-    if sc.spec.is_admissible():
-        ham = to_hamiltonian(sc.spec, sc.grid)
-        reference = march(state0, sc.n_steps, cn_stepper(sc.grid, sc.eps, ham))
+    if has_exact_state(sc.spec):
+        p = sc.packet
+        exact = exact_evolution(sc.grid, sc.spec, p.x0, p.sigma0, p.k0)  # built once
+        pairs = ((state, exact(state.time)) for state in kernel)
+        reference, against = "exact", "the exact solution"
+    elif sc.spec.is_admissible():
+        pairs = zip(kernel, march(state0, sc.n_steps, split_stepper(sc.grid, sc.eps, sc.spec)))
+        reference, against = "split", f"the eps={sc.eps:g} split-step reference"
+    else:  # a variant has no Schrodinger reference
+        pairs = ((state, None) for state in kernel)
+        reference = None
 
-    # the two streams advance in lockstep: one row per step, no stored states
+    # the kernel and its reference advance in lockstep: one row per step, no stored states
     rows = []
-    for i, (state, ref) in enumerate(zip(kernel, reference)):
+    for i, (state, ref) in enumerate(pairs):
         mass, mean, var = moments(state)
         err = (_l2_distance(state.psi, ref.psi, sc.grid.dx)
                if ref is not None else float("nan"))
@@ -84,11 +90,12 @@ def _run_evolve(sc: Scenario) -> RunResult:
         "final_norm": final_norm,
         "max_abs_norm_drift": max(abs(row[2] - rows[0][2]) for row in rows),
         "final_l2_error_vs_reference": None if math.isnan(final_err) else final_err,
+        "reference": reference,
     }
     lines = [f"evolve [{sc.method}]: {sc.n_steps} steps of eps={sc.eps:g}, "
              f"final norm {final_norm:.12f}"]
-    if sc.spec.is_admissible():
-        lines.append(f"  final L2 distance to the integrator reference: {final_err:.3e}")
+    if reference is not None:
+        lines.append(f"  final L2 distance to {against}: {final_err:.3e}")
     return RunResult(
         header=("step", "time", "norm", "mean_position", "position_variance",
                 "l2_error_vs_reference"),
@@ -230,8 +237,8 @@ def _steps_for(t_final: float, eps: float, key: str) -> int:
 
 def _run_compare(sc: Scenario) -> RunResult:
     cs = sc.compare
-    # only the split fallback needs H; mapping a variant is a ValueError: exit 2
-    ham = None if has_exact_state(sc.spec) else to_hamiltonian(sc.spec, sc.grid)
+    if not sc.spec.is_admissible():  # no Schrodinger reference: exit 2, before any check
+        raise ValueError("only the admissible variant maps to a Hamiltonian")
     if cs.eps_ref is not None:
         eps_ref, ref_key = cs.eps_ref, "compare.eps_ref"
     else:
@@ -241,22 +248,17 @@ def _run_compare(sc: Scenario) -> RunResult:
     state0 = sc.packet.build(sc.grid)
     runs = [(state0, n, lambda eps=eps: wave_stepper(sc.grid, eps, sc.spec, sc.method))
             for eps, n in zip(sc.eps_ladder, ladder_steps)]
-    if ham is None:
+    if has_exact_state(sc.spec):
         p = sc.packet
         ref = exact_state(sc.grid, sc.spec, p.x0, p.sigma0, p.k0, cs.t_final)
         reference, eps_ref, against = "exact", None, "the exact solution"
     else:
-        # n Strang steps exp(-i eps phi/2) free exp(-i eps phi/2) are
-        # exp(-i eps phi/2) (spectral step)^n exp(+i eps phi/2)
-        half = np.exp(0.5j * eps_ref * ham.phi(sc.grid.x))
-        runs.insert(0, (state0.replace_psi(half * state0.psi, time=state0.time), ref_steps,
-                        lambda: spectral_stepper(sc.grid, eps_ref, sc.spec)))
+        runs.insert(0, (state0, ref_steps, lambda: split_stepper(sc.grid, eps_ref, sc.spec)))
         reference, against = "split", f"the eps={eps_ref:g} split-step reference"
     # a dense rung off the chirp-z class builds an n x n matrix: one at a time
     ends = finals(runs, serial=sc.method == "dense" and not chirp_z_applies(sc.spec))
-    if ham is not None:
-        end = ends.pop(0)
-        ref = end.replace_psi(half.conj() * end.psi, time=end.time)
+    if reference == "split":
+        ref = ends.pop(0)
 
     rows, errors = [], []
     for eps, n, final in zip(sc.eps_ladder, ladder_steps, ends):
@@ -296,7 +298,8 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "evolve": Command(_run_evolve, ("grid", "packet", "spec", "eps", "n_steps"), "method",
-                      "evolve a packet and tabulate norm, moments, and reference error"),
+                      "evolve a packet and tabulate norm, moments, and the distance to "
+                      "the exact or split-step reference"),
     "audit": Command(_run_audit, ("grid", "spec", "audit", "eps_ladder"), None,
                      "measure norm drift for propagator variants over an eps ladder"),
     "moments": Command(_run_moments, ("moments",), None,
@@ -305,7 +308,7 @@ COMMANDS = {
                     "sample random-walk paths and compare the final histogram"),
     "compare": Command(_run_compare, ("grid", "packet", "spec", "eps_ladder", "compare"),
                        "method", "fit the convergence slope against the exact or "
-                                 "integrator reference"),
+                                 "split-step reference"),
 }
 
 _OPTIONS = {
@@ -349,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gaussprop",
         description="Run single-step propagator scenarios: evolve packets, "
                     "audit norm conservation, check kernel moments, sample "
-                    "random walks, compare against the exact or integrator reference.")
+                    "random walks, compare against the exact or split-step reference.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)

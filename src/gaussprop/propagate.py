@@ -51,16 +51,16 @@ source y moves by eta drawn from Normal(u(y) eps, D eps), so
 which keeps mass exact to quadrature precision and drifts forward (mean u t).
 
 Each method has one builder, (grid, eps, spec) -> step, holding its guards
-and its operator: dense_stepper, spectral_stepper and density_stepper here,
-cn_stepper and diffusion_stepper in reference.  One step is builder(...)(state);
+and its operator: dense_stepper, spectral_stepper, split_stepper and
+density_stepper here, diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
 is its final state.  finals marches independent runs side by side, one thread
 per CPU: a step's FFTs and matrix products release the GIL.  side_by_side is
 that thread pool, which the walk's particle chunks share.
 
-The tridiagonal solves of the Crank-Nicolson and drift-diffusion oracles in
-reference call LAPACK gttrf/gttrs from scipy.linalg._flapack, and the
-chirp-z and spectral steps' FFTs call pocketfft from
+The drift-diffusion oracle's tridiagonal solves in reference call LAPACK
+dgttrf/dgttrs from scipy.linalg._flapack, and the chirp-z, spectral and
+split steps' FFTs call pocketfft from
 scipy.fft._pocketfft.pypocketfft, which keeps its plans between calls.  Each
 compiled extension is loaded alone, on the first operator that needs it, so
 no command imports the scipy.linalg or scipy.fft package.
@@ -283,8 +283,8 @@ def _in_place_ffts():
 
 
 def get_lapack_funcs(names, arrays):
-    """The LAPACK routines `names`, complex (z) if any of `arrays` is, else
-    double (d), as scipy.linalg.get_lapack_funcs picks them for these arrays.
+    """The double (d) LAPACK routines `names` for the real `arrays`, as
+    scipy.linalg.get_lapack_funcs picks them; complex arrays are refused.
 
     They are taken from the compiled extension scipy.linalg._flapack, loaded
     under its own name without running scipy.linalg's __init__: that package
@@ -292,28 +292,22 @@ def get_lapack_funcs(names, arrays):
     about 25 MB and 0.2-0.3 s a process for two routines.  A scipy.linalg
     imported before or after shares the one registered module, so the
     routines are the very same objects."""
+    if any(np.iscomplexobj(a) for a in arrays):
+        raise TypeError("only real tridiagonal systems are solved")
     module = _extension(_FLAPACK)
-    prefix = "z" if any(np.iscomplexobj(a) for a in arrays) else "d"
-    return [getattr(module, prefix + name) for name in names]
+    return [getattr(module, "d" + name) for name in names]
 
 
 class Tridiagonal:
-    """The matrix with finite bands (lower, diag, upper).  solve LU-factors it
-    once (LAPACK gttrf, complex if any band is), then each solve is one O(n)
-    gttrs sweep, bit for bit what solve_banded gives by re-factoring."""
+    """The real matrix with finite bands (lower, diag, upper).  solve LU-factors
+    it once (LAPACK dgttrf), then each solve is one O(n) gttrs sweep, bit for
+    bit what solve_banded gives by re-factoring."""
 
     def __init__(self, lower, diag, upper):
         self.bands = (lower, diag, upper)
         if not all(np.isfinite(band).all() for band in self.bands):
             raise ValueError("tridiagonal bands must be finite")
         self._lu = None
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self.bands
-        out = diag * v
-        out[:-1] += upper * v[1:]
-        out[1:] += lower * v[:-1]
-        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._lu is None:
@@ -326,26 +320,19 @@ class Tridiagonal:
         return gttrs(*factors, rhs)[0]
 
 
-def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
-    """One step via the factorized kernel on the periodic grid, in the gauge frame.
-
-    For an admissible spec only: exp(-i (eps phi + Lambda)), the free
-    multiplier exp(-i D eps k^2/2) between the FFT pair, and exp(i Lambda),
-    with Lambda the integral of u/D and phi = b - u^2/(2D).  phi acts to
-    O(eps), the drift and the free quadratic-phase convolution exactly.
-    Each factor is unitary, so the step conserves the norm to round-off.
-    """
+def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):
     # Fields are static, so every factor of the step is built once; only the
-    # boundary-decay check runs on every state.
+    # boundary-decay check runs on every state.  The share `after` of the
+    # potential phase eps phi acts after the free multiplier, the rest before.
     check_eps(eps)
     if not spec.is_admissible():
         raise ValueError("the spectral path assumes an admissible parameter set; "
                          f"variant {spec.variant!r} must use the dense path")
     x = grid.x
     gauge = spec.u.antiderivative(x) / spec.d
-    phi = spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d)
-    pre = np.exp(-1j * (eps * phi + gauge))
-    post = np.exp(1j * gauge)
+    kick = eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d))
+    pre = np.exp(-1j * ((1.0 - after) * kick + gauge))
+    post = np.exp(1j * (gauge - after * kick))
     free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
     fft, ifft = _in_place_ffts()
 
@@ -357,6 +344,25 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
                                  time=state.time + eps)
 
     return step
+
+
+def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+    """One step via the factorized kernel on the periodic grid, in the gauge frame.
+
+    For an admissible spec only: exp(-i (eps phi + Lambda)), the free
+    multiplier exp(-i D eps k^2/2) between the FFT pair, and exp(i Lambda),
+    with Lambda the integral of u/D and phi = b - u^2/(2D).  phi acts to
+    O(eps), the drift and the free quadratic-phase convolution exactly.
+    Each factor is unitary, so the step conserves the norm to round-off.
+    """
+    return _gauge_stepper(grid, eps, spec, 0.0)
+
+
+def split_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+    """The spectral step with eps phi halved on either side of the free
+    multiplier: a Strang split step of the Schrodinger equation in the gauge
+    frame (Feit, Fleck & Steiger 1982), second order in eps, spectral in x."""
+    return _gauge_stepper(grid, eps, spec, 0.5)
 
 
 def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):

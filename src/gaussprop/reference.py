@@ -1,4 +1,4 @@
-"""Method-independent oracles: Crank-Nicolson Schrodinger and drift-diffusion.
+"""Method-independent oracles: the Schrodinger Hamiltonian and drift-diffusion.
 
 The admissible propagator parameters (D, u, b) map onto a minimally coupled
 Hamiltonian H = (p - A)^2/(2m) + phi with hbar = 1 and unit charge:
@@ -15,11 +15,15 @@ discretized here with the compact second difference and the symmetrized
 drift (1/2m)(A psi' + (A psi)'), which makes the discrete generator exactly
 anti-Hermitian for real fields.  The same H is assembled independently as a
 tridiagonal operator from p = -i * central difference, so the expansion can
-be checked against -i H psi term by term.  Crank-Nicolson (the Cayley form
-of exp(-i eps H)) then conserves the norm to solver round-off.  It is the
-reference of the evolve command and of acceptance criterion 6; compare
-takes the exact state below, else the Strang split of the same H in the
-gauge frame, which needs no spatial stencil.
+be checked against -i H psi term by term (acceptance criterion 6).
+
+For constant D, u of degree <= 1 and b a polynomial (FieldSpec.degree) the
+Schrodinger state of a Gaussian packet is known in closed form
+(exact_evolution), with neither a time step nor a spatial stencil: in 1D
+A = Lambda' is a pure gauge, phi = b - A^2/(2m) is quadratic, and a Gaussian
+stays Gaussian (Heller 1975, J. Chem. Phys. 62, 1544; Littlejohn 1986, Phys.
+Rep. 138, 193).  It is the reference of compare and evolve in that class;
+elsewhere both take the Strang split of the same H, propagate.split_stepper.
 
 The real kernel's oracle is the drift-diffusion equation
 
@@ -29,16 +33,9 @@ the continuum limit of the Gaussian step-length law, discretized in flux
 form with Scharfetter-Gummel faces and no-flux ends: mass is conserved to
 round-off and the implicit (backward Euler) step keeps P nonnegative
 (M-matrix), with no step-size stability bound.  A face whose weight
-exponential overflows float64 is refused (ValidityError).
-
-Each oracle LU-factors its implicit tridiagonal operator once (LAPACK gttrf),
-so a step is one O(n) gttrs solve, streamed by propagate.march to the final state.
-
-For constant D, u of degree <= 1 and b a polynomial (FieldSpec.degree) the
-Schrodinger state of a Gaussian packet is known in closed form (exact_state),
-with neither a time step nor a spatial stencil: in 1D A = Lambda' is a pure
-gauge, phi = b - A^2/(2m) is quadratic, and a Gaussian stays Gaussian
-(Heller 1975, J. Chem. Phys. 62, 1544; Littlejohn 1986, Phys. Rep. 138, 193).
+exponential overflows float64 is refused (ValidityError).  The oracle
+LU-factors its implicit tridiagonal operator once (LAPACK gttrf), so a step
+is one O(n) gttrs solve, streamed by propagate.march to the final state.
 """
 
 from __future__ import annotations
@@ -116,9 +113,7 @@ def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid):
     rhs_apply's expanded stencils.
     """
     n, dx, m = grid.n, grid.dx, ham.m
-    # complex: numpy divides a complex array by a real scalar through its
-    # reciprocal, a real one exactly, and the bands keep the complex rounding
-    a = ham.a_field(grid.x).astype(complex)
+    a = ham.a_field(grid.x)
     diag = np.full(n, 1.0 / (m * dx ** 2), dtype=complex)
     diag += a ** 2 / (2.0 * m) + ham.phi(grid.x)
     off = -0.5 / (m * dx ** 2)
@@ -131,21 +126,6 @@ def hermiticity_check(ham: HamiltonianSpec, grid: Grid) -> float:
     lower, diag, upper = hamiltonian_diagonals(ham, grid)
     return float(max(np.max(np.abs(upper - np.conj(lower))),
                      np.max(np.abs(diag.imag))))
-
-
-def cn_stepper(grid: Grid, eps: float, ham: HamiltonianSpec):
-    """One Cayley step (1 + i eps H/2)^-1 (1 - i eps H/2); unitary to round-off."""
-    check_eps(eps)
-    lower, diag, upper = hamiltonian_diagonals(ham, grid)
-    half = 0.5j * eps
-    explicit = Tridiagonal(-half * lower, 1.0 - half * diag, -half * upper)
-    implicit = Tridiagonal(half * lower, 1.0 + half * diag, half * upper)
-
-    def step(state: WaveState) -> WaveState:
-        return state.replace_psi(implicit.solve(explicit.apply(state.psi)),
-                                 time=state.time + eps)
-
-    return step
 
 
 def has_exact_state(spec: PropagatorSpec) -> bool:
@@ -180,9 +160,8 @@ def _fundamental(omega2: float, time: float) -> tuple[float, float, float, float
     return c, s, (1.0 - c) / omega2, (t - s * c) / (2.0 * omega2)
 
 
-def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
-                k0: float, time: float) -> WaveState:
-    """The exact Schrodinger state at time of gaussian_packet(grid, x0, sigma0, k0).
+def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, k0: float):
+    """time -> the exact Schrodinger state at time of gaussian_packet(grid, x0, sigma0, k0).
 
     to_hamiltonian gives A = a0 + a1 x and phi = v0 + v1 x + v2 x^2.  The gauge
     Lambda = a0 x + a1 x^2/2, whose Lambda' is A, turns H into p^2/(2m) + phi,
@@ -193,8 +172,8 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
     log w follows its branch continuously in time.  gamma at time 0 carries
     the packet's discrete normalization, so time 0 gives the built packet to
     round-off.  Raises ValueError for a spec outside has_exact_state's class,
-    and BoundaryDecayError if the state has reached the grid edges or its
-    closed form overflows (an inverted oscillator spreads it exponentially).
+    and at a time BoundaryDecayError if the state has reached the grid edges
+    or its closed form overflows (an inverted oscillator spreads it).
     """
     if not has_exact_state(spec):
         raise ValueError("the exact state needs the admissible variant, u a polynomial "
@@ -202,8 +181,6 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
                          f"{spec.variant}, u {_shape(spec.u)}, b {_shape(spec.b)}")
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-    if not math.isfinite(time):
-        raise ValueError(f"time must be finite, got {time}")
     ham = to_hamiltonian(spec, grid)
     m = ham.m
     a0, a1 = (*ham.a_field.coeffs, 0.0, 0.0)[:2]
@@ -213,38 +190,50 @@ def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
     alpha0 = complex(-0.25 / sigma0 ** 2, -0.5 * a1)  # the packet times e^{-i Lambda}
     beta0 = complex(0.5 * x0 / sigma0 ** 2, k0 - a0)
     gamma0 = -0.25 * x0 ** 2 / sigma0 ** 2 - math.log(scale)
+    omega2 = 2.0 * v2 / m
+    dw0 = -2j * alpha0 / m
 
-    t, omega2 = time, 2.0 * v2 / m
-    try:  # cosh, sinh and the squares overflow once the packet has spread far
-        c, s, s1, q = _fundamental(omega2, t)
-        # w turns half a period about 0 each pi/omega when omega2 > 0
-        half_turns = round(math.sqrt(omega2) * t / math.pi) if omega2 > 0.0 else 0
-        dw0 = -2j * alpha0 / m
-        w, dw = c + dw0 * s, -omega2 * s + dw0 * c
-        big_w = s + dw0 * s1  # the integral of w
-        # (-1)^n w with n = half_turns never crosses the negative real axis
-        turned = -w if half_turns % 2 else w
-        log_w = complex(math.log(abs(w)),
-                        math.atan2(turned.imag, turned.real) + math.pi * half_turns)
-        beta = (beta0 - 1j * v1 * big_w) / w
-        # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
-        i0 = s / w
-        i1 = big_w * s / w - s1
-        i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
-        beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
-        gamma = gamma0 - 0.5 * log_w - 1j * v0 * t + 0.5j / m * beta_sq
-        alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
-        beta = beta + 1j * a0
-        with np.errstate(all="ignore"):
-            psi = np.exp((alpha * x + beta) * x + gamma)
-    except OverflowError:
-        psi = None
-    if psi is None or not np.isfinite(psi.view(float)).all():
-        raise BoundaryDecayError(f"the exact state at time {t:g} overflows: the packet "
-                                 "has spread far past the grid")
-    state = WaveState(grid, psi, time=t)
-    check_boundary_decay(state)
-    return state
+    def at(time: float) -> WaveState:
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, got {time}")
+        try:  # cosh, sinh and the squares overflow once the packet has spread far
+            c, s, s1, q = _fundamental(omega2, time)
+            # w turns half a period about 0 each pi/omega when omega2 > 0
+            half_turns = round(math.sqrt(omega2) * time / math.pi) if omega2 > 0.0 else 0
+            w, dw = c + dw0 * s, -omega2 * s + dw0 * c
+            big_w = s + dw0 * s1  # the integral of w
+            # (-1)^n w with n = half_turns never crosses the negative real axis
+            turned = -w if half_turns % 2 else w
+            log_w = complex(math.log(abs(w)),
+                            math.atan2(turned.imag, turned.real) + math.pi * half_turns)
+            beta = (beta0 - 1j * v1 * big_w) / w
+            # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
+            i0 = s / w
+            i1 = big_w * s / w - s1
+            i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
+            beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
+            gamma = gamma0 - 0.5 * log_w - 1j * v0 * time + 0.5j / m * beta_sq
+            alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
+            beta = beta + 1j * a0
+            with np.errstate(all="ignore"):  # exp((alpha x + beta) x + gamma), in place
+                psi = alpha * x
+                psi += beta
+                psi *= x
+                psi += gamma
+                state = WaveState(grid, np.exp(psi, out=psi), time=time)
+        except (OverflowError, ValueError):  # the ValueError: WaveState refuses a non-finite psi
+            raise BoundaryDecayError(f"the exact state at time {time:g} overflows: the packet "
+                                     "has spread far past the grid") from None
+        check_boundary_decay(state)
+        return state
+
+    return at
+
+
+def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
+                k0: float, time: float) -> WaveState:
+    """exact_evolution(grid, spec, x0, sigma0, k0) at the one time."""
+    return exact_evolution(grid, spec, x0, sigma0, k0)(time)
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

@@ -35,7 +35,9 @@ def test_evolve_free_packet(tmp_path):
     assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
     summary = json.loads((tmp_path / "free_packet_evolve.json").read_text())
     assert summary["final_norm"] == pytest.approx(1.0, abs=1e-9)
-    assert summary["final_l2_error_vs_reference"] < 1e-3
+    assert summary["reference"] == "exact"
+    # the spectral step is exact for a free packet: only the grid's error is left
+    assert summary["final_l2_error_vs_reference"] <= 1e-8
     assert summary["max_abs_norm_drift"] < 1e-9
 
 
@@ -219,13 +221,17 @@ SHIPPED_SHA256 = {
         0, "44e2483bfdea1297f66c45ed000feb0de0e0d6dd70b09dd227bb68fb9e32b7d8",
         "726e966442624f443dcc232fd9c49af0ec9e49c5a82d165f8832a321d33ee282"),
     # re-recorded with compare_default: the final L2 distance to the CN
-    # reference went 9.807e-3 -> 1.002e-2
+    # reference went 9.807e-3 -> 1.002e-2.  Both evolve pins re-recorded when
+    # evolve took the exact state as its reference instead of CN at the
+    # kernel's eps, and its summary gained "reference": "exact".  The final
+    # L2 distance went 1.002e-2 -> 8.564e-3 (harmonic) and 3.235e-5 ->
+    # 4.643e-9 (free_packet); the kernel's states and norms did not move
     ("evolve", "harmonic"): (
-        0, "2aee1d72a64616fcef705497e3a7a429270995f92733c2fdc4adffac494f5339",
-        "eb20573397afc5c0ba3720873af0002e888fb449cf1ee2740497a3312179803d"),
+        0, "e02f10896a2fc9c02a16966f3e88ea926e23ec60682e004808f920093c250701",
+        "0e71986e42c5934ca2595e113e728e6dc352d7b4f3a8c81e86edf45793433ac0"),
     ("evolve", "free_packet"): (
-        0, "ee07922be799200a402546d7a43aa6a34f5c74d9999f7c295d7babd538ac95a1",
-        "b2a484191825e4e46489ad3a557dc149af007c1b2f4772c6a0d7bac8fed0e89a"),
+        0, "22065f4da2920f3afc89b65f881bbaf9667c6f8e8301161439b79dacd9e592f6",
+        "9882ce4d4819f5ba34443da12dffcaf5a4b5fea38bc24e4c7a3d13c1d6c78cb1"),
     # re-recorded when the monomials became exact products and a ladder
     # derived its three rungs from one complex exponential: each quadrature
     # value moved by <= 2.7e-11 of its closed form, the exit codes did not
@@ -321,7 +327,7 @@ def test_ou_walk_outputs_are_unchanged(tmp_path):
 @pytest.mark.parametrize("command,name", list(SHIPPED_SHA256),
                          ids=[f"{c}-{n}" for c, n in SHIPPED_SHA256])
 def test_shipped_outputs_are_unchanged(command, name, tmp_path):
-    """The CN oracle, the spectral gauge step and the moment ladder, to the byte."""
+    """The exact reference, the spectral gauge step and the moment ladder, to the byte."""
     code = _run(command, f"{name}.json", tmp_path)
     digests = tuple(hashlib.sha256((tmp_path / f"{name}_{command}.{ext}").read_bytes())
                     .hexdigest() for ext in ("csv", "json"))
@@ -394,7 +400,7 @@ def test_kernel_matrix_beyond_its_bound_exits_two_before_allocating(spec, tmp_pa
 
 # run in a fresh interpreter: the commands that neither solve nor transform,
 # and a walk with a constant drift, must not import scipy; those that do load
-# only its LAPACK and pocketfft extensions
+# only its pocketfft extension, and the walk's oracle its LAPACK extension too
 LAZY_SCIPY = """
 import sys
 from gaussprop import cli
@@ -408,8 +414,9 @@ assert cli.main(["walk", f"{scenarios}/walk_default.json", "--out", out]) == 0
 print("walk_default:", scipy_modules())
 assert cli.main(["audit", f"{scenarios}/variants_audit.json", "--out", out]) == 0
 print("audit:", scipy_modules())
-for command, path in (("evolve", f"{scenarios}/free_packet.json"),
-                      ("compare", f"{scenarios}/compare_default.json"), ("walk", ou_walk)):
+assert cli.main(["evolve", f"{scenarios}/free_packet.json", "--out", out]) == 0
+print("evolve:", scipy_modules())
+for command, path in (("compare", f"{scenarios}/compare_default.json"), ("walk", ou_walk)):
     assert cli.main([command, path, "--out", out]) == 0
 print("evolve, compare, walk:", scipy_modules())
 flapack = sys.modules["scipy.linalg._flapack"]
@@ -436,7 +443,8 @@ def test_scipy_is_imported_only_by_the_commands_that_solve(tmp_path):
     assert "walk_default: []" in lines  # the Gaussian law's CDF is math.erfc
     # the chirp-z steps load the pocketfft extension alone
     assert "audit: ['scipy.fft._pocketfft.pypocketfft']" in lines
-    # the CN and drift-diffusion solves load the LAPACK extension alone:
+    assert "evolve: ['scipy.fft._pocketfft.pypocketfft']" in lines  # no solve: no LAPACK
+    # the drift-diffusion solves load the LAPACK extension alone:
     # neither scipy.linalg, scipy.fft nor scipy._lib is imported
     assert f"evolve, compare, walk: {EXTENSIONS}" in lines
     assert "scipy.linalg shares the extension: True" in lines  # never a second copy
@@ -488,7 +496,7 @@ def test_compare_scenario(tmp_path):
     assert lo <= summary["slope"] <= hi
     assert summary["l2_errors"] == sorted(summary["l2_errors"], reverse=True)
     assert summary["reference"] == "exact"
-    assert summary["eps_ref"] is None  # the CN fallback's step, unused here
+    assert summary["eps_ref"] is None  # the split fallback's step, unused here
     assert len(summary["local_slopes"]) == len(summary["eps_ladder"]) - 1
     assert all(lo <= s <= hi for s in summary["local_slopes"])
 
@@ -514,27 +522,64 @@ def test_compare_falls_back_to_the_split_march_outside_the_quadratic_class(tmp_p
 
 
 def test_the_split_reference_is_an_explicit_strang_march(tmp_path, monkeypatch):
-    """The conjugated spectral march compare takes as its reference is 50
-    Strang steps written out: half phase, free, half phase in the gauge frame
-    chi = exp(-i Lambda) psi."""
+    """compare's reference, and evolve's at every step, is the Strang march
+    written out: half phase, free, half phase in the gauge frame
+    chi = exp(-i Lambda) psi.  Both march 50 steps of 0.01 here."""
     refs = []
     distance = cli._l2_distance
     monkeypatch.setattr(cli, "_l2_distance", lambda a, b, dx: refs.append(b) or distance(a, b, dx))
-    path = tmp_path / "sine.json"
-    path.write_text(json.dumps(SINE_COMPARE))
-    assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    evolve = {**SINE_COMPARE, "schedule": {"eps": 0.01, "n_steps": 50}}
+    for command, data in (("compare", SINE_COMPARE), ("evolve", evolve)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "sine_evolve.json").read_text())["reference"] == "split"
     sc = parse_scenario(SINE_COMPARE)
     grid, spec, eps = sc.grid, sc.spec, 0.01
     x = grid.x
     gauge = spec.u.antiderivative(x) / spec.d
     half = np.exp(-0.5j * eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d)))
     free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-    chi = np.exp(-1j * gauge) * sc.packet.build(grid).psi
+    chis = [np.exp(-1j * gauge) * sc.packet.build(grid).psi]
     for _ in range(50):  # t_final 0.5
-        chi = half * np.fft.ifft(free * np.fft.fft(half * chi))
-    assert len(refs) == 2
-    for ref in refs:
+        chis.append(half * np.fft.ifft(free * np.fft.fft(half * chis[-1])))
+    assert len(refs) == 2 + 51  # compare's two rungs, then evolve's start and 50 steps
+    for ref, chi in zip(refs, chis[-1:] * 2 + chis, strict=True):
         assert np.max(np.abs(ref - np.exp(1j * gauge) * chi)) <= 1e-12
+
+
+def test_the_dense_kernel_is_second_order_per_step_against_the_split_reference(tmp_path):
+    """One dense step of a sine drift, with no closed-form state, sits
+    O(eps^2) from one Strang step of the same eps."""
+    errors = []
+    for eps in (0.4, 0.2):
+        data = {**SINE_COMPARE, "grid": {"x_min": -10.0, "x_max": 10.0, "n": 512},
+                "schedule": {"eps": eps, "n_steps": 1}, "method": "dense"}
+        path = tmp_path / "sine.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "sine_evolve.json").read_text())
+        assert summary["reference"] == "split"
+        errors.append(summary["final_l2_error_vs_reference"])
+    order = np.log(errors[0] / errors[1]) / np.log(2.0)
+    assert order == pytest.approx(2.0, abs=0.1)
+
+
+def test_evolve_holds_one_state_at_a_time():
+    """500 steps of harmonic at n = 4096 against the exact state: a stored
+    trajectory of either stream would peak at ~32 MiB."""
+    sc = parse_scenario({**json.loads((SCENARIOS / "harmonic.json").read_text()),
+                         "schedule": {"eps": 0.01, "n_steps": 500}})
+    tracemalloc.start()
+    try:
+        result = cli._run_evolve(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.summary["reference"] == "exact" and len(result.rows) == 501
+    rows = sys.getsizeof(result.rows) + sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in result.rows)
+    assert peak < 2 * 2 ** 20 + rows
 
 
 # a chirp-z dense ladder whose rungs from the 2nd on cannot resolve the phase
@@ -554,7 +599,7 @@ def _set_cpus(monkeypatch, count):
     (FAILING_LADDER, 3, "error: aborted at step 0: dense step cannot resolve the kernel "
                         "phase: phase step 3.472 rad vs pi (unresolved; eps >= 0.1105 "
                         "recommended)\n"),
-], ids=("compare_default", "sine-cn", "failing-ladder"))
+], ids=("compare_default", "sine-split", "failing-ladder"))
 def test_threaded_and_serial_compare_agree(data, code, err, tmp_path, monkeypatch, capsys):
     """compare marches its runs side by side: exit code, error and outputs are
     those of marching them one after another, the first failing rung's."""

@@ -13,8 +13,9 @@ from gaussprop.audit import predicted_drift_rate
 from gaussprop.fields import (BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
                               gaussian_packet, make_grid, moments, norm)
 from gaussprop.propagate import (ValidityError, _dense_matrix, dense_operator, dense_stepper,
-                                 density_stepper, last, march, spectral_stepper, wave_stepper)
-from gaussprop.reference import cn_stepper, diffusion_stepper, to_hamiltonian
+                                 density_stepper, last, march, spectral_stepper, split_stepper,
+                                 wave_stepper)
+from gaussprop.reference import diffusion_stepper
 
 FREE = PropagatorSpec(d=1.0)
 DRIFTED = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.2), b=FieldSpec.sine(0.3, 1.0))
@@ -189,7 +190,7 @@ def test_finals_are_the_serial_loop_bit_for_bit(cpus, monkeypatch):
     state = gaussian_packet(grid, x0=0.0, sigma0=1.0, k0=0.5)
     runs = [(state, n, lambda eps=eps: spectral_stepper(grid, eps, DRIFTED))
             for eps, n in ((0.04, 10), (0.02, 20), (0.01, 40))]
-    runs.append((state, 20, lambda: cn_stepper(grid, 0.02, to_hamiltonian(DRIFTED, grid))))
+    runs.append((state, 20, lambda: split_stepper(grid, 0.02, DRIFTED)))
     # chirp-z rungs: each dense operator transforms in a buffer of its own
     runs += [(state, n, lambda eps=eps: dense_stepper(grid, eps, DRIFTED))
              for eps, n in ((0.2, 5), (0.15, 8))]
@@ -348,7 +349,7 @@ EPS_BUILDERS = {
     "dense": dense_stepper,
     "spectral": spectral_stepper,
     "density": density_stepper,
-    "cn": lambda grid, eps, spec: cn_stepper(grid, eps, to_hamiltonian(spec, grid)),
+    "split": split_stepper,
     "diffusion": diffusion_stepper,
 }
 
@@ -380,17 +381,15 @@ def test_spectral_evolve_builds_its_factors_once():
     assert len(stream) == 5
 
 
-@pytest.mark.parametrize("method", ("spectral", "cn"))
+@pytest.mark.parametrize("method", ("spectral", "split"))
 def test_evolutions_hold_one_state_at_a_time(method):
     """500 steps at n = 4096: a stored trajectory would peak at ~32 MiB."""
     grid = make_grid(-20.0, 20.0, 4096)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.545))
-    ham = to_hamiltonian(spec, grid)
     tracemalloc.start()
     try:
-        step = (cn_stepper(grid, 0.001, ham) if method == "cn"
-                else spectral_stepper(grid, 0.001, spec))
+        step = (split_stepper if method == "split" else spectral_stepper)(grid, 0.001, spec)
         norms = [norm(s) for s in march(state, 500, step)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:

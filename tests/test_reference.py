@@ -3,8 +3,8 @@ import pytest
 
 from gaussprop.fields import (VARIANTS, BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
                               gaussian_packet, make_grid, moments, norm)
-from gaussprop.propagate import ValidityError, last, march
-from gaussprop.reference import (HamiltonianSpec, cn_stepper, diffusion_stepper, exact_state,
+from gaussprop.propagate import ValidityError, last, march, split_stepper
+from gaussprop.reference import (HamiltonianSpec, diffusion_stepper, exact_state,
                                  hamiltonian_diagonals, has_exact_state, hermiticity_check,
                                  rhs_apply, to_hamiltonian)
 
@@ -86,27 +86,12 @@ def test_hermiticity_real_fields():
     assert hermiticity_check(ham, GRID) <= 1e-12
 
 
-def test_cn_step_is_unitary():
-    ham = HamiltonianSpec(m=1.0, phi=FieldSpec.quadratic(0.5))
-    state = gaussian_packet(GRID, x0=1.0, sigma0=0.8)
-    out = cn_stepper(GRID, 0.01, ham)(state)
-    assert norm(out) == pytest.approx(norm(state), abs=1e-12)
-    assert out.time == pytest.approx(0.01)
-
-
-def test_cn_step_rejects_nonpositive_eps():
-    ham = HamiltonianSpec(m=1.0)
-    state = gaussian_packet(GRID, x0=0.0, sigma0=1.0)
-    with pytest.raises(ValueError):
-        cn_stepper(GRID, 0.0, ham)(state)
-
-
 def test_harmonic_coherent_state_oscillates():
     """<x>(t) = x0 cos(t) for m = 1, phi = x^2/2; the width never breathes."""
     grid = make_grid(-10.0, 10.0, 1024)
-    ham = to_hamiltonian(PropagatorSpec(d=1.0, b=FieldSpec.quadratic(0.5)), grid)
+    spec = PropagatorSpec(d=1.0, b=FieldSpec.quadratic(0.5))
     state = gaussian_packet(grid, x0=1.0, sigma0=np.sqrt(0.5))
-    stream = list(march(state, 400, cn_stepper(grid, 0.005, ham)))
+    stream = list(march(state, 400, split_stepper(grid, 0.005, spec)))
     _, mean, var = moments(stream[-1])
     assert mean == pytest.approx(np.cos(2.0), abs=1e-3)
     assert var == pytest.approx(0.5, abs=5e-3)
@@ -317,30 +302,3 @@ def test_exact_state_reads_a_zero_quadratic_drift_as_no_drift():
 def test_exact_state_refuses_a_state_at_the_edges():
     with pytest.raises(BoundaryDecayError):
         exact_state(make_grid(-5.0, 5.0, 256), PropagatorSpec(d=1.0), 0.0, 0.3, 0.0, 5.0)
-
-
-def _cn_error(n, eps):
-    grid = make_grid(-20.0, 20.0, n)
-    start = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0)
-    final = last(march(start, round(1.0 / eps),
-                       cn_stepper(grid, eps, to_hamiltonian(HARMONIC, grid))))
-    gap = final.psi - exact_state(grid, HARMONIC, 0.0, 1.5, 1.0, 1.0).psi
-    return np.sqrt(np.sum(np.abs(gap) ** 2) * grid.dx)
-
-
-def test_cn_converges_to_the_exact_state_at_second_order_in_eps():
-    """At compare_default's dx = 0.0098 CN's spatial floor, 1.3e-4, is 15% of
-    the eps = 0.00625 error and bends the fit to 1.89; at a 4x finer dx the
-    floor is 16x smaller and the time error alone is left."""
-    ladder = (0.025, 0.0125, 0.00625)
-    errors = [_cn_error(4 * 4096, eps) for eps in ladder]
-    order = float(np.polyfit(np.log(ladder), np.log(errors), 1)[0])
-    assert order == pytest.approx(2.0, abs=0.05)
-
-
-def test_cn_converges_to_the_exact_state_at_second_order_in_dx():
-    """At eps = 1e-3 the second differences' error dominates for dx >= 0.039."""
-    ns = (256, 512, 1024)
-    errors = [_cn_error(n, 1e-3) for n in ns]
-    order = float(np.polyfit(np.log([40.0 / n for n in ns]), np.log(errors), 1)[0])
-    assert order == pytest.approx(2.0, abs=0.05)

@@ -9,8 +9,7 @@ from scipy.linalg import get_lapack_funcs, solve_banded
 from gaussprop import propagate
 from gaussprop.fields import FieldSpec, PropagatorSpec, RealState, gaussian_packet, make_grid
 from gaussprop.propagate import Tridiagonal, last, march, spectral_stepper
-from gaussprop.reference import (HamiltonianSpec, _diffusion_diagonals, cn_stepper,
-                                 diffusion_stepper, hamiltonian_diagonals)
+from gaussprop.reference import _diffusion_diagonals, diffusion_stepper
 
 
 def _banded_solve(lower, diag, upper, rhs):
@@ -22,23 +21,6 @@ def _banded_solve(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _cn_bands(n):
-    grid = make_grid(-20.0, 20.0, n)
-    ham = HamiltonianSpec(m=1.0, a_field=FieldSpec.linear(0.3), phi=FieldSpec.quadratic(0.545))
-    lower, diag, upper = hamiltonian_diagonals(ham, grid)
-    half = 0.5j * 0.0005
-    rhs = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0).psi
-    return (half * lower, 1.0 + half * diag, half * upper), rhs
-
-
-def _cayley_bands(n):
-    grid = make_grid(-20.0, 20.0, n)
-    u = FieldSpec.linear(0.3)(grid.x)
-    half_face = 0.5 * 0.0025 * ((u[:-1] + u[1:]) / (4.0 * grid.dx)) + 0j
-    rhs = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0).psi
-    return (half_face, np.ones(n), -half_face), rhs
-
-
 def _diffusion_bands(n):
     grid = make_grid(-10.0, 10.0, n)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(-0.5))
@@ -48,8 +30,7 @@ def _diffusion_bands(n):
     return (eps * lower, 1.0 + eps * diag, eps * upper), rhs
 
 
-@pytest.mark.parametrize("bands", (_cn_bands, _cayley_bands, _diffusion_bands),
-                         ids=("cn", "spectral-cayley", "diffusion"))
+@pytest.mark.parametrize("bands", (_diffusion_bands,), ids=("diffusion",))
 def test_solve_is_bit_identical_to_the_banded_solve(bands):
     (lower, diag, upper), rhs = bands(4096)
     op = Tridiagonal(lower, diag, upper)
@@ -59,15 +40,7 @@ def test_solve_is_bit_identical_to_the_banded_solve(bands):
     assert np.array_equal(op.solve(2.0 * rhs), _banded_solve(lower, diag, upper, 2.0 * rhs))
 
 
-def test_apply_is_the_band_product():
-    (lower, diag, upper), v = _cn_bands(64)
-    dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
-    assert np.allclose(Tridiagonal(lower, diag, upper).apply(v), dense @ v,
-                       rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.parametrize("bands", (_cn_bands, _cayley_bands, _diffusion_bands),
-                         ids=("cn", "spectral-cayley", "diffusion"))
+@pytest.mark.parametrize("bands", (_diffusion_bands,), ids=("diffusion",))
 def test_the_routines_are_scipy_linalg_s_own(bands):
     """scipy.linalg is imported (above), so both share the one loaded extension."""
     arrays = bands(8)[0]
@@ -103,13 +76,6 @@ def _counted(gttrf, calls):
         calls.append((gttrf.typecode, diag.size))
         return gttrf(lower, diag, upper)
     return factor
-
-
-def test_a_cn_evolution_factors_once(gttrf_calls):
-    grid = make_grid(-20.0, 20.0, 1024)
-    ham = HamiltonianSpec(m=1.0, a_field=FieldSpec.linear(0.3), phi=FieldSpec.quadratic(0.5))
-    last(march(gaussian_packet(grid, x0=0.0, sigma0=1.5), 50, cn_stepper(grid, 0.001, ham)))
-    assert gttrf_calls == [("z", 1024)]
 
 
 def test_a_drifted_spectral_evolution_factors_nothing(gttrf_calls):
@@ -152,3 +118,10 @@ def test_a_non_finite_band_is_rejected_at_build(band, bad):
     bands[band][2] = bad
     with pytest.raises(ValueError, match="bands must be finite"):
         Tridiagonal(*bands)
+
+
+def test_complex_bands_are_refused_not_cast_to_their_real_parts():
+    """Only the real drift-diffusion operator is solved."""
+    bands = [np.ones(7, dtype=complex), 4.0 * np.ones(8, dtype=complex), np.ones(7)]
+    with pytest.raises(TypeError, match="only real tridiagonal systems are solved"):
+        Tridiagonal(*bands).solve(np.ones(8))
