@@ -18,6 +18,14 @@ Every run writes <name>_<command>.csv and .json into --out, else
 $GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
 carry no timestamps, so a rerun with the same inputs is byte-identical.
 
+evolve marches the kernel, and the split reference, on the caller's thread,
+and computes the rows (moments, the exact state, the L2 distance) one block
+behind, on one worker thread (propagate.one_behind), while the march goes on;
+a block holds as many states as fit _BLOCK_BYTES (256 KiB).  On one usable
+CPU the blocks are computed on the caller's thread.  The rows, the error and
+the exit code are those of computing one row per step: a step's error is
+raised once the row of every earlier state has been computed.
+
 COMMANDS is the one place a command is declared: runner, required sections,
 option and help.  A command is gated iff its summary has "passed", which alone
 decides PASS or FAIL and exit 0 or 1.
@@ -38,10 +46,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .audit import MIN_LADDER_RUNGS, audit_packets
-from .fields import BoundaryDecayError, FieldSpec, moments
+from .fields import BoundaryDecayError, FieldSpec, density_moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
 from .propagate import (METHODS, ValidityError, chirp_z_applies, finals, march,
-                        split_stepper, wave_stepper)
+                        one_behind, split_stepper, usable_cpus, wave_stepper)
 from .reference import exact_evolution, exact_state, has_exact_state
 from .scenario import Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
@@ -54,32 +62,104 @@ class RunResult(NamedTuple):
     lines: list
 
 
-def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * dx))
+def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float, diff: np.ndarray | None = None,
+                 sq: np.ndarray | None = None):
+    """The L2 distance between a and b, reduced along the last axis: one for two
+    states, an array over the rows of two (K, n) blocks.  a - b is written into diff
+    and |a - b|^2 into sq, arrays of a's shape (new ones if None)."""
+    sq = np.abs(np.subtract(a, b, out=diff), out=sq)
+    return np.sqrt(np.sum(np.square(sq, out=sq), axis=-1) * dx)
+
+
+# the bytes of one block of complex rows: 8 rows at n = 2048, 4 at n = 4096
+_BLOCK_BYTES = 256 * 2 ** 10
+
+
+def _settled(pairs, aborted: list):
+    """The pairs, each once the march has stepped past it (the step passed the
+    state's guards) or has ended.  A step's error ends them and joins aborted."""
+    held = None
+    try:
+        for pair in pairs:
+            if held is not None:
+                yield held
+            held = pair
+    except (ValueError, ValidityError) as exc:
+        aborted.append(exc)
+    if held is not None:
+        yield held
+
+
+def _blocks(pairs, n: int):
+    """Blocks (first step, times, psi, ref) of up to _BLOCK_BYTES of rows of the
+    pairs (state, reference state or None), their psi copied into one of two
+    buffers, each allocated on its first pair (ref None with no reference
+    states).  A block's buffer is filled again once the next block has been
+    taken: one_behind has then ended its work."""
+    size = max(1, _BLOCK_BYTES // (16 * n))
+    buffers, times, first = [None, None], [], 0
+    for state, ref in pairs:
+        parity = first // size % 2
+        if buffers[parity] is None:
+            buffers[parity] = np.empty((1 if ref is None else 2, size, n), dtype=complex)
+        block = buffers[parity]
+        block[0, len(times)] = state.psi
+        if ref is not None:
+            block[1, len(times)] = ref.psi
+        times.append(state.time)
+        if len(times) == size:
+            yield first, times, block[0], block[1] if ref is not None else None
+            first, times = first + size, []
+    if times:
+        k = len(times)
+        yield first, times, block[0, :k], block[1, :k] if ref is not None else None
 
 
 def _run_evolve(sc: Scenario) -> RunResult:
-    state0 = sc.packet.build(sc.grid)
-    kernel = march(state0, sc.n_steps, wave_stepper(sc.grid, sc.eps, sc.spec, sc.method))
+    grid = sc.grid
+    state0 = sc.packet.build(grid)
+    kernel = march(state0, sc.n_steps, wave_stepper(grid, sc.eps, sc.spec, sc.method))
+    exact = split = None
     if has_exact_state(sc.spec):
         p = sc.packet
-        exact = exact_evolution(sc.grid, sc.spec, p.x0, p.sigma0, p.k0)  # built once
-        pairs = ((state, exact(state.time)) for state in kernel)
+        exact = exact_evolution(grid, sc.spec, p.x0, p.sigma0, p.k0)  # built once
         reference, against = "exact", "the exact solution"
     elif sc.spec.is_admissible():
-        pairs = zip(kernel, march(state0, sc.n_steps, split_stepper(sc.grid, sc.eps, sc.spec)))
+        split = march(state0, sc.n_steps, split_stepper(grid, sc.eps, sc.spec))
         reference, against = "split", f"the eps={sc.eps:g} split-step reference"
     else:  # a variant has no Schrodinger reference
-        pairs = ((state, None) for state in kernel)
         reference = None
+    pairs = ((state, None) for state in kernel) if split is None else zip(kernel, split)
 
-    # the kernel and its reference advance in lockstep: one row per step, no stored states
-    rows = []
-    for i, (state, ref) in enumerate(pairs):
-        mass, mean, var = moments(state)
-        err = (_l2_distance(state.psi, ref.psi, sc.grid.dx)
-               if ref is not None else float("nan"))
-        rows.append((i, state.time, mass, mean, var, err))
+    def block_rows(block):
+        first, times, psi, ref = block
+        if exact is not None:
+            ref = exact(times, out=np.empty_like(psi))
+        w, work = np.empty((2,) + psi.shape)
+        mass, mean, var = density_moments(np.square(np.abs(psi, out=w), out=w), grid, work)
+        err = ([math.nan] * len(times) if ref is None
+               else _l2_distance(psi, ref, grid.dx, diff=ref, sq=work).tolist())
+        return list(zip(range(first, first + len(times)), times, mass.tolist(),
+                        mean.tolist(), var.tolist(), err))
+
+    def rows_of(block):
+        try:
+            return block_rows(block)
+        except ValueError:  # the first failure in row order, met one row at a time
+            first, times, psi, ref = block
+            for j in range(len(times)):
+                block_rows((first + j, times[j:j + 1], psi[j:j + 1],
+                            None if ref is None else ref[j:j + 1]))
+            raise
+
+    # The kernel and its split reference march on this thread, and each block of
+    # rows is computed on one worker thread while they march the next.  A step's
+    # error is raised once the rows of every earlier state are computed.
+    aborted = []
+    blocks = one_behind(_blocks(_settled(pairs, aborted), grid.n), rows_of, usable_cpus())
+    if aborted:
+        raise aborted[0]
+    rows = [row for block in blocks for row in block]
 
     _, final_time, final_norm, _, _, final_err = rows[-1]
     summary = {
@@ -262,7 +342,7 @@ def _run_compare(sc: Scenario) -> RunResult:
 
     rows, errors = [], []
     for eps, n, final in zip(sc.eps_ladder, ladder_steps, ends):
-        err = _l2_distance(final.psi, ref.psi, sc.grid.dx)
+        err = float(_l2_distance(final.psi, ref.psi, sc.grid.dx))
         rows.append((eps, n, err))
         errors.append(err)
     log_eps, log_err = np.log(sc.eps_ladder), np.log(errors)

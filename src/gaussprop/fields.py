@@ -341,7 +341,13 @@ def check_eps(eps: float) -> None:
 
 def check_boundary_decay(state) -> None:
     """Require the amplitude at both grid edges below BOUNDARY_DECAY_RATIO * peak."""
-    amp = np.abs(state.psi) if isinstance(state, WaveState) else np.abs(state.density)
+    check_amplitude_decay(np.abs(state.psi) if isinstance(state, WaveState)
+                          else np.abs(state.density))
+
+
+def check_amplitude_decay(amp: np.ndarray) -> float:
+    """check_boundary_decay of a state's amplitudes amp (|psi| or |density|).
+    Returns the peak amplitude."""
     peak = amp.max()
     if peak == 0.0:
         raise ValueError("state is identically zero")
@@ -350,6 +356,7 @@ def check_boundary_decay(state) -> None:
         raise BoundaryDecayError(
             f"state has not decayed at the grid edges: edge/peak = {edge / peak:.3e} "
             f"(need < {BOUNDARY_DECAY_RATIO:.1e})")
+    return peak
 
 
 def norm(state: WaveState) -> float:
@@ -362,11 +369,22 @@ def moments(state) -> tuple[float, float, float]:
 
     The mass is norm to the bit, from the one |psi|^2 pass."""
     w = np.abs(state.psi) ** 2 if isinstance(state, WaveState) else state.density
-    total = np.sum(w) * state.grid.dx
-    if total <= 0.0:
-        raise ValueError("state carries no mass; moments are undefined")
-    x = state.grid.x
-    mean = float(np.sum(x * w) * state.grid.dx / total)
-    var = float(np.sum((x - mean) ** 2 * w) * state.grid.dx / total)
-    return float(total), mean, var
+    return tuple(map(float, density_moments(w, state.grid)))
 
+
+def density_moments(w: np.ndarray, grid: Grid, work: np.ndarray | None = None):
+    """moments of the densities w on grid, reduced along the last axis: one of each
+    for a density, an array over the rows of a (K, n) block, each row's bit for bit
+    what moments gives.  work, of w's shape, holds the weighted terms (a new array
+    if None).  Raises ValueError if a row carries no mass."""
+    dx, x = grid.dx, grid.x
+    total = np.sum(w, axis=-1) * dx
+    if np.any(total <= 0.0):
+        raise ValueError("state carries no mass; moments are undefined")
+    work = np.multiply(x, w, out=work)
+    mean = np.sum(work, axis=-1) * dx / total
+    np.subtract(x, mean[..., None], out=work)
+    np.square(work, out=work)
+    work *= w
+    var = np.sum(work, axis=-1) * dx / total
+    return total, mean, var

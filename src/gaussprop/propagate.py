@@ -56,7 +56,10 @@ density_stepper here, diffusion_stepper in reference.  One step is builder(...)(
 march streams an evolution holding only the current state, and last(march(...))
 is its final state.  finals marches independent runs side by side, one thread
 per CPU: a step's FFTs and matrix products release the GIL.  side_by_side is
-that thread pool, which the walk's particle chunks share.
+that thread pool, which the walk's particle chunks share.  one_behind does
+the work on each item of a stream on one worker thread while the caller
+takes the next: evolve computes its rows that way, one block of states (as
+many as fit a byte budget) behind the march.
 
 The drift-diffusion oracle's tridiagonal solves in reference call LAPACK
 dgttrf/dgttrs from scipy.linalg._flapack, and the chirp-z, spectral and
@@ -71,6 +74,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import queue
 import sys
 import threading
 from dataclasses import dataclass
@@ -78,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (BOUNDARY_DECAY_RATIO, Grid, PropagatorSpec, RealState,
-                     WaveState, check_boundary_decay, check_eps)
+                     WaveState, check_amplitude_decay, check_boundary_decay, check_eps)
 from .kernel import complex_kernel, real_kernel, source_factors
 
 
@@ -119,14 +123,15 @@ def _d_scale(grid: Grid, spec: PropagatorSpec) -> float:
     return float(np.min(np.abs(spec.d_value(grid.x))))
 
 
-def _support_half_width(state: WaveState) -> float:
-    amp = np.abs(state.psi)
-    idx = np.nonzero(amp >= BOUNDARY_DECAY_RATIO * amp.max())[0]
-    return 0.5 * (state.grid.x[idx[-1]] - state.grid.x[idx[0]])
+def _support_half_width(grid: Grid, amp: np.ndarray, peak: float) -> float:
+    idx = np.nonzero(amp >= BOUNDARY_DECAY_RATIO * peak)[0]
+    return 0.5 * (grid.x[idx[-1]] - grid.x[idx[0]])
 
 
-def _phase_report(grid: Grid, eps: float, d: float, state: WaveState) -> ValidityReport:
-    window = _support_half_width(state)
+def _phase_report(grid: Grid, eps: float, d: float, amp: np.ndarray,
+                  peak: float) -> ValidityReport:
+    """amp is the state's |psi| and peak its max."""
+    window = _support_half_width(grid, amp, peak)
     governing = window * grid.dx / (d * eps)
     return ValidityReport(
         state_phase_step=governing,
@@ -225,8 +230,8 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
 
     def step(state: WaveState) -> WaveState:
         nonlocal apply
-        check_boundary_decay(state)
-        report = _phase_report(grid, eps, d, state)
+        amp = np.abs(state.psi)  # read by both guards
+        report = _phase_report(grid, eps, d, amp, check_amplitude_decay(amp))
         if not report.passes:
             raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
         if apply is None:
@@ -462,6 +467,47 @@ def side_by_side(tasks, threads: int, start=None) -> list:
             worker.join()
     if failed:
         raise failed[min(failed)]
+    return out
+
+
+def one_behind(items, work, threads: int) -> list:
+    """[work(item) for item in items], bit for bit, with each work(item) done on one
+    worker thread while the caller takes the next item, if threads > 1; else on the
+    caller's thread.  The caller takes item i + 2 only once work(item i) has ended, so
+    an item (never None) may reuse the buffers of the item two before it.  A failure of
+    work raises the serial loop's, the first in item order, though the work on the next
+    item may have run.  The worker is joined on every exit."""
+    if threads <= 1:
+        return [work(item) for item in items]
+    todo, done, out = queue.SimpleQueue(), queue.SimpleQueue(), []
+
+    def serve():
+        while (item := todo.get()) is not None:  # no == test: an item may be an array
+            try:
+                done.put((work(item), None))
+            except Exception as exc:  # raised by the caller, in item order
+                done.put((None, exc))
+
+    def collect():
+        result, exc = done.get()
+        if exc is not None:
+            raise exc
+        out.append(result)
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    try:
+        sent = 0
+        for item in items:
+            todo.put(item)
+            sent += 1
+            if sent - len(out) == 2:
+                collect()
+        while len(out) < sent:
+            collect()
+    finally:
+        todo.put(None)
+        worker.join()
     return out
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (BoundaryDecayError, FieldSpec, Grid, PropagatorSpec, RealState,
-                     WaveState, check_boundary_decay, check_eps)
+                     WaveState, check_amplitude_decay, check_eps)
 from .propagate import Tridiagonal, ValidityError
 
 # the largest |w| whose exp(w) a float64 holds: a face weight B(w) = w/(e^w - 1) past it reads 0
@@ -161,7 +161,7 @@ def _fundamental(omega2: float, time: float) -> tuple[float, float, float, float
 
 
 def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, k0: float):
-    """time -> the exact Schrodinger state at time of gaussian_packet(grid, x0, sigma0, k0).
+    """times -> the exact Schrodinger states at times of gaussian_packet(grid, x0, sigma0, k0).
 
     to_hamiltonian gives A = a0 + a1 x and phi = v0 + v1 x + v2 x^2.  The gauge
     Lambda = a0 x + a1 x^2/2, whose Lambda' is A, turns H into p^2/(2m) + phi,
@@ -171,9 +171,10 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
     c, s (c(0) = s'(0) = 1) every time integral is closed in c and s, and
     log w follows its branch continuously in time.  gamma at time 0 carries
     the packet's discrete normalization, so time 0 gives the built packet to
-    round-off.  Raises ValueError for a spec outside has_exact_state's class,
-    and at a time BoundaryDecayError if the state has reached the grid edges
-    or its closed form overflows (an inverted oscillator spreads it).
+    round-off.  The states at many times are evaluated in one (len(times), n)
+    pass.  Raises ValueError for a spec outside has_exact_state's class, and
+    BoundaryDecayError at the first time at which the state has reached the
+    grid edges or its closed form overflows (an inverted oscillator spreads it).
     """
     if not has_exact_state(spec):
         raise ValueError("the exact state needs the admissible variant, u a polynomial "
@@ -193,39 +194,56 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
     omega2 = 2.0 * v2 / m
     dw0 = -2j * alpha0 / m
 
-    def at(time: float) -> WaveState:
-        if not math.isfinite(time):
-            raise ValueError(f"time must be finite, got {time}")
-        try:  # cosh, sinh and the squares overflow once the packet has spread far
-            c, s, s1, q = _fundamental(omega2, time)
-            # w turns half a period about 0 each pi/omega when omega2 > 0
-            half_turns = round(math.sqrt(omega2) * time / math.pi) if omega2 > 0.0 else 0
-            w, dw = c + dw0 * s, -omega2 * s + dw0 * c
-            big_w = s + dw0 * s1  # the integral of w
-            # (-1)^n w with n = half_turns never crosses the negative real axis
-            turned = -w if half_turns % 2 else w
-            log_w = complex(math.log(abs(w)),
-                            math.atan2(turned.imag, turned.real) + math.pi * half_turns)
-            beta = (beta0 - 1j * v1 * big_w) / w
-            # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
-            i0 = s / w
-            i1 = big_w * s / w - s1
-            i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
-            beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
-            gamma = gamma0 - 0.5 * log_w - 1j * v0 * time + 0.5j / m * beta_sq
-            alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
-            beta = beta + 1j * a0
-            with np.errstate(all="ignore"):  # exp((alpha x + beta) x + gamma), in place
-                psi = alpha * x
-                psi += beta
-                psi *= x
-                psi += gamma
-                state = WaveState(grid, np.exp(psi, out=psi), time=time)
-        except (OverflowError, ValueError):  # the ValueError: WaveState refuses a non-finite psi
-            raise BoundaryDecayError(f"the exact state at time {time:g} overflows: the packet "
-                                     "has spread far past the grid") from None
-        check_boundary_decay(state)
-        return state
+    def coefficients(time: float) -> tuple[complex, complex, complex]:
+        # cosh, sinh and the squares overflow once the packet has spread far
+        c, s, s1, q = _fundamental(omega2, time)
+        # w turns half a period about 0 each pi/omega when omega2 > 0
+        half_turns = round(math.sqrt(omega2) * time / math.pi) if omega2 > 0.0 else 0
+        w, dw = c + dw0 * s, -omega2 * s + dw0 * c
+        big_w = s + dw0 * s1  # the integral of w
+        # (-1)^n w with n = half_turns never crosses the negative real axis
+        turned = -w if half_turns % 2 else w
+        log_w = complex(math.log(abs(w)),
+                        math.atan2(turned.imag, turned.real) + math.pi * half_turns)
+        beta = (beta0 - 1j * v1 * big_w) / w
+        # the integrals of 1/w^2, W/w^2 and W^2/w^2, by (s/w)' = 1/w^2 and parts
+        i0 = s / w
+        i1 = big_w * s / w - s1
+        i2 = big_w ** 2 * s / w - 2.0 * q - dw0 * s1 ** 2
+        beta_sq = beta0 ** 2 * i0 - 2j * beta0 * v1 * i1 - v1 ** 2 * i2
+        gamma = gamma0 - 0.5 * log_w - 1j * v0 * time + 0.5j / m * beta_sq
+        alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
+        return alpha, beta + 1j * a0, gamma
+
+    def at(times, out: np.ndarray | None = None) -> np.ndarray:
+        """The exact psi at times, as the rows of out (a new (len(times), n) array
+        if None).  The first row in order that overflows or has reached the grid
+        edges raises."""
+        coeffs = np.empty((3, len(times)), dtype=complex)
+        for j, time in enumerate(times):
+            if not math.isfinite(time):
+                raise ValueError(f"time must be finite, got {time}")
+            try:
+                coeffs[:, j] = coefficients(time)
+            except (OverflowError, ValueError):  # a nan row, refused as overflowing below
+                coeffs[:, j] = np.nan
+        alpha, beta, gamma = coeffs[:, :, None]
+        psi = np.empty((len(times), grid.n), dtype=complex) if out is None else out
+        with np.errstate(all="ignore"):  # exp((alpha x + beta) x + gamma), in place
+            np.multiply(alpha, x, out=psi)
+            psi += beta
+            psi *= x
+            psi += gamma
+            np.exp(psi, out=psi)
+        # WaveState's finiteness check, then the edge check, row by row in time order
+        finite = np.isfinite(psi.view(float)).all(axis=-1)
+        ok = len(times) if finite.all() else int(np.argmin(finite))
+        for amp in np.abs(psi[:ok]):
+            check_amplitude_decay(amp)
+        if ok < len(times):
+            raise BoundaryDecayError(f"the exact state at time {times[ok]:g} overflows: the "
+                                     "packet has spread far past the grid")
+        return psi
 
     return at
 
@@ -233,7 +251,7 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
 def exact_state(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float,
                 k0: float, time: float) -> WaveState:
     """exact_evolution(grid, spec, x0, sigma0, k0) at the one time."""
-    return exact_evolution(grid, spec, x0, sigma0, k0)(time)
+    return WaveState(grid, exact_evolution(grid, spec, x0, sigma0, k0)([time])[0], time=time)
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

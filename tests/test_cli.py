@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from gaussprop import cli
+from gaussprop.propagate import march, split_stepper, wave_stepper
+from gaussprop.reference import exact_state, has_exact_state
 from gaussprop.scenario import ScenarioError, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -527,7 +530,9 @@ def test_the_split_reference_is_an_explicit_strang_march(tmp_path, monkeypatch):
     chi = exp(-i Lambda) psi.  Both march 50 steps of 0.01 here."""
     refs = []
     distance = cli._l2_distance
-    monkeypatch.setattr(cli, "_l2_distance", lambda a, b, dx: refs.append(b) or distance(a, b, dx))
+    # compare passes one state, evolve a block of rows, overwritten by the distance
+    monkeypatch.setattr(cli, "_l2_distance", lambda a, b, dx, **out:
+                        refs.extend(np.array(b, ndmin=2)) or distance(a, b, dx, **out))
     evolve = {**SINE_COMPARE, "schedule": {"eps": 0.01, "n_steps": 50}}
     for command, data in (("compare", SINE_COMPARE), ("evolve", evolve)):
         path = tmp_path / f"{command}.json"
@@ -592,6 +597,112 @@ FAILING_LADDER = {"name": "ladder", "grid": {"x_min": -12.0, "x_max": 12.0, "n":
 
 def _set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _row_by_row(sc):
+    """evolve's rows as they were computed before blocks: one kernel state and its
+    reference at a time, moments and the L2 distance written out for one state."""
+    grid, dx, x = sc.grid, sc.grid.dx, sc.grid.x
+    state0 = sc.packet.build(grid)
+    kernel = march(state0, sc.n_steps, wave_stepper(grid, sc.eps, sc.spec, sc.method))
+    if has_exact_state(sc.spec):
+        p = sc.packet
+        pairs = ((s, exact_state(grid, sc.spec, p.x0, p.sigma0, p.k0, s.time)) for s in kernel)
+    elif sc.spec.is_admissible():
+        pairs = zip(kernel, march(state0, sc.n_steps, split_stepper(grid, sc.eps, sc.spec)))
+    else:
+        pairs = ((s, None) for s in kernel)
+    rows = []
+    for i, (state, ref) in enumerate(pairs):
+        w = np.abs(state.psi) ** 2
+        total = np.sum(w) * dx
+        mean = float(np.sum(x * w) * dx / total)
+        var = float(np.sum((x - mean) ** 2 * w) * dx / total)
+        err = (float("nan") if ref is None
+               else float(np.sqrt(np.sum(np.abs(state.psi - ref.psi) ** 2) * dx)))
+        rows.append((i, state.time, float(total), mean, var, err))
+    return rows
+
+
+# n = 1024: blocks of K = 16 rows
+EVOLVE_BASE = {"name": "blocks", "grid": {"x_min": -12.0, "x_max": 12.0, "n": 1024},
+               "packet": {"sigma0": 1.0, "k0": 0.5}}
+TRAP = {"kind": "quadratic", "c": 0.545}
+EVOLVE_REFERENCES = {
+    "exact": {"spec": {"d": 1.0, "u": {"kind": "linear", "slope": 0.3}, "b": TRAP},
+              "method": "dense"},
+    "split": {"spec": {**SINE_COMPARE["spec"], "b": TRAP}, "method": "spectral"},
+    "none": {"spec": {"d": 1.0, "u": {"kind": "linear", "slope": 0.3}, "b": TRAP,
+                      "variant": "no_t"}, "method": "dense"},
+}
+
+
+@pytest.mark.parametrize("reference", EVOLVE_REFERENCES)
+@pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=("1", "K-1", "K", "K+1", "2K+3"))
+def test_evolve_in_blocks_writes_the_row_by_row_bytes(reference, blocks, extra, tmp_path,
+                                                      monkeypatch):
+    """Rows computed a block behind, on a worker thread or on one CPU on the
+    caller's, are those of the row-by-row loop to the byte, for a last block
+    of every fill."""
+    k = cli._BLOCK_BYTES // (16 * EVOLVE_BASE["grid"]["n"])
+    data = {**EVOLVE_BASE, **EVOLVE_REFERENCES[reference],
+            "schedule": {"eps": 0.1, "n_steps": blocks * k + extra}}
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(data))
+    rows = _row_by_row(parse_scenario(data))
+    csv = "\n".join(["step,time,norm,mean_position,position_variance,l2_error_vs_reference",
+                     *map(cli._csv_line, rows)]) + "\n"
+    outputs = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        assert cli.main(["evolve", str(path), "--out", str(tmp_path / str(cpus))]) == 0
+        assert threading.active_count() == threads
+        outputs.append([(tmp_path / str(cpus) / f"blocks_evolve.{ext}").read_bytes()
+                        for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].decode() == csv
+    summary = json.loads(outputs[0][1])
+    assert summary["reference"] == (None if reference == "none" else reference)
+    assert summary["final_norm"] == rows[-1][2]
+    assert summary["max_abs_norm_drift"] == max(abs(row[2] - rows[0][2]) for row in rows)
+    assert summary["final_l2_error_vs_reference"] == (None if reference == "none"
+                                                      else rows[-1][5])
+
+
+# a free packet spreading to the edges of a small grid by step 20, in the 2nd block
+SPREADING = {"name": "spreading", "grid": {"x_min": -8.0, "x_max": 8.0, "n": 1024},
+             "packet": {"sigma0": 0.5}, "spec": {"d": 1.0},
+             "schedule": {"eps": 0.05, "n_steps": 60}}
+EDGE = "state has not decayed at the grid edges: edge/peak = "
+
+
+@pytest.mark.parametrize("data,err", [
+    ({**SPREADING, "method": "dense"}, f"error: {EDGE}2.902e-06 (need < 1.0e-06)\n"),
+    ({**SPREADING, "method": "spectral"},
+     f"error: aborted at step 19: {EDGE}1.870e-06 (need < 1.0e-06)\n"),
+    ({**SPREADING, "spec": SINE_COMPARE["spec"], "method": "spectral"},
+     f"error: aborted at step 20: {EDGE}2.080e-06 (need < 1.0e-06)\n"),
+], ids=("exact-state-leaves", "kernel-fails-exact", "kernel-fails-split"))
+def test_evolve_in_blocks_raises_the_first_failure_in_row_order(data, err, tmp_path,
+                                                                monkeypatch, capsys):
+    """The exact state at row 20 fails before the dense kernel does; the
+    spectral kernel fails first at step 19 (20 with a sine drift).  Either
+    way the error is the row-by-row loop's, no output is written and no
+    thread is left running."""
+    path = tmp_path / "spreading.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as exc:
+        _row_by_row(parse_scenario(data))
+    assert f"error: {exc.value}\n" == err
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        assert cli.main(["evolve", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("data,code,err", [

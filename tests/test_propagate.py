@@ -301,6 +301,58 @@ def test_an_interrupt_starts_no_further_task_and_joins_the_workers():
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_behind_takes_an_item_only_once_the_work_two_before_it_ended(threads):
+    """Results come in item order; item i + 2 is taken only after work(item i)
+    ended, and the first failing item's error is raised once the worker is
+    joined."""
+    events = []
+
+    def items(count):
+        for i in range(count):
+            events.append(("take", i))
+            yield i
+
+    def work(i):
+        time.sleep(0.002)
+        events.append(("end", i))
+        if i >= 4:
+            raise ValueError(f"item {i}")
+        return i * i
+
+    def interrupted():
+        yield 0
+        raise KeyboardInterrupt
+
+    before = threading.active_count()
+    assert propagate.one_behind(items(4), work, threads) == [0, 1, 4, 9]
+    assert all(events.index(("end", i - 2)) < events.index(("take", i)) for i in range(2, 4))
+    with pytest.raises(ValueError, match="^item 4$"):
+        propagate.one_behind(items(7), work, threads)
+    with pytest.raises(KeyboardInterrupt):
+        propagate.one_behind(interrupted(), work, threads)
+    assert threading.active_count() == before
+
+
+def test_one_behind_items_reuse_two_buffers_under_contention():
+    """Each item refills the buffer of the item two before it, on a short
+    switch interval: no work reads a buffer the caller is refilling."""
+    buffers = np.empty((2, 100_000))
+
+    def items():
+        for i in range(200):
+            buffers[i % 2] = i
+            yield buffers[i % 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sums = propagate.one_behind(items(), lambda buf: float(buf.sum()), 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sums == [100_000.0 * i for i in range(200)]
+
+
 def test_dense_evolve_checks_before_it_builds(monkeypatch):
     """A run that must exit at step 0 never builds the n x n matrix."""
     def fail(*args, **kwargs):
