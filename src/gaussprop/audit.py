@@ -6,10 +6,6 @@ admissible variant.  Everything here turns that statement into measurements:
 
   * analytic_drift_rate integrates psi* (du/dx - 2a) psi, the instantaneous
     d/dt of the squared norm once boundary fluxes vanish,
-  * empirical_a_scan rediscovers the required constant a for linear drift by
-    minimizing a measured one-step drift, without assuming the answer: a
-    constant a scales the kernel, and so the step, by exp(-eps a), so one
-    step without T, of norm n1, prices each a at |exp(-2 eps a) n1 - n0|,
   * audit_packets fits the order of each state's per-step defect on an eps
     ladder and issues a conserves/drifts verdict, stepping every state on
     one grid with one dense operator per eps,
@@ -86,42 +82,6 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
         ddx = spec.d_field.derivative_field()(x)
         return float(-np.sum(ddx * current) * dx)
     raise ValueError(f"no drift-rate prediction for variant {spec.variant!r}")
-
-
-@dataclass(frozen=True)
-class AScanResult:
-    candidates: tuple
-    drifts: tuple
-    best: float
-
-
-def empirical_a_scan(state: WaveState, eps: float, spec: PropagatorSpec,
-                     candidates) -> AScanResult:
-    """Find the constant a minimizing one-step |norm drift|, blind to theory.
-
-    Meant for an admissible spec with linear u, where the optimum is a
-    single scalar; one dense step without T prices every candidate.  A
-    minimum on the edge of the candidate range is rejected unless the drift
-    profile has flattened there, since an edge minimum on a still-steep
-    profile means the true optimum lies outside the range.
-    """
-    if not spec.is_admissible():
-        raise ValueError(f"the a scan needs an admissible spec, got variant {spec.variant!r}")
-    cand = [float(c) for c in candidates]
-    if len(cand) < 3:
-        raise ValueError("need at least 3 candidate values")
-    n0 = norm(state)
-    n1 = norm(dense_stepper(state.grid, eps, replace(spec, variant="no_t"))(state))
-    drifts = np.abs(np.exp(-2.0 * eps * np.array(cand)) * n1 - n0).tolist()
-    idx = int(np.argmin(drifts))
-    if idx in (0, len(cand) - 1):
-        neighbor = drifts[1] if idx == 0 else drifts[-2]
-        if drifts[idx] > 0.5 * neighbor:
-            raise ValueError(
-                f"candidate range [{cand[0]}, {cand[-1]}] does not bracket "
-                f"the drift minimum")
-    return AScanResult(candidates=tuple(cand), drifts=tuple(drifts),
-                       best=cand[idx])
 
 
 @dataclass(frozen=True)

@@ -142,21 +142,11 @@ def _run_evolve(sc: Scenario) -> RunResult:
         return list(zip(range(first, first + len(times)), times, mass.tolist(),
                         mean.tolist(), var.tolist(), err))
 
-    def rows_of(block):
-        try:
-            return block_rows(block)
-        except ValueError:  # the first failure in row order, met one row at a time
-            first, times, psi, ref = block
-            for j in range(len(times)):
-                block_rows((first + j, times[j:j + 1], psi[j:j + 1],
-                            None if ref is None else ref[j:j + 1]))
-            raise
-
     # The kernel and its split reference march on this thread, and each block of
     # rows is computed on one worker thread while they march the next.  A step's
     # error is raised once the rows of every earlier state are computed.
     aborted = []
-    blocks = one_behind(_blocks(_settled(pairs, aborted), grid.n), rows_of, usable_cpus())
+    blocks = one_behind(_blocks(_settled(pairs, aborted), grid.n), block_rows, usable_cpus())
     if aborted:
         raise aborted[0]
     rows = [row for block in blocks for row in block]

@@ -3,21 +3,10 @@
 The admissible propagator parameters (D, u, b) map onto a minimally coupled
 Hamiltonian H = (p - A)^2/(2m) + phi with hbar = 1 and unit charge:
 
-    m = 1/D,        A = u m,        phi = b - A^2/(2m),
+    m = 1/D,        A = u m,        phi = b - A^2/(2m).
 
-decided once, in to_hamiltonian.  The right-hand side of the Schrodinger
-equation expands to
-
-    dpsi/dt = (i/2m) psi'' + (A/m) psi' + (1/2m) A' psi
-              - i (A^2/(2m)) psi - i phi psi,
-
-discretized here with the compact second difference and the symmetrized
-drift (1/2m)(A psi' + (A psi)'), which makes the discrete generator exactly
-anti-Hermitian for real fields.  The same H is assembled independently as a
-tridiagonal operator from p = -i * central difference, so the expansion can
-be checked against -i H psi term by term (acceptance criterion 6).
-
-For constant D, u of degree <= 1 and b a polynomial (FieldSpec.degree) the
+For constant D, u of degree <= 1 and b a polynomial (FieldSpec.degree),
+to_hamiltonian, the one place this map is written, gives (m, A, phi), and the
 Schrodinger state of a Gaussian packet is known in closed form
 (exact_evolution), with neither a time step nor a spatial stencil: in 1D
 A = Lambda' is a pure gauge, phi = b - A^2/(2m) is quadratic, and a Gaussian
@@ -49,6 +38,9 @@ from .fields import (BoundaryDecayError, FieldSpec, Grid, PropagatorSpec, RealSt
                      WaveState, check_amplitude_decay, check_eps)
 from .propagate import Tridiagonal, ValidityError
 
+# 0!, 1!, ..., 25!: the divisors of _fundamental's series
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(26))
+
 # the largest |w| whose exp(w) a float64 holds: a face weight B(w) = w/(e^w - 1) past it reads 0
 _EXP_MAX = float(np.log(np.finfo(float).max))
 
@@ -66,66 +58,21 @@ class HamiltonianSpec:
             raise ValueError(f"mass must be finite and > 0, got {self.m}")
 
 
-def to_hamiltonian(spec: PropagatorSpec, grid: Grid) -> HamiltonianSpec:
-    """Map admissible propagator parameters to (m, A, phi).
-
-    In has_exact_state's class A = a0 + a1 x is affine and phi is the
-    polynomial b - A^2/(2m) of degree <= 2; otherwise phi is tabulated on
-    grid, which with A = 0 holds b's own values there.
-    """
-    if not spec.is_admissible():
-        raise ValueError("only the admissible variant maps to a Hamiltonian")
+def to_hamiltonian(spec: PropagatorSpec) -> HamiltonianSpec:
+    """Map propagator parameters in has_exact_state's class to (m, A, phi): A = a0 + a1 x
+    is affine and phi the polynomial b - A^2/(2m) of degree <= 2.  Raises ValueError
+    naming the class for any other spec."""
+    if not has_exact_state(spec):
+        raise ValueError("the Hamiltonian map needs the admissible variant, u a polynomial "
+                         "of degree <= 1 and b a polynomial; got "
+                         f"{spec.variant}, u {_shape(spec.u)}, b {_shape(spec.b)}")
     m = 1.0 / spec.d
     a_field = spec.u.scaled(m)
-    if has_exact_state(spec):
-        a0, a1 = (*a_field.coeffs, 0.0, 0.0)[:2]
-        a_sq = (a0 ** 2, 2.0 * a0 * a1, a1 ** 2)
-        b = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
-        phi = FieldSpec("polynomial", coeffs=[bp - ap / (2.0 * m) for bp, ap in zip(b, a_sq)])
-    else:
-        x = grid.x
-        phi = FieldSpec.tabulated(x, spec.b(x) - a_field(x) ** 2 / (2.0 * m))
+    a0, a1 = (*a_field.coeffs, 0.0, 0.0)[:2]
+    a_sq = (a0 ** 2, 2.0 * a0 * a1, a1 ** 2)
+    b = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
+    phi = FieldSpec("polynomial", coeffs=[bp - ap / (2.0 * m) for bp, ap in zip(b, a_sq)])
     return HamiltonianSpec(m=m, a_field=a_field, phi=phi)
-
-
-def rhs_apply(state: WaveState, ham: HamiltonianSpec) -> np.ndarray:
-    """dpsi/dt from the expanded Schrodinger form, zero beyond the grid edges."""
-    grid, dx, m = state.grid, state.grid.dx, ham.m
-    psi = np.zeros(grid.n + 2, dtype=complex)
-    psi[1:-1] = state.psi
-    a = np.zeros(grid.n + 2, dtype=complex)
-    a[1:-1] = ham.a_field(grid.x)
-    lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx ** 2
-    dpsi = (psi[2:] - psi[:-2]) / (2.0 * dx)
-    dapsi = (a[2:] * psi[2:] - a[:-2] * psi[:-2]) / (2.0 * dx)
-    aj = a[1:-1]
-    pj = psi[1:-1]
-    return (0.5j / m * lap
-            + 0.5 / m * (aj * dpsi + dapsi)
-            - 1j * (aj ** 2 / (2.0 * m) + ham.phi(grid.x)) * pj)
-
-
-def hamiltonian_diagonals(ham: HamiltonianSpec, grid: Grid):
-    """(lower, diag, upper) of H = (p^2 - pA - Ap + A^2)/(2m) + phi.
-
-    p is the central difference times -i and p^2 the compact second
-    difference; assembled by operator composition, independently of
-    rhs_apply's expanded stencils.
-    """
-    n, dx, m = grid.n, grid.dx, ham.m
-    a = ham.a_field(grid.x)
-    diag = np.full(n, 1.0 / (m * dx ** 2), dtype=complex)
-    diag += a ** 2 / (2.0 * m) + ham.phi(grid.x)
-    off = -0.5 / (m * dx ** 2)
-    face = (a[:-1] + a[1:]) / (4.0 * m * dx)
-    return off - 1j * face, diag, off + 1j * face
-
-
-def hermiticity_check(ham: HamiltonianSpec, grid: Grid) -> float:
-    """max |H - H^dagger| entry; zero to round-off for real fields."""
-    lower, diag, upper = hamiltonian_diagonals(ham, grid)
-    return float(max(np.max(np.abs(upper - np.conj(lower))),
-                     np.max(np.abs(diag.imag))))
 
 
 def has_exact_state(spec: PropagatorSpec) -> bool:
@@ -146,11 +93,11 @@ def _fundamental(omega2: float, time: float) -> tuple[float, float, float, float
     t = time
     z = -omega2 * t * t
     if abs(z) < 1.0:  # each is t^p times a series in z; the closed forms cancel here
-        terms = range(12)
-        return (sum(z ** j / math.factorial(2 * j) for j in terms),
-                t * sum(z ** j / math.factorial(2 * j + 1) for j in terms),
-                t ** 2 * sum(z ** j / math.factorial(2 * j + 2) for j in terms),
-                t ** 3 * sum(2.0 * (4.0 * z) ** j / math.factorial(2 * j + 3) for j in terms))
+        terms, f = range(12), _FACTORIALS
+        return (sum(z ** j / f[2 * j] for j in terms),
+                t * sum(z ** j / f[2 * j + 1] for j in terms),
+                t ** 2 * sum(z ** j / f[2 * j + 2] for j in terms),
+                t ** 3 * sum(2.0 * (4.0 * z) ** j / f[2 * j + 3] for j in terms))
     if omega2 > 0.0:
         om = math.sqrt(omega2)
         c, s = math.cos(om * t), math.sin(om * t) / om
@@ -172,17 +119,14 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
     log w follows its branch continuously in time.  gamma at time 0 carries
     the packet's discrete normalization, so time 0 gives the built packet to
     round-off.  The states at many times are evaluated in one (len(times), n)
-    pass.  Raises ValueError for a spec outside has_exact_state's class, and
-    BoundaryDecayError at the first time at which the state has reached the
-    grid edges or its closed form overflows (an inverted oscillator spreads it).
+    pass.  Raises ValueError for a spec outside has_exact_state's class (from
+    to_hamiltonian), and BoundaryDecayError at the first time at which the
+    state has reached the grid edges or its closed form overflows (an
+    inverted oscillator spreads it).
     """
-    if not has_exact_state(spec):
-        raise ValueError("the exact state needs the admissible variant, u a polynomial "
-                         "of degree <= 1 and b a polynomial; got "
-                         f"{spec.variant}, u {_shape(spec.u)}, b {_shape(spec.b)}")
+    ham = to_hamiltonian(spec)
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-    ham = to_hamiltonian(spec, grid)
     m = ham.m
     a0, a1 = (*ham.a_field.coeffs, 0.0, 0.0)[:2]
     v0, v1, v2 = (*ham.phi.coeffs, 0.0, 0.0, 0.0)[:3]

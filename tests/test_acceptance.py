@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from gaussprop import cli
-from gaussprop.audit import audit_packets, empirical_a_scan, phase_freedom_check
+from gaussprop.audit import audit_packets, phase_freedom_check
 from gaussprop.fields import (FieldSpec, PropagatorSpec, RealState, gaussian_packet, make_grid,
-                              moments)
+                              moments, norm)
 from gaussprop.fresnel import cancellation_check, closed_moment, fresnel_moment, unit_mass_check
 from gaussprop.propagate import dense_stepper, density_stepper, last, march, spectral_stepper
-from gaussprop.reference import (diffusion_stepper, exact_state, hamiltonian_diagonals,
-                                 hermiticity_check, rhs_apply, to_hamiltonian)
+from gaussprop.reference import diffusion_stepper, exact_state
 from gaussprop.walk import histogram_compare, sample_paths
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -60,7 +59,11 @@ def test_criterion_03_cancellation_residual_order():
 
 
 def test_criterion_04_correction_exponent_selection():
-    """Only a = u'/2 conserves: order ~2 there, ~1 for a = 0 and a = u'."""
+    """Only a = u'/2 conserves: order ~2 there, ~1 for a = 0 and a = u'.  A
+    constant a scales the step by exp(-eps a), so one step without T, of norm
+    N1 from N0, measures the conserving a*(eps) = ln(N1/N0)/(2 eps).  For
+    u = 0.4 x it is -ln(1 - 0.4 eps)/(2 eps) at every rung, for every packet,
+    and its Richardson limit eps -> 0 is u'/2."""
     grid = make_grid(-8.0, 8.0, 1024)
     state = gaussian_packet(grid, x0=0.0, sigma0=0.8)
     ladder = (0.32, 0.16, 0.08, 0.04)
@@ -69,15 +72,27 @@ def test_criterion_04_correction_exponent_selection():
     for variant in ("admissible", "no_t", "endpoint_t"):
         spec = PropagatorSpec(d=1.0, u=u, variant=variant)
         orders[variant] = audit_packets([state], spec, ladder)[0].fitted_order
-    scan = empirical_a_scan(state, 0.04, PropagatorSpec(d=1.0, u=u),
-                            [0.12, 0.14, 0.16, 0.18, 0.2, 0.22, 0.24, 0.26, 0.28])
+    law = np.array([-np.log1p(-0.4 * eps) / (2.0 * eps) for eps in ladder])
+    steps = [dense_stepper(grid, eps, PropagatorSpec(d=1.0, u=u, variant="no_t"))
+             for eps in ladder]
+    law_gap = limit_gap = 0.0
+    for packet in (state, gaussian_packet(grid, x0=1.0, sigma0=0.8, k0=0.7)):
+        n0 = norm(packet)
+        a_star = np.array([np.log(norm(step(packet)) / n0) / (2.0 * eps)
+                           for step, eps in zip(steps, ladder)])
+        law_gap = max(law_gap, float(np.max(np.abs(a_star / law - 1.0))))
+        once = 2.0 * a_star[1:] - a_star[:-1]  # the O(eps) term cancels
+        twice = (4.0 * once[-1] - once[-2]) / 3.0  # and the O(eps^2) term
+        limit_gap = max(limit_gap, abs(twice - 0.2))
     print(f"[acceptance] 4: orders half={orders['admissible']:.2f} (2 +- 0.3), "
           f"zero={orders['no_t']:.2f}, full={orders['endpoint_t']:.2f} (1 +- 0.3); "
-          f"scan best a={scan.best}")
+          f"a*(eps) vs -ln(1 - 0.4 eps)/(2 eps) {law_gap:.2e} relative (<= 1e-12), "
+          f"its limit vs u'/2 {limit_gap:.2e} (<= 1e-5)")
     assert orders["admissible"] == pytest.approx(2.0, abs=0.3)
     assert orders["no_t"] == pytest.approx(1.0, abs=0.3)
     assert orders["endpoint_t"] == pytest.approx(1.0, abs=0.3)
-    assert abs(scan.best - 0.2) <= 0.02
+    assert law_gap <= 1e-12
+    assert limit_gap <= 1e-5
 
 
 def test_criterion_05_falsification_variants():
@@ -108,35 +123,39 @@ def test_criterion_05_falsification_variants():
         assert "drifts" in verdicts[name]
 
 
+def _l2(a, b, grid):
+    return float(np.sqrt(np.sum(np.abs(a.psi - b.psi) ** 2) * grid.dx))
+
+
 def test_criterion_06_schrodinger_agreement():
     """Harmonic phi = x^2/2 with A = 0.3 x: first-order convergence at t = 1 to
-    the exact Gaussian state, plus exact operator identities."""
+    the exact Gaussian state, with the norm held at every step of every rung;
+    with no drift and no potential the step is the free evolution itself."""
     grid = make_grid(-20.0, 20.0, 4096)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3),
                           b=FieldSpec.quadratic(0.545))
-    ham = to_hamiltonian(spec, grid)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.5, k0=1.0)
-
-    lower, diag, upper = hamiltonian_diagonals(ham, grid)
-    h_psi = diag * state.psi
-    h_psi[:-1] += upper * state.psi[1:]
-    h_psi[1:] += lower * state.psi[:-1]
-    rhs_gap = float(np.max(np.abs(rhs_apply(state, ham) + 1j * h_psi)))
-    herm = hermiticity_check(ham, grid)
+    n0 = norm(state)
 
     exact = exact_state(grid, spec, 0.0, 1.5, 1.0, 1.0)
     ladder = (0.02, 0.01, 0.005, 0.0025)
-    exact_errors = []
+    exact_errors, norm_drift = [], 0.0
     for eps in ladder:
-        final = last(march(state, round(1.0 / eps), spectral_stepper(grid, eps, spec)))
-        exact_errors.append(np.sqrt(np.sum(np.abs(final.psi - exact.psi) ** 2) * grid.dx))
+        for final in march(state, round(1.0 / eps), spectral_stepper(grid, eps, spec)):
+            norm_drift = max(norm_drift, abs(norm(final) - n0))
+        exact_errors.append(_l2(final, exact, grid))
     exact_slope = float(np.polyfit(np.log(ladder), np.log(exact_errors), 1)[0])
+    free = PropagatorSpec(d=1.0)
+    free_exact = exact_state(grid, free, 0.0, 1.5, 1.0, 1.0)
+    free_gap = max(_l2(last(march(state, round(1.0 / eps), spectral_stepper(grid, eps, free))),
+                       free_exact, grid) for eps in ladder[:2])
     print(f"[acceptance] 6: L2 slope against the exact state {exact_slope:.3f} "
-          f"(1 +- 0.01), rhs gap {rhs_gap:.2e} (<= 1e-10), hermiticity {herm:.2e} (<= 1e-12)")
+          f"(1 +- 0.01), norm drift {norm_drift:.2e} (<= 1e-12), free L2 gap "
+          f"{free_gap:.2e} (<= 1e-12)")
     # the exact state has no spatial floor, so the first order shows undiluted
     assert exact_slope == pytest.approx(1.0, abs=0.01)
-    assert rhs_gap <= 1e-10
-    assert herm <= 1e-12
+    assert norm_drift <= 1e-12
+    assert free_gap <= 1e-12
 
 
 def test_criterion_07_free_dispersion():

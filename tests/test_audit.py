@@ -6,7 +6,7 @@ import pytest
 
 from gaussprop import propagate
 from gaussprop.audit import (CONSERVE_ORDER, DRIFT_ORDER_MARGIN, AuditReport, analytic_drift_rate,
-                             audit_packets, empirical_a_scan, phase_freedom_check,
+                             audit_packets, phase_freedom_check,
                              predicted_drift_rate)
 from gaussprop.fields import FieldSpec, PropagatorSpec, gaussian_packet, make_grid
 from gaussprop.kernel import a_field
@@ -77,44 +77,16 @@ def test_predicted_rate_varying_diffusivity():
     assert predicted_drift_rate(state, spec) == pytest.approx(expected, rel=5e-3)
 
 
-def test_a_scan_recovers_half_the_slope():
-    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
-    candidates = [0.12, 0.14, 0.16, 0.18, 0.2, 0.22, 0.24, 0.26, 0.28]
-    result = empirical_a_scan(state, 0.04, LINEAR_DRIFT, candidates)
-    assert result.best == 0.2
-    assert len(result.drifts) == len(candidates)
-    assert all(type(d) is float for d in result.drifts)
-    assert min(result.drifts) == result.drifts[candidates.index(0.2)]
-
-
 @pytest.mark.parametrize("eps", (0.32, 0.04))
 def test_a_constant_a_scales_the_dense_step(eps):
-    """What the scan rests on: a = u' = 0.4 is the step without T times exp(-0.4 eps)."""
+    """A constant a scales the step by exp(-eps a), which criterion 4's measure of the
+    conserving a*(eps) rests on: a = u' = 0.4 is the step without T times exp(-0.4 eps)."""
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8, k0=0.7)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), b=FieldSpec.constant(0.3))
     without_t = dense_stepper(GRID, eps, replace(spec, variant="no_t"))(state).psi
     endpoint = dense_stepper(GRID, eps, replace(spec, variant="endpoint_t"))(state).psi
     expected = np.exp(-0.4 * eps) * without_t
     assert np.linalg.norm(endpoint - expected) <= 1e-14 * np.linalg.norm(expected)
-
-
-def test_a_scan_needs_an_admissible_spec():
-    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
-    spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
-    with pytest.raises(ValueError, match="admissible"):
-        empirical_a_scan(state, 0.04, spec, [0.1, 0.2, 0.3])
-
-
-def test_a_scan_rejects_unbracketed_minimum():
-    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
-    with pytest.raises(ValueError, match="bracket"):
-        empirical_a_scan(state, 0.04, LINEAR_DRIFT, [0.0, 0.02, 0.04])
-
-
-def test_a_scan_needs_three_candidates():
-    state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
-    with pytest.raises(ValueError):
-        empirical_a_scan(state, 0.04, LINEAR_DRIFT, [0.1, 0.2])
 
 
 def test_audit_admissible_conserves_at_second_order():

@@ -230,6 +230,10 @@ def test_the_guard_sees_a_coefficient_reader():
 
 # the inverse map and the complex vector potential, deleted for good
 HAMILTONIAN_LEFTOVERS = ("to_propagator", "im_a", "a_values")
+# the finite-difference Hamiltonian that no command stepped and the correction-exponent
+# scan, deleted for good: criteria 4 and 6 check exact laws of the steps that run
+UNSTEPPED_LEFTOVERS = ("rhs_apply", "hamiltonian_diagonals", "hermiticity_check",
+                       "empirical_a_scan", "AScanResult")
 
 
 def test_the_hamiltonian_map_is_written_once():
@@ -239,6 +243,10 @@ def test_the_hamiltonian_map_is_written_once():
                 if hasattr(gaussprop, name) or hasattr(reference, name)
                 or hasattr(HamiltonianSpec, name)]
     assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == ["m", "a_field", "phi"]
+    assert list(_parameters(reference.to_hamiltonian)) == ["spec"]
+    for info in pkgutil.iter_modules(gaussprop.__path__):
+        module = importlib.import_module(f"gaussprop.{info.name}")
+        assert not set(UNSTEPPED_LEFTOVERS) & set(vars(module)), info.name
     source = Path(reference.__file__).read_text()
     assert _coefficient_readers(ast.parse(source)) == {"to_hamiltonian"}
 
@@ -398,7 +406,7 @@ def test_every_public_definition_is_reached_by_a_command_or_a_criterion():
     kept = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
             and (node.module or "").startswith("gaussprop") for alias in node.names}
     assert {"audit", "cli", "kernel", "propagate"} <= set(sources)
-    assert {"empirical_a_scan", "hermiticity_check", "rhs_apply"} <= kept
+    assert {"phase_freedom_check", "unit_mass_check", "density_stepper"} <= kept
     assert _unreached(sources, kept) == []
 
 
