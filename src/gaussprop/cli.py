@@ -19,12 +19,13 @@ $GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
 carry no timestamps, so a rerun with the same inputs is byte-identical.
 
 evolve marches the kernel, and the split reference, on the caller's thread,
-and computes the rows (moments, the exact state, the L2 distance) one block
-behind, on one worker thread (propagate.one_behind), while the march goes on;
-a block holds as many states as fit _BLOCK_BYTES (256 KiB).  On one usable
-CPU the blocks are computed on the caller's thread.  The rows, the error and
-the exit code are those of computing one row per step: a step's error is
-raised once the row of every earlier state has been computed.
+and hands one worker thread (propagate.one_behind) each block of the states
+it marched, as many as fit _BLOCK_BYTES (256 KiB): the worker stacks them and
+computes their rows (moments, the exact state, the L2 distance) while the
+march goes on.  On one usable CPU the blocks are computed on the caller's
+thread.  The rows, the error and the exit code are those of computing one row
+per step: a step's error is raised once the row of every earlier state has
+been computed.
 
 COMMANDS is the one place a command is declared: runner, required sections,
 option and help.  A command is gated iff its summary has "passed", which alone
@@ -62,57 +63,14 @@ class RunResult(NamedTuple):
     lines: list
 
 
-def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float, diff: np.ndarray | None = None,
-                 sq: np.ndarray | None = None):
+def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float):
     """The L2 distance between a and b, reduced along the last axis: one for two
-    states, an array over the rows of two (K, n) blocks.  a - b is written into diff
-    and |a - b|^2 into sq, arrays of a's shape (new ones if None)."""
-    sq = np.abs(np.subtract(a, b, out=diff), out=sq)
-    return np.sqrt(np.sum(np.square(sq, out=sq), axis=-1) * dx)
+    states, an array over the rows of two (K, n) blocks."""
+    return np.sqrt(np.sum(np.abs(a - b) ** 2, axis=-1) * dx)
 
 
 # the bytes of one block of complex rows: 8 rows at n = 2048, 4 at n = 4096
 _BLOCK_BYTES = 256 * 2 ** 10
-
-
-def _settled(pairs, aborted: list):
-    """The pairs, each once the march has stepped past it (the step passed the
-    state's guards) or has ended.  A step's error ends them and joins aborted."""
-    held = None
-    try:
-        for pair in pairs:
-            if held is not None:
-                yield held
-            held = pair
-    except (ValueError, ValidityError) as exc:
-        aborted.append(exc)
-    if held is not None:
-        yield held
-
-
-def _blocks(pairs, n: int):
-    """Blocks (first step, times, psi, ref) of up to _BLOCK_BYTES of rows of the
-    pairs (state, reference state or None), their psi copied into one of two
-    buffers, each allocated on its first pair (ref None with no reference
-    states).  A block's buffer is filled again once the next block has been
-    taken: one_behind has then ended its work."""
-    size = max(1, _BLOCK_BYTES // (16 * n))
-    buffers, times, first = [None, None], [], 0
-    for state, ref in pairs:
-        parity = first // size % 2
-        if buffers[parity] is None:
-            buffers[parity] = np.empty((1 if ref is None else 2, size, n), dtype=complex)
-        block = buffers[parity]
-        block[0, len(times)] = state.psi
-        if ref is not None:
-            block[1, len(times)] = ref.psi
-        times.append(state.time)
-        if len(times) == size:
-            yield first, times, block[0], block[1] if ref is not None else None
-            first, times = first + size, []
-    if times:
-        k = len(times)
-        yield first, times, block[0, :k], block[1, :k] if ref is not None else None
 
 
 def _run_evolve(sc: Scenario) -> RunResult:
@@ -130,26 +88,41 @@ def _run_evolve(sc: Scenario) -> RunResult:
     else:  # a variant has no Schrodinger reference
         reference = None
     pairs = ((state, None) for state in kernel) if split is None else zip(kernel, split)
+    aborted = []
+
+    def blocks():
+        # lists of the (step, (state, reference)) pairs, _BLOCK_BYTES of states
+        # each; a step's error ends them after the partial block and joins aborted
+        size, block = max(1, _BLOCK_BYTES // (16 * grid.n)), []
+        try:
+            for item in enumerate(pairs):
+                block.append(item)
+                if len(block) == size:
+                    yield block
+                    block = []
+        except (ValueError, ValidityError) as exc:
+            aborted.append(exc)
+        if block:
+            yield block
 
     def block_rows(block):
-        first, times, psi, ref = block
-        if exact is not None:
-            ref = exact(times, out=np.empty_like(psi))
-        w, work = np.empty((2,) + psi.shape)
-        mass, mean, var = density_moments(np.square(np.abs(psi, out=w), out=w), grid, work)
+        steps, states = zip(*block)
+        times = [state.time for state, _ in states]
+        psi = np.array([state.psi for state, _ in states])
+        ref = (exact(times) if exact is not None else None if split is None
+               else np.array([r.psi for _, r in states]))
+        mass, mean, var = density_moments(np.abs(psi) ** 2, grid)
         err = ([math.nan] * len(times) if ref is None
-               else _l2_distance(psi, ref, grid.dx, diff=ref, sq=work).tolist())
-        return list(zip(range(first, first + len(times)), times, mass.tolist(),
-                        mean.tolist(), var.tolist(), err))
+               else _l2_distance(psi, ref, grid.dx).tolist())
+        return list(zip(steps, times, mass.tolist(), mean.tolist(), var.tolist(), err))
 
     # The kernel and its split reference march on this thread, and each block of
     # rows is computed on one worker thread while they march the next.  A step's
     # error is raised once the rows of every earlier state are computed.
-    aborted = []
-    blocks = one_behind(_blocks(_settled(pairs, aborted), grid.n), block_rows, usable_cpus())
+    computed = one_behind(blocks(), block_rows, usable_cpus())
     if aborted:
         raise aborted[0]
-    rows = [row for block in blocks for row in block]
+    rows = [row for block in computed for row in block]
 
     _, final_time, final_norm, _, _, final_err = rows[-1]
     summary = {
@@ -308,7 +281,8 @@ def _steps_for(t_final: float, eps: float, key: str) -> int:
 def _run_compare(sc: Scenario) -> RunResult:
     cs = sc.compare
     if not sc.spec.is_admissible():  # no Schrodinger reference: exit 2, before any check
-        raise ValueError("only the admissible variant maps to a Hamiltonian")
+        raise ScenarioError("scenario.spec.variant: only the admissible variant maps to a "
+                            f"Hamiltonian, got {sc.spec.variant!r}")
     if cs.eps_ref is not None:
         eps_ref, ref_key = cs.eps_ref, "compare.eps_ref"
     else:

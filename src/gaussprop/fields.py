@@ -372,19 +372,14 @@ def moments(state) -> tuple[float, float, float]:
     return tuple(map(float, density_moments(w, state.grid)))
 
 
-def density_moments(w: np.ndarray, grid: Grid, work: np.ndarray | None = None):
+def density_moments(w: np.ndarray, grid: Grid):
     """moments of the densities w on grid, reduced along the last axis: one of each
     for a density, an array over the rows of a (K, n) block, each row's bit for bit
-    what moments gives.  work, of w's shape, holds the weighted terms (a new array
-    if None).  Raises ValueError if a row carries no mass."""
+    what moments gives.  Raises ValueError if a row carries no mass."""
     dx, x = grid.dx, grid.x
     total = np.sum(w, axis=-1) * dx
     if np.any(total <= 0.0):
         raise ValueError("state carries no mass; moments are undefined")
-    work = np.multiply(x, w, out=work)
-    mean = np.sum(work, axis=-1) * dx / total
-    np.subtract(x, mean[..., None], out=work)
-    np.square(work, out=work)
-    work *= w
-    var = np.sum(work, axis=-1) * dx / total
+    mean = np.sum(x * w, axis=-1) * dx / total
+    var = np.sum((x - mean[..., None]) ** 2 * w, axis=-1) * dx / total
     return total, mean, var

@@ -331,8 +331,8 @@ def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):
     # potential phase eps phi acts after the free multiplier, the rest before.
     check_eps(eps)
     if not spec.is_admissible():
-        raise ValueError("the spectral path assumes an admissible parameter set; "
-                         f"variant {spec.variant!r} must use the dense path")
+        raise ValueError("scenario.spec.variant: the spectral path assumes an admissible "
+                         f"parameter set, got {spec.variant!r}, which must use the dense path")
     x = grid.x
     gauge = spec.u.antiderivative(x) / spec.d
     kick = eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d))
@@ -473,10 +473,10 @@ def side_by_side(tasks, threads: int, start=None) -> list:
 def one_behind(items, work, threads: int) -> list:
     """[work(item) for item in items], bit for bit, with each work(item) done on one
     worker thread while the caller takes the next item, if threads > 1; else on the
-    caller's thread.  The caller takes item i + 2 only once work(item i) has ended, so
-    an item (never None) may reuse the buffers of the item two before it.  A failure of
-    work raises the serial loop's, the first in item order, though the work on the next
-    item may have run.  The worker is joined on every exit."""
+    caller's thread.  Items are never None.  The caller takes item i + 2 only once
+    work(item i) has ended: at most two items are sent and not done.  A failure of work
+    raises the serial loop's, the first in item order, though the work on the next item
+    may have run.  The worker is joined on every exit."""
     if threads <= 1:
         return [work(item) for item in items]
     todo, done, out = queue.SimpleQueue(), queue.SimpleQueue(), []

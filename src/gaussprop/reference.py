@@ -159,10 +159,9 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
         alpha = 0.5j * m * dw / w + 0.5j * a1  # times e^{i Lambda}
         return alpha, beta + 1j * a0, gamma
 
-    def at(times, out: np.ndarray | None = None) -> np.ndarray:
-        """The exact psi at times, as the rows of out (a new (len(times), n) array
-        if None).  The first row in order that overflows or has reached the grid
-        edges raises."""
+    def at(times) -> np.ndarray:
+        """The exact psi at times, as the rows of a new (len(times), n) array.  The
+        first row in order that overflows or has reached the grid edges raises."""
         coeffs = np.empty((3, len(times)), dtype=complex)
         for j, time in enumerate(times):
             if not math.isfinite(time):
@@ -172,7 +171,7 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
             except (OverflowError, ValueError):  # a nan row, refused as overflowing below
                 coeffs[:, j] = np.nan
         alpha, beta, gamma = coeffs[:, :, None]
-        psi = np.empty((len(times), grid.n), dtype=complex) if out is None else out
+        psi = np.empty((len(times), grid.n), dtype=complex)
         with np.errstate(all="ignore"):  # exp((alpha x + beta) x + gamma), in place
             np.multiply(alpha, x, out=psi)
             psi += beta

@@ -340,11 +340,21 @@ def parse_scenario(data) -> Scenario:
     return Scenario(**values)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose every key is given once: json would keep only the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"scenario: the key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, parse_constant=_NonFinite)
+            data = json.load(handle, parse_constant=_NonFinite, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -79,7 +79,8 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
                  step_law: str = "gauss") -> WalkEnsemble:
     """Evolve n_particles from x0 for n_steps; deterministic per seed."""
     if not spec.is_admissible():
-        raise ValueError("sampling is defined for the admissible variant only")
+        raise ValueError("scenario.spec.variant: sampling is defined for the admissible "
+                         f"variant only, got {spec.variant!r}")
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
     if n_steps < 0:

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from gaussprop import cli
-from gaussprop.propagate import march, split_stepper, wave_stepper
+from gaussprop.propagate import ValidityError, march, split_stepper, wave_stepper
 from gaussprop.reference import exact_state, has_exact_state
 from gaussprop.scenario import ScenarioError, parse_scenario
 
@@ -530,9 +531,9 @@ def test_the_split_reference_is_an_explicit_strang_march(tmp_path, monkeypatch):
     chi = exp(-i Lambda) psi.  Both march 50 steps of 0.01 here."""
     refs = []
     distance = cli._l2_distance
-    # compare passes one state, evolve a block of rows, overwritten by the distance
-    monkeypatch.setattr(cli, "_l2_distance", lambda a, b, dx, **out:
-                        refs.extend(np.array(b, ndmin=2)) or distance(a, b, dx, **out))
+    # compare passes one state, evolve a block of rows
+    monkeypatch.setattr(cli, "_l2_distance", lambda a, b, dx:
+                        refs.extend(np.array(b, ndmin=2)) or distance(a, b, dx))
     evolve = {**SINE_COMPARE, "schedule": {"eps": 0.01, "n_steps": 50}}
     for command, data in (("compare", SINE_COMPARE), ("evolve", evolve)):
         path = tmp_path / f"{command}.json"
@@ -705,6 +706,37 @@ def test_evolve_in_blocks_raises_the_first_failure_in_row_order(data, err, tmp_p
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=("K-1", "K", "K+1"))
+def test_evolve_raises_a_step_error_at_a_block_boundary(extra, tmp_path, monkeypatch, capsys):
+    """A step failing at K - 1 (a full block, then none), K or K + 1 exits 3
+    naming its step, writes nothing and leaves no thread running."""
+    k = cli._BLOCK_BYTES // (16 * EVOLVE_BASE["grid"]["n"])
+    data = {**EVOLVE_BASE, **EVOLVE_REFERENCES["exact"],
+            "schedule": {"eps": 0.1, "n_steps": 2 * k + 3}}
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(data))
+    stepper = cli.wave_stepper
+
+    def failing_stepper(*args):
+        step, steps = stepper(*args), itertools.count()
+
+        def failing_step(state):
+            if next(steps) == k + extra:
+                raise ValidityError("injected")
+            return step(state)
+
+        return failing_step
+
+    monkeypatch.setattr(cli, "wave_stepper", failing_stepper)
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        assert cli.main(["evolve", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == f"error: aborted at step {k + extra}: injected\n"
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("data,code,err", [
     (None, 0, ""), (SINE_COMPARE, 0, ""),
     (FAILING_LADDER, 3, "error: aborted at step 0: dense step cannot resolve the kernel "
@@ -867,6 +899,17 @@ def test_parse_scenario_rejects_bad_input(data):
         parse_scenario(data)
 
 
+def test_a_key_given_twice_exits_two_naming_the_key(tmp_path, capsys):
+    """json would silently read the last value, here eps = 0.3."""
+    path = tmp_path / "twice.json"
+    path.write_text('{"name": "x", "grid": {"x_min": -8, "x_max": 8, "n": 256}, "packet": {}, '
+                    '"spec": {"d": 1.0}, "schedule": {"eps": 0.2, "n_steps": 2, "eps": 0.3}}')
+    assert cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scenario: the key 'eps' is given twice in one object\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 OUT_OF_RANGE = [
     ('{"name": "x", "schedule": {"eps": -1}}', "schedule.eps"),
     ('{"name": "x", "schedule": {"n_steps": -1}}', "schedule.n_steps"),
@@ -985,7 +1028,14 @@ COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, 
     # a variant is refused before the ladder's divisibility is checked
     ("compare", {**COMPARE_BASE, "spec": {"d": 1.0, "variant": "no_t"},
                  "schedule": {"eps_ladder": [0.1, 0.03]}, "compare": {"t_final": 1.0}},
-     "only the admissible variant maps to a Hamiltonian"),
+     "scenario.spec.variant: only the admissible variant maps to a Hamiltonian, got 'no_t'"),
+    ("walk", {"name": "x", "spec": {"d": 1.0, "variant": "no_t"},
+              "schedule": {"eps": 0.05, "n_steps": 2}, "walk": {"n_particles": 10000}},
+     "scenario.spec.variant: sampling is defined for the admissible variant only, got 'no_t'"),
+    ("evolve", {**COMPARE_BASE, "spec": {"d": 1.0, "variant": "no_t"},
+                "schedule": {"eps": 0.05, "n_steps": 2}},
+     "scenario.spec.variant: the spectral path assumes an admissible parameter set, "
+     "got 'no_t', which must use the dense path"),
     # D(x) <= 0 on the grid is refused when the dense step is built, not divided
     # by (D = 0 at x = 0) or audited as a negative diffusivity
     ("evolve", {"name": "x", "grid": GRID_16, "packet": {"sigma0": 0.8},
@@ -998,7 +1048,8 @@ COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, 
                     "expect": "conserves"}]}},
      "spec.d_field must be > 0 on the grid, but its minimum there is D = -1"),
 ], ids=("audit-3-rungs", "compare-eps_ladder", "compare-eps_ref", "compare-default-eps_ref",
-        "compare-variant", "evolve-d_field-linear", "audit-d_field-negative"))
+        "compare-variant", "walk-variant", "evolve-spectral-variant", "evolve-d_field-linear",
+        "audit-d_field-negative"))
 def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"

@@ -1,0 +1,89 @@
+"""Paired benchmark of two revisions on one workload.
+
+    python3 tools/paired_bench.py PARENT CHANGE --workload W --pairs N --seed S
+
+Run from inside the git checkout.  Both revisions (any commit-ish git names,
+such as HEAD~1, a branch or the hash `git stash create` prints for the work
+tree) are exported with `git archive` into one temporary directory, which is
+removed at the end.  Pair i runs `perfbench/run.py --workload W --seed S+i
+--seconds 4 --trace 0` in each export, the parent first in even pairs and
+the change first in odd ones, so a drift of the host's speed does not favour
+one side.  For each end-to-end metric that BENCHMARK.json declares, it prints
+both medians, the parent's quartiles and the pairs in which the change was
+better.  Nothing is written into the checkout; stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+
+def export(rev: str, dest: str) -> None:
+    """The tree of rev, extracted into dest."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def bench(tree: str, workload: str, seed: int) -> dict:
+    """metric name -> value of one perfbench run in tree."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", "4", "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2 for quartiles")
+
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as root:
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = os.path.join(root, side)
+            export(getattr(args, side), trees[side])
+        with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
+            declared = json.load(handle)["end_to_end"]
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench(trees[side], args.workload, args.seed + i))
+            print(f"# pair {i + 1}/{args.pairs} (seed {args.seed + i}): " + ", ".join(
+                f"{side} run_s {runs[side][-1]['run_s']:.4f}" for side in runs), flush=True)
+
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+          f"{args.parent} -> {args.change}")
+    print(f"{'metric':<12} {'parent':>10} {'change':>10} {'parent q1-q3':>21} {'better':>7}")
+    for metric in declared:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent = [run[name] for run in runs["parent"]]
+        change = [run[name] for run in runs["change"]]
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        print(f"{name:<12} {statistics.median(parent):>10.4f} {statistics.median(change):>10.4f} "
+              f"{q1:>10.4f}-{q3:<10.4f} {wins:>3}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
