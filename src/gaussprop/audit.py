@@ -4,7 +4,8 @@ The single-step propagator conserves the norm only when the real part of the
 correction exponent is a = (1/2) du/dx, the a that kernel.a_field gives the
 admissible variant.  Everything here turns that statement into measurements:
 
-  * analytic_drift_rate integrates psi* (du/dx - 2a) psi, the instantaneous
+  * predicted_drift_rate gives each variant's small-eps norm growth rate;
+    for the T variants it integrates psi* (du/dx - 2a) psi, the instantaneous
     d/dt of the squared norm once boundary fluxes vanish,
   * audit_packets fits the order of each state's per-step defect on an eps
     ladder and issues a conserves/drifts verdict, stepping every state on
@@ -48,21 +49,6 @@ def _central(values: np.ndarray, dx: float) -> np.ndarray:
     return (padded[2:] - padded[:-2]) / (2.0 * dx)
 
 
-def analytic_drift_rate(state: WaveState, spec: PropagatorSpec,
-                        a_field: FieldSpec) -> float:
-    """int psi* (du/dx - 2a) psi dx, the norm's instantaneous growth rate.
-
-    Valid once the boundary fluxes vanish, which is why the state must decay
-    at the grid edges.
-    """
-    check_boundary_decay(state)
-    x = state.grid.x
-    du = spec.u.derivative_field()(x)
-    a = a_field(x)
-    weight = np.abs(state.psi) ** 2
-    return float(np.sum((du - 2.0 * a) * weight) * state.grid.dx)
-
-
 def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
     """Small-eps norm growth rate for spec's variant (0 when admissible)."""
     grid = state.grid
@@ -71,7 +57,11 @@ def predicted_drift_rate(state: WaveState, spec: PropagatorSpec) -> float:
     if spec.is_admissible():
         return 0.0
     if spec.variant in ("no_t", "endpoint_t"):
-        return analytic_drift_rate(state, spec, a_field(spec))
+        # int psi* (du/dx - 2a) psi dx: valid once the boundary fluxes vanish,
+        # which is why the state must decay at the grid edges
+        check_boundary_decay(state)
+        du = spec.u.derivative_field()(x)
+        return float(np.sum((du - 2.0 * a_field(spec)(x)) * np.abs(psi) ** 2) * dx)
     dpsi = _central(psi, dx)
     if spec.variant == "complex_d":
         return float(spec.im_d * np.sum(np.abs(dpsi) ** 2) * dx)

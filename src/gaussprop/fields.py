@@ -25,6 +25,7 @@ import numpy as np
 
 # States fed to a propagation step must satisfy |psi(edge)| < RATIO * max|psi|.
 BOUNDARY_DECAY_RATIO = 1e-6
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float64, the least grid spacing
 
 FIELD_KINDS = ("polynomial", "sine", "tabulated")
 # c * x^p as one numpy operation each, so a one-term polynomial keeps its preset's bits
@@ -70,14 +71,22 @@ class Grid:
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    """Build a grid, rejecting degenerate bounds and tiny sample counts."""
+    """Build a grid, rejecting degenerate bounds, tiny sample counts, a spacing
+    outside float64's normal range and points that do not strictly increase."""
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise ValueError("grid bounds must be finite")
     if not x_max > x_min:
         raise ValueError(f"grid needs x_max > x_min, got [{x_min}, {x_max}]")
     if int(n) != n or n < 8:
         raise ValueError(f"grid needs an integer n >= 8, got {n}")
-    return Grid(float(x_min), float(x_max), int(n))
+    grid = Grid(float(x_min), float(x_max), int(n))
+    if not (np.isfinite(grid.dx) and grid.dx >= _TINY):
+        raise ValueError(f"grid spacing (x_max - x_min)/n = {grid.dx:g} must be finite and "
+                         f">= {_TINY:g}, the smallest normal float64")
+    if not np.all(np.diff(grid.x) > 0.0):
+        raise ValueError(f"grid points must strictly increase, but spacing {grid.dx:g} is lost "
+                         f"in rounding on [{x_min}, {x_max}]")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,10 @@ class FieldSpec:
     def degree(self) -> int | None:
         """The polynomial degree, -1 for the zero polynomial; None for a sine or table."""
         return len(self.coeffs) - 1 if self.kind == "polynomial" else None
+
+    def is_affine(self) -> bool:
+        """Whether the field is a polynomial of degree <= 1."""
+        return self.degree is not None and self.degree <= 1
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

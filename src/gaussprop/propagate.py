@@ -61,12 +61,12 @@ the work on each item of a stream on one worker thread while the caller
 takes the next: evolve computes its rows that way, one block of states (as
 many as fit a byte budget) behind the march.
 
-The drift-diffusion oracle's tridiagonal solves in reference call LAPACK
-dgttrf/dgttrs from scipy.linalg._flapack, and the chirp-z, spectral and
-split steps' FFTs call pocketfft from
-scipy.fft._pocketfft.pypocketfft, which keeps its plans between calls.  Each
-compiled extension is loaded alone, on the first operator that needs it, so
-no command imports the scipy.linalg or scipy.fft package.
+The drift-diffusion oracle in reference factors and solves its tridiagonal
+operator with LAPACK dgttrf/dgttrs, which lapack takes from
+scipy.linalg._flapack, and the chirp-z, spectral and split steps' FFTs call
+pocketfft from scipy.fft._pocketfft.pypocketfft, which keeps its plans between
+calls.  Each compiled extension is loaded alone, on the first operator that
+needs it, so no command imports the scipy.linalg or scipy.fft package.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
 
 def chirp_z_applies(spec: PropagatorSpec) -> bool:
     """Does the dense step take the chirp-z form (real constant D, u of degree <= 1)?"""
-    return (spec.u.degree is not None and spec.u.degree <= 1
-            and spec.variant not in ("complex_d", "x_dependent_d"))
+    return spec.u.is_affine() and spec.variant not in ("complex_d", "x_dependent_d")
 
 
 def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
@@ -287,42 +286,14 @@ def _in_place_ffts():
             lambda a: c2c(a, None, False, 2, a, 1))  # times 1/n
 
 
-def get_lapack_funcs(names, arrays):
-    """The double (d) LAPACK routines `names` for the real `arrays`, as
-    scipy.linalg.get_lapack_funcs picks them; complex arrays are refused.
-
-    They are taken from the compiled extension scipy.linalg._flapack, loaded
-    under its own name without running scipy.linalg's __init__: that package
-    also imports scipy._lib, array_api_compat, numpy.testing and numpy.ma,
-    about 25 MB and 0.2-0.3 s a process for two routines.  A scipy.linalg
-    imported before or after shares the one registered module, so the
-    routines are the very same objects."""
-    if any(np.iscomplexobj(a) for a in arrays):
-        raise TypeError("only real tridiagonal systems are solved")
-    module = _extension(_FLAPACK)
-    return [getattr(module, "d" + name) for name in names]
-
-
-class Tridiagonal:
-    """The real matrix with finite bands (lower, diag, upper).  solve LU-factors
-    it once (LAPACK dgttrf), then each solve is one O(n) gttrs sweep, bit for
-    bit what solve_banded gives by re-factoring."""
-
-    def __init__(self, lower, diag, upper):
-        self.bands = (lower, diag, upper)
-        if not all(np.isfinite(band).all() for band in self.bands):
-            raise ValueError("tridiagonal bands must be finite")
-        self._lu = None
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), self.bands)
-            *factors, info = gttrf(*self.bands)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
-            self._lu = gttrs, factors
-        gttrs, factors = self._lu
-        return gttrs(*factors, rhs)[0]
+def lapack(name: str):
+    """The LAPACK routine `name` (such as "dgttrf") of scipy's compiled extension
+    scipy.linalg._flapack, loaded under its own name without running
+    scipy.linalg's __init__: that package also imports scipy._lib,
+    array_api_compat, numpy.testing and numpy.ma, about 25 MB and 0.2-0.3 s a
+    process for two routines.  A scipy.linalg imported before or after shares
+    the one registered module, so the routine is the very same object."""
+    return getattr(_extension(_FLAPACK), name)
 
 
 def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):

@@ -5,9 +5,9 @@ Hamiltonian H = (p - A)^2/(2m) + phi with hbar = 1 and unit charge:
 
     m = 1/D,        A = u m,        phi = b - A^2/(2m).
 
-For constant D, u of degree <= 1 and b a polynomial (FieldSpec.degree),
-to_hamiltonian, the one place this map is written, gives (m, A, phi), and the
-Schrodinger state of a Gaussian packet is known in closed form
+For constant D, u affine and b a polynomial (FieldSpec.degree), to_hamiltonian,
+the one place this map is written, gives m and the coefficients of A and phi,
+and the Schrodinger state of a Gaussian packet is known in closed form
 (exact_evolution), with neither a time step nor a spatial stencil: in 1D
 A = Lambda' is a pure gauge, phi = b - A^2/(2m) is quadratic, and a Gaussian
 stays Gaussian (Heller 1975, J. Chem. Phys. 62, 1544; Littlejohn 1986, Phys.
@@ -23,20 +23,20 @@ form with Scharfetter-Gummel faces and no-flux ends: mass is conserved to
 round-off and the implicit (backward Euler) step keeps P nonnegative
 (M-matrix), with no step-size stability bound.  A face whose weight
 exponential overflows float64 is refused (ValidityError).  The oracle
-LU-factors its implicit tridiagonal operator once (LAPACK gttrf), so a step
-is one O(n) gttrs solve, streamed by propagate.march to the final state.
+LU-factors its implicit tridiagonal operator once, when the stepper is built
+(LAPACK dgttrf), so a step is one O(n) dgttrs solve, streamed by
+propagate.march to the final state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (BoundaryDecayError, FieldSpec, Grid, PropagatorSpec, RealState,
                      WaveState, check_amplitude_decay, check_eps)
-from .propagate import Tridiagonal, ValidityError
+from .propagate import ValidityError, lapack
 
 # 0!, 1!, ..., 25!: the divisors of _fundamental's series
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(26))
@@ -45,42 +45,29 @@ _FACTORIALS = tuple(float(math.factorial(k)) for k in range(26))
 _EXP_MAX = float(np.log(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Minimally coupled 1D Hamiltonian (p - A)^2/(2m) + phi, hbar = 1."""
-
-    m: float
-    a_field: FieldSpec = field(default_factory=lambda: FieldSpec.constant(0.0))
-    phi: FieldSpec = field(default_factory=lambda: FieldSpec.constant(0.0))
-
-    def __post_init__(self):
-        if not (np.isfinite(self.m) and self.m > 0.0):
-            raise ValueError(f"mass must be finite and > 0, got {self.m}")
-
-
-def to_hamiltonian(spec: PropagatorSpec) -> HamiltonianSpec:
-    """Map propagator parameters in has_exact_state's class to (m, A, phi): A = a0 + a1 x
-    is affine and phi the polynomial b - A^2/(2m) of degree <= 2.  Raises ValueError
-    naming the class for any other spec."""
+def to_hamiltonian(spec: PropagatorSpec):
+    """m, (a0, a1) and (v0, v1, v2): the mass, A = a0 + a1 x and
+    phi = b - A^2/(2m) = v0 + v1 x + v2 x^2 of a spec in has_exact_state's
+    class.  Raises ValueError naming the class for any other spec, and for a
+    D so small that m = 1/D overflows."""
     if not has_exact_state(spec):
         raise ValueError("the Hamiltonian map needs the admissible variant, u a polynomial "
                          "of degree <= 1 and b a polynomial; got "
                          f"{spec.variant}, u {_shape(spec.u)}, b {_shape(spec.b)}")
     m = 1.0 / spec.d
-    a_field = spec.u.scaled(m)
-    a0, a1 = (*a_field.coeffs, 0.0, 0.0)[:2]
-    a_sq = (a0 ** 2, 2.0 * a0 * a1, a1 ** 2)
-    b = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
-    phi = FieldSpec("polynomial", coeffs=[bp - ap / (2.0 * m) for bp, ap in zip(b, a_sq)])
-    return HamiltonianSpec(m=m, a_field=a_field, phi=phi)
+    if not (np.isfinite(m) and m > 0.0):
+        raise ValueError(f"mass must be finite and > 0, got {m}")
+    a0, a1 = (*spec.u.scaled(m).coeffs, 0.0, 0.0)[:2]
+    b0, b1, b2 = (*spec.b.coeffs, 0.0, 0.0, 0.0)[:3]
+    return m, (a0, a1), (b0 - a0 ** 2 / (2.0 * m), b1 - 2.0 * a0 * a1 / (2.0 * m),
+                         b2 - a1 ** 2 / (2.0 * m))
 
 
 def has_exact_state(spec: PropagatorSpec) -> bool:
     """Whether exact_state accepts spec: the admissible variant (so a constant
-    D), u a polynomial of degree <= 1 and b a polynomial, which make
+    D), u affine (a polynomial of degree <= 1) and b a polynomial, which make
     phi = b - A^2/(2m) quadratic."""
-    return (spec.is_admissible() and spec.u.degree is not None and spec.u.degree <= 1
-            and spec.b.degree is not None)
+    return spec.is_admissible() and spec.u.is_affine() and spec.b.degree is not None
 
 
 def _shape(f: FieldSpec) -> str:
@@ -124,12 +111,9 @@ def exact_evolution(grid: Grid, spec: PropagatorSpec, x0: float, sigma0: float, 
     state has reached the grid edges or its closed form overflows (an
     inverted oscillator spreads it).
     """
-    ham = to_hamiltonian(spec)
+    m, (a0, a1), (v0, v1, v2) = to_hamiltonian(spec)
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-    m = ham.m
-    a0, a1 = (*ham.a_field.coeffs, 0.0, 0.0)[:2]
-    v0, v1, v2 = (*ham.phi.coeffs, 0.0, 0.0, 0.0)[:3]
     x = grid.x
     scale = math.sqrt(float(np.sum(np.exp(-(x - x0) ** 2 / (2.0 * sigma0 ** 2)))) * grid.dx)
     alpha0 = complex(-0.25 / sigma0 ** 2, -0.5 * a1)  # the packet times e^{-i Lambda}
@@ -233,10 +217,16 @@ def diffusion_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     if not spec.is_admissible():
         raise ValueError("the diffusion oracle is defined for the admissible variant")
     lower, diag, upper = _diffusion_diagonals(grid, spec)
-    implicit = Tridiagonal(eps * lower, 1.0 + eps * diag, eps * upper)
+    bands = (eps * lower, 1.0 + eps * diag, eps * upper)
+    if not all(np.isfinite(band).all() for band in bands):
+        raise ValueError("tridiagonal bands must be finite")
+    *factors, info = lapack("dgttrf")(*bands)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    gttrs = lapack("dgttrs")
 
     def step(state: RealState) -> RealState:
-        out = implicit.solve(state.density)
+        out = gttrs(*factors, state.density)[0]
         out = np.where(np.abs(out) < 1e-300, 0.0, out)  # flush denormals
         return state.replace_density(out, time=state.time + eps)
 

@@ -95,7 +95,7 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
     x = np.full(n_particles, float(x0))
     if n_steps > 0:
         width = np.sqrt(spec.d * eps)
-        if affine := spec.u.kind == "polynomial" and spec.u.degree <= 1:
+        if affine := spec.u.is_affine():
             u0, slope = (*spec.u.coeffs, 0.0, 0.0)[:2]
             with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
                 powers = np.float64(1.0 + slope * eps) ** np.arange(n_steps, -1, -1)

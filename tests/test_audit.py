@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from gaussprop import propagate
-from gaussprop.audit import (CONSERVE_ORDER, DRIFT_ORDER_MARGIN, AuditReport, analytic_drift_rate,
-                             audit_packets, phase_freedom_check,
-                             predicted_drift_rate)
-from gaussprop.fields import FieldSpec, PropagatorSpec, gaussian_packet, make_grid
+from gaussprop.audit import (CONSERVE_ORDER, DRIFT_ORDER_MARGIN, AuditReport, audit_packets,
+                             phase_freedom_check, predicted_drift_rate)
+from gaussprop.fields import (BoundaryDecayError, FieldSpec, PropagatorSpec, WaveState,
+                              gaussian_packet, make_grid)
 from gaussprop.kernel import a_field
 from gaussprop.propagate import dense_stepper
 from gaussprop.scenario import load_scenario
@@ -19,15 +19,23 @@ LADDER = (0.32, 0.16, 0.08, 0.04)
 
 
 def test_analytic_rate_for_the_three_a_choices():
-    """u' = 0.4: rate is +0.4 without a, 0 at a = u'/2, -0.4 at a = u'."""
+    """u' = 0.4: the rate int (u' - 2a) |psi|^2 is +0.4 without a, 0 at a = u'/2
+    and -0.4 at a = u', each variant's a as kernel.a_field gives it."""
     state = gaussian_packet(GRID, x0=0.0, sigma0=0.8)
-    spec = LINEAR_DRIFT
-    assert analytic_drift_rate(state, spec, FieldSpec.constant(0.0)) == \
-        pytest.approx(0.4, abs=1e-9)
-    assert analytic_drift_rate(state, spec, a_field(spec)) == \
-        pytest.approx(0.0, abs=1e-12)
-    assert analytic_drift_rate(state, spec, spec.u.derivative_field()) == \
-        pytest.approx(-0.4, abs=1e-9)
+    weight = np.abs(state.psi) ** 2
+    for variant, rate in (("no_t", 0.4), ("admissible", 0.0), ("endpoint_t", -0.4)):
+        spec = replace(LINEAR_DRIFT, variant=variant)
+        law = np.sum((0.4 - 2.0 * a_field(spec)(GRID.x)) * weight) * GRID.dx
+        assert law == pytest.approx(rate, abs=1e-9)
+        assert predicted_drift_rate(state, spec) == pytest.approx(law, abs=1e-12)
+
+
+def test_the_t_variants_rate_refuses_a_state_at_the_edges():
+    """The rate omits the boundary fluxes, so it needs a state that has decayed there."""
+    psi = gaussian_packet(GRID, x0=0.0, sigma0=0.8).psi.copy()
+    psi[0] = psi.max()
+    with pytest.raises(BoundaryDecayError):
+        predicted_drift_rate(WaveState(GRID, psi), replace(LINEAR_DRIFT, variant="no_t"))
 
 
 def test_required_a_presets():

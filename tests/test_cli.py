@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -890,6 +891,8 @@ BAD_SCENARIOS = [
     {"name": "x", "spec": {"u": {"kind": "triangle"}}},
     {"name": "x", "seed": 1.5},
     {"name": ""},
+    {"name": "x", "grid": {"x_min": -1e308, "x_max": 1e308, "n": 16}},  # dx = inf
+    {"name": "x", "grid": {"x_min": 0.0, "x_max": 1e-320, "n": 16}},  # dx subnormal
 ]
 
 
@@ -908,6 +911,21 @@ def test_a_key_given_twice_exits_two_naming_the_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: scenario: the key 'eps' is given twice in one object\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("x_min,x_max", ((-1e308, 1e308), (0.0, 1e-320)),
+                         ids=("spacing-inf", "spacing-subnormal"))
+def test_a_grid_spacing_past_float64_exits_two_naming_the_grid(x_min, x_max, tmp_path, capsys):
+    """Finite bounds whose spacing overflows or leaves the normal range are the
+    grid's fault, refused before any packet is built and with no warning."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"name": "x", "grid": {"x_min": x_min, "x_max": x_max, "n": 16},
+                                "packet": {}, "spec": {"d": 1.0},
+                                "schedule": {"eps": 0.1, "n_steps": 2}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["evolve", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario.grid: grid spacing")
 
 
 OUT_OF_RANGE = [
@@ -1047,9 +1065,13 @@ COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, 
                    {"variant": "x_dependent_d", "d_field": {"kind": "constant", "c": -1},
                     "expect": "conserves"}]}},
      "spec.d_field must be > 0 on the grid, but its minimum there is D = -1"),
+    # D = 5e-324 is finite and > 0, but the Hamiltonian's mass 1/D is not
+    ("compare", {**COMPARE_BASE, "spec": {"d": 5e-324}, "schedule": {"eps_ladder": [0.1, 0.05]},
+                 "compare": {"t_final": 1.0}},
+     "error: mass must be finite and > 0, got inf"),
 ], ids=("audit-3-rungs", "compare-eps_ladder", "compare-eps_ref", "compare-default-eps_ref",
         "compare-variant", "walk-variant", "evolve-spectral-variant", "evolve-d_field-linear",
-        "audit-d_field-negative"))
+        "audit-d_field-negative", "compare-infinite-mass"))
 def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"

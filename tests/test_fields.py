@@ -25,6 +25,12 @@ def test_make_grid_rejects_bad_input():
         make_grid(2.0, -2.0, 64)
     with pytest.raises(ValueError):
         make_grid(-2.0, 2.0, 1)
+    with pytest.raises(ValueError, match="spacing .* = inf must be finite"):
+        make_grid(-1e308, 1e308, 16)
+    with pytest.raises(ValueError, match="spacing .* = 6.22523e-322 must be finite and >= "):
+        make_grid(0.0, 1e-320, 16)
+    with pytest.raises(ValueError, match="grid points must strictly increase"):
+        make_grid(1e17, 1e17 + 32.0, 16)
 
 
 def test_field_presets_evaluate():

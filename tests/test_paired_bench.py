@@ -1,0 +1,54 @@
+"""tools/paired_bench.py with its git export and its perfbench run replaced:
+the pairs alternate, and the summary reads medians, quartiles, wins and the
+median's change against each metric's bound."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
+DECLARED = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.1},
+            {"name": "pass_frac", "unit": "ratio", "better": "higher", "bound": 0.01}]
+# run_s of pair i for each side; pass_frac is 1.0 at the parent and 0.995 at the change
+RUN_S = {"parent": (1.0, 1.2, 1.1, 1.3), "change": (1.3, 1.4, 1.0, 1.5)}
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("paired_bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _export(rev, dest):
+    """The tree of rev: its name and the declared metrics."""
+    os.makedirs(dest)
+    Path(dest, "rev").write_text(rev)
+    Path(dest, "BENCHMARK.json").write_text(json.dumps({"end_to_end": DECLARED}))
+
+
+def test_the_pairs_alternate_and_a_change_past_its_bound_is_flagged(monkeypatch, capsys):
+    tool, runs = _tool(), []
+
+    def bench(tree, workload, seed):
+        side = Path(tree, "rev").read_text()
+        runs.append((side, workload, seed))
+        return {"run_s": RUN_S[side][seed - 10], "pass_frac": 1.0 if side == "parent" else 0.995}
+
+    monkeypatch.setattr(tool, "export", _export)
+    monkeypatch.setattr(tool, "bench", bench)
+    args = ["parent", "change", "--workload", "walk", "--pairs", "4", "--seed", "10"]
+    assert tool.main(args) == 1
+    assert runs == [("parent", "walk", 10), ("change", "walk", 10),
+                    ("change", "walk", 11), ("parent", "walk", 11),
+                    ("parent", "walk", 12), ("change", "walk", 12),
+                    ("change", "walk", 13), ("parent", "walk", 13)]
+    lines = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+    # medians 1.15 and 1.35; exclusive quartiles of 1.0..1.3; only pair 3 is faster
+    assert lines["run_s"] == ["run_s", "1.1500", "1.3500", "1.0250-1.2750", "1/4", "+17.4%",
+                              "WORSE", "than", "the", "bound", "10%"]
+    # a higher-is-better metric 0.5% lower: worse, but within its 1% bound
+    assert lines["pass_frac"] == ["pass_frac", "1.0000", "0.9950", "1.0000-1.0000", "0/4",
+                                  "-0.5%"]
+

@@ -4,44 +4,49 @@ import pytest
 from gaussprop.fields import (VARIANTS, BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
                               gaussian_packet, make_grid, moments, norm)
 from gaussprop.propagate import ValidityError, last, march, split_stepper
-from gaussprop.reference import (HamiltonianSpec, diffusion_stepper, exact_state,
-                                 has_exact_state, to_hamiltonian)
+from gaussprop.reference import diffusion_stepper, exact_state, has_exact_state, to_hamiltonian
 
 GRID = make_grid(-10.0, 10.0, 512)
 
 
+def _phi(coeffs, x):
+    v0, v1, v2 = coeffs
+    return v0 + v1 * x + v2 * x ** 2
+
+
 def test_parameter_map_values():
     spec = PropagatorSpec(d=0.5, u=FieldSpec.linear(0.4), b=FieldSpec.linear(0.3))
-    ham = to_hamiltonian(spec)
-    assert ham.m == pytest.approx(2.0)
+    m, a, phi = to_hamiltonian(spec)
+    assert all(type(value) is float for value in (m, *a, *phi))
+    assert m == pytest.approx(2.0)
+    assert a == pytest.approx((0.0, 0.8), abs=1e-15)
     x = GRID.x
-    assert np.allclose(ham.a_field(x), 0.8 * x, atol=1e-14)
-    assert np.allclose(ham.phi(x), spec.b(x) - (0.8 * x) ** 2 / 4.0, atol=1e-12)
+    assert np.allclose(_phi(phi, x), spec.b(x) - (0.8 * x) ** 2 / 4.0, atol=1e-12)
 
 
 def test_parameter_map_free_case_keeps_b():
     spec = PropagatorSpec(d=2.0, b=FieldSpec.quadratic(0.5))
-    ham = to_hamiltonian(spec)
-    assert ham.phi == spec.b
-    assert ham.m == pytest.approx(0.5)
+    m, a, phi = to_hamiltonian(spec)
+    assert a == (0.0, 0.0)
+    assert phi == (0.0, 0.0, 0.5)
+    assert m == pytest.approx(0.5)
 
 
 def test_parameter_map_keeps_phi_polynomial_in_the_exact_class():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.3), b=FieldSpec.quadratic(0.5))
-    phi = to_hamiltonian(spec).phi
-    assert phi.degree == 2
-    assert phi.coeffs == pytest.approx((0.0, 0.0, 0.455), abs=1e-15)
+    phi = to_hamiltonian(spec)[2]
+    assert phi == pytest.approx((0.0, 0.0, 0.455), abs=1e-15)
 
 
 def test_parameter_map_expands_an_affine_vector_potential():
     """phi = b - A^2/(2m) with A = a0 + a1 x, coefficient by coefficient."""
     spec = PropagatorSpec(d=0.5, u=FieldSpec("polynomial", coeffs=(0.2, 0.4)),
                           b=FieldSpec("polynomial", coeffs=(0.1, -0.3, 0.6)))
-    ham = to_hamiltonian(spec)
-    assert ham.a_field.coeffs == pytest.approx((0.4, 0.8))
-    assert ham.phi.coeffs == pytest.approx((0.1 - 0.04, -0.3 - 0.16, 0.6 - 0.16))
+    _, (a0, a1), phi = to_hamiltonian(spec)
+    assert (a0, a1) == pytest.approx((0.4, 0.8))
+    assert phi == pytest.approx((0.1 - 0.04, -0.3 - 0.16, 0.6 - 0.16))
     x = GRID.x
-    assert np.allclose(ham.phi(x), spec.b(x) - ham.a_field(x) ** 2 / 4.0, atol=1e-12)
+    assert np.allclose(_phi(phi, x), spec.b(x) - (a0 + a1 * x) ** 2 / 4.0, atol=1e-12)
 
 
 def test_parameter_map_rejects_variants():
@@ -57,9 +62,10 @@ def test_parameter_map_refuses_a_spec_outside_the_exact_class():
         to_hamiltonian(spec)
 
 
-def test_hamiltonian_spec_rejects_bad_mass():
-    with pytest.raises(ValueError):
-        HamiltonianSpec(m=0.0)
+def test_the_hamiltonian_map_refuses_an_infinite_mass():
+    """D = 5e-324 is finite and > 0, but m = 1/D overflows."""
+    with pytest.raises(ValueError, match="^mass must be finite and > 0, got inf$"):
+        to_hamiltonian(PropagatorSpec(d=5e-324))
 
 
 def test_harmonic_coherent_state_oscillates():

@@ -1,7 +1,7 @@
 """The package's shape: no time argument, no private cross-module import,
 no wrapper layer, the kernel's correction T decided in one place, one
 polynomial field kind, one spelling of "admissible", one
-propagator-to-Hamiltonian map, no kernel order, no output-name or
+propagator-to-Hamiltonian map with no object of its own, no kernel order, no output-name or
 node-budget setting and no quadrature object.
 
 Fields are static functions of x, so no signature takes a time argument.
@@ -9,7 +9,8 @@ Each method is stepped one way, through its builder and march, and each
 module uses only the public names of the others.  kernel.a_field alone
 decides Re T, so no signature takes an a_override.  The constant, linear
 and quadratic presets are one polynomial kind, so every affine or quadratic
-decision outside fields reads FieldSpec.degree or coeffs, not a kind name.
+decision outside fields reads FieldSpec.is_affine, degree or coeffs, not a
+kind name.
 PropagatorSpec.is_admissible alone compares the variant with "admissible",
 and reference.to_hamiltonian alone reads u's and b's coefficients.  The
 kernel always applies exp(-eps T): the bare kernel is the no_t variant with
@@ -40,7 +41,6 @@ from pathlib import Path
 import gaussprop
 from gaussprop import cli
 from gaussprop.fields import FieldSpec, PropagatorSpec
-from gaussprop.reference import HamiltonianSpec
 
 
 def _callables():
@@ -147,7 +147,8 @@ def test_t_is_decided_in_one_place():
     assert not hasattr(PropagatorSpec, "du_dx")
 
 
-PRESET_KINDS = ("constant", "linear", "quadratic")
+# the presets' names and the kind they share: "u is affine" is FieldSpec.is_affine
+PRESET_KINDS = ("constant", "linear", "quadratic", "polynomial")
 
 
 def _preset_kind_tests(tree: ast.Module) -> list:
@@ -165,8 +166,9 @@ def _preset_kind_tests(tree: ast.Module) -> list:
 
 def test_the_guard_sees_a_preset_kind_test():
     tree = ast.parse('ok = f.kind == "sine"\nif spec.u.kind in ("constant", "linear"):\n'
-                     '    pass\nc = {"quadratic": 2}[f.kind]\nd = PRESETS["linear"]\n')
-    assert _preset_kind_tests(tree) == [2, 4]
+                     '    pass\nc = {"quadratic": 2}[f.kind]\nd = PRESETS["linear"]\n'
+                     'e = spec.u.kind == "polynomial" and spec.u.degree <= 1\n')
+    assert _preset_kind_tests(tree) == [2, 4, 6]
 
 
 def test_only_fields_names_the_polynomial_presets():
@@ -236,17 +238,25 @@ UNSTEPPED_LEFTOVERS = ("rhs_apply", "hamiltonian_diagonals", "hermiticity_check"
                        "empirical_a_scan", "AScanResult")
 
 
+# the single-caller layers over the oracles, folded into their callers for good:
+# to_hamiltonian returns plain floats, predicted_drift_rate integrates the T
+# variants' rate, and diffusion_stepper factors with propagate.lapack's routines
+FOLDED_LEFTOVERS = ("HamiltonianSpec", "analytic_drift_rate", "Tridiagonal",
+                    "get_lapack_funcs")
+
+
 def test_the_hamiltonian_map_is_written_once():
     reference = importlib.import_module("gaussprop.reference")
     assert not hasattr(gaussprop, "__all__")
     assert not [name for name in HAMILTONIAN_LEFTOVERS
-                if hasattr(gaussprop, name) or hasattr(reference, name)
-                or hasattr(HamiltonianSpec, name)]
-    assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == ["m", "a_field", "phi"]
+                if hasattr(gaussprop, name) or hasattr(reference, name)]
     assert list(_parameters(reference.to_hamiltonian)) == ["spec"]
+    m, a, phi = reference.to_hamiltonian(PropagatorSpec(d=0.5, u=FieldSpec.linear(0.4)))
+    assert [type(v) for v in (m, *a, *phi)] == [float] * 6
     for info in pkgutil.iter_modules(gaussprop.__path__):
         module = importlib.import_module(f"gaussprop.{info.name}")
         assert not set(UNSTEPPED_LEFTOVERS) & set(vars(module)), info.name
+        assert not set(FOLDED_LEFTOVERS) & set(vars(module)), info.name
     source = Path(reference.__file__).read_text()
     assert _coefficient_readers(ast.parse(source)) == {"to_hamiltonian"}
 

@@ -9,8 +9,11 @@ removed at the end.  Pair i runs `perfbench/run.py --workload W --seed S+i
 --seconds 4 --trace 0` in each export, the parent first in even pairs and
 the change first in odd ones, so a drift of the host's speed does not favour
 one side.  For each end-to-end metric that BENCHMARK.json declares, it prints
-both medians, the parent's quartiles and the pairs in which the change was
-better.  Nothing is written into the checkout; stdlib only.
+both medians, the parent's quartiles, the pairs in which the change was
+better and the change of the median relative to the parent's.  A change worse
+than the metric's `bound`, read as a fraction of the parent's median, is
+flagged WORSE, and the tool then exits 1.  Nothing is written into the
+checkout; stdlib only.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -73,16 +77,26 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"{args.parent} -> {args.change}")
-    print(f"{'metric':<12} {'parent':>10} {'change':>10} {'parent q1-q3':>21} {'better':>7}")
+    print(f"{'metric':<12} {'parent':>10} {'change':>10} {'parent q1-q3':>21} {'better':>7} "
+          f"{'median':>8}")
+    flagged = 0
     for metric in declared:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
         q1, _, q3 = statistics.quantiles(parent, n=4)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        print(f"{name:<12} {statistics.median(parent):>10.4f} {statistics.median(change):>10.4f} "
-              f"{q1:>10.4f}-{q3:<10.4f} {wins:>3}/{args.pairs}")
-    return 0
+        before, after = statistics.median(parent), statistics.median(change)
+        if before == 0.0:  # no scale to read the bound against: any move is infinite
+            relative = math.copysign(math.inf, after) if after else 0.0
+        else:
+            relative = (after - before) / abs(before)
+        worse = sign * relative > metric["bound"]
+        flagged += worse
+        print(f"{name:<12} {before:>10.4f} {after:>10.4f} {q1:>10.4f}-{q3:<10.4f} "
+              f"{wins:>3}/{args.pairs} {relative:>+8.1%}"
+              + (f"  WORSE than the bound {metric['bound']:.0%}" if worse else ""))
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
