@@ -5,7 +5,8 @@ and a JSON summary next to each other, print a short report.  Exit codes are
 part of the contract: 0 success, 1 a quality gate failed (audit expectations,
 moment tolerance, convergence slope band), 2 the scenario is invalid or
 incomplete for the command, 3 the run aborted for a physics reason (a kernel
-phase unresolvable, a packet at the grid edge, a walk or a moment past float64).
+phase unresolvable, a packet at the grid edge, a walk or a moment past float64,
+a walk spread that cannot be binned).
 
 compare and evolve measure the kernel against the exact Gaussian state when
 the spec has one (constant D, u of degree <= 1, b a polynomial) and else
@@ -19,13 +20,14 @@ $GAUSSPROP_OUT, else the working directory.  Writes are atomic and the files
 carry no timestamps, so a rerun with the same inputs is byte-identical.
 
 evolve marches the kernel, and the split reference, on the caller's thread,
-and hands one worker thread (propagate.one_behind) each block of the states
-it marched, as many as fit _BLOCK_BYTES (256 KiB): the worker stacks them and
-computes their rows (moments, the exact state, the L2 distance) while the
-march goes on.  On one usable CPU the blocks are computed on the caller's
-thread.  The rows, the error and the exit code are those of computing one row
-per step: a step's error is raised once the row of every earlier state has
-been computed.
+and hands a one-thread pool (propagate.one_behind) each block of the states
+it marched, as many as fit _BLOCK_BYTES (256 KiB): the pool's thread stacks
+them and computes their rows (moments, the exact state, the L2 distance)
+while the march goes on.  On one usable CPU the blocks are computed on the
+caller's thread.  The rows, the error and the exit code are those of computing
+one row per step: a step's error is raised once the row of every earlier state
+has been computed.  compare's runs and the walk's particle chunks march side
+by side on propagate.side_by_side's pool.
 
 COMMANDS is the one place a command is declared: runner, required sections,
 option and help.  A command is gated iff its summary has "passed", which alone

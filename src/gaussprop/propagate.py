@@ -55,11 +55,11 @@ and its operator: dense_stepper, spectral_stepper, split_stepper and
 density_stepper here, diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
 is its final state.  finals marches independent runs side by side, one thread
-per CPU: a step's FFTs and matrix products release the GIL.  side_by_side is
-that thread pool, which the walk's particle chunks share.  one_behind does
-the work on each item of a stream on one worker thread while the caller
-takes the next: evolve computes its rows that way, one block of states (as
-many as fit a byte budget) behind the march.
+per CPU: a step's FFTs and matrix products release the GIL.  side_by_side runs
+tasks on the standard library's ThreadPoolExecutor, for finals and for the
+walk's particle chunks.  one_behind does the work on each item of a stream on
+a one-thread pool while the caller takes the next: evolve computes its rows
+that way, one block of states (as many as fit a byte budget) behind the march.
 
 The drift-diffusion oracle in reference factors and solves its tridiagonal
 operator with LAPACK dgttrf/dgttrs, which lapack takes from
@@ -74,9 +74,10 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-import queue
 import sys
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ MAX_DENSE_MATRIX_N = 2 ** 13
 
 
 class ValidityError(RuntimeError):
-    """The grid or moment nodes cannot resolve the kernel's phase, or a walk, a moment or
-    an oracle's face weight leaves float64."""
+    """The grid or moment nodes cannot resolve the kernel's phase, a walk, a moment or an
+    oracle's face weight leaves float64, or a walk's spread cannot be binned."""
 
 
 @dataclass(frozen=True)
@@ -402,83 +403,50 @@ def usable_cpus() -> int:
 
 
 def side_by_side(tasks, threads: int, start=None) -> list:
-    """[task() for task in tasks], bit for bit, on `threads` threads (the
-    caller's included) that take the tasks in the index order `start` (default:
-    input order).  Results come in input order.  A failure raises the serial
-    loop's: the first in input order, and no task after it in input order
-    starts.  An interrupt of the caller starts no further task and joins the
-    workers."""
+    """[task() for task in tasks], bit for bit, on a pool of `threads` threads
+    that takes the tasks in the index order `start` (default: input order).
+    Results come in input order.  A failure raises the serial loop's: the
+    first in input order, and no task after it in input order starts.  An
+    interrupt of the caller starts no further task and joins the pool."""
     if threads <= 1:
         return [task() for task in tasks]
-    out, failed, lock = [None] * len(tasks), {}, threading.Lock()
-    todo = list(range(len(tasks)) if start is None else start)
+    failed = []  # the input indices of the tasks that raised
 
-    def work():
-        while True:
-            with lock:
-                todo[:] = [i for i in todo if i < min(failed, default=len(tasks))]
-                if not todo:
-                    return
-                i = todo.pop(0)
-            try:
-                out[i] = tasks[i]()
-            except Exception as exc:
-                with lock:
-                    failed[i] = exc
+    def run(i):
+        if any(j < i for j in failed):
+            return None  # never read: the serial loop stops at task j
+        try:
+            return tasks[i]()
+        except BaseException:
+            failed.append(i)
+            raise
 
-    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for worker in workers:
-        worker.start()
+    pool = ThreadPoolExecutor(threads)
     try:
-        work()
-    finally:  # an interrupt of the caller starts no further task
-        with lock:
-            todo.clear()
-        for worker in workers:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
-    return out
+        futures = {i: pool.submit(run, i) for i in (range(len(tasks)) if start is None else start)}
+        return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the threads
 
 
 def one_behind(items, work, threads: int) -> list:
     """[work(item) for item in items], bit for bit, with each work(item) done on one
     worker thread while the caller takes the next item, if threads > 1; else on the
-    caller's thread.  Items are never None.  The caller takes item i + 2 only once
-    work(item i) has ended: at most two items are sent and not done.  A failure of work
-    raises the serial loop's, the first in item order, though the work on the next item
-    may have run.  The worker is joined on every exit."""
+    caller's thread.  The caller takes item i + 2 only once work(item i) has ended: at
+    most two items are sent and not done.  A failure of work raises the serial loop's,
+    the first in item order, though the work on the next item may have run.  The
+    worker is joined on every exit."""
     if threads <= 1:
         return [work(item) for item in items]
-    todo, done, out = queue.SimpleQueue(), queue.SimpleQueue(), []
-
-    def serve():
-        while (item := todo.get()) is not None:  # no == test: an item may be an array
-            try:
-                done.put((work(item), None))
-            except Exception as exc:  # raised by the caller, in item order
-                done.put((None, exc))
-
-    def collect():
-        result, exc = done.get()
-        if exc is not None:
-            raise exc
-        out.append(result)
-
-    worker = threading.Thread(target=serve)
-    worker.start()
+    out, sent, pool = [], deque(), ThreadPoolExecutor(1)
     try:
-        sent = 0
         for item in items:
-            todo.put(item)
-            sent += 1
-            if sent - len(out) == 2:
-                collect()
-        while len(out) < sent:
-            collect()
+            sent.append(pool.submit(work, item))
+            if len(sent) == 2:
+                out.append(sent.popleft().result())
+        out.extend(future.result() for future in sent)
     finally:
-        todo.put(None)
-        worker.join()
+        pool.shutdown(cancel_futures=True)
     return out
 
 

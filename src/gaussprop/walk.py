@@ -9,14 +9,14 @@ unjumped stream, so a walk of at most 2**15 particles draws what one stream
 gave before chunks existed; every shipped scenario and pinned output (20,000
 particles at most) keeps its bits.  Draws are bit-reproducible per (seed,
 parameters) whatever the block size or CPU count, and a smaller ensemble is a
-prefix of a larger one.  Chunks march side by side, one thread per CPU and
-chunk, on propagate.side_by_side: a bulk draw fill releases the GIL.
+prefix of a larger one.  Chunks march side by side on propagate.side_by_side's
+pool, one thread per CPU and chunk: a bulk draw fill releases the GIL.
 
 Particles advance in blocks sized by a byte budget, each block filled by one
-draw call.  The caller allocates one buffer of that budget.  A thread keeps
-one row slice of it from its first chunk on, and a chunk takes the whole
-buffer once every other chunk has ended, so no lock is needed.  Memory is
-O(block x n_steps + n_particles) at any CPU count.
+draw call.  The caller allocates one buffer of that budget and cuts it into
+one row slice per thread.  A thread draws every chunk it marches into its own
+slice, so no lock is needed.  Memory is O(block x n_steps + n_particles) at
+any CPU count.
 
 A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
 at the particle's current position.  For u = u0 + s x the walk is linear in
@@ -108,9 +108,8 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
         chunks = -(-n_particles // _CHUNK)
         threads = min(usable_cpus(), chunks)
         rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
-        z = np.empty((threads * rows, n_steps))
-        slices = [z[k * rows:(k + 1) * rows] for k in range(threads)]
-        ended, mine = [], threading.local()  # chunks done; this thread's slice
+        slices = list(np.empty((threads, rows, n_steps)))  # one buffer, a slice per thread
+        mine = threading.local()  # this thread's slice
 
         def march_chunk(c: int) -> None:
             if not hasattr(mine, "rows"):  # a thread's first chunk takes its slice for the call
@@ -118,8 +117,8 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
             gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
             draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
             xc = x[c * _CHUNK:(c + 1) * _CHUNK]
-            while len(xc):  # once every other chunk has ended, this one takes the whole buffer
-                zb = (z if len(ended) == chunks - 1 else mine.rows)[:len(xc)]
+            while len(xc):
+                zb = mine.rows[:len(xc)]
                 xb, xc = xc[:len(zb)], xc[len(zb):]
                 draw(out=zb)
                 if step_law == "exp_centered":
@@ -133,7 +132,6 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
                     with np.errstate(all="ignore"):  # a blow-up is refused below, not warned about
                         for s in range(n_steps):
                             xb += spec.u(xb) * eps + zb[:, s]
-            ended.append(c)
 
         side_by_side([partial(march_chunk, c) for c in range(chunks)], threads)
         if not np.isfinite(x).all():
@@ -192,13 +190,19 @@ def histogram_compare(ensemble: WalkEnsemble, spec: PropagatorSpec,
                       bins: int = 50) -> HistogramComparison:
     """L1 distance between the binned ensemble and its analytic density:
     the closed-form Gaussian for constant u, the drift-diffusion oracle
-    otherwise."""
+    otherwise.  A spread that gives no finite, increasing bin edges is refused."""
     if ensemble.n_particles < MIN_HISTOGRAM_PARTICLES:
         raise ValueError(f"need >= {MIN_HISTOGRAM_PARTICLES} particles for a "
                          f"stable histogram, got {ensemble.n_particles}")
-    mean = ensemble.sample_mean()
-    sd = np.sqrt(ensemble.sample_variance())
-    edges = np.linspace(mean - 5.0 * sd, mean + 5.0 * sd, bins + 1)
+    with np.errstate(all="ignore"):  # a spread past float64 is refused below, not warned about
+        mean = ensemble.sample_mean()
+        sd = np.sqrt(ensemble.sample_variance())
+        edges = np.linspace(mean - 5.0 * sd, mean + 5.0 * sd, bins + 1)
+        binnable = np.isfinite(edges).all() and (np.diff(edges) > 0.0).all()
+    if not binnable:
+        raise ValidityError(f"the walk's spread cannot be binned: its sample sd is {sd:g} about "
+                            f"the mean {mean:g}, and {bins} bins over mean +- 5 sd need finite, "
+                            "strictly increasing edges")
     counts, _ = np.histogram(ensemble.positions, bins=edges)
     covered = counts.sum()
     density = counts / (covered * np.diff(edges))

@@ -319,6 +319,26 @@ def test_a_walk_the_oracle_cannot_weigh_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,x0,sd", [
+    ({"d": 1e-300, "u": {"kind": "constant", "c": 0.0}}, 0.5, "0"),  # every position is x0
+    ({"d": 1e308, "u": {"kind": "sine", "amplitude": 0.3, "wavenumber": 1.0}}, 0.0, "inf"),
+])
+def test_a_walk_spread_that_cannot_be_binned_exits_three(spec, x0, sd, tmp_path, capsys):
+    """A sample sd of 0 collapses the bin edges and one past float64 makes them
+    infinite: refused before any histogram, with no warning and no output."""
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({"name": "spread", "spec": spec,
+                                "schedule": {"eps": 0.05, "n_steps": 4}, "seed": 7,
+                                "walk": {"n_particles": 10000, "x0": x0}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["walk", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the walk's spread cannot be binned: its sample sd is {sd} ")
+    assert not out.exists()
+
+
 def test_ou_walk_outputs_are_unchanged(tmp_path):
     path = tmp_path / "ou.json"
     path.write_text(json.dumps(OU_WALK))

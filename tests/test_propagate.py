@@ -1,4 +1,5 @@
 import re
+import signal
 import sys
 import threading
 import time
@@ -282,17 +283,20 @@ def test_finals_march_every_run_once_under_contention(monkeypatch):
 
 
 def test_an_interrupt_starts_no_further_task_and_joins_the_workers():
-    """Two threads on six tasks: the caller's task is interrupted while the
-    worker's is still running, so the other four never start."""
-    caller, started, busy = threading.get_ident(), [], threading.Event()
+    """Two threads on six tasks: task 0 sends the caller a SIGINT while it
+    waits on a result and both tasks are still running, so the other four,
+    submitted and pending, never start."""
+    started, busy = [], threading.Event()
 
     def task(i):
         started.append(i)
-        if threading.get_ident() == caller:
+        if i == 0:
             assert busy.wait(10)
-            raise KeyboardInterrupt
-        busy.set()
-        time.sleep(0.1)  # still running when the caller's interrupt clears the queue
+            time.sleep(0.05)  # the caller has submitted every task by now
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        else:
+            busy.set()
+        time.sleep(0.1)  # still running when the caller's interrupt cancels the rest
 
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):

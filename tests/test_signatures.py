@@ -21,10 +21,12 @@ and u, not a spec.  A CLI command is declared once, in cli.COMMANDS: no
 other constant of cli.py names one, a runner takes the scenario alone and
 the summary's "passed" is the only gate.  The walk's threads share its
 draw buffer without a lock: walk.py builds no threading.Lock, rebinds no
-enclosing name and needs no try/finally.  The package root re-exports
-nothing, so importing it loads no module, and every public function or class
-is reached from a command or an acceptance criterion, not only from a unit
-test.
+enclosing name and needs no try/finally.  Every thread runs on the
+standard library's pool: no module builds a threading.Thread or imports
+queue, and propagate alone builds a ThreadPoolExecutor.  The package root
+re-exports nothing, so importing it loads no module, and every public
+function or class is reached from a command or an acceptance criterion, not
+only from a unit test.
 """
 
 import ast
@@ -362,6 +364,36 @@ def test_the_walk_shares_its_buffer_without_a_lock():
     tree = ast.parse(Path(walk.__file__).read_text())
     assert _lock_protocol(tree) == []
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+
+
+def _thread_builders(tree: ast.Module) -> list:
+    """The names this module builds threads or their queues with: a call of
+    Thread or ThreadPoolExecutor, or an import of queue."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("Thread", "ThreadPoolExecutor"):
+                found.append(name)
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "queue"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "queue":
+            found.append("queue")
+    return sorted(found)
+
+
+def test_the_guard_sees_a_hand_made_thread():
+    tree = ast.parse("import queue\nfrom queue import SimpleQueue\nt = threading.Thread(target=f)\n"
+                     "pool = ThreadPoolExecutor(2)\nlocal = threading.local()\n")
+    assert _thread_builders(tree) == ["Thread", "ThreadPoolExecutor", "queue", "queue"]
+
+
+def test_every_thread_runs_on_the_standard_pool():
+    package = Path(gaussprop.__file__).parent
+    found = {p.stem: names for p in sorted(package.glob("*.py"))
+             if (names := _thread_builders(ast.parse(p.read_text())))}
+    assert found == {"propagate": ["ThreadPoolExecutor", "ThreadPoolExecutor"]}
 
 
 def test_importing_the_package_loads_no_module():

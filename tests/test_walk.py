@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -173,45 +172,6 @@ def test_chunks_march_side_by_side_and_leave_no_thread_behind(monkeypatch):
     ens = sample_paths(200, 20, 0.01, DRIFTING, seed=5)
     assert threading.active_count() == threads
     assert sorted(jumped_on) == [0, 1, 2, 3] and jumped_on[0] != jumped_on[1]
-    assert np.array_equal(ens.positions, expected)
-
-
-def test_the_last_chunk_in_flight_takes_the_whole_buffer(monkeypatch):
-    """Two CPUs and 16-row blocks give each thread an 8-row slice.  The
-    one-particle chunk 1 ends before chunk 0 starts, so chunk 0 draws each
-    of its four blocks into all 16 rows."""
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(walk, "_CHUNK", 64)
-    monkeypatch.setattr(walk, "_BLOCK", 16)
-    expected = _chunked_reference(65, 64, 20, 0.01, DRIFTING, 5)
-    chunk, rows, ended = threading.local(), {0: [], 1: []}, threading.Event()
-    pool, generator = walk.side_by_side, np.random.Generator
-
-    def hook(c):
-        chunk.c = c
-        if c == 0:
-            assert ended.wait(10)
-
-    def tracked(tasks, threads):
-        def run(c, task):
-            task()
-            if c == 1:
-                ended.set()
-        return pool([partial(run, c, t) for c, t in enumerate(tasks)], threads)
-
-    class Recorded:
-        def __init__(self, bit_generator):
-            self.gen, self.c = generator(bit_generator), chunk.c
-
-        def standard_normal(self, out):
-            rows[self.c].append(len(out))
-            return self.gen.standard_normal(out=out)
-
-    _on_jump(monkeypatch, hook)
-    monkeypatch.setattr(np.random, "Generator", Recorded)
-    monkeypatch.setattr(walk, "side_by_side", tracked)
-    ens = sample_paths(65, 20, 0.01, DRIFTING, seed=5)
-    assert rows == {0: [16, 16, 16, 16], 1: [1]}
     assert np.array_equal(ens.positions, expected)
 
 
