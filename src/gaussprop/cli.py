@@ -26,8 +26,8 @@ them and computes their rows (moments, the exact state, the L2 distance)
 while the march goes on.  On one usable CPU the blocks are computed on the
 caller's thread.  The rows, the error and the exit code are those of computing
 one row per step: a step's error is raised once the row of every earlier state
-has been computed.  compare's runs and the walk's particle chunks march side
-by side on propagate.side_by_side's pool.
+has been computed.  compare's lockstep groups of runs (propagate.finals) and the
+walk's particle chunks march one on the caller's thread, the rest on a pool.
 
 COMMANDS is the one place a command is declared: runner, required sections,
 option and help.  A command is gated iff its summary has "passed", which alone
@@ -51,7 +51,7 @@ import numpy as np
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, density_moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
-from .propagate import (METHODS, ValidityError, chirp_z_applies, finals, march,
+from .propagate import (METHODS, ValidityError, finals, march,
                         one_behind, split_stepper, usable_cpus, wave_stepper)
 from .reference import exact_evolution, exact_state, has_exact_state
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -292,17 +292,16 @@ def _run_compare(sc: Scenario) -> RunResult:
     ref_steps = _steps_for(cs.t_final, eps_ref, ref_key)  # checked even if unused
     ladder_steps = [_steps_for(cs.t_final, eps, "schedule.eps_ladder") for eps in sc.eps_ladder]
     state0 = sc.packet.build(sc.grid)
-    runs = [(state0, n, lambda eps=eps: wave_stepper(sc.grid, eps, sc.spec, sc.method))
-            for eps, n in zip(sc.eps_ladder, ladder_steps)]
+    runs = []
     if has_exact_state(sc.spec):
         p = sc.packet
         ref = exact_state(sc.grid, sc.spec, p.x0, p.sigma0, p.k0, cs.t_final)
         reference, eps_ref, against = "exact", None, "the exact solution"
     else:
-        runs.insert(0, (state0, ref_steps, lambda: split_stepper(sc.grid, eps_ref, sc.spec)))
+        runs.append((state0, ref_steps, split_stepper(sc.grid, eps_ref, sc.spec)))
         reference, against = "split", f"the eps={eps_ref:g} split-step reference"
-    # a dense rung off the chirp-z class builds an n x n matrix: one at a time
-    ends = finals(runs, serial=sc.method == "dense" and not chirp_z_applies(sc.spec))
+    ends = finals(runs + [(state0, n, wave_stepper(sc.grid, eps, sc.spec, sc.method))
+                          for eps, n in zip(sc.eps_ladder, ladder_steps)])
     if reference == "split":
         ref = ends.pop(0)
 

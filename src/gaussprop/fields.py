@@ -358,10 +358,10 @@ def check_boundary_decay(state) -> None:
                           else np.abs(state.density))
 
 
-def check_amplitude_decay(amp: np.ndarray) -> float:
-    """check_boundary_decay of a state's amplitudes amp (|psi| or |density|).
-    Returns the peak amplitude."""
-    peak = amp.max()
+def check_amplitude_decay(amp: np.ndarray, peak=None) -> float:
+    """check_boundary_decay of a state's amplitudes amp (|psi| or |density|),
+    whose max is peak if given.  Returns the peak amplitude."""
+    peak = amp.max() if peak is None else peak
     if peak == 0.0:
         raise ValueError("state is identically zero")
     edge = max(amp[0], amp[-1])

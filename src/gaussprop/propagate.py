@@ -54,12 +54,13 @@ Each method has one builder, (grid, eps, spec) -> step, holding its guards
 and its operator: dense_stepper, spectral_stepper, split_stepper and
 density_stepper here, diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
-is its final state.  finals marches independent runs side by side, one thread
-per CPU: a step's FFTs and matrix products release the GIL.  side_by_side runs
-tasks on the standard library's ThreadPoolExecutor, for finals and for the
-walk's particle chunks.  one_behind does the work on each item of a stream on
-a one-thread pool while the caller takes the next: evolve computes its rows
-that way, one block of states (as many as fit a byte budget) behind the march.
+is its final state.  A wave step's operator, partial(apply, *factors), steps a
+state or each row of a (rows, n) block.  finals marches runs in lockstep groups,
+one block and one batched FFT a transform each, one group on the caller's thread
+and the rest on side_by_side's pool (the walk's too): each of a step's ten short
+numpy calls releases the GIL, and threads stepping a row each convoy on it (400 x 6
+np.multiply at n = 4096: 15 ms on one thread, 27 on two).  one_behind works on each
+item of a stream on a one-thread pool while the caller takes the next (evolve's rows).
 
 The drift-diffusion oracle in reference factors and solves its tridiagonal
 operator with LAPACK dgttrf/dgttrs, which lapack takes from
@@ -73,12 +74,14 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -112,6 +115,35 @@ class ValidityReport:
         return (f"phase step {self.state_phase_step:.3f} rad vs pi "
                 f"({'ok' if self.passes else 'unresolved'}; "
                 f"eps >= {self.recommended_min_eps:.4g} recommended)")
+
+
+def _stack(stacked, operator: partial, r: int, rows: int) -> partial:
+    """stacked with operator as row r of `rows`: an array factor shared until one differs."""
+    if stacked is None:
+        return operator  # so a kernel matrix, alone in its block, is never copied
+    factors = list(stacked.args)
+    for j, (f, part) in enumerate(zip(factors, operator.args)):
+        if isinstance(part, np.ndarray) and not np.array_equal(f, part):  # a stacked f: never
+            if f.ndim == part.ndim:  # shared until row r
+                factors[j] = f = np.broadcast_to(f, (rows, *f.shape)).copy()
+            f[r] = part
+    return partial(stacked.func, *factors)
+
+
+class Step:
+    """step(state) is the state at time + eps.  guard(amp, peak) raises what it raises on
+    a state of |psi| amp, of max peak.  build() returns the operator, built on the first
+    state that passes: partial(apply, *factors) (apply None for a kernel matrix's)."""
+
+    def __init__(self, eps: float, guard, apply, build):
+        self.eps, self.guard, self.apply, self.build = eps, guard, apply, build
+        self.operator = None
+
+    def __call__(self, state: WaveState) -> WaveState:
+        amp = np.abs(state.psi)
+        self.guard(amp, amp.max())
+        self.operator = self.operator or self.build()
+        return state.replace_psi(self.operator(state.psi), time=state.time + self.eps)
 
 
 def _d_scale(grid: Grid, spec: PropagatorSpec) -> float:
@@ -153,7 +185,7 @@ def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec) -> np.ndarray:
     return grid.dx * complex_kernel(eta, eps, x[None, :], spec)
 
 
-def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
+def _chirp_z_factors(grid: Grid, eps: float, spec: PropagatorSpec) -> tuple:
     # With x_j = x_0 + j dx and y_k = x_k - u(x_k) eps = y_0 + k r dx, the
     # phase c (y_k - x_j)^2 splits into a column chirp, a row chirp and the
     # chirp exp(i c r dx^2 (k - j)^2) of the index lag, a convolution done by
@@ -186,16 +218,21 @@ def _chirp_z_step(grid: Grid, eps: float, spec: PropagatorSpec):
     lag = np.arange(size)
     lag = np.minimum(lag, size - lag).astype(float)
     fft, ifft = _in_place_ffts()
-    chirp_hat = fft(np.exp(1j * c * r * dx ** 2 * lag ** 2))
-    work = np.empty(size, dtype=complex)  # col * psi zero-padded, then transformed
+    return col, fft(np.exp(1j * c * r * dx ** 2 * lag ** 2)), row, fft, ifft
 
-    def apply(psi: np.ndarray) -> np.ndarray:
-        np.multiply(col, psi, out=work[:n])
-        work[n:] = 0.0
-        np.multiply(chirp_hat, fft(work), out=work)
-        return row * ifft(work)[:n]
 
-    return apply
+def _chirp_z_apply(col, chirp_hat, row, fft, ifft, psi, *, out=None):
+    n = psi.shape[-1]
+    out = np.empty(psi.shape, complex) if out is None else out  # before the scratch: no heap gap
+    work = np.empty((*psi.shape[:-1], chirp_hat.shape[-1]), dtype=complex)  # col psi, 0-padded
+    np.multiply(col, psi, out=work[..., :n])
+    work[..., n:] = 0.0
+    np.multiply(chirp_hat, fft(work), out=work)
+    return np.multiply(row, ifft(work)[..., :n], out=out)
+
+
+def _matrix_apply(mat, psi, *, out=None):  # one state: mat @ psi
+    return np.matmul(mat, psi.T, out=None if out is None else out.T).T
 
 
 def chirp_z_applies(spec: PropagatorSpec) -> bool:
@@ -203,47 +240,36 @@ def chirp_z_applies(spec: PropagatorSpec) -> bool:
     return spec.u.is_affine() and spec.variant not in ("complex_d", "x_dependent_d")
 
 
-def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec):
-    """The dense quadrature step on grid as a function psi -> psi(t + eps).
+def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec) -> partial:
+    """The dense quadrature step on grid as an operator psi -> psi(t + eps).
 
     Real constant D with u of degree <= 1 takes the chirp-z form in
     O(n log n); every other spec applies the n x n kernel matrix, for
-    grid.n <= MAX_DENSE_MATRIX_N only.  The chirp-z form transforms in a
-    buffer of its own, so one operator steps one state at a time.
+    grid.n <= MAX_DENSE_MATRIX_N only.
     """
     if chirp_z_applies(spec):
-        return _chirp_z_step(grid, eps, spec)
+        return partial(_chirp_z_apply, *_chirp_z_factors(grid, eps, spec))
     _check_matrix_size(grid, 16, "dense path for this spec")
-    mat = _dense_matrix(grid, eps, spec)
-    return lambda psi: mat @ psi
+    return partial(_matrix_apply, _dense_matrix(grid, eps, spec))
 
 
-def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
     """One complex-kernel step by direct quadrature over the whole grid."""
-    # The spec's guards (eps, and D > 0 in the phase check's D scale) run
-    # here, before any step.  The state's guards run on every state; the
-    # operator is built once, on the first state that passes them, so a run
-    # that must abort builds nothing.
-    check_eps(eps)
+    check_eps(eps)  # the spec's guards (eps, and D > 0 in the D scale) run before any step
     d = _d_scale(grid, spec)
-    apply = None
 
-    def step(state: WaveState) -> WaveState:
-        nonlocal apply
-        amp = np.abs(state.psi)  # read by both guards
-        report = _phase_report(grid, eps, d, amp, check_amplitude_decay(amp))
+    def guard(amp, peak):
+        report = _phase_report(grid, eps, d, amp, check_amplitude_decay(amp, peak))
         if not report.passes:
             raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
-        if apply is None:
-            apply = dense_operator(grid, eps, spec)
-        return state.replace_psi(apply(state.psi), time=state.time + eps)
 
-    return step
+    return Step(eps, guard, _chirp_z_apply if chirp_z_applies(spec) else None,
+                partial(dense_operator, grid, eps, spec))
 
 
 _FLAPACK = "scipy.linalg._flapack"
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
-_LOAD_LOCK = threading.Lock()  # runs marched side by side build at once
+_LOAD_LOCK = threading.Lock()  # finals' groups build operators on several threads
 
 
 def _extension_dirs(name: str) -> list[str]:
@@ -278,13 +304,13 @@ def _extension(name: str):
 
 
 def _in_place_ffts():
-    """(fft, ifft) of a complex 1-d array, written over it and returned, bit
-    for bit numpy.fft's: pocketfft's c2c, the C++ code numpy.fft vendors, from
-    scipy's compiled extension, which keeps each length's plan between calls
-    where numpy.fft sets one up on every call."""
+    """(fft, ifft) over the last axis of a complex array, written over it and
+    returned, bit for bit numpy.fft's: pocketfft's c2c, the C++ code numpy.fft
+    vendors, from scipy's compiled extension, which keeps each length's plan
+    between calls where numpy.fft sets one up on every call."""
     c2c = _extension(_POCKETFFT).c2c
-    return (lambda a: c2c(a, None, True, 0, a, 1),   # unnormalized
-            lambda a: c2c(a, None, False, 2, a, 1))  # times 1/n
+    return (lambda a: c2c(a, (-1,), True, 0, a, 1),   # unnormalized
+            lambda a: c2c(a, (-1,), False, 2, a, 1))  # times 1/n
 
 
 def lapack(name: str):
@@ -305,25 +331,27 @@ def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):
     if not spec.is_admissible():
         raise ValueError("scenario.spec.variant: the spectral path assumes an admissible "
                          f"parameter set, got {spec.variant!r}, which must use the dense path")
-    x = grid.x
-    gauge = spec.u.antiderivative(x) / spec.d
-    kick = eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d))
-    pre = np.exp(-1j * ((1.0 - after) * kick + gauge))
-    post = np.exp(1j * (gauge - after * kick))
-    free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-    fft, ifft = _in_place_ffts()
+    transforms = _in_place_ffts()  # a missing extension fails here, before any step
 
-    def step(state: WaveState) -> WaveState:
-        check_boundary_decay(state)
-        psi = pre * state.psi  # a fresh array, transformed in place
-        np.multiply(free, fft(psi), out=psi)
-        return state.replace_psi(np.multiply(post, ifft(psi), out=psi),
-                                 time=state.time + eps)
+    def build():
+        x = grid.x
+        gauge = spec.u.antiderivative(x) / spec.d
+        kick = eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d))
+        pre = np.exp(-1j * ((1.0 - after) * kick + gauge))
+        post = np.exp(1j * (gauge - after * kick))
+        free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
+        return partial(_gauge_apply, pre, free, post, *transforms)
 
-    return step
+    return Step(eps, check_amplitude_decay, _gauge_apply, build)
 
 
-def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+def _gauge_apply(pre, free, post, fft, ifft, psi, *, out=None):
+    psi = np.multiply(pre, psi, out=out)  # transformed in place
+    np.multiply(free, fft(psi), out=psi)
+    return np.multiply(post, ifft(psi), out=psi)
+
+
+def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
     """One step via the factorized kernel on the periodic grid, in the gauge frame.
 
     For an admissible spec only: exp(-i (eps phi + Lambda)), the free
@@ -335,7 +363,7 @@ def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     return _gauge_stepper(grid, eps, spec, 0.0)
 
 
-def split_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
+def split_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
     """The spectral step with eps phi halved on either side of the free
     multiplier: a Strang split step of the Schrodinger equation in the gauge
     frame (Feit, Fleck & Steiger 1982), second order in eps, spectral in x."""
@@ -402,31 +430,13 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-def side_by_side(tasks, threads: int, start=None) -> list:
-    """[task() for task in tasks], bit for bit, on a pool of `threads` threads
-    that takes the tasks in the index order `start` (default: input order).
-    Results come in input order.  A failure raises the serial loop's: the
-    first in input order, and no task after it in input order starts.  An
-    interrupt of the caller starts no further task and joins the pool."""
-    if threads <= 1:
-        return [task() for task in tasks]
-    failed = []  # the input indices of the tasks that raised
-
-    def run(i):
-        if any(j < i for j in failed):
-            return None  # never read: the serial loop stops at task j
-        try:
-            return tasks[i]()
-        except BaseException:
-            failed.append(i)
-            raise
-
-    pool = ThreadPoolExecutor(threads)
-    try:
-        futures = {i: pool.submit(run, i) for i in (range(len(tasks)) if start is None else start)}
-        return [futures[i].result() for i in range(len(tasks))]
-    finally:
-        pool.shutdown(cancel_futures=True)  # joins the threads
+def side_by_side(tasks) -> list:
+    """[task() for task in tasks], bit for bit, all at once: the first on the caller's
+    thread, each other on a pool thread of its own.  A failure, or an interrupt of the
+    caller, raises the serial loop's once every task has ended and the pool is joined."""
+    with ThreadPoolExecutor(max(1, len(tasks) - 1)) as pool:  # a thread a submit, joined
+        futures = [pool.submit(task) for task in tasks[1:]]
+        return [task() for task in tasks[:1]] + [future.result() for future in futures]
 
 
 def one_behind(items, work, threads: int) -> list:
@@ -450,14 +460,57 @@ def one_behind(items, work, threads: int) -> list:
     return out
 
 
-def finals(runs, serial: bool = False) -> list:
-    """[last(march(state, n_steps, build())) for state, n_steps, build in runs]
-    for a list runs, side by side on one thread per CPU and run, longest
-    first, or in order on the caller's thread if serial.  Each build() runs
-    on its run's thread, so only runs in flight hold an operator.  A failure
-    raises as side_by_side says."""
-    tasks = [lambda state=state, n_steps=n_steps, build=build:
-             last(march(state, n_steps, build())) for state, n_steps, build in runs]
-    threads = 1 if serial else min(usable_cpus(), len(runs))
-    return side_by_side(tasks, threads,
-                        sorted(range(len(runs)), key=lambda i: -runs[i][1]))  # ties in input order
+def finals(runs) -> list:
+    """[last(march(state, n_steps, step)) for state, n_steps, step in runs], bit for bit.
+    The runs, longest first, go to min(CPUs, runs) groups, each to the one of fewest steps
+    so far (a kernel matrix's to the first: no two n x n matrices are held); the caller
+    marches the first and side_by_side's pool the rest, each its runs of one apply in
+    lockstep.  A failure raises the serial loop's: the first in input order."""
+    groups = [{} for _ in range(min(usable_cpus(), len(runs)))]  # apply -> block of rows
+    steps = [0] * len(groups)
+    for i in sorted(range(len(runs)), key=lambda i: -runs[i][1]):  # ties in input order
+        apply = runs[i][2].apply
+        g = steps.index(min(steps)) if apply else 0
+        groups[g].setdefault(apply or i, []).append((i, *runs[i]))  # a matrix's alone
+        steps[g] += runs[i][1]
+    ends, failed = {}, []  # failed: (input index, error) of each run that failed
+    side_by_side([lambda blocks=blocks: [_lockstep(rows, ends, failed) for rows in blocks.values()]
+                  for blocks in groups if blocks])
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [ends[i] for i in range(len(runs))]
+
+
+def _lockstep(rows, ends, failed) -> None:
+    """ends[i] of rows [(i, state, n_steps, step)], longest first, as one (rows, n) block: each
+    row checked as march checks it, dropped once its run ends or fails or an earlier run fails."""
+    grid, op, block = rows[0][1].grid, None, [state.psi for _, state, _, _ in rows]
+    for k in range(rows[0][2] + 1):
+        first = min((i for i, _ in failed), default=math.inf)  # the serial loop stops there
+        amp = np.abs(block)
+        peak = amp.max(axis=1)
+        keep, stacked = [], None
+        for r, (i, state, n_steps, step) in enumerate(rows):
+            at = k - 1  # WaveState checks the finiteness of the state step k - 1 made
+            try:
+                if i < first and (k == n_steps or not math.isfinite(peak[r])):
+                    time = reduce(float.__add__, [step.eps] * k, state.time)  # as march adds
+                    ends[i] = WaveState(grid, block[r].copy(), time)
+                if i < first and k < n_steps:
+                    at = k
+                    step.guard(amp[r], peak[r])
+                    if op is None:  # built once its state has passed the guard
+                        stacked = _stack(stacked, step.build(), r, len(rows))
+                    keep.append(r)
+            except (ValueError, ValidityError) as exc:
+                failed.append((i, type(exc)(f"aborted at step {at}: {exc}")))
+        del amp  # not held through the apply
+        if not keep:
+            return
+        if op is None:  # the block is stacked once the operators are built, not during
+            op, block = stacked, np.stack(block)
+        if len(keep) < len(rows):  # runs end from the last row up: a view; row factors 1-d
+            sel = slice(len(keep)) if keep[-1] == len(keep) - 1 else keep
+            rows, block = [rows[r] for r in keep], block[sel]
+            op = partial(op.func, *(f[sel] if np.ndim(f) == 2 else f for f in op.args))
+        block = op(block, out=block)

@@ -9,13 +9,14 @@ unjumped stream, so a walk of at most 2**15 particles draws what one stream
 gave before chunks existed; every shipped scenario and pinned output (20,000
 particles at most) keeps its bits.  Draws are bit-reproducible per (seed,
 parameters) whatever the block size or CPU count, and a smaller ensemble is a
-prefix of a larger one.  Chunks march side by side on propagate.side_by_side's
-pool, one thread per CPU and chunk: a bulk draw fill releases the GIL.
+prefix of a larger one.  Chunks march side by side through propagate.side_by_side,
+thread t of min(CPUs, chunks) taking chunks t, t + threads, ...: a bulk draw fill
+releases the GIL.
 
 Particles advance in blocks sized by a byte budget, each block filled by one
 draw call.  The caller allocates one buffer of that budget and cuts it into
-one row slice per thread.  A thread draws every chunk it marches into its own
-slice, so no lock is needed.  Memory is O(block x n_steps + n_particles) at
+one row slice per thread.  Thread t draws every chunk it marches into slice t,
+so no lock is needed.  Memory is O(block x n_steps + n_particles) at
 any CPU count.
 
 A step advances x by eta ~ Normal(u(x) eps, D eps), the drift evaluated
@@ -39,7 +40,6 @@ at bin centers.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -108,32 +108,30 @@ def sample_paths(n_particles: int, n_steps: int, eps: float,
         chunks = -(-n_particles // _CHUNK)
         threads = min(usable_cpus(), chunks)
         rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
-        slices = list(np.empty((threads, rows, n_steps)))  # one buffer, a slice per thread
-        mine = threading.local()  # this thread's slice
+        slices = np.empty((threads, rows, n_steps))  # one buffer, a slice per thread
 
-        def march_chunk(c: int) -> None:
-            if not hasattr(mine, "rows"):  # a thread's first chunk takes its slice for the call
-                mine.rows = slices.pop()
-            gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
-            draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
-            xc = x[c * _CHUNK:(c + 1) * _CHUNK]
-            while len(xc):
-                zb = mine.rows[:len(xc)]
-                xb, xc = xc[:len(zb)], xc[len(zb):]
-                draw(out=zb)
-                if step_law == "exp_centered":
-                    zb -= 1.0
-                if affine:
-                    zb *= weights
-                    zb.sum(axis=1, out=xb)
-                    xb += start
-                else:
-                    zb *= width
-                    with np.errstate(all="ignore"):  # a blow-up is refused below, not warned about
-                        for s in range(n_steps):
-                            xb += spec.u(xb) * eps + zb[:, s]
+        def march_chunks(t: int) -> None:  # chunks t, t + threads, ... in slice t
+            for c in range(t, chunks, threads):
+                gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
+                draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
+                xc = x[c * _CHUNK:(c + 1) * _CHUNK]
+                while len(xc):
+                    zb = slices[t][:len(xc)]
+                    xb, xc = xc[:len(zb)], xc[len(zb):]
+                    draw(out=zb)
+                    if step_law == "exp_centered":
+                        zb -= 1.0
+                    if affine:
+                        zb *= weights
+                        zb.sum(axis=1, out=xb)
+                        xb += start
+                    else:
+                        zb *= width
+                        with np.errstate(all="ignore"):  # refused below, not warned about
+                            for s in range(n_steps):
+                                xb += spec.u(xb) * eps + zb[:, s]
 
-        side_by_side([partial(march_chunk, c) for c in range(chunks)], threads)
+        side_by_side([partial(march_chunks, t) for t in range(threads)])
         if not np.isfinite(x).all():
             raise ValidityError(f"the walk leaves float64: {np.count_nonzero(~np.isfinite(x))} "
                                 f"of {n_particles} positions are not finite after {n_steps} "

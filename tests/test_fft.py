@@ -17,9 +17,9 @@ STATES = (gaussian_packet(GRID, x0=0.3, sigma0=0.8, k0=0.5),
           gaussian_packet(GRID, x0=-0.6, sigma0=0.6, k0=-1.1))
 
 
-def _closure(f):
-    """The variables a step or operator closes over, by name."""
-    return dict(zip(f.__code__.co_freevars, (cell.cell_contents for cell in f.__closure__)))
+def _factors(operator):
+    """An operator's factors by the names its apply takes them under."""
+    return dict(zip(operator.func.__code__.co_varnames, operator.args))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -38,18 +38,31 @@ def test_the_transforms_are_numpy_s_bit_for_bit(n):
     assert np.array_equal(a, original)
 
 
+@pytest.mark.parametrize("n", (1000, 2048, 4096))
+@pytest.mark.parametrize("rows", (1, 2, 3, 4, 5))
+def test_a_block_s_transforms_are_each_row_s_bit_for_bit(rows, n):
+    """A lockstep block of rows steps each row to the bits of stepping it alone
+    because pocketfft's c2c over axis 1 of a (rows, n) block, unnormalized
+    forward and times 1/n backward, is each row's 1-d transform."""
+    rng = np.random.default_rng(rows * n)
+    block = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    for transform in propagate._in_place_ffts():
+        expected = np.stack([transform(row.copy()) for row in block])
+        assert np.array_equal(transform(block.copy()), expected)
+
+
 @pytest.mark.parametrize("spec", (
     PropagatorSpec(d=1.3, u=FieldSpec.linear(0.4)),
     PropagatorSpec(d=1.3, u=FieldSpec.constant(0.7), variant="complex_u", im_u=0.25),
 ), ids=("admissible", "complex_u"))
 def test_a_chirp_z_operator_reused_on_two_states_is_the_numpy_formula(spec, monkeypatch):
-    """One operator steps two states in turn: its reused buffer carries
-    nothing over from the first to the second."""
+    """One operator steps two states in turn: nothing carries over from the
+    first to the second."""
     apply = dense_operator(GRID, 0.32, spec)
     with monkeypatch.context() as patch:  # today's transforms, allocating
         patch.setattr(propagate, "_in_place_ffts", lambda: (np.fft.fft, np.fft.ifft))
-        numpy_s = _closure(dense_operator(GRID, 0.32, spec))
-    assert np.array_equal(_closure(apply)["chirp_hat"], numpy_s["chirp_hat"])
+        numpy_s = _factors(dense_operator(GRID, 0.32, spec))
+    assert np.array_equal(_factors(apply)["chirp_hat"], numpy_s["chirp_hat"])
     row, col, chirp_hat = numpy_s["row"], numpy_s["col"], numpy_s["chirp_hat"]
     for state in STATES:
         expected = row * np.fft.ifft(chirp_hat * np.fft.fft(col * state.psi,
@@ -60,7 +73,7 @@ def test_a_chirp_z_operator_reused_on_two_states_is_the_numpy_formula(spec, monk
 def test_a_drifted_spectral_step_is_the_numpy_formula():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.2), b=FieldSpec.sine(0.3, 1.0))
     step = spectral_stepper(GRID, 0.02, spec)
-    parts = _closure(step)
+    parts = _factors(step.build())
     assert np.any(parts["post"] != 1.0)  # the drift's gauge phase
     for state in STATES:
         expected = parts["post"] * np.fft.ifft(parts["free"] * np.fft.fft(parts["pre"]

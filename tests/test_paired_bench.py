@@ -52,3 +52,38 @@ def test_the_pairs_alternate_and_a_change_past_its_bound_is_flagged(monkeypatch,
     assert lines["pass_frac"] == ["pass_frac", "1.0000", "0.9950", "1.0000-1.0000", "0/4",
                                   "-0.5%"]
 
+
+def test_every_declared_workload_gets_a_table_and_any_flag_exits_one(monkeypatch, capsys):
+    """No --workload: each workload BENCHMARK.json declares runs its pairs in
+    turn, with a table of its own.  audit's run_s is 20% worse, past its 10% bound,
+    while walk's is unchanged: the tool exits 1; with walk alone, 0."""
+    tool, runs = _tool(), []
+
+    def export(rev, dest):
+        _export(rev, dest)
+        Path(dest, "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": DECLARED, "workloads": [{"name": "audit"}, {"name": "walk"}]}))
+
+    def bench(tree, workload, seed):
+        side = Path(tree, "rev").read_text()
+        runs.append((workload, side, seed))
+        slower = 1.2 if workload == "audit" and side == "change" else 1.0
+        return {"run_s": slower * (1.0 + 0.01 * seed), "pass_frac": 1.0}
+
+    monkeypatch.setattr(tool, "export", export)
+    monkeypatch.setattr(tool, "bench", bench)
+    assert tool.main(["parent", "change", "--pairs", "2", "--seed", "1"]) == 1
+    assert runs == [("audit", "parent", 1), ("audit", "change", 1),
+                    ("audit", "change", 2), ("audit", "parent", 2),
+                    ("walk", "parent", 1), ("walk", "change", 1),
+                    ("walk", "change", 2), ("walk", "parent", 2)]
+    tables = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("audit:", "walk:", "run_s"))]
+    assert [line.split()[0] for line in tables] == ["audit:", "run_s", "walk:", "run_s"]
+    assert "WORSE" in tables[1] and "WORSE" not in tables[3]
+    assert tool.main(["parent", "change", "--workload", "walk", "--pairs", "2",
+                      "--seed", "1"]) == 0
+    runs.clear()
+    assert tool.main(["parent", "change", "--workload", "walk", "--workload", "audit",
+                      "--pairs", "2", "--seed", "1"]) == 1
+    assert [workload for workload, _, _ in runs] == ["walk"] * 4 + ["audit"] * 4

@@ -12,7 +12,7 @@ import pytest
 from gaussprop import propagate
 from gaussprop.audit import predicted_drift_rate
 from gaussprop.fields import (BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
-                              gaussian_packet, make_grid, moments, norm)
+                              WaveState, gaussian_packet, make_grid, moments, norm)
 from gaussprop.propagate import (ValidityError, _dense_matrix, dense_operator, dense_stepper,
                                  density_stepper, last, march, spectral_stepper, split_stepper,
                                  wave_stepper)
@@ -189,119 +189,158 @@ def test_finals_are_the_serial_loop_bit_for_bit(cpus, monkeypatch):
     _cpus(monkeypatch, cpus)
     grid = make_grid(-12.0, 12.0, 512)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.0, k0=0.5)
-    runs = [(state, n, lambda eps=eps: spectral_stepper(grid, eps, DRIFTED))
+    runs = [(state, n, spectral_stepper(grid, eps, DRIFTED))
             for eps, n in ((0.04, 10), (0.02, 20), (0.01, 40))]
-    runs.append((state, 20, lambda: split_stepper(grid, 0.02, DRIFTED)))
-    # chirp-z rungs: each dense operator transforms in a buffer of its own
-    runs += [(state, n, lambda eps=eps: dense_stepper(grid, eps, DRIFTED))
-             for eps, n in ((0.2, 5), (0.15, 8))]
-    expected = [last(march(state, n, build())) for state, n, build in runs]
+    runs.append((state, 20, split_stepper(grid, 0.02, DRIFTED)))
+    # chirp-z rungs, and a kernel matrix's, marched alone
+    runs += [(state, n, dense_stepper(grid, eps, DRIFTED)) for eps, n in ((0.2, 5), (0.15, 8))]
+    sine = PropagatorSpec(d=1.0, u=FieldSpec.sine(0.3, 1.0))
+    runs.append((state, 3, dense_stepper(grid, 0.2, sine)))
+    expected = [last(march(state, n, step)) for state, n, step in runs]
     finals = propagate.finals(runs)
     assert [f.time for f in finals] == [e.time for e in expected]
     assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
 
 
+def _watched(step, hook):
+    """step, its guard calling hook() first."""
+    guard = step.guard
+    step.guard = lambda amp, peak: hook() or guard(amp, peak)
+    return step
+
+
 @pytest.mark.parametrize("count", ("affinity", "cpu_count"))
 def test_finals_march_the_longest_runs_side_by_side_each_on_its_own_thread(count, monkeypatch):
-    """Two CPUs: the two longest runs are built first, and each build waits
-    for the other, which passes only if both are in flight at once.  Where
-    the OS has no affinity call, os.cpu_count() counts the CPUs."""
+    """Two CPUs: the caller marches the longest run, and one pool thread, started
+    and joined, marches the three others as one block led by the second longest.
+    The first step of each of the two longest waits for the other's, which passes
+    only if both are in flight at once.  Where the OS has no affinity call,
+    os.cpu_count() counts the CPUs."""
     if count == "affinity":
         _cpus(monkeypatch, 2)
     else:
         monkeypatch.delattr(propagate.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(propagate.os, "cpu_count", lambda: 2)
+    grid = make_grid(-12.0, 12.0, 512)
+    state = gaussian_packet(grid, x0=0.0, sigma0=1.0, k0=0.5)
     both = threading.Barrier(2, timeout=10)
-    built, stepped = [], {}
+    marched = {}  # n_steps -> the threads that stepped that run
 
-    def run(i, n_steps):
-        def build():
-            built.append((i, threading.get_ident()))
-            both.wait()
-            return lambda x: stepped.setdefault(i, set()).add(threading.get_ident()) or x + 1
-        return 0, n_steps, build
+    def hook(n_steps):
+        def on_guard():
+            if n_steps in (40, 20) and n_steps not in marched:
+                both.wait()
+            marched.setdefault(n_steps, set()).add(threading.get_ident())
+        return on_guard
 
-    assert propagate.finals([run(0, 1), run(1, 5), run(2, 3), run(3, 4)]) == [1, 5, 3, 4]
-    assert {i for i, _ in built[:2]} == {1, 3}
-    assert all(stepped[i] == {ident} for i, ident in built)  # built where marched
+    ladder = ((0.04, 10), (0.01, 40), (0.02, 20), (0.08, 5))
+    runs = [(state, n, _watched(spectral_stepper(grid, eps, DRIFTED), hook(n)))
+            for eps, n in ladder]
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    finals = propagate.finals(runs)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert marched[40] == {threading.get_ident()}
+    assert marched[10] == marched[20] == marched[5] == {started[0].ident}
+    expected = [last(march(state, n, spectral_stepper(grid, eps, DRIFTED))) for eps, n in ladder]
+    assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
 
 
-@pytest.mark.parametrize("cpus", (1, 4))
+SPREADING_GRID = make_grid(-6.0, 6.0, 256)
+SPREADING = gaussian_packet(SPREADING_GRID, x0=0.0, sigma0=0.4)
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 4))
 def test_finals_raise_the_first_failure_in_input_order(cpus, monkeypatch):
+    """A packet spreading to the grid edge: the second run reaches it at a later
+    step than the third, in the same block at one CPU, and its error is the serial
+    loop's, step index and edge ratio included."""
     _cpus(monkeypatch, cpus)
-
-    def failing_at(k):
-        def step(x):
-            if x == k:
-                raise ValidityError(f"state {k}")
-            return x + 1
-        return step
-
-    runs = [(0, 3, lambda: failing_at(9)), (0, 4, lambda: failing_at(2)),
-            (0, 5, lambda: failing_at(9)), (0, 6, lambda: failing_at(1))]
-    with pytest.raises(ValidityError, match=r"^aborted at step 2: state 2$"):
+    runs = [(SPREADING, n, spectral_stepper(SPREADING_GRID, eps, FREE))
+            for eps, n in ((0.1, 2), (0.05, 60), (0.1, 60), (0.2, 2))]
+    with pytest.raises(BoundaryDecayError) as serial:
+        [last(march(state, n, step)) for state, n, step in runs]
+    message = str(serial.value)
+    assert re.fullmatch(r"aborted at step \d+: state has not decayed at the grid edges: "
+                        r"edge/peak = .* \(need < 1\.0e-06\)", message)
+    with pytest.raises(BoundaryDecayError) as third:
+        last(march(SPREADING, 60, spectral_stepper(SPREADING_GRID, 0.1, FREE)))
+    assert int(str(third.value).split()[3][:-1]) < int(message.split()[3][:-1])
+    with pytest.raises(BoundaryDecayError, match=f"^{re.escape(message)}$"):
         propagate.finals(runs)
 
 
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_finals_start_no_run_after_a_failure(cpus, monkeypatch):
-    """The first run is the longest and its build fails: besides it, at most
-    the run already in flight on the other thread is built."""
+    """The longest run fails at step 0: no run after it in input order takes a
+    step past the one in flight.  At two CPUs the pool's runs, 1 and 2, wait in
+    their first step until the caller's, 3 and 4, have stepped past the failure."""
     _cpus(monkeypatch, cpus)
-    built = []
+    grid = make_grid(-12.0, 12.0, 512)
+    state = gaussian_packet(grid, x0=0.0, sigma0=1.0)
+    past, stepped = threading.Event(), []
 
-    def build_failing():
-        built.append(0)
-        raise ValueError("no operator")
+    def hook(i):
+        if i > 2:
+            return lambda: stepped.append(i) or past.set()
+        return lambda: stepped.append(i) or (cpus == 2 and past.wait(10))
 
-    def builder(i):
-        def build():
-            built.append(i)
-            return lambda x: time.sleep(0.005) or x + 1
-        return build
-
-    runs = [(0, 10, build_failing)] + [(0, 10 - i, builder(i)) for i in range(1, 6)]
-    with pytest.raises(ValueError, match="^no operator$"):
+    wide = WaveState(grid, np.exp(-grid.x ** 2 / 32.0))  # not decayed at the edges
+    runs = [(wide, 40, spectral_stepper(grid, 0.01, FREE))] + [
+        (state, 40 - i, _watched(spectral_stepper(grid, 0.01, FREE), hook(i)))
+        for i in range(1, 5)]
+    with pytest.raises(BoundaryDecayError, match="^aborted at step 0: state has not decayed"):
         propagate.finals(runs)
-    assert 0 in built and set(built) <= set(range(cpus))
+    assert sorted(stepped) in ([1, 2, 3, 4], [3, 4] if cpus == 2 else [])
 
 
 def test_finals_march_every_run_once_under_contention(monkeypatch):
-    """Eight threads on a short switch interval: no run is lost or taken twice."""
+    """Eight threads on a short switch interval: every run takes each of its
+    steps once, and its final state is the serial loop's to the bit."""
     _cpus(monkeypatch, 8)
-    built = []
-    runs = [(i, 1 + i % 7, lambda i=i: built.append(i) or (lambda x: x + 1))
-            for i in range(300)]
+    grid = make_grid(-8.0, 8.0, 128)
+    guarded = {}
+
+    def hook(i):
+        return lambda: guarded.update({i: guarded.get(i, 0) + 1})
+
+    def stepper(i):
+        return (spectral_stepper if i % 2 else split_stepper)(grid, 0.01 * (1 + i % 3), DRIFTED)
+
+    states = [gaussian_packet(grid, x0=0.01 * i, sigma0=0.8) for i in range(60)]
+    runs = [(states[i], 1 + i % 7, _watched(stepper(i), hook(i))) for i in range(60)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         finals = propagate.finals(runs)
     finally:
         sys.setswitchinterval(interval)
-    assert finals == [i + 1 + i % 7 for i in range(300)]
-    assert sorted(built) == list(range(300))
+    assert guarded == {i: 1 + i % 7 for i in range(60)}
+    expected = [last(march(states[i], 1 + i % 7, stepper(i))) for i in range(60)]
+    assert [f.time for f in finals] == [e.time for e in expected]
+    assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
 
 
-def test_an_interrupt_starts_no_further_task_and_joins_the_workers():
-    """Two threads on six tasks: task 0 sends the caller a SIGINT while it
-    waits on a result and both tasks are still running, so the other four,
-    submitted and pending, never start."""
-    started, busy = [], threading.Event()
+def test_an_interrupt_raises_once_every_worker_is_joined():
+    """Three tasks, each on a thread of its own, task 0 on the caller's: task 0
+    sends the caller a SIGINT once all three are running, and the interrupt is
+    raised only after tasks 1 and 2 have ended and their threads are joined."""
+    started, ended, running = [], [], threading.Barrier(3, timeout=10)
 
     def task(i):
-        started.append(i)
+        started.append(threading.get_ident())
+        running.wait()
         if i == 0:
-            assert busy.wait(10)
-            time.sleep(0.05)  # the caller has submitted every task by now
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        else:
-            busy.set()
-        time.sleep(0.1)  # still running when the caller's interrupt cancels the rest
+            time.sleep(10)  # interrupted here
+        time.sleep(0.1)
+        ended.append(i)
 
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        propagate.side_by_side([lambda i=i: task(i) for i in range(6)], 2)
-    assert sorted(started) == [0, 1]
+        propagate.side_by_side([lambda i=i: task(i) for i in range(3)])
+    assert len(set(started)) == 3 and started.count(threading.get_ident()) == 1
+    assert sorted(ended) == [1, 2]
     assert threading.active_count() == threads
 
 

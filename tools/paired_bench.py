@@ -1,19 +1,21 @@
-"""Paired benchmark of two revisions on one workload.
+"""Paired benchmark of two revisions on each workload.
 
-    python3 tools/paired_bench.py PARENT CHANGE --workload W --pairs N --seed S
+    python3 tools/paired_bench.py PARENT CHANGE [--workload W ...] --pairs N --seed S
 
 Run from inside the git checkout.  Both revisions (any commit-ish git names,
 such as HEAD~1, a branch or the hash `git stash create` prints for the work
 tree) are exported with `git archive` into one temporary directory, which is
-removed at the end.  Pair i runs `perfbench/run.py --workload W --seed S+i
---seconds 4 --trace 0` in each export, the parent first in even pairs and
-the change first in odd ones, so a drift of the host's speed does not favour
-one side.  For each end-to-end metric that BENCHMARK.json declares, it prints
-both medians, the parent's quartiles, the pairs in which the change was
-better and the change of the median relative to the parent's.  A change worse
-than the metric's `bound`, read as a fraction of the parent's median, is
-flagged WORSE, and the tool then exits 1.  Nothing is written into the
-checkout; stdlib only.
+removed at the end.  --workload may be given more than once; without it, every
+workload the parent's BENCHMARK.json declares is run, in its order.  For each
+workload W, pair i runs `perfbench/run.py --workload W --seed S+i --seconds 4
+--trace 0` in each export, the parent first in even pairs and the change first
+in odd ones, so a drift of the host's speed does not favour one side.  One
+table a workload gives, for each end-to-end metric that BENCHMARK.json
+declares, both medians, the parent's quartiles, the pairs in which the change
+was better and the change of the median relative to the parent's.  A change
+worse than the metric's `bound`, read as a fraction of the parent's median, is
+flagged WORSE, and the tool exits 1 if any metric of any workload is flagged.
+Nothing is written into the checkout; stdlib only.
 """
 
 from __future__ import annotations
@@ -49,33 +51,17 @@ def bench(tree: str, workload: str, seed: int) -> dict:
     return {name: m["value"] for name, m in metrics.items()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2 for quartiles")
+def paired(trees: dict, declared: list, workload: str, args) -> int:
+    """Run the pairs of one workload, print its table; the count of metrics flagged."""
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(bench(trees[side], workload, args.seed + i))
+        print(f"# {workload} pair {i + 1}/{args.pairs} (seed {args.seed + i}): " + ", ".join(
+            f"{side} run_s {runs[side][-1]['run_s']:.4f}" for side in runs), flush=True)
 
-    with tempfile.TemporaryDirectory(prefix="paired-bench-") as root:
-        trees = {}
-        for side in ("parent", "change"):
-            trees[side] = os.path.join(root, side)
-            export(getattr(args, side), trees[side])
-        with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
-            declared = json.load(handle)["end_to_end"]
-        runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(bench(trees[side], args.workload, args.seed + i))
-            print(f"# pair {i + 1}/{args.pairs} (seed {args.seed + i}): " + ", ".join(
-                f"{side} run_s {runs[side][-1]['run_s']:.4f}" for side in runs), flush=True)
-
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+    print(f"{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
           f"{args.parent} -> {args.change}")
     print(f"{'metric':<12} {'parent':>10} {'change':>10} {'parent q1-q3':>21} {'better':>7} "
           f"{'median':>8}")
@@ -96,6 +82,30 @@ def main(argv=None) -> int:
         print(f"{name:<12} {before:>10.4f} {after:>10.4f} {q1:>10.4f}-{q3:<10.4f} "
               f"{wins:>3}/{args.pairs} {relative:>+8.1%}"
               + (f"  WORSE than the bound {metric['bound']:.0%}" if worse else ""))
+    return flagged
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run; repeatable (default: every declared one)")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2 for quartiles")
+
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as root:
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = os.path.join(root, side)
+            export(getattr(args, side), trees[side])
+        with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
+            benchmark = json.load(handle)
+        workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+        flagged = sum(paired(trees, benchmark["end_to_end"], w, args) for w in workloads)
     return 1 if flagged else 0
 
 
