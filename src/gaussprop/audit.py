@@ -35,7 +35,7 @@ import numpy as np
 from .fields import (FieldSpec, PropagatorSpec, WaveState, check_boundary_decay,
                      norm)
 from .kernel import a_field
-from .propagate import dense_stepper, last, march, wave_stepper
+from .propagate import STEPPERS, dense_stepper, last, march
 
 CONSERVE_ORDER = 2.0
 DRIFT_ORDER_MARGIN = 0.3
@@ -155,8 +155,8 @@ def phase_freedom_check(state: WaveState, eps: float, spec: PropagatorSpec,
     """
     x = state.grid.x
     shifted = replace(spec, b=FieldSpec.tabulated(x, spec.b(x) + c))
-    base = last(march(state, n_steps, wave_stepper(state.grid, eps, spec, method)))
-    moved = last(march(state, n_steps, wave_stepper(state.grid, eps, shifted, method)))
+    base = last(march(state, n_steps, STEPPERS[method](state.grid, eps, spec)))
+    moved = last(march(state, n_steps, STEPPERS[method](state.grid, eps, shifted)))
     density_diff = float(np.max(np.abs(np.abs(moved.psi) ** 2
                                        - np.abs(base.psi) ** 2)))
     overlap = np.sum(np.conj(base.psi) * moved.psi) * state.grid.dx

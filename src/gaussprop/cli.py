@@ -51,10 +51,10 @@ import numpy as np
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, density_moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
-from .propagate import (METHODS, ValidityError, finals, march,
-                        one_behind, split_stepper, usable_cpus, wave_stepper)
+from .propagate import (STEPPERS, ValidityError, finals, march,
+                        one_behind, split_stepper, usable_cpus)
 from .reference import exact_evolution, exact_state, has_exact_state
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import MAX_STEPS, Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
 
 
@@ -78,7 +78,7 @@ _BLOCK_BYTES = 256 * 2 ** 10
 def _run_evolve(sc: Scenario) -> RunResult:
     grid = sc.grid
     state0 = sc.packet.build(grid)
-    kernel = march(state0, sc.n_steps, wave_stepper(grid, sc.eps, sc.spec, sc.method))
+    kernel = march(state0, sc.n_steps, STEPPERS[sc.method](grid, sc.eps, sc.spec))
     exact = split = None
     if has_exact_state(sc.spec):
         p = sc.packet
@@ -273,10 +273,23 @@ def _run_walk(sc: Scenario) -> RunResult:
 
 
 def _steps_for(t_final: float, eps: float, key: str) -> int:
-    n = round(t_final / eps)
+    ratio = t_final / eps if eps > 0.0 else math.inf  # the default eps_ref may underflow
+    if not math.isfinite(ratio):
+        raise ScenarioError(f"scenario.{key}: compare.t_final={t_final:g} / eps={eps:g} "
+                            "is not finite in float64")
+    n = round(ratio)
     if n < 1 or abs(n * eps - t_final) > 1e-9 * max(1.0, n):
         raise ScenarioError(f"scenario.{key}: eps={eps:g} does not divide "
                             f"compare.t_final={t_final:g}")
+    return n
+
+
+def _marched_steps(t_final: float, eps: float, key: str) -> int:
+    """_steps_for's count for a run that is marched: at most MAX_STEPS."""
+    n = _steps_for(t_final, eps, key)
+    if n > MAX_STEPS:
+        raise ScenarioError(f"scenario.{key}: eps={eps:g} takes {n} steps to compare."
+                            f"t_final={t_final:g}, past the {MAX_STEPS} a run may take")
     return n
 
 
@@ -289,18 +302,21 @@ def _run_compare(sc: Scenario) -> RunResult:
         eps_ref, ref_key = cs.eps_ref, "compare.eps_ref"
     else:
         eps_ref, ref_key = min(sc.eps_ladder) / 5.0, "schedule.eps_ladder"
-    ref_steps = _steps_for(cs.t_final, eps_ref, ref_key)  # checked even if unused
-    ladder_steps = [_steps_for(cs.t_final, eps, "schedule.eps_ladder") for eps in sc.eps_ladder]
+    exact = has_exact_state(sc.spec)  # else the split reference is marched
+    # eps_ref is checked even if unused, and held to MAX_STEPS only if marched
+    ref_steps = (_steps_for if exact else _marched_steps)(cs.t_final, eps_ref, ref_key)
+    ladder_steps = [_marched_steps(cs.t_final, eps, "schedule.eps_ladder")
+                    for eps in sc.eps_ladder]
     state0 = sc.packet.build(sc.grid)
     runs = []
-    if has_exact_state(sc.spec):
+    if exact:
         p = sc.packet
         ref = exact_state(sc.grid, sc.spec, p.x0, p.sigma0, p.k0, cs.t_final)
         reference, eps_ref, against = "exact", None, "the exact solution"
     else:
         runs.append((state0, ref_steps, split_stepper(sc.grid, eps_ref, sc.spec)))
         reference, against = "split", f"the eps={eps_ref:g} split-step reference"
-    ends = finals(runs + [(state0, n, wave_stepper(sc.grid, eps, sc.spec, sc.method))
+    ends = finals(runs + [(state0, n, STEPPERS[sc.method](sc.grid, eps, sc.spec))
                           for eps, n in zip(sc.eps_ladder, ladder_steps)])
     if reference == "split":
         ref = ends.pop(0)
@@ -358,7 +374,7 @@ COMMANDS = {
 
 _OPTIONS = {
     "seed": {"type": int, "help": "override the scenario seed"},
-    "method": {"choices": METHODS, "help": "override the scenario method"},
+    "method": {"choices": STEPPERS, "help": "override the scenario method"},
 }
 
 

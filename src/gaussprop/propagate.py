@@ -11,7 +11,7 @@ grid extent: the kernel itself never decays, the integrand does because psi
 does, which is why every state fed to a step must satisfy the boundary-decay
 invariant.
 
-dense_operator builds this step once per (grid, eps, spec).  For real
+dense_stepper builds this step once per (grid, eps, spec).  For real
 constant D with a drift u of degree <= 1, the drifted sources
 y_k = x_k - u(x_k) eps again lie on a uniform grid, and the phase
 (x_k - x_j - u_k eps)^2 = (y_k - x_j)^2 makes the sum a chirp-z transform:
@@ -50,17 +50,18 @@ source y moves by eta drawn from Normal(u(y) eps, D eps), so
 
 which keeps mass exact to quadrature precision and drifts forward (mean u t).
 
-Each method has one builder, (grid, eps, spec) -> step, holding its guards
-and its operator: dense_stepper, spectral_stepper, split_stepper and
+Each method has one builder, (grid, eps, spec) -> step, holding its guards and
+its operator: dense_stepper, spectral_stepper (STEPPERS, by name), split_stepper and
 density_stepper here, diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
-is its final state.  A wave step's operator, partial(apply, *factors), steps a
-state or each row of a (rows, n) block.  finals marches runs in lockstep groups,
-one block and one batched FFT a transform each, one group on the caller's thread
-and the rest on side_by_side's pool (the walk's too): each of a step's ten short
-numpy calls releases the GIL, and threads stepping a row each convoy on it (400 x 6
-np.multiply at n = 4096: 15 ms on one thread, 27 on two).  one_behind works on each
-item of a stream on a one-thread pool while the caller takes the next (evolve's rows).
+is its final state.  A wave step's Step alone builds its operator, partial(apply,
+*factors()), which steps a state or each row of a (rows, n) block.  finals marches
+runs in lockstep groups, one block and one batched FFT a transform each, one group
+on the caller's thread and the rest on side_by_side's pool (the walk's too): each of
+a step's ten short numpy calls releases the GIL, and threads stepping a row each
+convoy on it (400 x 6 np.multiply at n = 4096: 15 ms on one thread, 27 on two).
+one_behind works on each item of a stream on a one-thread pool while the caller
+takes the next (evolve's rows).
 
 The drift-diffusion oracle in reference factors and solves its tridiagonal
 operator with LAPACK dgttrf/dgttrs, which lapack takes from
@@ -72,6 +73,7 @@ needs it, so no command imports the scipy.linalg or scipy.fft package.
 
 from __future__ import annotations
 
+import contextvars
 import importlib.machinery
 import importlib.util
 import math
@@ -89,9 +91,6 @@ from .fields import (BOUNDARY_DECAY_RATIO, Grid, PropagatorSpec, RealState,
                      WaveState, check_amplitude_decay, check_boundary_decay, check_eps)
 from .kernel import complex_kernel, real_kernel, source_factors
 
-
-# the wave-stepping methods: the dense quadrature and the factorized kernel
-METHODS = ("dense", "spectral")
 
 # the largest grid.n an n x n kernel matrix is built for: 1 GiB of complex
 # entries kept (about 3.5 GiB at the peak of its build), half that for real
@@ -132,12 +131,15 @@ def _stack(stacked, operator: partial, r: int, rows: int) -> partial:
 
 class Step:
     """step(state) is the state at time + eps.  guard(amp, peak) raises what it raises on
-    a state of |psi| amp, of max peak.  build() returns the operator, built on the first
-    state that passes: partial(apply, *factors) (apply None for a kernel matrix's)."""
+    a state of |psi| amp, of max peak.  build() returns the operator, partial(apply,
+    *factors()), and is called on the first state that passes."""
 
-    def __init__(self, eps: float, guard, apply, build):
-        self.eps, self.guard, self.apply, self.build = eps, guard, apply, build
+    def __init__(self, eps: float, guard, apply, factors):
+        self.eps, self.guard, self.apply, self.factors = eps, guard, apply, factors
         self.operator = None
+
+    def build(self) -> partial:
+        return partial(self.apply, *self.factors())
 
     def __call__(self, state: WaveState) -> WaveState:
         amp = np.abs(state.psi)
@@ -180,6 +182,7 @@ def _check_matrix_size(grid: Grid, entry_bytes: int, path: str) -> None:
 
 
 def _dense_matrix(grid: Grid, eps: float, spec: PropagatorSpec) -> np.ndarray:
+    _check_matrix_size(grid, 16, "dense path for this spec")
     x = grid.x
     eta = x[None, :] - x[:, None]
     return grid.dx * complex_kernel(eta, eps, x[None, :], spec)
@@ -235,26 +238,10 @@ def _matrix_apply(mat, psi, *, out=None):  # one state: mat @ psi
     return np.matmul(mat, psi.T, out=None if out is None else out.T).T
 
 
-def chirp_z_applies(spec: PropagatorSpec) -> bool:
-    """Does the dense step take the chirp-z form (real constant D, u of degree <= 1)?"""
-    return spec.u.is_affine() and spec.variant not in ("complex_d", "x_dependent_d")
-
-
-def dense_operator(grid: Grid, eps: float, spec: PropagatorSpec) -> partial:
-    """The dense quadrature step on grid as an operator psi -> psi(t + eps).
-
-    Real constant D with u of degree <= 1 takes the chirp-z form in
-    O(n log n); every other spec applies the n x n kernel matrix, for
-    grid.n <= MAX_DENSE_MATRIX_N only.
-    """
-    if chirp_z_applies(spec):
-        return partial(_chirp_z_apply, *_chirp_z_factors(grid, eps, spec))
-    _check_matrix_size(grid, 16, "dense path for this spec")
-    return partial(_matrix_apply, _dense_matrix(grid, eps, spec))
-
-
 def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
-    """One complex-kernel step by direct quadrature over the whole grid."""
+    """One complex-kernel step by direct quadrature over the whole grid: the chirp-z form
+    in O(n log n) for real constant D and u of degree <= 1, else the n x n kernel matrix,
+    for grid.n <= MAX_DENSE_MATRIX_N only."""
     check_eps(eps)  # the spec's guards (eps, and D > 0 in the D scale) run before any step
     d = _d_scale(grid, spec)
 
@@ -263,8 +250,9 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
         if not report.passes:
             raise ValidityError(f"dense step cannot resolve the kernel phase: {report}")
 
-    return Step(eps, guard, _chirp_z_apply if chirp_z_applies(spec) else None,
-                partial(dense_operator, grid, eps, spec))
+    if spec.u.is_affine() and spec.variant not in ("complex_d", "x_dependent_d"):
+        return Step(eps, guard, _chirp_z_apply, partial(_chirp_z_factors, grid, eps, spec))
+    return Step(eps, guard, _matrix_apply, lambda: (_dense_matrix(grid, eps, spec),))
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -333,16 +321,16 @@ def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):
                          f"parameter set, got {spec.variant!r}, which must use the dense path")
     transforms = _in_place_ffts()  # a missing extension fails here, before any step
 
-    def build():
+    def factors():
         x = grid.x
         gauge = spec.u.antiderivative(x) / spec.d
         kick = eps * (spec.b(x) - spec.u(x) ** 2 / (2.0 * spec.d))
         pre = np.exp(-1j * ((1.0 - after) * kick + gauge))
         post = np.exp(1j * (gauge - after * kick))
         free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-        return partial(_gauge_apply, pre, free, post, *transforms)
+        return pre, free, post, *transforms
 
-    return Step(eps, check_amplitude_decay, _gauge_apply, build)
+    return Step(eps, check_amplitude_decay, _gauge_apply, factors)
 
 
 def _gauge_apply(pre, free, post, fft, ifft, psi, *, out=None):
@@ -370,6 +358,10 @@ def split_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
     return _gauge_stepper(grid, eps, spec, 0.5)
 
 
+# a wave-stepping method's name -> its builder: the dense quadrature or the factorized kernel
+STEPPERS = {"dense": dense_stepper, "spectral": spectral_stepper}
+
+
 def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     """One real-kernel step (Chapman-Kolmogorov quadrature over sources)."""
     check_eps(eps)
@@ -393,13 +385,6 @@ def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
         return state.replace_density(mat @ state.density, time=state.time + eps)
 
     return step
-
-
-def wave_stepper(grid: Grid, eps: float, spec: PropagatorSpec, method: str):
-    """The dense or the spectral step, as method names it."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return (dense_stepper if method == "dense" else spectral_stepper)(grid, eps, spec)
 
 
 def march(state, n_steps: int, step):
@@ -432,26 +417,27 @@ def usable_cpus() -> int:
 
 def side_by_side(tasks) -> list:
     """[task() for task in tasks], bit for bit, all at once: the first on the caller's
-    thread, each other on a pool thread of its own.  A failure, or an interrupt of the
+    thread, each other on a pool thread of its own, in a copy of the caller's context
+    (numpy's errstate is a context variable).  A failure, or an interrupt of the
     caller, raises the serial loop's once every task has ended and the pool is joined."""
     with ThreadPoolExecutor(max(1, len(tasks) - 1)) as pool:  # a thread a submit, joined
-        futures = [pool.submit(task) for task in tasks[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
         return [task() for task in tasks[:1]] + [future.result() for future in futures]
 
 
 def one_behind(items, work, threads: int) -> list:
     """[work(item) for item in items], bit for bit, with each work(item) done on one
-    worker thread while the caller takes the next item, if threads > 1; else on the
-    caller's thread.  The caller takes item i + 2 only once work(item i) has ended: at
-    most two items are sent and not done.  A failure of work raises the serial loop's,
-    the first in item order, though the work on the next item may have run.  The
-    worker is joined on every exit."""
+    worker thread, in a copy of the caller's context, while the caller takes the next
+    item, if threads > 1; else on the caller's thread.  The caller takes item i + 2
+    only once work(item i) has ended: at most two items are sent and not done.  A
+    failure of work raises the serial loop's, the first in item order, though the work
+    on the next item may have run.  The worker is joined on every exit."""
     if threads <= 1:
         return [work(item) for item in items]
     out, sent, pool = [], deque(), ThreadPoolExecutor(1)
     try:
         for item in items:
-            sent.append(pool.submit(work, item))
+            sent.append(pool.submit(contextvars.copy_context().run, work, item))
             if len(sent) == 2:
                 out.append(sent.popleft().result())
         out.extend(future.result() for future in sent)
@@ -470,8 +456,9 @@ def finals(runs) -> list:
     steps = [0] * len(groups)
     for i in sorted(range(len(runs)), key=lambda i: -runs[i][1]):  # ties in input order
         apply = runs[i][2].apply
-        g = steps.index(min(steps)) if apply else 0
-        groups[g].setdefault(apply or i, []).append((i, *runs[i]))  # a matrix's alone
+        matrix = apply is _matrix_apply
+        g = 0 if matrix else steps.index(min(steps))
+        groups[g].setdefault(i if matrix else apply, []).append((i, *runs[i]))  # matrix: alone
         steps[g] += runs[i][1]
     ends, failed = {}, []  # failed: (input index, error) of each run that failed
     side_by_side([lambda blocks=blocks: [_lockstep(rows, ends, failed) for rows in blocks.values()]

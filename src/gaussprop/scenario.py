@@ -33,10 +33,13 @@ from .fields import (
     gaussian_packet,
     make_grid,
 )
-from .propagate import METHODS
+from .propagate import STEPPERS
 from .walk import MAX_SEED, STEP_LAWS
 
 _EXPECTS = ("conserves", "drifts")
+# the most steps a run marches, schedule.n_steps or a compare run's t_final / eps:
+# 128-row walk blocks at 2^15 steps, and a non-affine u is call-bound
+MAX_STEPS = 2 ** 15
 
 
 class ScenarioError(ValueError):
@@ -301,10 +304,9 @@ _SCENARIO = _object({"name": _file_name}, {  # name stems the output names
                          "variant": _string(VARIANTS), **_VARIANT_KEYS},
                     partial(PropagatorSpec, d=1.0)),
     "schedule": _object({}, {"eps": _number(positive=True),
-                             # n_steps <= 2^15: 128-row walk blocks; non-affine u is call-bound
-                             "n_steps": _integer(1, 2 ** 15),
+                             "n_steps": _integer(1, MAX_STEPS),
                              "eps_ladder": _then(_numbers(2, positive=True), _ladder)}),
-    "method": _string(METHODS),
+    "method": _string(STEPPERS),
     "seed": _integer(0, MAX_SEED),
     "walk": _section(WalkSettings),
     "audit": _object({"packets": _list_of(_section(PacketSpec)),

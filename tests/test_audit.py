@@ -147,15 +147,15 @@ def test_audit_packets_shares_one_operator_per_rung(name, monkeypatch):
     sc = load_scenario(SCENARIOS / f"{name}.json")
     states = [packet.build(sc.grid) for packet in sc.audit.packets]
     builds = []
-    build = propagate.dense_operator
+    build = propagate.Step.build
 
-    def counting(grid, eps, spec):
-        builds.append(eps)
-        return build(grid, eps, spec)
+    def counting(step):
+        builds.append(step.eps)
+        return build(step)
 
     for case in sc.audit.variants:
         alone = [audit_packets([state], case.spec, sc.eps_ladder)[0] for state in states]
-        monkeypatch.setattr(propagate, "dense_operator", counting)
+        monkeypatch.setattr(propagate.Step, "build", counting)
         shared = audit_packets(states, case.spec, sc.eps_ladder)
         monkeypatch.undo()
         assert shared == alone

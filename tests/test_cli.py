@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gaussprop import cli
-from gaussprop.propagate import ValidityError, march, split_stepper, wave_stepper
+from gaussprop.propagate import STEPPERS, ValidityError, march, split_stepper
 from gaussprop.reference import exact_state, has_exact_state
 from gaussprop.scenario import ScenarioError, parse_scenario
 
@@ -626,7 +626,7 @@ def _row_by_row(sc):
     reference at a time, moments and the L2 distance written out for one state."""
     grid, dx, x = sc.grid, sc.grid.dx, sc.grid.x
     state0 = sc.packet.build(grid)
-    kernel = march(state0, sc.n_steps, wave_stepper(grid, sc.eps, sc.spec, sc.method))
+    kernel = march(state0, sc.n_steps, STEPPERS[sc.method](grid, sc.eps, sc.spec))
     if has_exact_state(sc.spec):
         p = sc.packet
         pairs = ((s, exact_state(grid, sc.spec, p.x0, p.sigma0, p.k0, s.time)) for s in kernel)
@@ -736,7 +736,7 @@ def test_evolve_raises_a_step_error_at_a_block_boundary(extra, tmp_path, monkeyp
             "schedule": {"eps": 0.1, "n_steps": 2 * k + 3}}
     path = tmp_path / "blocks.json"
     path.write_text(json.dumps(data))
-    stepper = cli.wave_stepper
+    stepper = STEPPERS["dense"]
 
     def failing_stepper(*args):
         step, steps = stepper(*args), itertools.count()
@@ -748,7 +748,7 @@ def test_evolve_raises_a_step_error_at_a_block_boundary(extra, tmp_path, monkeyp
 
         return failing_step
 
-    monkeypatch.setattr(cli, "wave_stepper", failing_stepper)
+    monkeypatch.setitem(STEPPERS, "dense", failing_stepper)
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
         threads = threading.active_count()
@@ -1049,6 +1049,8 @@ def test_audit_variant_specs_are_built_at_parse_time(spec, variants, key, tmp_pa
 GRID_16 = {"x_min": -8.0, "x_max": 8.0, "n": 1024}
 COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, "packet": {},
                 "spec": {"d": 1.0}, "method": "spectral"}
+COMPARE_WIDE = {**COMPARE_BASE, "grid": {"x_min": -20.0, "x_max": 20.0, "n": 256},
+                "packet": {"sigma0": 1.5, "k0": 0.5}}
 
 
 @pytest.mark.parametrize("command,data,message", [
@@ -1089,9 +1091,27 @@ COMPARE_BASE = {"name": "x", "grid": {"x_min": -10.0, "x_max": 10.0, "n": 256}, 
     ("compare", {**COMPARE_BASE, "spec": {"d": 5e-324}, "schedule": {"eps_ladder": [0.1, 0.05]},
                  "compare": {"t_final": 1.0}},
      "error: mass must be finite and > 0, got inf"),
+    # t_final / eps past float64
+    ("compare", {**COMPARE_WIDE, "schedule": {"eps_ladder": [1e-300, 2e-300]},
+                 "compare": {"t_final": 1e10}},
+     "scenario.schedule.eps_ladder: compare.t_final=1e+10 / eps=2e-301 is not finite in "
+     "float64"),
+    # the default eps_ref, the smallest rung / 5, underflows to 0
+    ("compare", {**COMPARE_WIDE, "schedule": {"eps_ladder": [1e-323, 2e-323]},
+                 "compare": {"t_final": 1.0}},
+     "scenario.schedule.eps_ladder: compare.t_final=1 / eps=0 is not finite in float64"),
+    # 10^9 steps: refused as schedule.n_steps past 2^15 is
+    ("compare", {**COMPARE_WIDE, "schedule": {"eps_ladder": [1e-9, 2e-9]},
+                 "compare": {"t_final": 1.0}},
+     "scenario.schedule.eps_ladder: eps=2e-09 takes 500000000 steps to compare.t_final=1, "
+     "past the 32768 a run may take"),
+    # the split reference is marched, so its eps_ref is held to the same cap
+    ("compare", {**SINE_COMPARE, "compare": {"t_final": 1.0, "eps_ref": 1e-5}},
+     "scenario.compare.eps_ref: eps=1e-05 takes 100000 steps"),
 ], ids=("audit-3-rungs", "compare-eps_ladder", "compare-eps_ref", "compare-default-eps_ref",
         "compare-variant", "walk-variant", "evolve-spectral-variant", "evolve-d_field-linear",
-        "audit-d_field-negative", "compare-infinite-mass"))
+        "audit-d_field-negative", "compare-infinite-mass", "compare-steps-overflow",
+        "compare-eps_ref-underflow", "compare-steps-past-cap", "compare-split-eps_ref-past-cap"))
 def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"

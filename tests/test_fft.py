@@ -9,7 +9,7 @@ import pytest
 
 from gaussprop import propagate
 from gaussprop.fields import FieldSpec, PropagatorSpec, gaussian_packet, make_grid
-from gaussprop.propagate import dense_operator, spectral_stepper
+from gaussprop.propagate import dense_stepper, spectral_stepper
 
 SIZES = (8, 100, 1000, 1024, 2048, 3000, 4096, 8192, 2 ** 16, 2 ** 17)
 GRID = make_grid(-8.0, 8.0, 1024)
@@ -58,10 +58,10 @@ def test_a_block_s_transforms_are_each_row_s_bit_for_bit(rows, n):
 def test_a_chirp_z_operator_reused_on_two_states_is_the_numpy_formula(spec, monkeypatch):
     """One operator steps two states in turn: nothing carries over from the
     first to the second."""
-    apply = dense_operator(GRID, 0.32, spec)
+    apply = dense_stepper(GRID, 0.32, spec).build()
     with monkeypatch.context() as patch:  # today's transforms, allocating
         patch.setattr(propagate, "_in_place_ffts", lambda: (np.fft.fft, np.fft.ifft))
-        numpy_s = _factors(dense_operator(GRID, 0.32, spec))
+        numpy_s = _factors(dense_stepper(GRID, 0.32, spec).build())
     assert np.array_equal(_factors(apply)["chirp_hat"], numpy_s["chirp_hat"])
     row, col, chirp_hat = numpy_s["row"], numpy_s["col"], numpy_s["chirp_hat"]
     for state in STATES:

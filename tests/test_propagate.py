@@ -13,9 +13,8 @@ from gaussprop import propagate
 from gaussprop.audit import predicted_drift_rate
 from gaussprop.fields import (BoundaryDecayError, FieldSpec, PropagatorSpec, RealState,
                               WaveState, gaussian_packet, make_grid, moments, norm)
-from gaussprop.propagate import (ValidityError, _dense_matrix, dense_operator, dense_stepper,
-                                 density_stepper, last, march, spectral_stepper, split_stepper,
-                                 wave_stepper)
+from gaussprop.propagate import (STEPPERS, ValidityError, _dense_matrix, dense_stepper,
+                                 density_stepper, last, march, spectral_stepper, split_stepper)
 from gaussprop.reference import diffusion_stepper
 
 FREE = PropagatorSpec(d=1.0)
@@ -321,6 +320,49 @@ def test_finals_march_every_run_once_under_contention(monkeypatch):
     assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
 
 
+def _times(factor, psi, *, out=None):
+    return np.multiply(factor, psi, out=out)
+
+
+def _scaling(factor, apply=_times):
+    """A Step that multiplies the state by factor, guarded by nothing."""
+    return propagate.Step(0.1, lambda amp, peak: None, apply,
+                          lambda: (np.full(SPREADING_GRID.n, factor),))
+
+
+@pytest.mark.parametrize("case", ("caller", "pool", "after-an-end"))
+def test_finals_raise_march_s_error_on_a_non_finite_state(case, monkeypatch):
+    """A NaN factor, so no floating-point warning fires, makes the state non-finite:
+    in the caller's group, in a pool group, or in a block marched after the group's
+    first block has ended its run, finals raises the serial loop's error."""
+    _cpus(monkeypatch, 1 if case == "after-an-end" else 2)
+    ok, nan = _scaling(1.0), _scaling(np.nan, np.multiply)  # two applies: two blocks
+    runs = {"caller": [(SPREADING, 4, nan), (SPREADING, 2, ok)],
+            "pool": [(SPREADING, 4, ok), (SPREADING, 2, nan)],
+            "after-an-end": [(SPREADING, 3, ok), (SPREADING, 2, nan)]}[case]
+    with pytest.raises(ValueError) as serial:
+        [last(march(state, n, step)) for state, n, step in runs]
+    assert str(serial.value) == "aborted at step 0: psi must be finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(serial.value))}$"):
+        propagate.finals(runs)
+
+
+def test_pool_threads_work_under_the_caller_s_errstate(monkeypatch):
+    """numpy keeps np.errstate in a context variable, which a new thread starts
+    without: each pool task runs in a copy of the caller's context, so an overflow
+    the caller ignores ends a pool group's run as it ends the serial loop's."""
+    _cpus(monkeypatch, 2)
+    runs = [(SPREADING, 3, _scaling(1.0)), (SPREADING, 3, _scaling(1e200))]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as serial:
+            [last(march(state, n, step)) for state, n, step in runs]
+        assert str(serial.value) == "aborted at step 1: psi must be finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(serial.value))}$"):
+            propagate.finals(runs)
+        products = propagate.one_behind(np.array([1e200, 1.0]), lambda x: x * 1e200, 2)
+        assert products == [np.inf, 1e200]
+
+
 def test_an_interrupt_raises_once_every_worker_is_joined():
     """Three tasks, each on a thread of its own, task 0 on the caller's: task 0
     sends the caller a SIGINT once all three are running, and the interrupt is
@@ -434,7 +476,7 @@ def test_spectral_evolve_checks_before_it_steps(spec, n, eps, message):
     grid = make_grid(-8.0, 8.0, n)
     with pytest.raises(ValueError, match=f"^(?!aborted).*{message}"):
         last(march(gaussian_packet(grid, x0=0.0, sigma0=0.8), 5,
-                   wave_stepper(grid, eps, spec, method="spectral")))
+                   STEPPERS["spectral"](grid, eps, spec)))
     with pytest.raises(ValueError, match=message):
         spectral_stepper(grid, eps, spec)
 
@@ -583,7 +625,7 @@ def test_chirp_z_step_matches_the_kernel_matrix(name, eps):
     spec = CHIRP_Z_SPECS[name]
     psi = AUDIT_PACKET.psi
     expected = _dense_matrix(AUDIT_GRID, eps, spec) @ psi
-    assert _rel(dense_operator(AUDIT_GRID, eps, spec)(psi), expected) <= 1e-10
+    assert _rel(dense_stepper(AUDIT_GRID, eps, spec).build()(psi), expected) <= 1e-10
 
 
 def test_a_zero_coefficient_quadratic_drift_takes_chirp_z():
@@ -591,8 +633,8 @@ def test_a_zero_coefficient_quadratic_drift_takes_chirp_z():
     grid = make_grid(-20.0, 20.0, 2 ** 14)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.quadratic(0.0))
     psi = gaussian_packet(grid, x0=0.5, sigma0=1.0).psi
-    assert np.array_equal(dense_operator(grid, 0.05, spec)(psi),
-                          dense_operator(grid, 0.05, FREE)(psi))
+    assert np.array_equal(dense_stepper(grid, 0.05, spec).build()(psi),
+                          dense_stepper(grid, 0.05, FREE).build()(psi))
 
 
 def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():

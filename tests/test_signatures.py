@@ -133,11 +133,14 @@ def test_the_wrapper_layer_is_gone():
 
 # the second ways of deciding or reading T, deleted for good
 KERNEL_LEFTOVERS = ("KernelEvaluation", "normalization_constant", "_a_value")
+# the second ways of building a wave step's operator or picking its builder by name,
+# deleted for good: a Step builds its operator, and STEPPERS maps a name to a builder
+STEP_LEFTOVERS = ("dense_operator", "chirp_z_applies", "wave_stepper", "METHODS")
 
 
 def test_t_is_decided_in_one_place():
     found = _callables()
-    assert {"kernel.complex_kernel", "kernel.source_factors", "propagate.dense_operator",
+    assert {"kernel.complex_kernel", "kernel.source_factors", "propagate.Step.build",
             "propagate.dense_stepper"} <= set(found)
     assert sorted(name for name, obj in found.items() if "a_override" in _parameters(obj)) == []
     assert not hasattr(gaussprop, "__all__")
@@ -145,6 +148,7 @@ def test_t_is_decided_in_one_place():
     for info in pkgutil.iter_modules(gaussprop.__path__):
         module = importlib.import_module(f"gaussprop.{info.name}")
         assert not set(KERNEL_LEFTOVERS) & set(vars(module)), info.name
+        assert not set(STEP_LEFTOVERS) & set(vars(module)), info.name
     assert "fields.PropagatorSpec.du_dx" not in found
     assert not hasattr(PropagatorSpec, "du_dx")
 
