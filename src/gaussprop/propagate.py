@@ -54,14 +54,14 @@ Each method has one builder, (grid, eps, spec) -> step, holding its guards and
 its operator: dense_stepper, spectral_stepper (STEPPERS, by name), split_stepper and
 density_stepper here, diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
-is its final state.  A wave step's Step alone builds its operator, partial(apply,
-*factors()), which steps a state or each row of a (rows, n) block.  finals marches
-runs in lockstep groups, one block and one batched FFT a transform each, one group
-on the caller's thread and the rest on side_by_side's pool (the walk's too): each of
-a step's ten short numpy calls releases the GIL, and threads stepping a row each
-convoy on it (400 x 6 np.multiply at n = 4096: 15 ms on one thread, 27 on two).
-one_behind works on each item of a stream on a one-thread pool while the caller
-takes the next (evolve's rows).
+is its final state.  A wave step's Step alone builds its operator: build() returns its
+factor arrays, and apply(*factors, psi) steps a state, or each row of a (rows, n) block
+with each factor stacked by row.  finals marches runs in lockstep groups, one block and
+one batched FFT a transform each, one group on the caller's thread and the rest on
+side_by_side's pool (the walk's too): each of a step's ten short numpy calls releases
+the GIL, and threads stepping a row each convoy on it (400 x 6 np.multiply at
+n = 4096: 15 ms on one thread, 27 on two).  one_behind works on each item of a stream
+on a one-thread pool while the caller takes the next (evolve's rows).
 
 The drift-diffusion oracle in reference factors and solves its tridiagonal
 operator with LAPACK dgttrf/dgttrs, which lapack takes from
@@ -116,36 +116,22 @@ class ValidityReport:
                 f"eps >= {self.recommended_min_eps:.4g} recommended)")
 
 
-def _stack(stacked, operator: partial, r: int, rows: int) -> partial:
-    """stacked with operator as row r of `rows`: an array factor shared until one differs."""
-    if stacked is None:
-        return operator  # so a kernel matrix, alone in its block, is never copied
-    factors = list(stacked.args)
-    for j, (f, part) in enumerate(zip(factors, operator.args)):
-        if isinstance(part, np.ndarray) and not np.array_equal(f, part):  # a stacked f: never
-            if f.ndim == part.ndim:  # shared until row r
-                factors[j] = f = np.broadcast_to(f, (rows, *f.shape)).copy()
-            f[r] = part
-    return partial(stacked.func, *factors)
-
-
 class Step:
     """step(state) is the state at time + eps.  guard(amp, peak) raises what it raises on
-    a state of |psi| amp, of max peak.  build() returns the operator, partial(apply,
-    *factors()), and is called on the first state that passes."""
+    a state of |psi| amp, of max peak.  build() returns the operator's factor arrays and is
+    called on the first state that passes; apply(*factors, psi, out=None) steps one state
+    or each row of a (rows, n) block."""
 
-    def __init__(self, eps: float, guard, apply, factors):
-        self.eps, self.guard, self.apply, self.factors = eps, guard, apply, factors
-        self.operator = None
-
-    def build(self) -> partial:
-        return partial(self.apply, *self.factors())
+    def __init__(self, eps: float, guard, apply, build):
+        self.eps, self.guard, self.apply, self.build = eps, guard, apply, build
+        self.factors = None
 
     def __call__(self, state: WaveState) -> WaveState:
         amp = np.abs(state.psi)
         self.guard(amp, amp.max())
-        self.operator = self.operator or self.build()
-        return state.replace_psi(self.operator(state.psi), time=state.time + self.eps)
+        self.factors = self.factors or self.build()
+        return state.replace_psi(self.apply(*self.factors, state.psi),
+                                 time=state.time + self.eps)
 
 
 def _d_scale(grid: Grid, spec: PropagatorSpec) -> float:
@@ -220,18 +206,17 @@ def _chirp_z_factors(grid: Grid, eps: float, spec: PropagatorSpec) -> tuple:
     size = 1 << (2 * n - 2).bit_length()           # >= 2n - 1: no wrap-around
     lag = np.arange(size)
     lag = np.minimum(lag, size - lag).astype(float)
-    fft, ifft = _in_place_ffts()
-    return col, fft(np.exp(1j * c * r * dx ** 2 * lag ** 2)), row, fft, ifft
+    return col, _c2c(np.exp(1j * c * r * dx ** 2 * lag ** 2), True), row
 
 
-def _chirp_z_apply(col, chirp_hat, row, fft, ifft, psi, *, out=None):
+def _chirp_z_apply(col, chirp_hat, row, psi, *, out=None):
     n = psi.shape[-1]
     out = np.empty(psi.shape, complex) if out is None else out  # before the scratch: no heap gap
     work = np.empty((*psi.shape[:-1], chirp_hat.shape[-1]), dtype=complex)  # col psi, 0-padded
     np.multiply(col, psi, out=work[..., :n])
     work[..., n:] = 0.0
-    np.multiply(chirp_hat, fft(work), out=work)
-    return np.multiply(row, ifft(work)[..., :n], out=out)
+    np.multiply(chirp_hat, _c2c(work, True), out=work)
+    return np.multiply(row, _c2c(work, False)[..., :n], out=out)
 
 
 def _matrix_apply(mat, psi, *, out=None):  # one state: mat @ psi
@@ -257,7 +242,7 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
 
 _FLAPACK = "scipy.linalg._flapack"
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
-_LOAD_LOCK = threading.Lock()  # finals' groups build operators on several threads
+_LOAD_LOCK = threading.Lock()  # finals' groups make their first transforms on several threads
 
 
 def _extension_dirs(name: str) -> list[str]:
@@ -272,9 +257,12 @@ def _extension(name: str):
     """scipy's compiled extension module `name`, loaded under its own name
     without running the __init__ of any package above it.  A package of
     scipy's imported before or after shares the one registered module."""
-    with _LOAD_LOCK:  # one call per operator built, so the lock is never hot
+    module = sys.modules.get(name)  # looked up on every transform: no lock once loaded
+    if module is not None:  # loaded by an earlier call or by scipy itself
+        return module
+    with _LOAD_LOCK:
         module = sys.modules.get(name)
-        if module is not None:  # loaded by an earlier call or by scipy itself
+        if module is not None:  # loaded by another thread while this one waited
             return module
         searched = [os.path.join(folder, name.rpartition(".")[2] + suffix)
                     for folder in _extension_dirs(name)
@@ -286,19 +274,17 @@ def _extension(name: str):
         loader = importlib.machinery.ExtensionFileLoader(name, path)
         module = importlib.util.module_from_spec(
             importlib.util.spec_from_loader(name, loader, origin=path))
-        sys.modules[name] = module
         loader.exec_module(module)
+        sys.modules[name] = module  # once executed: the unlocked lookup never sees it half made
         return module
 
 
-def _in_place_ffts():
-    """(fft, ifft) over the last axis of a complex array, written over it and
-    returned, bit for bit numpy.fft's: pocketfft's c2c, the C++ code numpy.fft
-    vendors, from scipy's compiled extension, which keeps each length's plan
-    between calls where numpy.fft sets one up on every call."""
-    c2c = _extension(_POCKETFFT).c2c
-    return (lambda a: c2c(a, (-1,), True, 0, a, 1),   # unnormalized
-            lambda a: c2c(a, (-1,), False, 2, a, 1))  # times 1/n
+def _c2c(a: np.ndarray, forward: bool) -> np.ndarray:
+    """a's FFT over its last axis, unnormalized forward and times 1/n backward, written
+    over a complex a and returned, bit for bit numpy.fft's: pocketfft's c2c, the C++
+    code numpy.fft vendors, from scipy's compiled extension, which keeps each length's
+    plan between calls where numpy.fft sets one up on every call."""
+    return _extension(_POCKETFFT).c2c(a, (-1,), forward, 0 if forward else 2, a, 1)
 
 
 def lapack(name: str):
@@ -319,7 +305,7 @@ def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):
     if not spec.is_admissible():
         raise ValueError("scenario.spec.variant: the spectral path assumes an admissible "
                          f"parameter set, got {spec.variant!r}, which must use the dense path")
-    transforms = _in_place_ffts()  # a missing extension fails here, before any step
+    _extension(_POCKETFFT)  # a missing extension fails here, before any step
 
     def factors():
         x = grid.x
@@ -328,15 +314,15 @@ def _gauge_stepper(grid: Grid, eps: float, spec: PropagatorSpec, after: float):
         pre = np.exp(-1j * ((1.0 - after) * kick + gauge))
         post = np.exp(1j * (gauge - after * kick))
         free = np.exp(-0.5j * spec.d * eps * grid.k ** 2)
-        return pre, free, post, *transforms
+        return pre, free, post
 
     return Step(eps, check_amplitude_decay, _gauge_apply, factors)
 
 
-def _gauge_apply(pre, free, post, fft, ifft, psi, *, out=None):
+def _gauge_apply(pre, free, post, psi, *, out=None):
     psi = np.multiply(pre, psi, out=out)  # transformed in place
-    np.multiply(free, fft(psi), out=psi)
-    return np.multiply(post, ifft(psi), out=psi)
+    np.multiply(free, _c2c(psi, True), out=psi)
+    return np.multiply(post, _c2c(psi, False), out=psi)
 
 
 def spectral_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
@@ -471,12 +457,13 @@ def finals(runs) -> list:
 def _lockstep(rows, ends, failed) -> None:
     """ends[i] of rows [(i, state, n_steps, step)], longest first, as one (rows, n) block: each
     row checked as march checks it, dropped once its run ends or fails or an earlier run fails."""
-    grid, op, block = rows[0][1].grid, None, [state.psi for _, state, _, _ in rows]
+    grid, apply, block = rows[0][1].grid, rows[0][3].apply, [state.psi for _, state, _, _ in rows]
+    factors = []  # each row's factor f as row r of a (rows, size f) array; a lone row's as built
     for k in range(rows[0][2] + 1):
         first = min((i for i, _ in failed), default=math.inf)  # the serial loop stops there
         amp = np.abs(block)
         peak = amp.max(axis=1)
-        keep, stacked = [], None
+        keep = []
         for r, (i, state, n_steps, step) in enumerate(rows):
             at = k - 1  # WaveState checks the finiteness of the state step k - 1 made
             try:
@@ -486,18 +473,26 @@ def _lockstep(rows, ends, failed) -> None:
                 if i < first and k < n_steps:
                     at = k
                     step.guard(amp[r], peak[r])
-                    if op is None:  # built once its state has passed the guard
-                        stacked = _stack(stacked, step.build(), r, len(rows))
+                    if k == 0:  # built once its state has passed the guard
+                        built = step.build()
+                        if len(rows) == 1:  # as built, so a kernel matrix is never copied
+                            factors = built
+                        else:
+                            factors = factors or [np.empty((len(rows), np.size(f)),
+                                                           np.result_type(f)) for f in built]
+                            for j, f in enumerate(factors):
+                                f[r] = built[j]  # a scalar fills a column
+                        del built  # a row's own arrays are not held through the march
                     keep.append(r)
             except (ValueError, ValidityError) as exc:
                 failed.append((i, type(exc)(f"aborted at step {at}: {exc}")))
         del amp  # not held through the apply
         if not keep:
             return
-        if op is None:  # the block is stacked once the operators are built, not during
-            op, block = stacked, np.stack(block)
-        if len(keep) < len(rows):  # runs end from the last row up: a view; row factors 1-d
+        if k == 0:  # the block is stacked once the operators are built, not during
+            block = np.stack(block)
+        if len(keep) < len(rows):  # runs end from the last row up: a view
             sel = slice(len(keep)) if keep[-1] == len(keep) - 1 else keep
             rows, block = [rows[r] for r in keep], block[sel]
-            op = partial(op.func, *(f[sel] if np.ndim(f) == 2 else f for f in op.args))
-        block = op(block, out=block)
+            factors = [f[sel] for f in factors]
+        block = apply(*factors, block, out=block)

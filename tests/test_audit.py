@@ -147,15 +147,14 @@ def test_audit_packets_shares_one_operator_per_rung(name, monkeypatch):
     sc = load_scenario(SCENARIOS / f"{name}.json")
     states = [packet.build(sc.grid) for packet in sc.audit.packets]
     builds = []
-    build = propagate.Step.build
+    init = propagate.Step.__init__
 
-    def counting(step):
-        builds.append(step.eps)
-        return build(step)
+    def counting(step, eps, guard, apply, build):
+        init(step, eps, guard, apply, lambda: builds.append(eps) or build())
 
     for case in sc.audit.variants:
         alone = [audit_packets([state], case.spec, sc.eps_ladder)[0] for state in states]
-        monkeypatch.setattr(propagate.Step, "build", counting)
+        monkeypatch.setattr(propagate.Step, "__init__", counting)
         shared = audit_packets(states, case.spec, sc.eps_ladder)
         monkeypatch.undo()
         assert shared == alone

@@ -351,12 +351,15 @@ def test_ou_walk_outputs_are_unchanged(tmp_path):
 
 @pytest.mark.parametrize("command,name", list(SHIPPED_SHA256),
                          ids=[f"{c}-{n}" for c, n in SHIPPED_SHA256])
-def test_shipped_outputs_are_unchanged(command, name, tmp_path):
-    """The exact reference, the spectral gauge step and the moment ladder, to the byte."""
-    code = _run(command, f"{name}.json", tmp_path)
-    digests = tuple(hashlib.sha256((tmp_path / f"{name}_{command}.{ext}").read_bytes())
-                    .hexdigest() for ext in ("csv", "json"))
-    assert (code, *digests) == SHIPPED_SHA256[command, name]
+def test_shipped_outputs_are_unchanged(command, name, tmp_path, monkeypatch):
+    """The exact reference, the spectral gauge step and the moment ladder, to the byte,
+    at 1, 2 and 4 CPUs: compare's rungs march as one block at 1 and as lone rows at 4."""
+    for cpus in (1, 2, 4):
+        _set_cpus(monkeypatch, cpus)
+        code = _run(command, f"{name}.json", tmp_path / str(cpus))
+        digests = tuple(hashlib.sha256((tmp_path / str(cpus) / f"{name}_{command}.{ext}")
+                                       .read_bytes()).hexdigest() for ext in ("csv", "json"))
+        assert (code, *digests) == SHIPPED_SHA256[command, name], f"at {cpus} CPUs"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -17,9 +17,12 @@ STATES = (gaussian_packet(GRID, x0=0.3, sigma0=0.8, k0=0.5),
           gaussian_packet(GRID, x0=-0.6, sigma0=0.6, k0=-1.1))
 
 
-def _factors(operator):
-    """An operator's factors by the names its apply takes them under."""
-    return dict(zip(operator.func.__code__.co_varnames, operator.args))
+def _factors(step):
+    """A step's factors by the names its apply takes them under."""
+    return dict(zip(step.apply.__code__.co_varnames, step.build()))
+
+
+TRANSFORMS = (lambda a: propagate._c2c(a, True), lambda a: propagate._c2c(a, False))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -28,8 +31,7 @@ def test_the_transforms_are_numpy_s_bit_for_bit(n):
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     a.flags.writeable = False
     original = a.copy()
-    fft, ifft = propagate._in_place_ffts()
-    for ours, numpy_s in ((fft, np.fft.fft), (ifft, np.fft.ifft)):
+    for ours, numpy_s in zip(TRANSFORMS, (np.fft.fft, np.fft.ifft)):
         work = a.copy()
         assert ours(work) is work
         assert np.array_equal(work, numpy_s(a))
@@ -46,7 +48,7 @@ def test_a_block_s_transforms_are_each_row_s_bit_for_bit(rows, n):
     forward and times 1/n backward, is each row's 1-d transform."""
     rng = np.random.default_rng(rows * n)
     block = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    for transform in propagate._in_place_ffts():
+    for transform in TRANSFORMS:
         expected = np.stack([transform(row.copy()) for row in block])
         assert np.array_equal(transform(block.copy()), expected)
 
@@ -58,22 +60,24 @@ def test_a_block_s_transforms_are_each_row_s_bit_for_bit(rows, n):
 def test_a_chirp_z_operator_reused_on_two_states_is_the_numpy_formula(spec, monkeypatch):
     """One operator steps two states in turn: nothing carries over from the
     first to the second."""
-    apply = dense_stepper(GRID, 0.32, spec).build()
+    step = dense_stepper(GRID, 0.32, spec)
+    factors = step.build()
     with monkeypatch.context() as patch:  # today's transforms, allocating
-        patch.setattr(propagate, "_in_place_ffts", lambda: (np.fft.fft, np.fft.ifft))
-        numpy_s = _factors(dense_stepper(GRID, 0.32, spec).build())
-    assert np.array_equal(_factors(apply)["chirp_hat"], numpy_s["chirp_hat"])
+        patch.setattr(propagate, "_c2c",
+                      lambda a, forward: np.fft.fft(a) if forward else np.fft.ifft(a))
+        numpy_s = _factors(dense_stepper(GRID, 0.32, spec))
+    assert np.array_equal(_factors(step)["chirp_hat"], numpy_s["chirp_hat"])
     row, col, chirp_hat = numpy_s["row"], numpy_s["col"], numpy_s["chirp_hat"]
     for state in STATES:
         expected = row * np.fft.ifft(chirp_hat * np.fft.fft(col * state.psi,
                                                             chirp_hat.size))[:GRID.n]
-        assert np.array_equal(apply(state.psi), expected)
+        assert np.array_equal(step.apply(*factors, state.psi), expected)
 
 
 def test_a_drifted_spectral_step_is_the_numpy_formula():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.2), b=FieldSpec.sine(0.3, 1.0))
     step = spectral_stepper(GRID, 0.02, spec)
-    parts = _factors(step.build())
+    parts = _factors(step)
     assert np.any(parts["post"] != 1.0)  # the drift's gauge phase
     for state in STATES:
         expected = parts["post"] * np.fft.ifft(parts["free"] * np.fft.fft(parts["pre"]

@@ -87,3 +87,28 @@ def test_every_declared_workload_gets_a_table_and_any_flag_exits_one(monkeypatch
     assert tool.main(["parent", "change", "--workload", "walk", "--workload", "audit",
                       "--pairs", "2", "--seed", "1"]) == 1
     assert [workload for workload, _, _ in runs] == ["walk"] * 4 + ["audit"] * 4
+
+
+def test_a_metric_whose_parent_spreads_past_its_bound_is_unresolved(monkeypatch, capsys):
+    """The parent's run_s spreads 40% between its quartiles, past the 10% bound: a change
+    of the same median is UNRESOLVED, one whose every run beats every parent run is not,
+    and neither is flagged; pass_frac, which does not spread, is never UNRESOLVED."""
+    tool = _tool()
+    change_s = {"mixed": (1.2, 1.3, 1.2, 1.3), "faster": (0.9, 0.9, 0.9, 0.9)}
+
+    def bench(tree, workload, seed):
+        side = Path(tree, "rev").read_text()
+        parent_s = (1.0, 1.5, 1.0, 1.5)[seed]
+        return {"run_s": parent_s if side == "parent" else change_s[workload][seed],
+                "pass_frac": 1.0}
+
+    monkeypatch.setattr(tool, "export", _export)
+    monkeypatch.setattr(tool, "bench", bench)
+    for workload, unresolved in (("mixed", True), ("faster", False)):
+        assert tool.main(["parent", "change", "--workload", workload, "--pairs", "4",
+                          "--seed", "0"]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert ("UNRESOLVED: the parent's spread 40.0% is wider than the bound 10%"
+                in lines["run_s"]) == unresolved
+        assert "WORSE" not in lines["run_s"]
+        assert "UNRESOLVED" not in lines["pass_frac"]

@@ -347,6 +347,24 @@ def test_finals_raise_march_s_error_on_a_non_finite_state(case, monkeypatch):
         propagate.finals(runs)
 
 
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("scalar", (float, np.float64, np.array), ids=("float", "float64", "0-d"))
+def test_finals_of_scalar_factors_are_the_serial_loop(scalar, cpus, monkeypatch):
+    """Three runs of one apply, each of its own scalar factor, in one block at one CPU and
+    in two at two: every row is stepped by its own factor, as march steps it."""
+    _cpus(monkeypatch, cpus)
+
+    def runs():
+        return [(SPREADING, n, propagate.Step(0.1, lambda amp, peak: None, np.multiply,
+                                              lambda f=f: (scalar(f),)))
+                for n, f in ((2, 0.5), (2, 0.25), (3, 0.75))]
+
+    expected = [last(march(*run)) for run in runs()]
+    finals = propagate.finals(runs())
+    assert [f.time for f in finals] == [e.time for e in expected]
+    assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
+
+
 def test_pool_threads_work_under_the_caller_s_errstate(monkeypatch):
     """numpy keeps np.errstate in a context variable, which a new thread starts
     without: each pool task runs in a copy of the caller's context, so an overflow
@@ -625,7 +643,8 @@ def test_chirp_z_step_matches_the_kernel_matrix(name, eps):
     spec = CHIRP_Z_SPECS[name]
     psi = AUDIT_PACKET.psi
     expected = _dense_matrix(AUDIT_GRID, eps, spec) @ psi
-    assert _rel(dense_stepper(AUDIT_GRID, eps, spec).build()(psi), expected) <= 1e-10
+    step = dense_stepper(AUDIT_GRID, eps, spec)
+    assert _rel(step.apply(*step.build(), psi), expected) <= 1e-10
 
 
 def test_a_zero_coefficient_quadratic_drift_takes_chirp_z():
@@ -633,8 +652,9 @@ def test_a_zero_coefficient_quadratic_drift_takes_chirp_z():
     grid = make_grid(-20.0, 20.0, 2 ** 14)
     spec = PropagatorSpec(d=1.0, u=FieldSpec.quadratic(0.0))
     psi = gaussian_packet(grid, x0=0.5, sigma0=1.0).psi
-    assert np.array_equal(dense_stepper(grid, 0.05, spec).build()(psi),
-                          dense_stepper(grid, 0.05, FREE).build()(psi))
+    quadratic, free = dense_stepper(grid, 0.05, spec), dense_stepper(grid, 0.05, FREE)
+    assert np.array_equal(quadratic.apply(*quadratic.build(), psi),
+                          free.apply(*free.build(), psi))
 
 
 def test_chirp_z_free_step_is_the_exact_multiplier_at_large_n():

@@ -15,6 +15,10 @@ declares, both medians, the parent's quartiles, the pairs in which the change
 was better and the change of the median relative to the parent's.  A change
 worse than the metric's `bound`, read as a fraction of the parent's median, is
 flagged WORSE, and the tool exits 1 if any metric of any workload is flagged.
+A metric not flagged WORSE whose parent runs spread wider than its bound, (q3 -
+q1) / median, is labelled UNRESOLVED unless every change run reads better than
+every parent run: the pairs cannot tell it from unchanged.  The label alone
+does not change the exit code.
 Nothing is written into the checkout; stdlib only.
 """
 
@@ -79,9 +83,17 @@ def paired(trees: dict, declared: list, workload: str, args) -> int:
             relative = (after - before) / abs(before)
         worse = sign * relative > metric["bound"]
         flagged += worse
+        if before == 0.0:
+            spread = math.inf if q3 > q1 else 0.0
+        else:
+            spread = (q3 - q1) / abs(before)
+        all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+        unresolved = not worse and spread > metric["bound"] and not all_better
         print(f"{name:<12} {before:>10.4f} {after:>10.4f} {q1:>10.4f}-{q3:<10.4f} "
               f"{wins:>3}/{args.pairs} {relative:>+8.1%}"
-              + (f"  WORSE than the bound {metric['bound']:.0%}" if worse else ""))
+              + (f"  WORSE than the bound {metric['bound']:.0%}" if worse else "")
+              + (f"  UNRESOLVED: the parent's spread {spread:.1%} is wider than the bound "
+                 f"{metric['bound']:.0%}" if unresolved else ""))
     return flagged
 
 
