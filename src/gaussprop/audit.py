@@ -35,7 +35,7 @@ import numpy as np
 from .fields import (FieldSpec, PropagatorSpec, WaveState, check_boundary_decay,
                      norm)
 from .kernel import a_field
-from .propagate import STEPPERS, dense_stepper, last, march
+from .propagate import STEPPERS, ValidityError, dense_stepper, last, march
 
 CONSERVE_ORDER = 2.0
 DRIFT_ORDER_MARGIN = 0.3
@@ -101,7 +101,8 @@ def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
     norm by exp(-2 eps a) / (1 - eps u'), whatever the packet, and a = u'/2
     cancels only the O(eps) term.  The states must share one grid, and one
     dense operator per eps steps them all; each still passes the stepper's
-    boundary-decay and phase-resolution checks on every step.
+    boundary-decay and phase-resolution checks on every step, and a step's
+    error is re-raised naming the variant, the eps and the state's index.
     """
     states = list(states)
     ladder = sorted((float(e) for e in eps_ladder), reverse=True)
@@ -116,8 +117,11 @@ def audit_packets(states, spec: PropagatorSpec, eps_ladder) -> list:
     drifts = [[] for _ in states]
     for eps in ladder:
         step = dense_stepper(grid, eps, spec)
-        for state, n0, out in zip(states, starts, drifts):
-            out.append(norm(step(state)) - n0)
+        for i, (state, n0, out) in enumerate(zip(states, starts, drifts)):
+            try:
+                out.append(norm(step(state)) - n0)
+            except (ValueError, ValidityError) as exc:
+                raise type(exc)(f"variant {spec.variant}, eps={eps:g}, packet {i}: {exc}") from None
     return [_audit_report(state, spec, ladder, d) for state, d in zip(states, drifts)]
 
 

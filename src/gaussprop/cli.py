@@ -23,11 +23,12 @@ evolve marches the kernel, and the split reference, on the caller's thread,
 and hands a one-thread pool (propagate.one_behind) each block of the states
 it marched, as many as fit _BLOCK_BYTES (256 KiB): the pool's thread stacks
 them and computes their rows (moments, the exact state, the L2 distance)
-while the march goes on.  On one usable CPU the blocks are computed on the
-caller's thread.  The rows, the error and the exit code are those of computing
-one row per step: a step's error is raised once the row of every earlier state
-has been computed.  compare's lockstep groups of runs (propagate.finals) and the
-walk's particle chunks march one on the caller's thread, the rest on a pool.
+while the march goes on, at every CPU count.  The rows, the error and the exit
+code are those of computing one row per step: a step's error is raised once the
+row of every earlier state has been computed.  compare's lockstep groups of runs
+(propagate.finals) and the walk's particle chunks march one on the caller's
+thread, the rest on a pool.  audit names the packet, and for a step the variant
+and eps, of the error it exits 3 with.
 
 COMMANDS is the one place a command is declared: runner, required sections,
 option and help.  A command is gated iff its summary has "passed", which alone
@@ -51,8 +52,7 @@ import numpy as np
 from .audit import MIN_LADDER_RUNGS, audit_packets
 from .fields import BoundaryDecayError, FieldSpec, density_moments
 from .fresnel import MOMENT_ORDERS, cancellation_check, closed_moment, pair_moments
-from .propagate import (STEPPERS, ValidityError, finals, march,
-                        one_behind, split_stepper, usable_cpus)
+from .propagate import STEPPERS, ValidityError, finals, march, one_behind, split_stepper
 from .reference import exact_evolution, exact_state, has_exact_state
 from .scenario import MAX_STEPS, Scenario, ScenarioError, load_scenario
 from .walk import MIN_HISTOGRAM_PARTICLES, gaussian_law, histogram_compare, sample_paths
@@ -121,7 +121,7 @@ def _run_evolve(sc: Scenario) -> RunResult:
     # The kernel and its split reference march on this thread, and each block of
     # rows is computed on one worker thread while they march the next.  A step's
     # error is raised once the rows of every earlier state are computed.
-    computed = one_behind(blocks(), block_rows, usable_cpus())
+    computed = one_behind(blocks(), block_rows)
     if aborted:
         raise aborted[0]
     rows = [row for block in computed for row in block]
@@ -152,7 +152,12 @@ def _run_audit(sc: Scenario) -> RunResult:
         raise ScenarioError(f"scenario.schedule.eps_ladder: need at least {MIN_LADDER_RUNGS} "
                             f"eps values to fit a drift order, got {len(sc.eps_ladder)}")
     rows, variants_out, lines = [], [], []
-    states = [packet.build(sc.grid) for packet in sc.audit.packets]
+    states = []
+    for i, packet in enumerate(sc.audit.packets):
+        try:
+            states.append(packet.build(sc.grid))
+        except BoundaryDecayError as exc:
+            raise BoundaryDecayError(f"scenario.audit.packets[{i}]: {exc}") from None
     for case in sc.audit.variants:
         variant = case.spec.variant
         packet_reports = list(zip(sc.audit.packets,

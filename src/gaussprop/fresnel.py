@@ -164,26 +164,12 @@ def pair_moments(orders, pairs, delta0: float | None = None) -> list:
     return out
 
 
-def fresnel_moment(n: int, d: float, eps: float) -> complex:
-    """Quadrature value of integral eta^n exp(i eta^2/(2 D eps)) d eta."""
-    return fresnel_moments([n], d, eps)[0]
-
-
-def unit_mass_check(d: float, eps: float) -> complex:
-    """Zero-order kernel mass: quadrature moment over K, expected 1 + 0i."""
-    return fresnel_moment(0, d, eps) / closed_moment(0, d, eps)
-
-
 @dataclass(frozen=True)
 class CancellationResult:
     """First-order cancellation residual, normalized by K = (2 pi i D eps)^(1/2)."""
 
     quadrature: complex
     closed_form: complex
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.quadrature - self.closed_form)
 
 
 def cancellation_check(d: float, u: FieldSpec, x: float, eps: float, *,

@@ -4,8 +4,9 @@ Real (diffusive) kernel for one step of duration eps at the point x:
 
     Pi(eta) = (2 pi D eps)^(-1/2) exp(-(eta - u eps)^2 / (2 D eps)),
 
-a Gaussian step-length law with mean u(x) eps and variance D eps.  Its
-complex twin replaces the negative exponent by a positive imaginary one,
+a Gaussian step-length law with mean u(x) eps and variance D eps, which
+propagate.density_stepper tabulates over sources.  Its complex twin replaces
+the negative exponent by a positive imaginary one,
 
     Pi(eta) = K^(-1) exp(+i (eta - u eps)^2 / (2 D eps)),
 
@@ -22,17 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldSpec, PropagatorSpec, check_eps
-
-
-def real_kernel(eta, eps: float, x, spec: PropagatorSpec):
-    """Gaussian step-length density at x, evaluated at displacement eta."""
-    check_eps(eps)
-    if not spec.is_admissible():
-        raise ValueError("the real kernel is defined for the admissible variant only")
-    eta = np.asarray(eta, dtype=float)
-    u = spec.u(x)
-    var = spec.d * eps
-    return np.exp(-((eta - u * eps) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
 
 
 def a_field(spec: PropagatorSpec) -> FieldSpec:

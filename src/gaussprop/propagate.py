@@ -61,7 +61,7 @@ one batched FFT a transform each, one group on the caller's thread and the rest 
 side_by_side's pool (the walk's too): each of a step's ten short numpy calls releases
 the GIL, and threads stepping a row each convoy on it (400 x 6 np.multiply at
 n = 4096: 15 ms on one thread, 27 on two).  one_behind works on each item of a stream
-on a one-thread pool while the caller takes the next (evolve's rows).
+on a one-thread pool while the caller takes the next (evolve's rows), at every CPU count.
 
 The drift-diffusion oracle in reference factors and solves its tridiagonal
 operator with LAPACK dgttrf/dgttrs, which lapack takes from
@@ -89,7 +89,7 @@ import numpy as np
 
 from .fields import (BOUNDARY_DECAY_RATIO, Grid, PropagatorSpec, RealState,
                      WaveState, check_amplitude_decay, check_boundary_decay, check_eps)
-from .kernel import complex_kernel, real_kernel, source_factors
+from .kernel import complex_kernel, source_factors
 
 
 # the largest grid.n an n x n kernel matrix is built for: 1 GiB of complex
@@ -353,7 +353,8 @@ def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
     check_eps(eps)
     if not spec.is_admissible():
         raise ValueError("the real kernel is defined for the admissible variant only")
-    width = np.sqrt(spec.d * eps)
+    var = spec.d * eps
+    width = np.sqrt(var)
     if width < 2.0 * grid.dx:
         raise ValidityError(
             f"real kernel width {width:.3g} under-resolved by dx={grid.dx:.3g} "
@@ -367,7 +368,8 @@ def density_stepper(grid: Grid, eps: float, spec: PropagatorSpec):
         check_boundary_decay(state)
         if mat is None:  # built on the first state that passes, as for dense
             eta = x[:, None] - x[None, :]  # destination minus source
-            mat = grid.dx * real_kernel(eta, eps, x[None, :], spec)
+            mat = grid.dx * (np.exp(-((eta - spec.u(x[None, :]) * eps) ** 2) / (2.0 * var))
+                             / np.sqrt(2.0 * np.pi * var))
         return state.replace_density(mat @ state.density, time=state.time + eps)
 
     return step
@@ -411,15 +413,13 @@ def side_by_side(tasks) -> list:
         return [task() for task in tasks[:1]] + [future.result() for future in futures]
 
 
-def one_behind(items, work, threads: int) -> list:
+def one_behind(items, work) -> list:
     """[work(item) for item in items], bit for bit, with each work(item) done on one
     worker thread, in a copy of the caller's context, while the caller takes the next
-    item, if threads > 1; else on the caller's thread.  The caller takes item i + 2
-    only once work(item i) has ended: at most two items are sent and not done.  A
-    failure of work raises the serial loop's, the first in item order, though the work
-    on the next item may have run.  The worker is joined on every exit."""
-    if threads <= 1:
-        return [work(item) for item in items]
+    item, at any CPU count.  The caller takes item i + 2 only once work(item i) has
+    ended: at most two items are sent and not done.  A failure of work raises the
+    serial loop's, the first in item order, though the work on the next item may have
+    run.  The worker is joined on every exit."""
     out, sent, pool = [], deque(), ThreadPoolExecutor(1)
     try:
         for item in items:
@@ -480,8 +480,10 @@ def _lockstep(rows, ends, failed) -> None:
                         else:
                             factors = factors or [np.empty((len(rows), np.size(f)),
                                                            np.result_type(f)) for f in built]
-                            for j, f in enumerate(factors):
-                                f[r] = built[j]  # a scalar fills a column
+                            for j, f in enumerate(built):  # a wider row promotes the rows before
+                                dtype = np.promote_types(factors[j].dtype, np.result_type(f))
+                                factors[j] = factors[j].astype(dtype, copy=False)
+                                factors[j][r] = f  # a scalar fills a column
                         del built  # a row's own arrays are not held through the march
                     keep.append(r)
             except (ValueError, ValidityError) as exc:

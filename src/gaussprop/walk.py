@@ -77,65 +77,63 @@ class WalkEnsemble:
 def sample_paths(n_particles: int, n_steps: int, eps: float,
                  spec: PropagatorSpec, seed: int, x0: float = 0.0,
                  step_law: str = "gauss") -> WalkEnsemble:
-    """Evolve n_particles from x0 for n_steps; deterministic per seed."""
+    """Evolve n_particles from x0 for n_steps >= 1, as march takes; deterministic per seed."""
     if not spec.is_admissible():
         raise ValueError("scenario.spec.variant: sampling is defined for the admissible "
                          f"variant only, got {spec.variant!r}")
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_steps > 0:
-        check_eps(eps)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    check_eps(eps)
     if step_law not in STEP_LAWS:
         raise ValueError(f"step_law must be one of {STEP_LAWS}, got {step_law!r}")
     seed = int(seed)
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     x = np.full(n_particles, float(x0))
-    if n_steps > 0:
-        width = np.sqrt(spec.d * eps)
-        if affine := spec.u.is_affine():
-            u0, slope = (*spec.u.coeffs, 0.0, 0.0)[:2]
-            with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
-                powers = np.float64(1.0 + slope * eps) ** np.arange(n_steps, -1, -1)
-                start = powers[0] * x0 + u0 * eps * powers[1:].sum()
-                weights = width * powers[1:]
-                variance = np.square(weights).sum()  # x_n's: every draw has variance 1
-            if not np.isfinite([start, variance]).all():
-                raise ValidityError(f"the drift's growth overflows: u = {u0:g} + {slope:g} x grows "
-                                    f"the walk by (1 + {slope:g} eps)^{n_steps} = {powers[0]:g}")
-        chunks = -(-n_particles // _CHUNK)
-        threads = min(usable_cpus(), chunks)
-        rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
-        slices = np.empty((threads, rows, n_steps))  # one buffer, a slice per thread
+    width = np.sqrt(spec.d * eps)
+    if affine := spec.u.is_affine():
+        u0, slope = (*spec.u.coeffs, 0.0, 0.0)[:2]
+        with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+            powers = np.float64(1.0 + slope * eps) ** np.arange(n_steps, -1, -1)
+            start = powers[0] * x0 + u0 * eps * powers[1:].sum()
+            weights = width * powers[1:]
+            variance = np.square(weights).sum()  # x_n's: every draw has variance 1
+        if not np.isfinite([start, variance]).all():
+            raise ValidityError(f"the drift's growth overflows: u = {u0:g} + {slope:g} x grows "
+                                f"the walk by (1 + {slope:g} eps)^{n_steps} = {powers[0]:g}")
+    chunks = -(-n_particles // _CHUNK)
+    threads = min(usable_cpus(), chunks)
+    rows = max(1, min(_BLOCK, _DRAW_BYTES // (8 * n_steps), n_particles) // threads)
+    slices = np.empty((threads, rows, n_steps))  # one buffer, a slice per thread
 
-        def march_chunks(t: int) -> None:  # chunks t, t + threads, ... in slice t
-            for c in range(t, chunks, threads):
-                gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
-                draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
-                xc = x[c * _CHUNK:(c + 1) * _CHUNK]
-                while len(xc):
-                    zb = slices[t][:len(xc)]
-                    xb, xc = xc[:len(zb)], xc[len(zb):]
-                    draw(out=zb)
-                    if step_law == "exp_centered":
-                        zb -= 1.0
-                    if affine:
-                        zb *= weights
-                        zb.sum(axis=1, out=xb)
-                        xb += start
-                    else:
-                        zb *= width
-                        with np.errstate(all="ignore"):  # refused below, not warned about
-                            for s in range(n_steps):
-                                xb += spec.u(xb) * eps + zb[:, s]
+    def march_chunks(t: int) -> None:  # chunks t, t + threads, ... in slice t
+        for c in range(t, chunks, threads):
+            gen = np.random.Generator(np.random.Philox(key=seed).jumped(c))
+            draw = gen.standard_normal if step_law == "gauss" else gen.standard_exponential
+            xc = x[c * _CHUNK:(c + 1) * _CHUNK]
+            while len(xc):
+                zb = slices[t][:len(xc)]
+                xb, xc = xc[:len(zb)], xc[len(zb):]
+                draw(out=zb)
+                if step_law == "exp_centered":
+                    zb -= 1.0
+                if affine:
+                    zb *= weights
+                    zb.sum(axis=1, out=xb)
+                    xb += start
+                else:
+                    zb *= width
+                    with np.errstate(all="ignore"):  # refused below, not warned about
+                        for s in range(n_steps):
+                            xb += spec.u(xb) * eps + zb[:, s]
 
-        side_by_side([partial(march_chunks, t) for t in range(threads)])
-        if not np.isfinite(x).all():
-            raise ValidityError(f"the walk leaves float64: {np.count_nonzero(~np.isfinite(x))} "
-                                f"of {n_particles} positions are not finite after {n_steps} "
-                                f"steps of eps = {eps:g}")
+    side_by_side([partial(march_chunks, t) for t in range(threads)])
+    if not np.isfinite(x).all():
+        raise ValidityError(f"the walk leaves float64: {np.count_nonzero(~np.isfinite(x))} "
+                            f"of {n_particles} positions are not finite after {n_steps} "
+                            f"steps of eps = {eps:g}")
     x.flags.writeable = False
     return WalkEnsemble(positions=x, time=n_steps * eps, x0=float(x0))
 

@@ -15,7 +15,7 @@ from gaussprop import cli
 from gaussprop.audit import audit_packets, phase_freedom_check
 from gaussprop.fields import (FieldSpec, PropagatorSpec, RealState, gaussian_packet, make_grid,
                               moments, norm)
-from gaussprop.fresnel import cancellation_check, closed_moment, fresnel_moment, unit_mass_check
+from gaussprop.fresnel import cancellation_check, closed_moment, fresnel_moments
 from gaussprop.propagate import dense_stepper, density_stepper, last, march, spectral_stepper
 from gaussprop.reference import diffusion_stepper, exact_state
 from gaussprop.walk import histogram_compare, sample_paths
@@ -31,7 +31,7 @@ def test_criterion_01_fresnel_identities():
         scale = abs(closed_moment(0, d, eps))
         for n in (0, 1, 2, 4):
             closed = closed_moment(n, d, eps)
-            value = fresnel_moment(n, d, eps)
+            value = fresnel_moments([n], d, eps)[0]
             rel = abs(value - closed) / (abs(closed) or scale)
             worst = max(worst, rel)
     print(f"[acceptance] 1: worst relative moment error {worst:.3e} (<= 1e-6)")
@@ -40,7 +40,8 @@ def test_criterion_01_fresnel_identities():
 
 def test_criterion_02_unit_mass():
     """The normalized kernel carries unit mass to 1e-6 at every (D, eps)."""
-    worst = max(abs(unit_mass_check(d, eps) - 1.0) for d, eps in PAIRS)
+    worst = max(abs(fresnel_moments([0], d, eps)[0] / closed_moment(0, d, eps) - 1.0)
+                for d, eps in PAIRS)
     print(f"[acceptance] 2: worst |mass - 1| {worst:.3e} (<= 1e-6)")
     assert worst <= 1e-6
 
@@ -55,7 +56,7 @@ def test_criterion_03_cancellation_residual_order():
     top = cancellation_check(1.0, u, 0.5, ladder[0])
     print(f"[acceptance] 3: cancellation residual order {order:.3f} (2 +- 0.3)")
     assert order == pytest.approx(2.0, abs=0.3)
-    assert top.abs_error <= 1e-6
+    assert abs(top.quadrature - top.closed_form) <= 1e-6
 
 
 def test_criterion_04_correction_exponent_selection():

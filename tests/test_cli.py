@@ -1028,6 +1028,32 @@ def test_an_audit_at_round_off_writes_a_null_order(tmp_path, capsys):
     assert [row.split(",")[6] for row in rows] == ["inf"] * 4
 
 
+AUDIT_TWO = {**AUDIT_BASE, "grid": {"x_min": -8.0, "x_max": 8.0, "n": 1024},
+             "schedule": {"eps_ladder": [0.32, 0.16, 0.08, 0.025]},
+             "audit": {"packets": [{"sigma0": 0.5}, {"sigma0": 1.0}],
+                       "variants": [{"variant": "admissible", "expect": "conserves"},
+                                    {"variant": "no_t", "expect": "drifts"}]}}
+
+
+@pytest.mark.parametrize("data,err", [
+    (AUDIT_TWO, "error: variant admissible, eps=0.025, packet 1: dense step cannot resolve "
+                "the kernel phase: phase step 4.639 rad vs pi (unresolved; eps >= 0.03691 "
+                "recommended)\n"),
+    ({**AUDIT_TWO, "audit": {**AUDIT_TWO["audit"], "packets": [{}, {"x0": 7.0}]}},
+     f"error: scenario.audit.packets[1]: {EDGE}7.849e-01 (need < 1.0e-06)\n"),
+], ids=("phase-floor", "packet-at-the-edge"))
+def test_an_audit_that_exits_three_names_what_failed(data, err, tmp_path, capsys):
+    """The wider packet, 1, is the first its rung's phase step cannot resolve, at the
+    first variant; a packet centred near the grid edge is refused as it is built.
+    Each error names its packet, a step's its variant and eps too; nothing is written."""
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main(["audit", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec,variants,key", [
     (AUDIT_BASE["spec"], [{"variant": "no_t", "im_d": 0.3, "expect": "drifts"}],
      "audit.variants[0]"),

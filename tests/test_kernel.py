@@ -1,30 +1,35 @@
 import numpy as np
 import pytest
 
-from gaussprop.fields import FieldSpec, PropagatorSpec
-from gaussprop.kernel import complex_kernel, real_kernel, source_factors
+from gaussprop.fields import FieldSpec, PropagatorSpec, RealState, make_grid
+from gaussprop.kernel import complex_kernel, source_factors
+from gaussprop.propagate import density_stepper
 
 SPEC = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), b=FieldSpec.constant(0.3))
+GRID = make_grid(-6.0, 6.0, 1200)
 
 
 def test_real_kernel_is_the_gaussian_step_law():
-    eta = np.linspace(-6.0, 6.0, 4001)
-    eps = 0.2
-    vals = real_kernel(eta, eps, 1.0, SPEC)
-    deta = eta[1] - eta[0]
-    mass = np.sum(vals) * deta
-    mean = np.sum(eta * vals) * deta
-    var = np.sum((eta - mean) ** 2 * vals) * deta
+    """One density step of all the mass in the cell at x_k is the step law from
+    x_k: mass 1, mean x_k + u(x_k) eps, variance D eps."""
+    eps, k = 0.2, 700
+    density = np.zeros(GRID.n)
+    density[k] = 1.0 / GRID.dx
+    out = density_stepper(GRID, eps, SPEC)(RealState(GRID, density))
+    x, dx = GRID.x, GRID.dx
+    mass = np.sum(out.density) * dx
+    mean = np.sum(x * out.density) * dx
+    var = np.sum((x - mean) ** 2 * out.density) * dx
+    assert out.time == eps
     assert mass == pytest.approx(1.0, abs=1e-9)
-    # mean u(x) eps with u(1) = 0.4, variance D eps
-    assert mean == pytest.approx(0.08, abs=1e-9)
+    assert mean == pytest.approx(x[k] + 0.4 * x[k] * eps, abs=1e-9)
     assert var == pytest.approx(0.2, rel=1e-6)
 
 
 def test_real_kernel_rejects_variants():
     spec = PropagatorSpec(d=1.0, u=FieldSpec.linear(0.4), variant="no_t")
-    with pytest.raises(ValueError):
-        real_kernel(np.zeros(3), 0.1, 0.0, spec)
+    with pytest.raises(ValueError, match="admissible variant only"):
+        density_stepper(GRID, 0.1, spec)
 
 
 def _closed_form(eta, eps, u=0.0, t=0.0):
@@ -94,6 +99,6 @@ def test_bare_kernel_is_no_t_without_b():
 
 def test_kernel_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        real_kernel(np.zeros(1), 0.0, 0.0, SPEC)
+        density_stepper(GRID, 0.0, SPEC)
     with pytest.raises(ValueError):
         complex_kernel(np.zeros(1), -0.1, 0.0, SPEC)

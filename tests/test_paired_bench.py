@@ -112,3 +112,26 @@ def test_a_metric_whose_parent_spreads_past_its_bound_is_unresolved(monkeypatch,
                 in lines["run_s"]) == unresolved
         assert "WORSE" not in lines["run_s"]
         assert "UNRESOLVED" not in lines["pass_frac"]
+
+
+def test_the_src_line_count_of_each_export_is_printed_first(monkeypatch, capsys):
+    """Every .py file under src/, nested or not, counts its newlines as wc -l does;
+    other files do not count.  The line comes before any table."""
+    tool = _tool()
+    sources = {"parent": {"pkg/a.py": "x = 1\ny = 2\n", "top.py": "z = 3\n"},
+               "change": {"pkg/a.py": "x = 1\n", "pkg/deep/b.py": "\n" * 1_200,
+                          "pkg/notes.txt": "not\ncounted\n"}}
+
+    def export(rev, dest):
+        _export(rev, dest)
+        for name, text in sources[rev].items():
+            Path(dest, "src", name).parent.mkdir(parents=True, exist_ok=True)
+            Path(dest, "src", name).write_text(text)
+
+    monkeypatch.setattr(tool, "export", export)
+    monkeypatch.setattr(tool, "bench", lambda tree, workload, seed: {"run_s": 1.0,
+                                                                      "pass_frac": 1.0})
+    assert tool.main(["parent", "change", "--workload", "walk", "--pairs", "2",
+                      "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "src/: parent 3 lines -> change 1,201 lines (+1,198)"

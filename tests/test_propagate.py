@@ -365,6 +365,23 @@ def test_finals_of_scalar_factors_are_the_serial_loop(scalar, cpus, monkeypatch)
     assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
 
 
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_finals_promote_a_later_row_s_wider_factor(cpus, monkeypatch):
+    """Real factors stacked first, a complex one after them: the stacked factor takes
+    the complex type, and each row is stepped by its own factor as march steps it.
+    One CPU marches the three runs as one block, two the two shorter ones."""
+    _cpus(monkeypatch, cpus)
+
+    def runs():
+        return [(SPREADING, n, _scaling(f, np.multiply)) for n, f in ((4, 0.5), (2, 0.5),
+                                                                       (2, 0.5j))]
+
+    expected = [last(march(*run)) for run in runs()]
+    finals = propagate.finals(runs())
+    assert np.abs(expected[2].psi).max() > 0.1
+    assert all(np.array_equal(f.psi, e.psi) for f, e in zip(finals, expected, strict=True))
+
+
 def test_pool_threads_work_under_the_caller_s_errstate(monkeypatch):
     """numpy keeps np.errstate in a context variable, which a new thread starts
     without: each pool task runs in a copy of the caller's context, so an overflow
@@ -377,7 +394,7 @@ def test_pool_threads_work_under_the_caller_s_errstate(monkeypatch):
         assert str(serial.value) == "aborted at step 1: psi must be finite"
         with pytest.raises(ValueError, match=f"^{re.escape(str(serial.value))}$"):
             propagate.finals(runs)
-        products = propagate.one_behind(np.array([1e200, 1.0]), lambda x: x * 1e200, 2)
+        products = propagate.one_behind(np.array([1e200, 1.0]), lambda x: x * 1e200)
         assert products == [np.inf, 1e200]
 
 
@@ -404,8 +421,7 @@ def test_an_interrupt_raises_once_every_worker_is_joined():
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_one_behind_takes_an_item_only_once_the_work_two_before_it_ended(threads):
+def test_one_behind_takes_an_item_only_once_the_work_two_before_it_ended():
     """Results come in item order; item i + 2 is taken only after work(item i)
     ended, and the first failing item's error is raised once the worker is
     joined."""
@@ -428,12 +444,12 @@ def test_one_behind_takes_an_item_only_once_the_work_two_before_it_ended(threads
         raise KeyboardInterrupt
 
     before = threading.active_count()
-    assert propagate.one_behind(items(4), work, threads) == [0, 1, 4, 9]
+    assert propagate.one_behind(items(4), work) == [0, 1, 4, 9]
     assert all(events.index(("end", i - 2)) < events.index(("take", i)) for i in range(2, 4))
     with pytest.raises(ValueError, match="^item 4$"):
-        propagate.one_behind(items(7), work, threads)
+        propagate.one_behind(items(7), work)
     with pytest.raises(KeyboardInterrupt):
-        propagate.one_behind(interrupted(), work, threads)
+        propagate.one_behind(interrupted(), work)
     assert threading.active_count() == before
 
 
@@ -450,7 +466,7 @@ def test_one_behind_items_reuse_two_buffers_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        sums = propagate.one_behind(items(), lambda buf: float(buf.sum()), 2)
+        sums = propagate.one_behind(items(), lambda buf: float(buf.sum()))
     finally:
         sys.setswitchinterval(interval)
     assert sums == [100_000.0 * i for i in range(200)]

@@ -23,7 +23,8 @@ the summary's "passed" is the only gate.  The walk's threads share its
 draw buffer without a lock: walk.py builds no threading.Lock, rebinds no
 enclosing name and needs no try/finally.  Every thread runs on the
 standard library's pool: no module builds a threading.Thread or imports
-queue, and propagate alone builds a ThreadPoolExecutor.  The package root
+queue, and propagate alone builds a ThreadPoolExecutor.  Each pool sizes
+itself, so no signature takes a thread count.  The package root
 re-exports nothing, so importing it loads no module, and every public
 function or class is reached from a command or an acceptance criterion, not
 only from a unit test.
@@ -78,6 +79,34 @@ def test_no_signature_takes_a_time_argument():
             "propagate.dense_stepper", "reference.diffusion_stepper"} <= set(found)
     offenders = sorted(name for name, obj in found.items() if "t" in _parameters(obj))
     assert offenders == []
+
+
+# the parameter names a caller would size a pool by: each pool sizes itself
+THREAD_COUNTS = ("threads", "n_threads", "workers", "max_workers", "cpus", "n_jobs")
+
+
+def _thread_count_takers(found: dict) -> list:
+    """The callables of found (name -> object) with a parameter in THREAD_COUNTS."""
+    return sorted(name for name, obj in found.items()
+                  if set(THREAD_COUNTS) & set(_parameters(obj)))
+
+
+def test_the_guard_sees_a_thread_count():
+    def one_behind(items, work, threads):
+        pass
+
+    def finals(runs):
+        pass
+
+    found = {"a.one_behind": one_behind, "a.finals": finals, "a.Pool": dict}
+    assert _thread_count_takers(found) == ["a.one_behind"]
+
+
+def test_no_signature_takes_a_thread_count():
+    found = _callables()
+    assert {"propagate.one_behind", "propagate.finals", "propagate.side_by_side",
+            "walk.sample_paths"} <= set(found)
+    assert _thread_count_takers(found) == []
 
 
 def _private_imports(tree: ast.Module) -> list:
@@ -454,7 +483,7 @@ def test_every_public_definition_is_reached_by_a_command_or_a_criterion():
     kept = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
             and (node.module or "").startswith("gaussprop") for alias in node.names}
     assert {"audit", "cli", "kernel", "propagate"} <= set(sources)
-    assert {"phase_freedom_check", "unit_mass_check", "density_stepper"} <= kept
+    assert {"phase_freedom_check", "fresnel_moments", "density_stepper"} <= kept
     assert _unreached(sources, kept) == []
 
 

@@ -249,12 +249,6 @@ def test_two_chunks_on_two_threads_share_the_draw_budget(monkeypatch):
     assert _peak_mib(2_000, 5_000, 0.001, DRIFTING, seed=1) < walk._DRAW_BYTES / 2 ** 20 + 2.0
 
 
-def test_zero_steps_leaves_particles_at_the_origin():
-    ens = sample_paths(100, 0, 0.0, FREE, seed=1, x0=1.5)
-    assert np.all(ens.positions == 1.5)
-    assert ens.time == 0.0
-
-
 def test_ensemble_moments_match_drift_and_diffusion():
     """mean -> x0 + u t and var -> D t within 3 standard errors."""
     ens = sample_paths(20_000, 200, 0.01, DRIFTING, seed=7)
@@ -301,6 +295,9 @@ def test_sampler_preconditions():
                      seed=0)
     with pytest.raises(ValueError):
         sample_paths(0, 10, 0.01, FREE, seed=0)
+    for n_steps in (0, -1):  # a walk takes at least one step, as march does
+        with pytest.raises(ValueError, match=f"^n_steps must be >= 1, got {n_steps}$"):
+            sample_paths(100, n_steps, 0.01, FREE, seed=1, x0=1.5)
     with pytest.raises(ValueError):
         sample_paths(100, 10, 0.0, FREE, seed=0)
     with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ flagged WORSE, and the tool exits 1 if any metric of any workload is flagged.
 A metric not flagged WORSE whose parent runs spread wider than its bound, (q3 -
 q1) / median, is labelled UNRESOLVED unless every change run reads better than
 every parent run: the pairs cannot tell it from unchanged.  The label alone
-does not change the exit code.
+does not change the exit code.  Before the tables, one line gives the lines of
+the Python files under src/ in each export.
 Nothing is written into the checkout; stdlib only.
 """
 
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from pathlib import Path
 
 
 def export(rev: str, dest: str) -> None:
@@ -42,6 +44,11 @@ def export(rev: str, dest: str) -> None:
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def src_lines(tree: str) -> int:
+    """The newlines in the .py files under tree/src, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree, "src").rglob("*.py"))
 
 
 def bench(tree: str, workload: str, seed: int) -> dict:
@@ -114,6 +121,9 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             trees[side] = os.path.join(root, side)
             export(getattr(args, side), trees[side])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src/: {args.parent} {lines['parent']:,} lines -> {args.change} "
+              f"{lines['change']:,} lines ({lines['change'] - lines['parent']:+,})")
         with open(os.path.join(trees["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
             benchmark = json.load(handle)
         workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
