@@ -25,10 +25,10 @@ it marched, as many as fit _BLOCK_BYTES (256 KiB): the pool's thread stacks
 them and computes their rows (moments, the exact state, the L2 distance)
 while the march goes on, at every CPU count.  The rows, the error and the exit
 code are those of computing one row per step: a step's error is raised once the
-row of every earlier state has been computed.  compare's lockstep groups of runs
-(propagate.finals) and the walk's particle chunks march one on the caller's
-thread, the rest on a pool.  audit names the packet, and for a step the variant
-and eps, of the error it exits 3 with.
+row of every earlier state has been computed.  compare's groups of runs
+(propagate.finals), each run stepped in place, and the walk's particle chunks
+march one on the caller's thread, the rest on a pool.  Every command names the
+packet, audit's step errors the variant and eps too, of the error it exits 3 with.
 
 COMMANDS is the one place a command is declared: runner, required sections,
 option and help.  A command is gated iff its summary has "passed", which alone
@@ -75,9 +75,17 @@ def _l2_distance(a: np.ndarray, b: np.ndarray, dx: float):
 _BLOCK_BYTES = 256 * 2 ** 10
 
 
+def _packet_state(packet, grid, key: str):
+    """packet's state on grid; an edge error names the packet's key."""
+    try:
+        return packet.build(grid)
+    except BoundaryDecayError as exc:
+        raise BoundaryDecayError(f"scenario.{key}: {exc}") from None
+
+
 def _run_evolve(sc: Scenario) -> RunResult:
     grid = sc.grid
-    state0 = sc.packet.build(grid)
+    state0 = _packet_state(sc.packet, grid, "packet")
     kernel = march(state0, sc.n_steps, STEPPERS[sc.method](grid, sc.eps, sc.spec))
     exact = split = None
     if has_exact_state(sc.spec):
@@ -152,12 +160,8 @@ def _run_audit(sc: Scenario) -> RunResult:
         raise ScenarioError(f"scenario.schedule.eps_ladder: need at least {MIN_LADDER_RUNGS} "
                             f"eps values to fit a drift order, got {len(sc.eps_ladder)}")
     rows, variants_out, lines = [], [], []
-    states = []
-    for i, packet in enumerate(sc.audit.packets):
-        try:
-            states.append(packet.build(sc.grid))
-        except BoundaryDecayError as exc:
-            raise BoundaryDecayError(f"scenario.audit.packets[{i}]: {exc}") from None
+    states = [_packet_state(packet, sc.grid, f"audit.packets[{i}]")
+              for i, packet in enumerate(sc.audit.packets)]
     for case in sc.audit.variants:
         variant = case.spec.variant
         packet_reports = list(zip(sc.audit.packets,
@@ -283,7 +287,7 @@ def _steps_for(t_final: float, eps: float, key: str) -> int:
         raise ScenarioError(f"scenario.{key}: compare.t_final={t_final:g} / eps={eps:g} "
                             "is not finite in float64")
     n = round(ratio)
-    if n < 1 or abs(n * eps - t_final) > 1e-9 * max(1.0, n):
+    if n < 1 or abs(n * eps - t_final) > 1e-9 * t_final:
         raise ScenarioError(f"scenario.{key}: eps={eps:g} does not divide "
                             f"compare.t_final={t_final:g}")
     return n
@@ -312,7 +316,7 @@ def _run_compare(sc: Scenario) -> RunResult:
     ref_steps = (_steps_for if exact else _marched_steps)(cs.t_final, eps_ref, ref_key)
     ladder_steps = [_marched_steps(cs.t_final, eps, "schedule.eps_ladder")
                     for eps in sc.eps_ladder]
-    state0 = sc.packet.build(sc.grid)
+    state0 = _packet_state(sc.packet, sc.grid, "packet")
     runs = []
     if exact:
         p = sc.packet

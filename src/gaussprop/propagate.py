@@ -55,13 +55,13 @@ its operator: dense_stepper, spectral_stepper (STEPPERS, by name), split_stepper
 density_stepper here, diffusion_stepper in reference.  One step is builder(...)(state);
 march streams an evolution holding only the current state, and last(march(...))
 is its final state.  A wave step's Step alone builds its operator: build() returns its
-factor arrays, and apply(*factors, psi) steps a state, or each row of a (rows, n) block
-with each factor stacked by row.  finals marches runs in lockstep groups, one block and
-one batched FFT a transform each, one group on the caller's thread and the rest on
-side_by_side's pool (the walk's too): each of a step's ten short numpy calls releases
-the GIL, and threads stepping a row each convoy on it (400 x 6 np.multiply at
-n = 4096: 15 ms on one thread, 27 on two).  one_behind works on each item of a stream
-on a one-thread pool while the caller takes the next (evolve's rows), at every CPU count.
+factor arrays, apply(*factors, psi, out=None) steps one state, and Step.advance guards,
+builds and applies for step(state) and finals alike.  finals marches runs in groups, one
+on the caller's thread, the rest on side_by_side's pool (the walk's too), each run
+stepping its own copy of its state in place: compare gains from those in-place steps and
+from the caller's thread taking the longest run, not from batching runs into one block.
+one_behind works on each item of a stream on a one-thread pool while the caller takes
+the next (evolve's rows), at every CPU count.
 
 The drift-diffusion oracle in reference factors and solves its tridiagonal
 operator with LAPACK dgttrf/dgttrs, which lapack takes from
@@ -83,7 +83,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -118,20 +118,26 @@ class ValidityReport:
 
 class Step:
     """step(state) is the state at time + eps.  guard(amp, peak) raises what it raises on
-    a state of |psi| amp, of max peak.  build() returns the operator's factor arrays and is
-    called on the first state that passes; apply(*factors, psi, out=None) steps one state
-    or each row of a (rows, n) block."""
+    a state of |psi| amp, of max peak; build() returns the factor arrays, kept in factors
+    from the first state that passes; apply(*factors, psi, out=None) steps one state."""
 
     def __init__(self, eps: float, guard, apply, build):
         self.eps, self.guard, self.apply, self.build = eps, guard, apply, build
         self.factors = None
 
+    def advance(self, psi: np.ndarray, out=None):
+        """psi stepped once guard has passed it; None, psi untouched, if psi is not finite,
+        as only a state stepped in place can be."""
+        amp = np.abs(psi)
+        peak = amp.max()
+        if not math.isfinite(peak):
+            return None
+        self.guard(amp, peak)
+        factors = self.factors = self.factors or self.build()
+        return self.apply(*factors, psi, out=out)
+
     def __call__(self, state: WaveState) -> WaveState:
-        amp = np.abs(state.psi)
-        self.guard(amp, amp.max())
-        self.factors = self.factors or self.build()
-        return state.replace_psi(self.apply(*self.factors, state.psi),
-                                 time=state.time + self.eps)
+        return state.replace_psi(self.advance(state.psi), time=state.time + self.eps)
 
 
 def _d_scale(grid: Grid, spec: PropagatorSpec) -> float:
@@ -210,17 +216,13 @@ def _chirp_z_factors(grid: Grid, eps: float, spec: PropagatorSpec) -> tuple:
 
 
 def _chirp_z_apply(col, chirp_hat, row, psi, *, out=None):
-    n = psi.shape[-1]
-    out = np.empty(psi.shape, complex) if out is None else out  # before the scratch: no heap gap
-    work = np.empty((*psi.shape[:-1], chirp_hat.shape[-1]), dtype=complex)  # col psi, 0-padded
-    np.multiply(col, psi, out=work[..., :n])
-    work[..., n:] = 0.0
+    n = psi.size
+    out = np.empty(n, complex) if out is None else out  # before the scratch: no heap gap
+    work = np.empty(chirp_hat.size, complex)  # col psi, 0-padded
+    np.multiply(col, psi, out=work[:n])
+    work[n:] = 0.0
     np.multiply(chirp_hat, _c2c(work, True), out=work)
-    return np.multiply(row, _c2c(work, False)[..., :n], out=out)
-
-
-def _matrix_apply(mat, psi, *, out=None):  # one state: mat @ psi
-    return np.matmul(mat, psi.T, out=None if out is None else out.T).T
+    return np.multiply(row, _c2c(work, False)[:n], out=out)
 
 
 def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
@@ -237,7 +239,7 @@ def dense_stepper(grid: Grid, eps: float, spec: PropagatorSpec) -> Step:
 
     if spec.u.is_affine() and spec.variant not in ("complex_d", "x_dependent_d"):
         return Step(eps, guard, _chirp_z_apply, partial(_chirp_z_factors, grid, eps, spec))
-    return Step(eps, guard, _matrix_apply, lambda: (_dense_matrix(grid, eps, spec),))
+    return Step(eps, guard, np.matmul, lambda: (_dense_matrix(grid, eps, spec),))
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -436,65 +438,43 @@ def finals(runs) -> list:
     """[last(march(state, n_steps, step)) for state, n_steps, step in runs], bit for bit.
     The runs, longest first, go to min(CPUs, runs) groups, each to the one of fewest steps
     so far (a kernel matrix's to the first: no two n x n matrices are held); the caller
-    marches the first and side_by_side's pool the rest, each its runs of one apply in
-    lockstep.  A failure raises the serial loop's: the first in input order."""
-    groups = [{} for _ in range(min(usable_cpus(), len(runs)))]  # apply -> block of rows
+    marches the first group and side_by_side's pool the rest, each its runs one by one.  A
+    failure raises the serial loop's, the first in input order; no later run steps on."""
+    groups = [[] for _ in range(min(usable_cpus(), len(runs)))]
     steps = [0] * len(groups)
     for i in sorted(range(len(runs)), key=lambda i: -runs[i][1]):  # ties in input order
-        apply = runs[i][2].apply
-        matrix = apply is _matrix_apply
-        g = 0 if matrix else steps.index(min(steps))
-        groups[g].setdefault(i if matrix else apply, []).append((i, *runs[i]))  # matrix: alone
+        g = 0 if runs[i][2].apply is np.matmul else steps.index(min(steps))
+        groups[g].append(i)
         steps[g] += runs[i][1]
-    ends, failed = {}, []  # failed: (input index, error) of each run that failed
-    side_by_side([lambda blocks=blocks: [_lockstep(rows, ends, failed) for rows in blocks.values()]
-                  for blocks in groups if blocks])
+    ends, failed = [None] * len(runs), []  # failed: (input index, error) of each failed run
+
+    def march_group(group):
+        for i in group:
+            try:
+                ends[i] = _final(*runs[i], lambda: any(f < i for f, _ in failed))
+            except (ValueError, ValidityError) as exc:
+                failed.append((i, exc))
+
+    side_by_side([partial(march_group, group) for group in groups if group])
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    return [ends[i] for i in range(len(runs))]
+    return ends
 
 
-def _lockstep(rows, ends, failed) -> None:
-    """ends[i] of rows [(i, state, n_steps, step)], longest first, as one (rows, n) block: each
-    row checked as march checks it, dropped once its run ends or fails or an earlier run fails."""
-    grid, apply, block = rows[0][1].grid, rows[0][3].apply, [state.psi for _, state, _, _ in rows]
-    factors = []  # each row's factor f as row r of a (rows, size f) array; a lone row's as built
-    for k in range(rows[0][2] + 1):
-        first = min((i for i, _ in failed), default=math.inf)  # the serial loop stops there
-        amp = np.abs(block)
-        peak = amp.max(axis=1)
-        keep = []
-        for r, (i, state, n_steps, step) in enumerate(rows):
-            at = k - 1  # WaveState checks the finiteness of the state step k - 1 made
-            try:
-                if i < first and (k == n_steps or not math.isfinite(peak[r])):
-                    time = reduce(float.__add__, [step.eps] * k, state.time)  # as march adds
-                    ends[i] = WaveState(grid, block[r].copy(), time)
-                if i < first and k < n_steps:
-                    at = k
-                    step.guard(amp[r], peak[r])
-                    if k == 0:  # built once its state has passed the guard
-                        built = step.build()
-                        if len(rows) == 1:  # as built, so a kernel matrix is never copied
-                            factors = built
-                        else:
-                            factors = factors or [np.empty((len(rows), np.size(f)),
-                                                           np.result_type(f)) for f in built]
-                            for j, f in enumerate(built):  # a wider row promotes the rows before
-                                dtype = np.promote_types(factors[j].dtype, np.result_type(f))
-                                factors[j] = factors[j].astype(dtype, copy=False)
-                                factors[j][r] = f  # a scalar fills a column
-                        del built  # a row's own arrays are not held through the march
-                    keep.append(r)
-            except (ValueError, ValidityError) as exc:
-                failed.append((i, type(exc)(f"aborted at step {at}: {exc}")))
-        del amp  # not held through the apply
-        if not keep:
-            return
-        if k == 0:  # the block is stacked once the operators are built, not during
-            block = np.stack(block)
-        if len(keep) < len(rows):  # runs end from the last row up: a view
-            sel = slice(len(keep)) if keep[-1] == len(keep) - 1 else keep
-            rows, block = [rows[r] for r in keep], block[sel]
-            factors = [f[sel] for f in factors]
-        block = apply(*factors, block, out=block)
+def _final(state: WaveState, n_steps: int, step: Step, stop):
+    """last(march(state, n_steps, step)), its own copy of state.psi stepped in place, or None
+    once stop() is true.  Its step.factors is dropped at its end: no matrix outlives its run."""
+    psi, time, at = state.psi.copy(), state.time, 0
+    try:
+        while at < n_steps:
+            if stop():
+                return None
+            if step.advance(psi, out=psi) is None:  # not finite: step at - 1 made it so
+                break
+            time, at = time + step.eps, at + 1
+        at -= 1  # WaveState checks the state step at - 1 made, as march does
+        return WaveState(state.grid, psi, time)
+    except (ValueError, ValidityError) as exc:
+        raise type(exc)(f"aborted at step {at}: {exc}") from None
+    finally:
+        step.factors = None

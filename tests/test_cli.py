@@ -785,23 +785,26 @@ def test_threaded_and_serial_compare_agree(data, code, err, tmp_path, monkeypatc
 
 
 def test_compare_marches_matrix_rungs_one_at_a_time(tmp_path, monkeypatch):
-    """Off the chirp-z class each dense rung builds an n x n matrix, so those
-    rungs are marched serially: threads would hold two at once."""
-    data = {**SINE_COMPARE, "grid": {"x_min": -10.0, "x_max": 10.0, "n": 512},
-            "schedule": {"eps_ladder": [0.4, 0.2]}, "method": "dense",
-            "compare": {"t_final": 0.8}}
+    """Off the chirp-z class each dense rung builds an n x n matrix (16 MiB at
+    n = 1024), so a ladder of them holds one at a time: a third rung adds nothing
+    to the traced peak of the first two, at one CPU or two.  A rung that kept its
+    matrix past its run would add one matrix for each rung before the last."""
     path = tmp_path / "sine.json"
-    path.write_text(json.dumps(data))
-    peaks = []
-    for cpus in (1, 4):
+    for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
-        tracemalloc.start()
-        try:
-            assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
+        peaks = []
+        for ladder in ([0.4, 0.2], [0.4, 0.2, 0.1]):
+            path.write_text(json.dumps({
+                **SINE_COMPARE, "grid": {"x_min": -10.0, "x_max": 10.0, "n": 1024},
+                "schedule": {"eps_ladder": ladder}, "method": "dense",
+                "compare": {"t_final": 0.8, "eps_ref": 0.04}}))
+            tracemalloc.start()
+            try:
+                assert cli.main(["compare", str(path), "--out", str(tmp_path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], cpus
 
 
 def test_compare_exits_three_when_the_exact_state_reaches_the_edges(tmp_path, capsys):
@@ -1054,6 +1057,23 @@ def test_an_audit_that_exits_three_names_what_failed(data, err, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("evolve", "compare"))
+def test_a_packet_at_the_edge_is_named(command, tmp_path, capsys):
+    """A packet centred near the grid edge is refused as it is built, naming its key,
+    as audit names its packets; nothing is written."""
+    data = {**COMPARE_BASE, "grid": {"x_min": -8.0, "x_max": 8.0, "n": 256},
+            "packet": {"x0": 7.0}, "schedule": {"eps": 0.01, "n_steps": 2,
+                                               "eps_ladder": [0.1, 0.05]},
+            "compare": {"t_final": 0.5}}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main([command, str(path), "--out", str(out)]) == 3
+    err = f"error: scenario.packet: {EDGE}8.027e-01 (need < 1.0e-06)\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec,variants,key", [
     (AUDIT_BASE["spec"], [{"variant": "no_t", "im_d": 0.3, "expect": "drifts"}],
      "audit.variants[0]"),
@@ -1129,6 +1149,10 @@ COMPARE_WIDE = {**COMPARE_BASE, "grid": {"x_min": -20.0, "x_max": 20.0, "n": 256
     ("compare", {**COMPARE_WIDE, "schedule": {"eps_ladder": [1e-323, 2e-323]},
                  "compare": {"t_final": 1.0}},
      "scenario.schedule.eps_ladder: compare.t_final=1 / eps=0 is not finite in float64"),
+    # rungs 1e-12 is no whole number of: 3 and 7 steps end at 9e-13 and 1.05e-12
+    ("compare", {**COMPARE_BASE, "schedule": {"eps_ladder": [3e-13, 1.5e-13, 1e-13]},
+                 "compare": {"t_final": 1e-12}},
+     "scenario.schedule.eps_ladder: eps=3e-13 does not divide compare.t_final=1e-12"),
     # 10^9 steps: refused as schedule.n_steps past 2^15 is
     ("compare", {**COMPARE_WIDE, "schedule": {"eps_ladder": [1e-9, 2e-9]},
                  "compare": {"t_final": 1.0}},
@@ -1140,7 +1164,8 @@ COMPARE_WIDE = {**COMPARE_BASE, "grid": {"x_min": -20.0, "x_max": 20.0, "n": 256
 ], ids=("audit-3-rungs", "compare-eps_ladder", "compare-eps_ref", "compare-default-eps_ref",
         "compare-variant", "walk-variant", "evolve-spectral-variant", "evolve-d_field-linear",
         "audit-d_field-negative", "compare-infinite-mass", "compare-steps-overflow",
-        "compare-eps_ref-underflow", "compare-steps-past-cap", "compare-split-eps_ref-past-cap"))
+        "compare-eps_ref-underflow", "compare-small-t_final", "compare-steps-past-cap",
+        "compare-split-eps_ref-past-cap"))
 def test_a_run_time_requirement_exits_two_naming_the_key(command, data, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"

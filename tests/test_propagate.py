@@ -211,7 +211,7 @@ def _watched(step, hook):
 @pytest.mark.parametrize("count", ("affinity", "cpu_count"))
 def test_finals_march_the_longest_runs_side_by_side_each_on_its_own_thread(count, monkeypatch):
     """Two CPUs: the caller marches the longest run, and one pool thread, started
-    and joined, marches the three others as one block led by the second longest.
+    and joined, marches the three others one after another, the second longest first.
     The first step of each of the two longest waits for the other's, which passes
     only if both are in flight at once.  Where the OS has no affinity call,
     os.cpu_count() counts the CPUs."""
@@ -272,25 +272,41 @@ def test_finals_raise_the_first_failure_in_input_order(cpus, monkeypatch):
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_finals_start_no_run_after_a_failure(cpus, monkeypatch):
     """The longest run fails at step 0: no run after it in input order takes a
-    step past the one in flight.  At two CPUs the pool's runs, 1 and 2, wait in
-    their first step until the caller's, 3 and 4, have stepped past the failure."""
+    step past the one in flight.  At two CPUs the caller marches runs 0, 3 and 4
+    and the pool runs 1 and 2: run 0 fails once run 1 is in its first step, and
+    run 1 ends that step only once the caller has ended its group, so 3 and 4
+    take no step and run 1 none after the one in flight."""
     _cpus(monkeypatch, cpus)
     grid = make_grid(-12.0, 12.0, 512)
     state = gaussian_packet(grid, x0=0.0, sigma0=1.0)
-    past, stepped = threading.Event(), []
+    in_flight, caller_done, stepped = threading.Event(), threading.Event(), []
 
     def hook(i):
-        if i > 2:
-            return lambda: stepped.append(i) or past.set()
-        return lambda: stepped.append(i) or (cpus == 2 and past.wait(10))
+        def on_guard():
+            stepped.append(i)
+            if cpus == 2 and i == 1:
+                in_flight.set()
+                assert caller_done.wait(10)
+        return on_guard
 
+    def fail_in_flight():
+        if cpus == 2:
+            assert in_flight.wait(10)
+
+    side_by_side = propagate.side_by_side
+
+    def caller_group_then_done(tasks):
+        first, *rest = tasks
+        return side_by_side([lambda: (first(), caller_done.set())[0], *rest])
+
+    monkeypatch.setattr(propagate, "side_by_side", caller_group_then_done)
     wide = WaveState(grid, np.exp(-grid.x ** 2 / 32.0))  # not decayed at the edges
-    runs = [(wide, 40, spectral_stepper(grid, 0.01, FREE))] + [
+    runs = [(wide, 40, _watched(spectral_stepper(grid, 0.01, FREE), fail_in_flight))] + [
         (state, 40 - i, _watched(spectral_stepper(grid, 0.01, FREE), hook(i)))
         for i in range(1, 5)]
     with pytest.raises(BoundaryDecayError, match="^aborted at step 0: state has not decayed"):
         propagate.finals(runs)
-    assert sorted(stepped) in ([1, 2, 3, 4], [3, 4] if cpus == 2 else [])
+    assert stepped == ([1] if cpus == 2 else [])
 
 
 def test_finals_march_every_run_once_under_contention(monkeypatch):

@@ -162,17 +162,18 @@ def test_the_wrapper_layer_is_gone():
 
 # the second ways of deciding or reading T, deleted for good
 KERNEL_LEFTOVERS = ("KernelEvaluation", "normalization_constant", "_a_value")
-# the second ways of building a wave step's operator, stacking it or picking its builder
-# by name, deleted for good: a Step builds its factor arrays, finals stacks each by row,
-# the FFT pair is no factor, and STEPPERS maps a name to a builder
+# the second ways of building a wave step's operator, stacking it, applying it or picking
+# its builder by name, deleted for good: a Step builds its factor arrays and advances one
+# state, finals steps each run's state in place, the FFT pair is no factor, a matrix step
+# applies np.matmul, and STEPPERS maps a name to a builder
 STEP_LEFTOVERS = ("dense_operator", "chirp_z_applies", "wave_stepper", "METHODS", "_stack",
-                  "_in_place_ffts")
+                  "_in_place_ffts", "_lockstep", "_matrix_apply")
 
 
 def test_t_is_decided_in_one_place():
     found = _callables()
     assert {"kernel.complex_kernel", "kernel.source_factors", "propagate.Step.__call__",
-            "propagate.dense_stepper"} <= set(found)
+            "propagate.Step.advance", "propagate.dense_stepper"} <= set(found)
     assert sorted(name for name, obj in found.items() if "a_override" in _parameters(obj)) == []
     assert not hasattr(gaussprop, "__all__")
     assert not [name for name in KERNEL_LEFTOVERS if hasattr(gaussprop, name)]
